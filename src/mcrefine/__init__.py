@@ -19,7 +19,7 @@ from .extrapolate import (ALGORITHMS, Diagnostics, ExtrapolationParams,
                           RefineResult, SingularGramError, SparseModel,
                           run, solve_subspace)
 from .frame import (BlockRef, Frame, GeometryError, Plane, ProjectionLayout,
-                    build_layout, mse, psnr)
+                    SampleError, build_layout, mse, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
 from .videoio import (FormatError, SequenceSource, frame_bytes, read_frames,
                       synth_sequence, write_frames)
@@ -29,13 +29,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS", "BDInputError", "BDResult", "BasisSet", "BlockRef",
     "DEFAULT_QPS", "Diagnostics", "EncoderConfig", "ExtrapolationParams",
-    "FormatError", "Frame", "GeometryError", "MotionVector", "ParameterError",
-    "Plane", "ProjectionContext", "ProjectionLayout", "RDCurve", "RDPoint",
-    "RefineResult", "SearchParams", "SequenceSource", "SingularGramError",
-    "SparseModel", "WeightMask", "bd_metrics", "build_basis",
-    "build_layout", "build_weight_mask", "compensate", "encode_pass",
-    "encode_sequence", "estimate", "frame_bytes", "mse", "mv_bits",
-    "predict_frame", "projection_context", "psnr", "qp_to_qstep",
-    "read_frames", "replay_trace", "run", "solve_subspace",
-    "synth_sequence", "write_frames",
+    "FormatError", "Frame", "GeometryError", "MotionVector",
+    "ParameterError", "Plane", "ProjectionContext", "ProjectionLayout",
+    "RDCurve", "RDPoint", "RefineResult", "SampleError", "SearchParams",
+    "SequenceSource", "SingularGramError", "SparseModel", "WeightMask",
+    "bd_metrics", "build_basis", "build_layout", "build_weight_mask",
+    "compensate", "encode_pass", "encode_sequence", "estimate",
+    "frame_bytes", "mse", "mv_bits", "predict_frame", "projection_context",
+    "psnr", "qp_to_qstep", "read_frames", "replay_trace", "run",
+    "solve_subspace", "synth_sequence", "write_frames",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from . import codec
 from .bd import BDInputError, bd_metrics
 from .codec import DEFAULT_QPS, EncoderConfig, predict_frame
-from .extrapolate import ExtrapolationParams
+from .extrapolate import ALGORITHMS, ExtrapolationParams
 from .frame import psnr
 from .motion import SearchParams
 from .videoio import (SequenceSource, read_frames, synth_sequence,
@@ -63,14 +63,10 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
-        if self.width % self.block_size or self.height % self.block_size:
-            raise ConfigError(
-                f"frame {self.width}x{self.height} is not a multiple of the "
-                f"block size {self.block_size}")
         for algo in self.algorithms:
-            if algo not in codec.REFINEMENTS:
+            if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {algo!r}; "
-                                  f"choose from {codec.REFINEMENTS}")
+                                  f"choose from {ALGORITHMS}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError("duplicate algorithm in selection")
         if self.jobs < 1:
@@ -81,6 +77,10 @@ class RunConfig:
             self.encoder_config("msa")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.width % self.block_size or self.height % self.block_size:
+            raise ConfigError(
+                f"frame {self.width}x{self.height} is not a multiple of the "
+                f"block size {self.block_size}")
         return self
 
     def extrapolation_params(self, algorithm: str) -> ExtrapolationParams | None:

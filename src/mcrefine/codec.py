@@ -32,8 +32,6 @@ from .frame import (BlockRef, Frame, GeometryError, Plane, build_layout, mse,
                     psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
 
-REFINEMENTS = ("none", "fsa", "rba", "msa")
-
 # Quantizer ladder mirroring ten fixed QPs from 16 to 43 in steps of 3,
 # mapped through qstep = 2**((qp - 4) / 6).
 DEFAULT_QPS = tuple(range(16, 44, 3))
@@ -56,7 +54,7 @@ class EncoderConfig:
     mode: str = "fft"  # projection evaluation route
 
     def __post_init__(self):
-        if self.refinement not in REFINEMENTS:
+        if self.refinement not in extrapolate.ALGORITHMS:
             raise ValueError(f"unknown refinement {self.refinement!r}")
         if self.refinement != "none" and self.extrapolation is None:
             object.__setattr__(
@@ -64,8 +62,10 @@ class EncoderConfig:
                 extrapolate.ExtrapolationParams.defaults(self.refinement))
         if len(self.qps) < 1 or any(b <= a for a, b in zip(self.qps, self.qps[1:])):
             raise ValueError("quantizer ladder must be strictly increasing")
-        if self.block_size % 8:
-            raise ValueError("block size must be a multiple of the 8x8 transform")
+        s = self.block_size
+        if s < 8 or s & (s - 1):
+            raise ValueError(f"block size must be a power of two >= 8 (the "
+                             f"8x8 transform tiles it), got {s}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if self.mu <= 0.0:
@@ -145,11 +145,33 @@ def assemble_window(layout, neighbor_samples: np.ndarray,
     return f
 
 
+def frame_blocks(width: int, height: int, size: int) -> list:
+    """Every macroblock of a frame, in line-scan order."""
+    return [BlockRef(x0=x0, y0=y0, size=size)
+            for y0 in range(0, height, size) for x0 in range(0, width, size)]
+
+
+def search_frame(current: Plane, reference: Plane, blocks,
+                 params: SearchParams) -> list:
+    """Motion pre-pass: ``(mv, sad)`` of every block against ``reference``.
+
+    Search reads only the reference and the current originals, never the
+    current frame's reconstruction, so one pass ahead of the block loop
+    gives the same vectors as searching block by block inside it.
+    """
+    return [estimate(current, reference, block, params) for block in blocks]
+
+
 def _predict_block(current: Plane, reference: Plane, block: BlockRef,
-                   neighbor_samples: np.ndarray, config: EncoderConfig
-                   ) -> tuple[np.ndarray, BlockDecision]:
-    """MC + optional refinement + MSE switch for one macroblock."""
-    mv, sad = estimate(current, reference, block, config.search)
+                   motion: tuple, neighbor_samples: np.ndarray,
+                   config: EncoderConfig
+                   ) -> tuple[np.ndarray, np.ndarray, BlockDecision]:
+    """MC + optional refinement + MSE switch for one macroblock.
+
+    ``motion`` is the block's ``(mv, sad)`` from `search_frame`.  Returns
+    the chosen predictor, the MC predictor and the decision.
+    """
+    mv, sad = motion
     mc = compensate(reference, block, mv)
     original = current.block(block)
     mc_err = mse(original, mc)
@@ -171,7 +193,7 @@ def _predict_block(current: Plane, reference: Plane, block: BlockRef,
                              mv=mv, sad=sad, refined=used_refined,
                              mc_mse=mc_err, refined_mse=refined_err,
                              refine_seconds=spent)
-    return chosen, decision
+    return chosen, mc, decision
 
 
 def _side_bits(decisions, n_blocks_x: int, flag_per_block: bool) -> int:
@@ -193,37 +215,40 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
     ``neighbor_source`` (the current originals by default), so blocks are
     independent and may be evaluated in parallel.
 
-    The closed-loop path in `encode_sequence` interleaves prediction with
-    reconstruction instead and does not use this function's parallelism.
+    Motion search runs first, as one `search_frame` pre-pass over every
+    block; the per-block work (MC, refinement, switch) then runs on
+    ``jobs`` threads.  The closed-loop path in `encode_pass` interleaves
+    prediction with reconstruction instead and does not use this
+    function's parallelism.
     """
     s = config.block_size
     if current.width % s or current.height % s:
         raise ValueError(f"frame {current.width}x{current.height} not a "
                          f"multiple of the block size {s}")
     src = (neighbor_source if neighbor_source is not None else current).data
-    nx, ny = current.width // s, current.height // s
-    blocks = [BlockRef(x0=bx * s, y0=by * s, size=s)
-              for by in range(ny) for bx in range(nx)]
+    nx = current.width // s
+    blocks = frame_blocks(current.width, current.height, s)
+    motion = search_frame(current, reference, blocks, config.search)
 
-    def work(block):
-        return _predict_block(current, reference, block, src, config)
+    def work(block, block_motion):
+        return _predict_block(current, reference, block, block_motion, src,
+                              config)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, blocks))
+            results = list(pool.map(work, blocks, motion))
     else:
-        results = [work(b) for b in blocks]
+        results = list(map(work, blocks, motion))
 
     predictor = np.empty((current.height, current.width))
     mc_raster = np.empty_like(predictor)
     decisions = []
     refine_total = 0.0
-    for block, (chosen, decision) in zip(blocks, results):
+    for block, (chosen, mc, decision) in zip(blocks, results):
         ys, xs = slice(block.y0, block.y0 + s), slice(block.x0, block.x0 + s)
         predictor[ys, xs] = chosen
-        mc_raster[ys, xs] = compensate(reference, block, decision.mv) \
-            if decision.refined else chosen
+        mc_raster[ys, xs] = mc
         decisions.append(decision)
         refine_total += decision.refine_seconds
     side = _side_bits(decisions, nx, config.refinement != "none")
@@ -367,6 +392,10 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     the rate and the PSNR mean.  When ``predictor_sink`` is a list, the
     encoder's per-frame predictor rasters are appended to it — the reference
     a decoder-side replay has to reproduce.
+
+    Each P-frame starts with a `search_frame` pre-pass against the previous
+    reconstruction; the line-scan loop then refines, switches and
+    reconstructs block by block.
     """
     s = config.block_size
     first = frames[0].y
@@ -376,7 +405,8 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     recon_prev_y, _, intra_levels = intra
     prev_frame = Frame(y=recon_prev_y, u=frames[0].u, v=frames[0].v)
 
-    nx, ny = first.width // s, first.height // s
+    nx = first.width // s
+    blocks = frame_blocks(first.width, first.height, s)
     total_bits = 0.0
     stats = []
     trace_frames = []
@@ -389,24 +419,21 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         block_traces = []
         frame_bits = 0.0
         refine_total = 0.0
-        for by in range(ny):
-            for bx in range(nx):
-                block = BlockRef(x0=bx * s, y0=by * s, size=s)
-                chosen, decision = _predict_block(
-                    cur, prev_frame.y, block, recon_y, config)
-                rec, coeff_bits, levels = reconstruct_block(
-                    cur.block(block), chosen, qstep)
-                recon_y[block.y0:block.y0 + s, block.x0:block.x0 + s] = rec
-                if pred_y is not None:
-                    pred_y[block.y0:block.y0 + s,
-                           block.x0:block.x0 + s] = chosen
-                decisions.append(decision)
-                frame_bits += coeff_bits
-                refine_total += decision.refine_seconds
-                if collect_trace:
-                    block_traces.append(BlockTrace(
-                        mv=decision.mv, refined=decision.refined,
-                        levels=levels))
+        motion = search_frame(cur, prev_frame.y, blocks, config.search)
+        for block, block_motion in zip(blocks, motion):
+            chosen, _, decision = _predict_block(
+                cur, prev_frame.y, block, block_motion, recon_y, config)
+            rec, coeff_bits, levels = reconstruct_block(
+                cur.block(block), chosen, qstep)
+            recon_y[block.y0:block.y0 + s, block.x0:block.x0 + s] = rec
+            if pred_y is not None:
+                pred_y[block.y0:block.y0 + s, block.x0:block.x0 + s] = chosen
+            decisions.append(decision)
+            frame_bits += coeff_bits
+            refine_total += decision.refine_seconds
+            if collect_trace:
+                block_traces.append(BlockTrace(
+                    mv=decision.mv, refined=decision.refined, levels=levels))
         frame_bits += _side_bits(decisions, nx, config.refinement != "none")
         total_bits += frame_bits
         refined_n = sum(d.refined for d in decisions)
@@ -485,6 +512,7 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     width, height = trace.dims
     s = trace.block_size
     nx = width // s
+    blocks_in_scan = frame_blocks(width, height, s)
     flat = np.full((s, s), 128.0)
     recon = np.empty((height, width), np.uint8)
     for i, y0 in enumerate(range(0, height, s)):
@@ -497,9 +525,7 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     for blocks in trace.frames:
         recon_y = np.zeros((height, width), np.uint8)
         predictor = np.empty((height, width))
-        for idx, bt in enumerate(blocks):
-            by, bx = divmod(idx, nx)
-            block = BlockRef(x0=bx * s, y0=by * s, size=s)
+        for block, bt in zip(blocks_in_scan, blocks):
             mc = compensate(prev, block, bt.mv)
             if bt.refined:
                 layout = build_layout(prev, block)

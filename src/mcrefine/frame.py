@@ -25,15 +25,19 @@ class GeometryError(ValueError):
     """Block placement inconsistent with the frame geometry."""
 
 
+class SampleError(ValueError):
+    """Sample values that cannot be stored as 8-bit samples."""
+
+
 class Plane:
     """Immutable 8-bit sample raster (one colour component of a frame).
 
     Stores samples row-major as ``uint8``; every computation promotes to
-    floating point.  Interpolated versions of the raster are derived lazily
+    a wider type.  Interpolated versions of the raster are derived lazily
     and cached, which is safe because the sample data is read-only.
     """
 
-    __slots__ = ("data", "_f32", "_half")
+    __slots__ = ("data", "_f32", "_half", "_quarter")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -42,8 +46,10 @@ class Plane:
         if arr.dtype != np.uint8:
             if not np.issubdtype(arr.dtype, np.number):
                 raise ValueError(f"plane dtype {arr.dtype} is not numeric")
+            if not np.isfinite(arr).all():
+                raise SampleError("plane samples must be finite")
             if arr.size and (arr.min() < 0 or arr.max() > 255):
-                raise ValueError("plane samples must lie in [0, 255]")
+                raise SampleError("plane samples must lie in [0, 255]")
             arr = np.asarray(np.rint(arr), dtype=np.uint8)
         else:
             arr = arr.copy()
@@ -51,6 +57,7 @@ class Plane:
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "_f32", None)
         object.__setattr__(self, "_half", None)
+        object.__setattr__(self, "_quarter", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Plane is immutable")
@@ -74,6 +81,34 @@ class Plane:
             object.__setattr__(self, "_f32", f)
         return self._f32
 
+    def quarter_grid(self, subpel: int) -> np.ndarray:
+        """Sample grid at ``1/subpel`` resolution in int16 quarter units.
+
+        Every value is 4x the sample (``subpel`` 1) or 4x the bilinear
+        half-pel sample (``subpel`` 2), which is an integer: two-tap
+        averages become 2(a + b) and four-tap averages a + b + c + d.  The
+        values lie in [0, 1020].  At ``subpel`` 2 the bottom and right
+        borders are edge-replicated, so the grid has shape
+        ``(2*height, 2*width)`` and every half-pel position is defined.
+        """
+        grid = self._quarter.get(subpel)
+        if grid is None:
+            a = self.data.astype(np.int16)
+            if subpel == 1:
+                grid = 4 * a
+            else:
+                a = np.pad(a, ((0, 1), (0, 1)), mode="edge")
+                here, right = a[:-1, :-1], a[:-1, 1:]
+                below, diagonal = a[1:, :-1], a[1:, 1:]
+                grid = np.empty((2 * self.height, 2 * self.width), np.int16)
+                grid[0::2, 0::2] = 4 * here
+                grid[0::2, 1::2] = 2 * (here + right)
+                grid[1::2, 0::2] = 2 * (here + below)
+                grid[1::2, 1::2] = here + right + below + diagonal
+            grid.setflags(write=False)
+            self._quarter[subpel] = grid
+        return grid
+
     def half_pel(self) -> np.ndarray:
         """Bilinearly interpolated raster on the half-sample grid.
 
@@ -83,12 +118,7 @@ class Plane:
         ``(2*height, 2*width)`` and every half-pel position is defined.
         """
         if self._half is None:
-            a = np.pad(self.as_float32(), ((0, 1), (0, 1)), mode="edge")
-            up = np.empty((2 * self.height, 2 * self.width), np.float32)
-            up[0::2, 0::2] = a[:-1, :-1]
-            up[0::2, 1::2] = (a[:-1, :-1] + a[:-1, 1:]) / 2
-            up[1::2, 0::2] = (a[:-1, :-1] + a[1:, :-1]) / 2
-            up[1::2, 1::2] = (a[:-1, :-1] + a[:-1, 1:] + a[1:, :-1] + a[1:, 1:]) / 4
+            up = self.quarter_grid(2) * np.float32(0.25)
             up.setflags(write=False)
             object.__setattr__(self, "_half", up)
         return self._half
@@ -147,11 +177,6 @@ class ProjectionLayout:
     region_map: np.ndarray
     availability: tuple[bool, bool, bool, bool]  # left, top-left, top, top-right
     origin: tuple[int, int]  # (y, x) of area sample [0, 0] in frame coordinates
-
-    @property
-    def cache_key(self):
-        """Hashable key identifying the region pattern (for mask caching)."""
-        return (self.block.size, self.availability)
 
     @property
     def r_empty(self) -> bool:

@@ -5,12 +5,33 @@ search and 2 for half-pel, so a vector (dx=3, dy=-1) at scale 2 means a
 displacement of (+1.5, -0.5) samples.  Half-pel samples come from bilinear
 interpolation on an edge-replicated grid.  The search is exhaustive over the
 clamped window at the selected resolution and minimises the sum of absolute
-differences; SAD values are dyadic rationals well inside float32's exact
-integer range, so comparisons and ties are exact.
+differences.
+
+The search is exact integer arithmetic.  It reads the reference through
+`Plane.quarter_grid`, which holds 4x every (interpolated) sample as int16:
+bilinear half-pel values are multiples of 1/4, so the scaled values are
+integers in [0, 1020].  A difference of two such values lies in
+[-1020, 1020] and its absolute value fits int16 exactly.  Per candidate,
+the |differences| are added pairwise in int16 until each partial sum covers
+up to 32 samples (at most 32 * 1020 = 32640 <= 32767), and those partial
+sums are added in int32 (at most 261120 for a 16x16 block).  The reported
+SAD is the integer sum / 4, the same dyadic rational a float32 search
+gives, so comparisons and ties are exact.
+
+The candidate SADs of one block are computed a chunk of displacement rows
+at a time (15 of the 65 rows for a 16x16 block at +/-16 half-pel) in a
+per-thread scratch buffer of 512 KB that is allocated once and reused.
+One ``(n_dy, s, s, n_dx)`` temporary for the whole window would be 2.2 MB;
+a fresh allocation that size lands above the C allocator's mmap threshold
+and is page-faulted again on every call, which costs as much as the
+arithmetic, and it does not stay in the L2 cache between the passes over
+it.  The displacement ``dx`` is the innermost axis, so the subtraction
+streams along contiguous grid rows.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +87,6 @@ class SearchParams:
             raise ValueError(f"subpel must be 1 or 2, got {self.subpel}")
 
 
-def _grid(reference: Plane, subpel: int) -> np.ndarray:
-    return reference.half_pel() if subpel == 2 else reference.as_float32()
-
-
 def _window(plane: Plane, block: BlockRef, params: SearchParams):
     """Clamped displacement bounds keeping the block footprint in-frame."""
     s, scale = block.size, params.subpel
@@ -79,6 +96,44 @@ def _window(plane: Plane, block: BlockRef, params: SearchParams):
     dx_lo = max(-r, -scale * block.x0)
     dx_hi = min(r, scale * (plane.width - s - block.x0))
     return dy_lo, dy_hi, dx_lo, dx_hi
+
+
+_CHUNK_BYTES = 1 << 19    # scratch per thread for one chunk of |differences|
+_INT16_TERMS = 32         # 32 * 1020 <= 32767: partial sums exact in int16
+_scratch = threading.local()
+
+
+def _scratch_buffer(size: int) -> np.ndarray:
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _scratch.buf = np.empty(size, np.int16)
+    return buf[:size]
+
+
+def _sad_table(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Integer SAD of every candidate, a chunk of displacement rows at a time.
+
+    ``candidates`` is an ``(n_dy, s, s, n_dx)`` int16 view, ``target`` the
+    ``(s, s, 1)`` int16 block; returns the ``(n_dy, n_dx)`` int32 table.
+    """
+    n_dy, s, _, n_dx = candidates.shape
+    n = s * s  # |differences| per candidate, a power of two
+    rows = min(n_dy, max(1, _CHUNK_BYTES // (2 * n * n_dx)))
+    diff = _scratch_buffer(rows * n * n_dx).reshape(rows, s, s, n_dx)
+    terms = diff.reshape(rows, n, n_dx)
+    sad = np.empty((n_dy, n_dx), np.int32)
+    for r0 in range(0, n_dy, rows):
+        k = min(rows, n_dy - r0)
+        d = diff[:k]
+        np.subtract(candidates[r0:r0 + k], target, out=d)
+        np.abs(d, out=d)
+        part, m = terms[:k], n
+        while m > 1 and n // m < _INT16_TERMS:  # m partials of n // m terms
+            m //= 2
+            np.add(part[:, :m], part[:, m:2 * m], out=part[:, :m])
+        np.add.reduce(part[:, :m], axis=1, dtype=np.int32,
+                      out=sad[r0:r0 + k])
+    return sad
 
 
 def estimate(current: Plane, reference: Plane, block: BlockRef,
@@ -91,19 +146,18 @@ def estimate(current: Plane, reference: Plane, block: BlockRef,
     SAD.
     """
     scale = params.subpel
-    grid = _grid(reference, scale)
-    target = current.block(block).astype(np.float32)
+    grid = reference.quarter_grid(scale)
+    target = 4 * current.block(block).astype(np.int16)[:, :, None]
     dy_lo, dy_hi, dx_lo, dx_hi = _window(reference, block, params)
-    n_dy, n_dx = dy_hi - dy_lo + 1, dx_hi - dx_lo + 1
     s = block.size
     s0, s1 = grid.strides
-    base = (scale * block.y0 + dy_lo) * grid.shape[1] + scale * block.x0 + dx_lo
+    # candidates[dy, i, j, dx] = grid[y + dy + scale*i, x + scale*j + dx]
     candidates = as_strided(
-        grid.reshape(-1)[base:],
-        shape=(n_dy, n_dx, s, s),
-        strides=(s0, s1, scale * s0, scale * s1),
+        grid[scale * block.y0 + dy_lo:, scale * block.x0 + dx_lo:],
+        shape=(dy_hi - dy_lo + 1, s, s, dx_hi - dx_lo + 1),
+        strides=(s0, scale * s0, scale * s1, s1),
     )
-    sad = np.abs(candidates - target).sum(axis=(2, 3))
+    sad = _sad_table(candidates, target)
     best = sad.min()
     ties = np.argwhere(sad == best)
     if ties.shape[0] == 1:
@@ -114,7 +168,7 @@ def estimate(current: Plane, reference: Plane, block: BlockRef,
         pick = np.lexsort((dx_t, dy_t, np.abs(dx_t) + np.abs(dy_t)))[0]
         iy, ix = ties[pick]
     mv = MotionVector(dx=int(ix + dx_lo), dy=int(iy + dy_lo), scale=scale)
-    return mv, float(best)
+    return mv, int(best) / 4
 
 
 def compensate(reference: Plane, block: BlockRef, mv: MotionVector) -> np.ndarray:
@@ -132,8 +186,8 @@ def compensate(reference: Plane, block: BlockRef, mv: MotionVector) -> np.ndarra
         raise GeometryError(
             f"displacement ({mv.dx}, {mv.dy})/{scale} moves block "
             f"({block.x0}, {block.y0}) outside the reference")
-    grid = _grid(reference, scale)
-    return grid[y:y + scale * s:scale, x:x + scale * s:scale].astype(np.float64)
+    grid = reference.quarter_grid(scale)
+    return grid[y:y + scale * s:scale, x:x + scale * s:scale] * 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not a multiple"):
             load_config(None, {"width": 100, "height": 64})
 
+    def test_validation_block_size_before_any_frame(self):
+        # 24 divides the frame and is a multiple of 8, but not a power of two
+        with pytest.raises(ConfigError, match="power of two"):
+            load_config(None, {"width": 48, "height": 48, "block_size": 24})
+        with pytest.raises(ConfigError, match="power of two"):
+            load_config(None, {"block_size": 0})
+
     def test_validation_duplicate_algorithms(self):
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(None, {"algorithms": "msa,msa"})

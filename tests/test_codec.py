@@ -82,6 +82,11 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             EncoderConfig(block_size=12)
 
+    @pytest.mark.parametrize("size", [0, 4, 24, 40])
+    def test_block_size_must_be_power_of_two_from_8(self, size):
+        with pytest.raises(ValueError, match="power of two"):
+            EncoderConfig(block_size=size)
+
     def test_none_needs_no_params(self):
         cfg = EncoderConfig(refinement="none")
         assert cfg.extrapolation is None

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mcrefine.frame import (REGION_B, REGION_PAD, REGION_R, BlockRef, Frame,
-                            GeometryError, Plane, build_layout, mse, psnr)
+                            GeometryError, Plane, SampleError, build_layout,
+                            mse, psnr)
 
 
 def half_pel_oracle(data):
@@ -46,6 +47,21 @@ class TestPlane:
             Plane(np.full((4, 4), 300.0))
         with pytest.raises(ValueError):
             Plane(np.full((4, 4), -1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(SampleError, match="finite"):
+            Plane([[bad, 1.0], [2.0, 3.0]])
+        assert issubclass(SampleError, ValueError)
+
+    def test_quarter_grid_is_four_times_the_samples(self, rng):
+        data = rng.integers(0, 256, size=(7, 5), dtype=np.uint8)
+        p = Plane(data)
+        np.testing.assert_array_equal(p.quarter_grid(1), 4 * data.astype(int))
+        np.testing.assert_array_equal(p.quarter_grid(2),
+                                      4 * half_pel_oracle(data))
+        assert p.quarter_grid(2).dtype == np.int16
+        assert p.quarter_grid(2) is p.quarter_grid(2)
 
     def test_rounds_float_input(self):
         p = Plane(np.full((2, 2), 7.6))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcrefine.codec import frame_blocks, search_frame
 from mcrefine.frame import BlockRef, GeometryError, Plane
 from mcrefine.motion import (MotionVector, SearchParams, compensate, estimate,
                              mv_bits, signed_golomb_bits)
@@ -110,6 +111,45 @@ class TestEstimate:
             mv_o, sad_o = search_oracle(cur, ref, block, params)
             assert sad == pytest.approx(sad_o, abs=1e-3)
             assert (mv.dx, mv.dy, mv.scale) == (mv_o.dx, mv_o.dy, mv_o.scale)
+
+    @pytest.mark.parametrize("size", [8, 16, 32, 64])
+    def test_extreme_samples_sad(self, size):
+        # the largest |difference| on every sample: 65280 = 256 * 255 at 16
+        ref = Plane(np.full((3 * size, 3 * size), 255, np.uint8))
+        cur = Plane(np.zeros((3 * size, 3 * size), np.uint8))
+        for subpel in (1, 2):
+            mv, sad = estimate(cur, ref, BlockRef(size, size, size=size),
+                               SearchParams(search_range=2, subpel=subpel))
+            assert sad == 255.0 * size * size and type(sad) is float
+            assert (mv.dx, mv.dy) == (0, 0)
+
+    def test_tie_break_order(self):
+        # a checkerboard matches its inverse at every odd shift: the four
+        # shifts with |dx| + |dy| == 1 tie at SAD 0, and dy breaks the tie
+        y, x = np.mgrid[0:48, 0:48]
+        board = np.where((y + x) % 2, 200, 40).astype(np.uint8)
+        ref, cur = Plane(board), Plane(240 - board)
+        params = SearchParams(search_range=3, subpel=1)
+        mv, sad = estimate(cur, ref, BlockRef(16, 16), params)
+        assert (mv.dx, mv.dy, sad) == (0, -1, 0.0)
+        mv_o, _ = search_oracle(cur, ref, BlockRef(16, 16), params)
+        assert (mv_o.dx, mv_o.dy) == (0, -1)
+
+    @pytest.mark.parametrize("subpel", [1, 2])
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_frame_prepass_matches_oracle(self, rng, subpel, size):
+        # 3x2 blocks in a frame smaller than the window: every block is
+        # clamped, the right and bottom ones against the far edges
+        width, height = 3 * size, 2 * size
+        ref = Plane(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
+        cur = Plane(np.roll(ref.data, (1, -2), axis=(0, 1)))
+        params = SearchParams(search_range=size // 4 + 1, subpel=subpel)
+        blocks = frame_blocks(width, height, size)
+        got = search_frame(cur, ref, blocks, params)
+        for block, (mv, sad) in zip(blocks, got):
+            mv_o, sad_o = search_oracle(cur, ref, block, params)
+            assert (mv.dx, mv.dy, mv.scale) == (mv_o.dx, mv_o.dy, mv_o.scale)
+            assert sad == sad_o
 
     def test_zero_bias_on_flat_plane(self):
         ref = Plane(np.full((48, 48), 77, np.uint8))
