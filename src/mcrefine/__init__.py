@@ -16,8 +16,7 @@ from .bd import BDInputError, BDResult, bd_metrics
 from .codec import (DEFAULT_QPS, EncoderConfig, RDCurve, RDPoint, encode_pass,
                     encode_sequence, predict_frame, qp_to_qstep, replay_trace)
 from .extrapolate import (ALGORITHMS, Diagnostics, ExtrapolationParams,
-                          RefineResult, SingularGramError, SparseModel,
-                          run, solve_subspace)
+                          RefineResult, SparseModel, run, solve_subspace)
 from .frame import (BlockRef, Frame, GeometryError, Plane, ProjectionLayout,
                     SampleError, build_layout, mse, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
@@ -32,7 +31,7 @@ __all__ = [
     "FormatError", "Frame", "GeometryError", "MotionVector",
     "ParameterError", "Plane", "ProjectionContext", "ProjectionLayout",
     "RDCurve", "RDPoint", "RefineResult", "SampleError", "SearchParams",
-    "SequenceSource", "SingularGramError", "SparseModel", "WeightMask",
+    "SequenceSource", "SparseModel", "WeightMask",
     "bd_metrics", "build_basis", "build_layout", "build_weight_mask",
     "compensate", "encode_pass", "encode_sequence", "estimate",
     "frame_bytes", "mse", "mv_bits", "predict_frame", "projection_context",

@@ -10,22 +10,27 @@ whole real raster space.  All members are mutually orthogonal under the
 uniform inner product over the area.
 
 Projections against an arbitrary non-negative weighting are the workhorse of
-the extrapolation engines.  Two evaluation routes are provided: an explicit
-basis-matrix route (the reference) and a fast route that reads every weighted
-correlation out of two FFTs.  Both must agree to high accuracy; the fast
-route exploits
+the extrapolation engines.  They take one route: every weighted correlation
+is read out of two FFTs,
 
     sum_x r[x] w[x] cos(phi_k[x]) =  Re FFT2(r*w)[k, l]
     sum_x r[x] w[x] sin(phi_k[x]) = -Im FFT2(r*w)[k, l]
 
-and product-to-sum identities that reduce weighted products of two basis
-functions to lookups into FFT2(w).
+and product-to-sum identities reduce weighted products of two basis
+functions to lookups into W = FFT2(w).  The weighted norms are the diagonal
+of that rule in closed form, (W[0, 0] +/- Re W[2k, 2l]) / 2, plus for the
+cosine member and minus for the sine member.  Models are rendered from
+small per-frequency factor tables, never from a dense basis matrix.
+
+`BasisSet.matrix`, one raster per function, is built lazily on first access
+and is not used by the projection route; it is the reference that tests
+and analysis scripts check the fast route against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,10 +45,12 @@ class ParameterError(ValueError):
 class BasisSet:
     """The complete real basis over an M x N working area.
 
-    ``matrix`` holds one flattened raster per row (C-order), so
-    ``matrix[k].reshape(m, n)`` is basis function k.  Index 0 is the DC
-    function.  ``k_freq``/``l_freq``/``is_sin`` describe each row's frequency
-    pair and whether it is the sine or cosine member.
+    Index 0 is the DC function.  ``k_freq``/``l_freq``/``is_sin`` describe
+    each function's frequency pair and whether it is the sine or cosine
+    member.  Function u is ``left[u].T @ right[l_freq[u]]``: ``left[u]`` is
+    [cos a, -sin a] for a cosine member and [sin a, cos a] for a sine member,
+    ``right[l]`` is [cos b, sin b], with a = 2*pi*k*m/M down the rows and
+    b = 2*pi*l*n/N along the columns.
     """
 
     m: int
@@ -51,14 +58,37 @@ class BasisSet:
     k_freq: np.ndarray
     l_freq: np.ndarray
     is_sin: np.ndarray
-    matrix: np.ndarray
+    left: np.ndarray    # (M*N, 2, M) row factors per function
+    right: np.ndarray   # (N, 2, N) column factors per column frequency
 
     @property
     def count(self) -> int:
-        return self.matrix.shape[0]
+        return self.k_freq.size
 
     def function(self, k: int) -> np.ndarray:
-        return self.matrix[k].reshape(self.m, self.n)
+        return self.left[k].T @ self.right[self.l_freq[k]]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense (M*N, M*N) matrix, one flattened raster per row (C-order).
+
+        The reference for tests and scripts; 40.5 MB at 48 x 48, so nothing
+        on the projection route reads it.
+        """
+        rows = np.arange(self.m)[:, None].astype(np.float64)
+        cols = np.arange(self.n)[None, :].astype(np.float64)
+        grid = (rows / self.m)[None, :, :] * self.k_freq[:, None, None] \
+            + (cols / self.n)[None, :, :] * self.l_freq[:, None, None]
+        phase = (2.0 * np.pi) * grid.reshape(self.count, self.m * self.n)
+        matrix = np.where(self.is_sin[:, None], np.sin(phase), np.cos(phase))
+        matrix.setflags(write=False)
+        return matrix
+
+
+def _unit_phases(size: int) -> np.ndarray:
+    """Table [f, x] = 2*pi*((f*x) mod size)/size: frequency f at sample x."""
+    f = np.arange(size)
+    return (2.0 * np.pi / size) * ((f[:, None] * f[None, :]) % size)
 
 
 @lru_cache(maxsize=4)
@@ -90,16 +120,17 @@ def build_basis(m: int, n: int) -> BasisSet:
     sin_arr = np.asarray(is_sin, dtype=bool)
     assert k_arr.size == m * n
 
-    rows = np.arange(m)[:, None].astype(np.float64)
-    cols = np.arange(n)[None, :].astype(np.float64)
-    grid = (rows / m)[None, :, :] * k_arr[:, None, None] \
-        + (cols / n)[None, :, :] * l_arr[:, None, None]
-    phase = (2.0 * np.pi) * grid.reshape(k_arr.size, m * n)
-    matrix = np.where(sin_arr[:, None], np.sin(phase), np.cos(phase))
-    for a in (k_arr, l_arr, sin_arr, matrix):
-        a.setflags(write=False)
+    a = _unit_phases(m)[k_arr]
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    left = np.where(sin_arr[:, None, None],
+                    np.stack((sin_a, cos_a), axis=1),
+                    np.stack((cos_a, -sin_a), axis=1))
+    b = _unit_phases(n)
+    right = np.stack((np.cos(b), np.sin(b)), axis=1)
+    for arr in (k_arr, l_arr, sin_arr, left, right):
+        arr.setflags(write=False)
     return BasisSet(m=m, n=n, k_freq=k_arr, l_freq=l_arr, is_sin=sin_arr,
-                    matrix=matrix)
+                    left=left, right=right)
 
 
 @dataclass(frozen=True)
@@ -158,6 +189,9 @@ def weighted_inner(a, b, w) -> float:
 def precompute_norms(basis: BasisSet, w) -> np.ndarray:
     """Weighted squared norm of every basis function under ``w``.
 
+    Closed form: cos^2 = (1 + cos 2phi) / 2 and sin^2 = (1 - cos 2phi) / 2,
+    so the norm of the (k, l) member is (W[0, 0] +/- Re W[2k, 2l]) / 2 with
+    W = FFT2(w), the same product-to-sum rule as the Gram diagonal.
     Functions whose weighted norm (numerically) vanishes cannot take part in
     any projection; callers detect them via `excluded_mask`.
     """
@@ -165,7 +199,9 @@ def precompute_norms(basis: BasisSet, w) -> np.ndarray:
     if wa.shape != (basis.m, basis.n):
         raise ValueError(f"weights {wa.shape} do not match basis "
                          f"{(basis.m, basis.n)}")
-    norms = (basis.matrix * basis.matrix) @ wa.ravel()
+    wc = np.fft.fft2(wa).real
+    doubled = wc[(2 * basis.k_freq) % basis.m, (2 * basis.l_freq) % basis.n]
+    norms = 0.5 * (wc[0, 0] + np.where(basis.is_sin, -doubled, doubled))
     norms.setflags(write=False)
     return norms
 
@@ -179,27 +215,23 @@ def excluded_mask(norms: np.ndarray) -> np.ndarray:
 class ProjectionContext:
     """A basis bound to one weight mask, with fast weighted correlations.
 
-    mode="matrix" evaluates everything through the explicit basis matrix and
-    is the reference; mode="fft" (default) computes the same quantities from
-    FFT tables and must match the reference to ~1e-9 or better.  Weighted
-    norms always come from the reference route so that both modes share one
-    set of projection denominators.
+    Numerators and Gram entries are read out of FFT tables, norms come in
+    closed form from FFT2(w) (see `precompute_norms`), and models are
+    rendered from the basis factor tables.  There is one route; the dense
+    `BasisSet.matrix` is only the reference that tests check it against.
     """
 
-    def __init__(self, basis: BasisSet, weights: WeightMask, mode: str = "fft"):
-        if mode not in ("fft", "matrix"):
-            raise ParameterError(f"unknown projection mode {mode!r}")
+    def __init__(self, basis: BasisSet, weights: WeightMask):
         self.basis = basis
         self.weights = weights
-        self.mode = mode
-        self.w_flat = _weights_array(weights).ravel()
-        self.norms = precompute_norms(basis, weights)
+        wa = _weights_array(weights)
+        self.w_flat = wa.ravel()
+        self.norms = precompute_norms(basis, wa)
         self.excluded = excluded_mask(self.norms)
         self._safe_norms = np.where(self.excluded, 1.0, self.norms)
-        if mode == "fft":
-            what = np.fft.fft2(_weights_array(weights))
-            self._wc = np.ascontiguousarray(what.real)   # cos-type table
-            self._ws = np.ascontiguousarray(-what.imag)  # sin-type table
+        what = np.fft.fft2(wa)
+        self._wc = np.ascontiguousarray(what.real)   # cos-type table
+        self._ws = np.ascontiguousarray(-what.imag)  # sin-type table
 
     # -- weighted correlations -------------------------------------------
 
@@ -207,21 +239,15 @@ class ProjectionContext:
         """sum(residual * phi_k * w) for every k at once."""
         b = self.basis
         r = residual.reshape(b.m, b.n)
-        if self.mode == "fft":
-            spec = np.fft.fft2(r * _weights_array(self.weights))
-            return np.where(b.is_sin,
-                            -spec.imag[b.k_freq, b.l_freq],
-                            spec.real[b.k_freq, b.l_freq])
-        return b.matrix @ (r.ravel() * self.w_flat)
+        spec = np.fft.fft2(r * _weights_array(self.weights))
+        return np.where(b.is_sin,
+                        -spec.imag[b.k_freq, b.l_freq],
+                        spec.real[b.k_freq, b.l_freq])
 
     def gram(self, indices: np.ndarray) -> np.ndarray:
         """Symmetric matrix of weighted products phi_a * phi_b over P."""
         b = self.basis
         idx = np.asarray(indices, dtype=np.intp)
-        if self.mode == "matrix":
-            sub = b.matrix[idx]
-            g = (sub * self.w_flat) @ sub.T
-            return (g + g.T) * 0.5
         ka, la, sa = b.k_freq[idx], b.l_freq[idx], b.is_sin[idx]
         kd = (ka[:, None] - ka[None, :]) % b.m
         ld = (la[:, None] - la[None, :]) % b.n
@@ -244,14 +270,18 @@ class ProjectionContext:
 
     def render(self, indices: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         """Spatial raster (flattened) of sum_u c_u * phi_u."""
+        b = self.basis
         idx = np.asarray(indices, dtype=np.intp)
-        return np.asarray(coefficients, dtype=np.float64) @ self.basis.matrix[idx]
+        c = np.asarray(coefficients, dtype=np.float64)
+        rows = (b.left[idx] * c[:, None, None]).reshape(-1, b.m)
+        cols = b.right[b.l_freq[idx]].reshape(-1, b.n)
+        return (rows.T @ cols).ravel()
 
 
 @lru_cache(maxsize=64)
 def _cached_context(m: int, n: int, size: int,
                     availability: tuple[bool, bool, bool, bool],
-                    mu: float, rho: float, mode: str) -> ProjectionContext:
+                    mu: float, rho: float) -> ProjectionContext:
     from .frame import BlockRef, ProjectionLayout, _region_map
     layout = ProjectionLayout(
         block=BlockRef(x0=size, y0=size, size=size),
@@ -260,12 +290,11 @@ def _cached_context(m: int, n: int, size: int,
         availability=availability,
         origin=(0, 0),
     )
-    return ProjectionContext(build_basis(m, n), build_weight_mask(layout, mu, rho),
-                             mode=mode)
+    return ProjectionContext(build_basis(m, n), build_weight_mask(layout, mu, rho))
 
 
 def projection_context(layout: ProjectionLayout, mu: float = 0.5,
-                       rho: float = 0.8, mode: str = "fft") -> ProjectionContext:
+                       rho: float = 0.8) -> ProjectionContext:
     """Shared, cached context for a layout's region pattern.
 
     Layouts at the same frame position class (same neighbour availability and
@@ -273,4 +302,4 @@ def projection_context(layout: ProjectionLayout, mu: float = 0.5,
     that key.  The basis itself is shared across all contexts of one size.
     """
     return _cached_context(layout.m, layout.n, layout.block.size,
-                           layout.availability, float(mu), float(rho), mode)
+                           layout.availability, float(mu), float(rho))

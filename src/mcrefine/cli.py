@@ -58,9 +58,7 @@ class RunConfig:
     subpel: int = 2
     block_size: int = 16
     fps: float = 30.0
-    mode: str = "fft"
     jobs: int = 1
-    seed: int = 0
 
     def validate(self):
         for algo in self.algorithms:
@@ -99,7 +97,7 @@ class RunConfig:
             search=SearchParams(search_range=self.search_range,
                                 subpel=self.subpel),
             mu=self.mu, rho=self.rho, qps=tuple(self.qps),
-            block_size=self.block_size, fps=self.fps, mode=self.mode)
+            block_size=self.block_size, fps=self.fps)
 
 
 _TUPLE_FIELDS = {"algorithms": str, "qps": int}
@@ -172,7 +170,6 @@ def _common_flags(sub):
     sub.add_argument("--fsa-iterations", type=int, dest="fsa_iterations")
     sub.add_argument("--rba-iterations", type=int, dest="rba_iterations")
     sub.add_argument("--msa-iterations", type=int, dest="msa_iterations")
-    sub.add_argument("--mode", choices=("fft", "matrix"))
     sub.add_argument("--fps", type=float)
 
 
@@ -300,6 +297,9 @@ def run_experiment(cfg: RunConfig, *, frames=None, rd_csv=None,
     rd CSV rows depend only on config and input (byte-reproducible);
     wall-clock numbers go to the separate timing report.
     """
+    if cfg.jobs != 1:
+        raise ConfigError("encode runs the closed loop serially; jobs must "
+                          f"be 1, got {cfg.jobs}")
     if frames is None:
         frames = _load_sequence(cfg)
     curves, stats, timing_rows = [], {}, []
@@ -375,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="open-loop prediction quality per algorithm")
     _common_flags(pp)
     pp.add_argument("--algorithms", help="comma list, e.g. none,fsa,rba,msa")
-    pp.add_argument("--jobs", type=int, help="parallel block evaluation")
+    pp.add_argument("--jobs", type=int,
+                    help="block-evaluation threads (GIL-bound: 1 is fastest)")
     pp.add_argument("--out-csv", dest="out_csv")
     pp.set_defaults(func=cmd_predict)
 

@@ -51,7 +51,6 @@ class EncoderConfig:
     qps: tuple = DEFAULT_QPS
     block_size: int = 16
     fps: float = 30.0
-    mode: str = "fft"  # projection evaluation route
 
     def __post_init__(self):
         if self.refinement not in extrapolate.ALGORITHMS:
@@ -70,8 +69,6 @@ class EncoderConfig:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if self.mu <= 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.mode not in ("fft", "matrix"):
-            raise ValueError(f"unknown projection mode {self.mode!r}")
 
     @property
     def qsteps(self) -> tuple:
@@ -179,8 +176,7 @@ def _predict_block(current: Plane, reference: Plane, block: BlockRef,
     refined_err = float("nan")
     chosen, used_refined, spent = mc, False, 0.0
     if config.refinement != "none" and not layout.r_empty:
-        ctx = projection_context(layout, mu=config.mu, rho=config.rho,
-                                 mode=config.mode)
+        ctx = projection_context(layout, mu=config.mu, rho=config.rho)
         window = assemble_window(layout, neighbor_samples, mc)
         t0 = time.perf_counter()
         result = extrapolate.run(window, layout, config.extrapolation,
@@ -529,8 +525,7 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
             mc = compensate(prev, block, bt.mv)
             if bt.refined:
                 layout = build_layout(prev, block)
-                ctx = projection_context(layout, mu=config.mu, rho=config.rho,
-                                         mode=config.mode)
+                ctx = projection_context(layout, mu=config.mu, rho=config.rho)
                 window = assemble_window(layout, recon_y, mc)
                 result = extrapolate.run(window, layout, config.extrapolation,
                                          context=ctx)

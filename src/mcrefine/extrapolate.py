@@ -39,15 +39,7 @@ log = logging.getLogger(__name__)
 # fraction of the initial weighted error.
 CONVERGENCE_FRACTION = 1e-12
 
-# A diagonal pivot below this fraction of the largest diagonal entry marks
-# the Gram system as numerically singular.
-PIVOT_FRACTION = 1e-12
-
 ALGORITHMS = ("none", "fsa", "rba", "msa")
-
-
-class SingularGramError(np.linalg.LinAlgError):
-    """The Gram matrix of the selected functions is numerically singular."""
 
 
 @dataclass
@@ -213,70 +205,35 @@ def select_candidates(decrements: np.ndarray, tau: float, n_bf: int) -> np.ndarr
     return chosen.astype(np.intp)
 
 
-def _solve_pivoted(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Symmetric elimination with diagonal pivoting; the Cholesky fallback.
-
-    Chooses the largest remaining diagonal entry as pivot each step and
-    raises once a pivot drops below PIVOT_FRACTION of the largest original
-    diagonal entry.
-    """
-    a = gram.astype(np.float64, copy=True)
-    b = rhs.astype(np.float64, copy=True)
-    size = a.shape[0]
-    tol = PIVOT_FRACTION * np.abs(np.diagonal(a)).max(initial=0.0)
-    perm = np.arange(size)
-    for i in range(size):
-        j = i + int(np.argmax(np.diagonal(a)[i:]))
-        if a[j, j] <= tol:
-            raise SingularGramError(
-                f"pivot {a[j, j]:.3e} below tolerance {tol:.3e}")
-        if j != i:
-            a[[i, j], :] = a[[j, i], :]
-            a[:, [i, j]] = a[:, [j, i]]
-            b[[i, j]] = b[[j, i]]
-            perm[[i, j]] = perm[[j, i]]
-        factors = a[i + 1:, i] / a[i, i]
-        a[i + 1:, i + 1:] -= np.outer(factors, a[i, i + 1:])
-        b[i + 1:] -= factors * b[i]
-    x = np.empty(size)
-    for i in range(size - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    out = np.empty(size)
-    out[perm] = x
-    return out
-
-
-def _solve_symmetric(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve of the (symmetric positive definite) Gram system."""
-    try:
-        cho = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    except np.linalg.LinAlgError:
-        return _solve_pivoted(gram, rhs)
-
-
-def _solve_with_retry(indices: np.ndarray, rhs_all: np.ndarray,
+def _solve_with_retry(fresh: np.ndarray, rhs_all: np.ndarray,
                       decrements: np.ndarray, ctx: ProjectionContext,
-                      state: EngineState | None
+                      state: EngineState | None,
+                      keep: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the normal equations on ``indices``; on singularity drop the
-    lowest-decrement member and retry.  Returns (solution, surviving indices);
-    both empty if nothing solvable remains.
+    """Solve the normal equations on ``keep`` + ``fresh`` by Cholesky; while
+    the Gram matrix is singular, drop the lowest-decrement member of
+    ``fresh`` and retry.  ``keep`` (rba's established support) is never
+    shed.  Returns (solution, solved indices); both empty once no fresh
+    member remains.
     """
-    current = np.asarray(indices, dtype=np.intp)
-    while current.size:
-        if current.size == 1:
-            k = current[0]
-            return rhs_all[current] / ctx.norms[k:k + 1], current
+    fresh = np.asarray(fresh, dtype=np.intp)
+    while fresh.size:
+        support = fresh if keep is None \
+            else np.union1d(keep, fresh).astype(np.intp)
+        if support.size == 1:
+            k = support[0]
+            return rhs_all[support] / ctx.norms[k:k + 1], support
         try:
-            return _solve_symmetric(ctx.gram(current), rhs_all[current]), current
-        except (SingularGramError, np.linalg.LinAlgError):
+            cho = scipy.linalg.cho_factor(ctx.gram(support), lower=True,
+                                          check_finite=False)
+            return scipy.linalg.cho_solve(cho, rhs_all[support],
+                                          check_finite=False), support
+        except np.linalg.LinAlgError:
             if state is not None:
                 state.gram_retries += 1
-            weakest = int(np.argmin(decrements[current]))
-            if current.size - 1 == 1:
-                log.debug("gram singular; selection reduced to one function")
-            current = np.delete(current, weakest)
+            weakest = int(np.argmin(decrements[fresh]))
+            log.debug("gram singular; shedding function %d", fresh[weakest])
+            fresh = np.delete(fresh, weakest)
     return np.empty(0), np.empty(0, dtype=np.intp)
 
 
@@ -370,20 +327,9 @@ def rba_step(state: EngineState, params: ExtrapolationParams,
         return state
     # Singularity handling sheds only the newly picked functions; the
     # established support solved fine last iteration and is kept.
-    while fresh.size:
-        support = np.union1d(state.active, fresh).astype(np.intp)
-        try:
-            if support.size == 1:
-                k = support[0]
-                solution = state.f_numerators[support] / ctx.norms[k:k + 1]
-            else:
-                solution = _solve_symmetric(ctx.gram(support),
-                                            state.f_numerators[support])
-            break
-        except (SingularGramError, np.linalg.LinAlgError):
-            state.gram_retries += 1
-            fresh = np.delete(fresh, int(np.argmin(decr[fresh])))
-    else:
+    solution, support = _solve_with_retry(fresh, state.f_numerators, decr,
+                                          ctx, state, keep=state.active)
+    if support.size == 0:
         state.converged = True
         return state
     state.model.replace(support, solution, ctx)
@@ -401,7 +347,7 @@ _STEPS = {"fsa": fsa_step, "rba": rba_step, "msa": msa_step}
 
 
 def run(f, layout: ProjectionLayout, params: ExtrapolationParams, *,
-        mu: float = 0.5, rho: float = 0.8, mode: str = "fft",
+        mu: float = 0.5, rho: float = 0.8,
         context: ProjectionContext | None = None,
         record: bool = False) -> RefineResult:
     """Run the configured engine on one working-area signal.
@@ -412,7 +358,7 @@ def run(f, layout: ProjectionLayout, params: ExtrapolationParams, *,
     final model plus run diagnostics.
     """
     ctx = context if context is not None \
-        else projection_context(layout, mu=mu, rho=rho, mode=mode)
+        else projection_context(layout, mu=mu, rho=rho)
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (layout.m, layout.n):
         raise ValueError(f"signal shape {f.shape} does not match layout "

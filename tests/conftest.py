@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from mcrefine.basis import projection_context
+from mcrefine.basis import ProjectionContext, projection_context
 from mcrefine.frame import BlockRef, build_layout
 
 # FFT plans and basis construction make first calls slow; wall-clock
@@ -11,6 +11,27 @@ settings.register_profile(
     "suite", deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+
+class MatrixContext(ProjectionContext):
+    """Reference projections read straight off the dense `BasisSet.matrix`.
+
+    The test oracle for the FFT route: norms are inherited (one closed-form
+    definition), while numerators, Gram entries and renderings are plain
+    matrix products with the materialised basis.
+    """
+
+    def numerators(self, residual):
+        return self.basis.matrix @ (np.ravel(residual) * self.w_flat)
+
+    def gram(self, indices):
+        sub = self.basis.matrix[np.asarray(indices, dtype=np.intp)]
+        g = (sub * self.w_flat) @ sub.T
+        return (g + g.T) * 0.5
+
+    def render(self, indices, coefficients):
+        idx = np.asarray(indices, dtype=np.intp)
+        return np.asarray(coefficients, dtype=np.float64) @ self.basis.matrix[idx]
 
 
 @pytest.fixture(scope="session")
@@ -25,8 +46,8 @@ def ctx8(layout8):
 
 
 @pytest.fixture(scope="session")
-def ctx8_matrix(layout8):
-    return projection_context(layout8, mode="matrix")
+def ctx8_matrix(ctx8):
+    return MatrixContext(ctx8.basis, ctx8.weights)
 
 
 @pytest.fixture(scope="session")

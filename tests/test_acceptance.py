@@ -159,7 +159,7 @@ def test_criterion_04(capsys):
     """Signals spanned by a few basis functions are recovered exactly under
     uniform weighting with undamped estimation."""
     basis = build_basis(AREA, AREA)
-    ctx = ProjectionContext(basis, WeightMask.uniform(AREA, AREA), mode="fft")
+    ctx = ProjectionContext(basis, WeightMask.uniform(AREA, AREA))
     layout = build_layout((160, 160), BlockRef(64, 64))
     params = ExtrapolationParams(algorithm="msa", iterations=5, gamma=1.0)
     rng = np.random.default_rng(23)

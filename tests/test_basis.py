@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcrefine.basis import (BasisSet, ParameterError, ProjectionContext,
-                            WeightMask, build_basis, build_weight_mask,
-                            excluded_mask, precompute_norms,
-                            projection_context, weighted_inner)
+from conftest import MatrixContext
+from mcrefine.basis import (ParameterError, ProjectionContext, WeightMask,
+                            build_basis, build_weight_mask, excluded_mask,
+                            precompute_norms, projection_context,
+                            weighted_inner)
 from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, build_layout
 
 
@@ -176,7 +177,7 @@ class TestNorms:
 
 
 class TestProjectionContextModes:
-    """The FFT route must reproduce the explicit matrix route."""
+    """The FFT route must reproduce the dense-matrix oracle."""
 
     def test_numerators_match_oracle(self, ctx8, ctx8_matrix, rng):
         b = ctx8.basis
@@ -216,16 +217,11 @@ class TestProjectionContextModes:
         want = sum(c * ctx8.basis.matrix[i] for c, i in zip(coefs, idx))
         np.testing.assert_allclose(ctx8.render(idx, coefs), want, atol=1e-12)
 
-    def test_mode_validation(self, layout8):
-        with pytest.raises(ParameterError):
-            ProjectionContext(build_basis(24, 24),
-                              build_weight_mask(layout8), mode="magic")
-
     def test_context_cached_per_pattern(self, layout8):
         a = projection_context(layout8)
         b = projection_context(layout8)
         assert a is b
-        c = projection_context(layout8, mode="matrix")
+        c = projection_context(layout8, rho=0.7)
         assert c is not a
 
     def test_same_pattern_shares_context(self):
@@ -234,3 +230,70 @@ class TestProjectionContextModes:
         l2 = build_layout((96, 96), BlockRef(72, 80, size=8))
         assert l1.availability == l2.availability
         assert projection_context(l1) is projection_context(l2)
+
+
+def _self_conjugate(b):
+    """Indices of cosine members whose frequency pair is its own image."""
+    return np.flatnonzero((2 * b.k_freq % b.m == 0) & (2 * b.l_freq % b.n == 0))
+
+
+@pytest.fixture(scope="module")
+def oracle48(layout16):
+    """Oracle on a private 48x48 basis, so its dense matrix is freed with
+    the module instead of pinning the shared cached basis."""
+    return MatrixContext(build_basis.__wrapped__(48, 48),
+                         build_weight_mask(layout16))
+
+
+class TestFactoredRoute:
+    """Closed-form norms and factored rendering against the dense oracle."""
+
+    @pytest.mark.parametrize("area", [24, 48])
+    def test_norms_match_dense_oracle(self, area, oracle48):
+        if area == 48:
+            basis, wm = oracle48.basis, oracle48.weights
+        else:  # left-edge block: a region pattern with padding
+            basis = build_basis.__wrapped__(24, 24)
+            wm = build_weight_mask(
+                build_layout((96, 96), BlockRef(0, 48, size=8)))
+        dense = (basis.matrix * basis.matrix) @ wm.w.ravel()
+        np.testing.assert_allclose(precompute_norms(basis, wm), dense,
+                                   rtol=1e-12, atol=0)
+        gram = ProjectionContext(basis, wm).gram(np.arange(64))
+        np.testing.assert_allclose(np.diagonal(gram), dense[:64],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("count", [1, 20, 80])
+    def test_render_matches_dense_oracle(self, count, oracle48, ctx8,
+                                         ctx8_matrix, rng):
+        fast48 = ProjectionContext(oracle48.basis, oracle48.weights)
+        for fast, oracle in ((ctx8, ctx8_matrix), (fast48, oracle48)):
+            b = fast.basis
+            conj = _self_conjugate(b)
+            others = np.setdiff1d(np.arange(b.count), conj)
+            idx = np.concatenate([conj[-1:], rng.choice(
+                others, size=count - 1, replace=False)])
+            if count > 1:
+                assert b.is_sin[idx].any() and not b.is_sin[idx].all()
+            coefs = rng.normal(size=count)
+            np.testing.assert_allclose(fast.render(idx, coefs),
+                                       oracle.render(idx, coefs),
+                                       rtol=0, atol=1e-12 * count)
+
+    def test_block32_context_without_dense_matrix(self):
+        # 96x96 area: the dense matrix would be 9216^2 doubles (~650 MB).
+        layout = build_layout((160, 160), BlockRef(64, 64, size=32))
+        ctx = projection_context(layout)
+        b = ctx.basis
+        assert (b.m, b.n, b.count) == (96, 96, 96 * 96)
+        assert np.all(ctx.norms > 0)
+        idx = np.array([0, 1, 2, 9215])
+        coefs = np.array([1.0, 0.5, -0.25, 2.0])
+        got = ctx.render(idx, coefs).reshape(96, 96)
+        y, x = np.mgrid[0:96, 0:96] / 96.0
+        want = np.zeros((96, 96))
+        for i, c in zip(idx, coefs):
+            phase = 2.0 * np.pi * (b.k_freq[i] * y + b.l_freq[i] * x)
+            want += c * (np.sin(phase) if b.is_sin[i] else np.cos(phase))
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert "matrix" not in b.__dict__

@@ -54,6 +54,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(str(path), {})
 
+    def test_seed_is_not_a_config_key(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nseed = 0\n")
+        with pytest.raises(ConfigError, match="unknown config key 'seed'"):
+            load_config(str(path), {})
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[general]\nwidth = 64\n")
@@ -217,6 +223,16 @@ class TestEncodeCommand:
         lines = rd.read_text().strip().splitlines()
         assert len(lines) == 3
         assert all(row.startswith("none,") for row in lines[1:])
+
+    def test_encode_rejects_jobs(self, seq_path, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nwidth = 64\nheight = 64\nqps = 28, 34\n"
+                       f"algorithms = none\njobs = 2\ninput = {seq_path}\n")
+        rd = tmp_path / "rd.csv"
+        rc = cli.main(["encode", "--config", str(ini), "--out-csv", str(rd)])
+        assert rc == 2
+        assert "jobs must be 1" in capsys.readouterr().err
+        assert not rd.exists()
 
 
 class TestSynthCommand:

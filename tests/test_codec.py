@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mcrefine import basis
 from mcrefine.bd import BDInputError, bd_metrics
 from mcrefine.codec import (DEFAULT_QPS, BlockDecision, EncoderConfig,
                             RDCurve, RDPoint, _entropy_bits, _side_bits,
@@ -306,6 +307,31 @@ class TestClosedLoop:
                                     algorithm="msa", iterations=12)))
         res = bd_metrics(base, ref)
         assert res.bd_psnr_db > 0.0
+
+
+@pytest.fixture()
+def private_basis48(monkeypatch):
+    """Route every context build through a private 48x48 basis."""
+    private = basis.build_basis.__wrapped__(48, 48)
+    monkeypatch.setattr(basis, "build_basis", lambda m, n: private)
+    basis._cached_context.cache_clear()
+    yield private
+    basis._cached_context.cache_clear()
+
+
+class TestDenseBasisOffPath:
+    @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
+    def test_codec_never_builds_dense_matrix(self, algo, private_basis48):
+        frames = tiny_sequence(frames=3, size=48, sigma=4.0)
+        cfg = fast_config(refinement=algo, extrapolation=ExtrapolationParams(
+            algorithm=algo, iterations=4), qps=(28,))
+        fp = predict_frame(frames[1].y, frames[0].y, cfg)
+        assert any(math.isfinite(d.refined_mse) for d in fp.decisions)
+        _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
+                                  collect_trace=True)
+        replay_trace(trace, cfg)
+        assert basis._cached_context.cache_info().currsize > 0
+        assert "matrix" not in private_basis48.__dict__
 
 
 class TestBD:

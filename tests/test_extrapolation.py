@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcrefine.basis import (ProjectionContext, WeightMask, build_basis,
-                            projection_context)
-from mcrefine.extrapolate import (ExtrapolationParams, SingularGramError,
-                                  SparseModel, _solve_pivoted, new_state,
+from conftest import MatrixContext
+from mcrefine.basis import WeightMask, build_basis
+from mcrefine.extrapolate import (ExtrapolationParams, SparseModel, new_state,
                                   decrement_energies, fsa_step, msa_step,
-                                  rba_step, run, select_candidates,
-                                  solve_subspace)
+                                  project_residual, rba_step, run,
+                                  select_candidates, solve_subspace)
 from mcrefine.frame import BlockRef, build_layout
 
 
@@ -41,9 +40,8 @@ def gauss_solve_oracle(a, b):
     return np.array(x)
 
 
-def uniform_ctx(m, n, mode="matrix"):
-    return ProjectionContext(build_basis(m, n), WeightMask.uniform(m, n),
-                             mode=mode)
+def uniform_ctx(m, n):
+    return MatrixContext(build_basis(m, n), WeightMask.uniform(m, n))
 
 
 class TestSelectCandidates:
@@ -117,19 +115,58 @@ class TestSolveSubspace:
         got, used = solve_subspace(r, np.array([3, 3]), ctx8)
         assert used.size < 2
 
-    def test_pivoted_solver_matches_numpy(self, rng):
-        for n in (1, 2, 5, 12):
-            a = rng.normal(size=(n, n))
-            spd = a @ a.T + n * np.eye(n)
-            b = rng.normal(size=n)
-            np.testing.assert_allclose(_solve_pivoted(spd, b),
-                                       np.linalg.solve(spd, b),
-                                       rtol=1e-9, atol=1e-12)
 
-    def test_pivoted_solver_raises_on_singular(self):
-        sing = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularGramError):
-            _solve_pivoted(sing, np.array([1.0, 2.0]))
+class SingularWith:
+    """Wraps a context; its Gram matrix is singular whenever ``bad`` is in
+    the requested support (that function's row and column are zeroed)."""
+
+    def __init__(self, ctx, bad):
+        self._ctx, self.bad = ctx, bad
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def gram(self, indices):
+        g = self._ctx.gram(indices)
+        hit = np.asarray(indices) == self.bad
+        g[hit, :] = 0.0
+        g[:, hit] = 0.0
+        return g
+
+
+class TestSingularRetry:
+    def test_rba_sheds_only_fresh_functions(self, layout8, ctx8, rng):
+        f = rng.normal(0, 10, size=(layout8.m, layout8.n))
+        params = ExtrapolationParams(algorithm="rba", iterations=4, tau=0.1,
+                                     n_bf=5)
+        state = new_state(f.reshape(-1), ctx8)
+        rba_step(state, params, ctx8)
+        active = state.active.copy()
+        assert active.size > 1
+        decr = decrement_energies(project_residual(state.residual, ctx8),
+                                  ctx8.norms)
+        fresh = np.setdiff1d(select_candidates(decr, params.tau, params.n_bf),
+                             active)
+        assert fresh.size > 1
+        # the weakest fresh pick is the one the retry sheds first; the
+        # established support has near-zero decrements, so a retry that
+        # shed across the whole support would drop it instead
+        bad = fresh[np.argmin(decr[fresh])]
+        assert decr[active].max() < decr[bad]
+        rba_step(state, params, SingularWith(ctx8, bad))
+        assert state.gram_retries == 1
+        np.testing.assert_array_equal(
+            state.active, np.union1d(active, np.setdiff1d(fresh, [bad])))
+
+    def test_greedy_sheds_weakest(self, ctx8, rng):
+        r = rng.normal(size=ctx8.basis.m * ctx8.basis.n)
+        decr = decrement_energies(project_residual(r, ctx8), ctx8.norms)
+        idx = np.argsort(decr)[-4:]
+        bad = idx[np.argmin(decr[idx])]
+        got, used = solve_subspace(r, np.sort(idx), SingularWith(ctx8, bad))
+        np.testing.assert_array_equal(used, np.setdiff1d(idx, [bad]))
+        want, _ = solve_subspace(r, used, ctx8)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestParams:
@@ -241,11 +278,12 @@ class TestEngines:
         b = run(f, layout8, params)
         np.testing.assert_array_equal(a.block, b.block)
 
-    def test_fft_and_matrix_modes_agree(self, layout8, rng):
+    def test_fft_and_matrix_modes_agree(self, layout8, ctx8, ctx8_matrix,
+                                        rng):
         f = rng.normal(128, 40, size=(layout8.m, layout8.n))
         params = ExtrapolationParams.defaults("msa")
-        a = run(f, layout8, params, mode="fft")
-        b = run(f, layout8, params, mode="matrix")
+        a = run(f, layout8, params, context=ctx8)
+        b = run(f, layout8, params, context=ctx8_matrix)
         # identical selections, near-identical numerics
         np.testing.assert_allclose(a.model.coefficients, b.model.coefficients,
                                    rtol=1e-6, atol=1e-9)
