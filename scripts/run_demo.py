@@ -23,7 +23,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--algorithms", default="none,fsa,rba,msa")
     ap.add_argument("--qps", default="16,19,22,25,28,31,34,37,40")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--input", help="use an existing raw 4:2:0 file instead "
                                     "of synthesizing one")
     args = ap.parse_args(argv)
@@ -46,8 +45,7 @@ def main(argv=None) -> int:
               "--algorithms", args.algorithms]
 
     print("== open-loop prediction quality ==")
-    rc = cli.main(["predict", *common, "--jobs", str(args.jobs),
-                   "--out-csv", str(out / "predict.csv")])
+    rc = cli.main(["predict", *common, "--out-csv", str(out / "predict.csv")])
     if rc:
         return rc
 

@@ -149,18 +149,28 @@ class WeightMask:
         return cls(w=w, mu=float(value), rho=0.5)
 
 
-def build_weight_mask(layout: ProjectionLayout, mu: float = 0.5,
-                      rho: float = 0.8) -> WeightMask:
+# Reference weighting: centre-block weight and radial decay on R.
+DEFAULT_MU = 0.5
+DEFAULT_RHO = 0.8
+
+
+def check_weighting(mu: float, rho: float) -> None:
+    """Raise `ParameterError` unless ``mu > 0`` and ``0 < rho < 1``."""
+    if not 0.0 < rho < 1.0:
+        raise ParameterError(f"decay factor rho must lie in (0, 1), got {rho}")
+    if mu <= 0.0:
+        raise ParameterError(f"centre-block weight mu must be positive, got {mu}")
+
+
+def build_weight_mask(layout: ProjectionLayout, mu: float = DEFAULT_MU,
+                      rho: float = DEFAULT_RHO) -> WeightMask:
     """Spatial weighting: ``mu`` on the centre block, a radial decay on R.
 
     Reconstructed samples are weighted ``rho ** d`` where ``d`` is the
     Euclidean distance from the centre of the working area, so neighbours far
     from the block contribute little.  Padding gets exactly zero.
     """
-    if not 0.0 < rho < 1.0:
-        raise ParameterError(f"decay factor rho must lie in (0, 1), got {rho}")
-    if mu <= 0.0:
-        raise ParameterError(f"centre-block weight mu must be positive, got {mu}")
+    check_weighting(mu, rho)
     m, n = layout.m, layout.n
     rows = np.arange(m, dtype=np.float64)[:, None] - (m - 1) / 2.0
     cols = np.arange(n, dtype=np.float64)[None, :] - (n - 1) / 2.0
@@ -293,8 +303,8 @@ def _cached_context(m: int, n: int, size: int,
     return ProjectionContext(build_basis(m, n), build_weight_mask(layout, mu, rho))
 
 
-def projection_context(layout: ProjectionLayout, mu: float = 0.5,
-                       rho: float = 0.8) -> ProjectionContext:
+def projection_context(layout: ProjectionLayout, mu: float = DEFAULT_MU,
+                       rho: float = DEFAULT_RHO) -> ProjectionContext:
     """Shared, cached context for a layout's region pattern.
 
     Layouts at the same frame position class (same neighbour availability and

@@ -3,7 +3,10 @@
 Configuration can come from an INI file (section [run]) with individual
 flags overriding file values.  Every tunable defaults to the reference
 parameterisation, so `mcrefine encode --input seq.yuv --width 352
---height 288` runs the standard setup.
+--height 288` runs the standard setup.  `RunConfig` holds the tunables as
+flat keys but defines none of their defaults or range checks: it reads
+them from the library types (`EncoderConfig`, `ExtrapolationParams`,
+`SearchParams`) and lets those types validate.
 
 CSV outputs are deterministic for a fixed config and seed; wall-clock
 measurements are therefore kept out of them and written to a separate
@@ -22,8 +25,8 @@ import numpy as np
 
 from . import codec
 from .bd import BDInputError, bd_metrics
-from .codec import DEFAULT_QPS, EncoderConfig, predict_frame
-from .extrapolate import ALGORITHMS, ExtrapolationParams
+from .codec import DEFAULT_QPS, EncoderConfig, frame_blocks, predict_frame
+from .extrapolate import ExtrapolationParams
 from .frame import psnr
 from .motion import SearchParams
 from .videoio import (SequenceSource, read_frames, synth_sequence,
@@ -45,55 +48,44 @@ class RunConfig:
     algorithms: tuple = ("none", "msa")
     qps: tuple = DEFAULT_QPS
     # refinement
-    mu: float = 0.5
-    rho: float = 0.8
-    tau: float = 0.75
-    n_bf: int = 20
-    gamma: float = 0.5
-    fsa_iterations: int = 200
-    rba_iterations: int = 4
-    msa_iterations: int = 12
+    mu: float = EncoderConfig.mu
+    rho: float = EncoderConfig.rho
+    tau: float = ExtrapolationParams.tau
+    n_bf: int = ExtrapolationParams.n_bf
+    gamma: float = ExtrapolationParams.gamma
+    fsa_iterations: int = ExtrapolationParams.DEFAULT_ITERATIONS["fsa"]
+    rba_iterations: int = ExtrapolationParams.DEFAULT_ITERATIONS["rba"]
+    msa_iterations: int = ExtrapolationParams.DEFAULT_ITERATIONS["msa"]
     # motion
-    search_range: int = 16
-    subpel: int = 2
-    block_size: int = 16
-    fps: float = 30.0
-    jobs: int = 1
+    search_range: int = SearchParams.search_range
+    subpel: int = SearchParams.subpel
+    block_size: int = EncoderConfig.block_size
+    fps: float = EncoderConfig.fps
 
     def validate(self):
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {algo!r}; "
-                                  f"choose from {ALGORITHMS}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError("duplicate algorithm in selection")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if self.frames is not None and self.frames < 2:
             raise ConfigError("need at least two frames")
-        try:  # parameter ranges are enforced by the dataclasses themselves
-            self.encoder_config("msa")
+        try:  # names, ranges and geometry are checked by the library types
+            for algo in self.algorithms:
+                self.encoder_config(algo)
+            frame_blocks(self.width, self.height, self.block_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.width % self.block_size or self.height % self.block_size:
-            raise ConfigError(
-                f"frame {self.width}x{self.height} is not a multiple of the "
-                f"block size {self.block_size}")
         return self
 
-    def extrapolation_params(self, algorithm: str) -> ExtrapolationParams | None:
-        if algorithm == "none":
-            return None
-        iterations = {"fsa": self.fsa_iterations, "rba": self.rba_iterations,
-                      "msa": self.msa_iterations}[algorithm]
-        return ExtrapolationParams(algorithm=algorithm, iterations=iterations,
-                                   tau=self.tau, n_bf=self.n_bf,
-                                   gamma=self.gamma)
-
     def encoder_config(self, algorithm: str) -> EncoderConfig:
+        extrapolation = None
+        if algorithm != "none":
+            iterations = {"fsa": self.fsa_iterations,
+                          "rba": self.rba_iterations,
+                          "msa": self.msa_iterations}.get(algorithm)
+            extrapolation = ExtrapolationParams(
+                algorithm=algorithm, iterations=iterations, tau=self.tau,
+                n_bf=self.n_bf, gamma=self.gamma)
         return EncoderConfig(
-            refinement=algorithm,
-            extrapolation=self.extrapolation_params(algorithm),
+            refinement=algorithm, extrapolation=extrapolation,
             search=SearchParams(search_range=self.search_range,
                                 subpel=self.subpel),
             mu=self.mu, rho=self.rho, qps=tuple(self.qps),
@@ -101,6 +93,9 @@ class RunConfig:
 
 
 _TUPLE_FIELDS = {"algorithms": str, "qps": int}
+# Scalar fields by their annotation; `from __future__` keeps them strings.
+_SCALAR_TYPES = {"int": int, "int | None": int, "float": float,
+                 "str | None": str}
 
 
 def _parse_tuple(text: str, conv):
@@ -121,15 +116,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         for key, raw in parser.items("run"):
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
-            cfg_field = known[key]
             if key in _TUPLE_FIELDS:
                 value = _parse_tuple(raw, _TUPLE_FIELDS[key])
-            elif cfg_field.type in ("int", "int | None"):
-                value = int(raw)
-            elif cfg_field.type == "float":
-                value = float(raw)
             else:
-                value = raw
+                value = _SCALAR_TYPES[known[key].type](raw)
             setattr(cfg, key, value)
     for key, value in overrides.items():
         if value is None:
@@ -153,24 +143,19 @@ def _load_sequence(cfg: RunConfig):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+_HELP = {"input": "raw planar 4:2:0 input file",
+         "frames": "limit the frame count",
+         "subpel": "1 = integer-pel, 2 = half-pel"}
+
+
 def _common_flags(sub):
+    """One flag per scalar `RunConfig` field (``block_size`` becomes
+    ``--block-size``); the library types check the values, not argparse."""
     sub.add_argument("--config", help="INI file with a [run] section")
-    sub.add_argument("--input", help="raw planar 4:2:0 input file")
-    sub.add_argument("--width", type=int)
-    sub.add_argument("--height", type=int)
-    sub.add_argument("--frames", type=int, help="limit the frame count")
-    sub.add_argument("--block-size", type=int, dest="block_size")
-    sub.add_argument("--search-range", type=int, dest="search_range")
-    sub.add_argument("--subpel", type=int, choices=(1, 2))
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--rho", type=float)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--n-bf", type=int, dest="n_bf")
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--fsa-iterations", type=int, dest="fsa_iterations")
-    sub.add_argument("--rba-iterations", type=int, dest="rba_iterations")
-    sub.add_argument("--msa-iterations", type=int, dest="msa_iterations")
-    sub.add_argument("--fps", type=float)
+    for f in fields(RunConfig):
+        if f.name not in _TUPLE_FIELDS:
+            sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                             type=_SCALAR_TYPES[f.type], help=_HELP.get(f.name))
 
 
 _CONFIG_KEYS = [f.name for f in fields(RunConfig)]
@@ -200,8 +185,7 @@ def cmd_predict(args) -> int:
         econf = cfg.encoder_config(algo)
         mean_pred, mean_mc = [], []
         for t in range(1, len(frames)):
-            fp = predict_frame(frames[t].y, frames[t - 1].y, econf,
-                               jobs=cfg.jobs)
+            fp = predict_frame(frames[t].y, frames[t - 1].y, econf)
             pred_psnr = psnr(frames[t].y.data, fp.predictor)
             mc_psnr = psnr(frames[t].y.data, fp.mc_predictor)
             refined = float(np.mean([d.refined for d in fp.decisions]))
@@ -297,9 +281,6 @@ def run_experiment(cfg: RunConfig, *, frames=None, rd_csv=None,
     rd CSV rows depend only on config and input (byte-reproducible);
     wall-clock numbers go to the separate timing report.
     """
-    if cfg.jobs != 1:
-        raise ConfigError("encode runs the closed loop serially; jobs must "
-                          f"be 1, got {cfg.jobs}")
     if frames is None:
         frames = _load_sequence(cfg)
     curves, stats, timing_rows = [], {}, []
@@ -375,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="open-loop prediction quality per algorithm")
     _common_flags(pp)
     pp.add_argument("--algorithms", help="comma list, e.g. none,fsa,rba,msa")
-    pp.add_argument("--jobs", type=int,
-                    help="block-evaluation threads (GIL-bound: 1 is fastest)")
     pp.add_argument("--out-csv", dest="out_csv")
     pp.set_defaults(func=cmd_predict)
 

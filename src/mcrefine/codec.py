@@ -10,7 +10,8 @@ predictor; whichever has the smaller MSE against the original is kept, and
 one flag bit per macroblock is charged for the choice.  Refinement reads
 only data a decoder would also have: the previous reconstructed frame (via
 the displaced block) and already-reconstructed neighbour blocks of the
-current frame.  `replay_trace` exercises exactly that property.
+current frame.  `replay_trace` exercises exactly that property; it and the
+encoder reach the engine through the same call, `refine_block`.
 
 Rates are proxy rates: zeroth-order entropy of the quantized transform
 coefficients per block, plus exp-Golomb motion bits and flag bits.  They
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.fft
 
 from . import extrapolate
-from .basis import projection_context
+from .basis import DEFAULT_MU, DEFAULT_RHO, check_weighting, projection_context
 from .frame import (BlockRef, Frame, GeometryError, Plane, build_layout, mse,
                     psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
@@ -46,29 +47,32 @@ class EncoderConfig:
     refinement: str = "msa"
     extrapolation: extrapolate.ExtrapolationParams | None = None
     search: SearchParams = field(default_factory=SearchParams)
-    mu: float = 0.5
-    rho: float = 0.8
+    mu: float = DEFAULT_MU
+    rho: float = DEFAULT_RHO
     qps: tuple = DEFAULT_QPS
     block_size: int = 16
     fps: float = 30.0
 
     def __post_init__(self):
-        if self.refinement not in extrapolate.ALGORITHMS:
-            raise ValueError(f"unknown refinement {self.refinement!r}")
-        if self.refinement != "none" and self.extrapolation is None:
+        params = self.extrapolation
+        if self.refinement == "none":
+            if params is not None:
+                raise ValueError("refinement 'none' takes no extrapolation "
+                                 f"parameters, got {params.algorithm!r} ones")
+        elif params is None:
             object.__setattr__(
                 self, "extrapolation",
-                extrapolate.ExtrapolationParams.defaults(self.refinement))
+                extrapolate.ExtrapolationParams(algorithm=self.refinement))
+        elif params.algorithm != self.refinement:
+            raise ValueError(f"refinement {self.refinement!r} does not match "
+                             f"the extrapolation engine {params.algorithm!r}")
         if len(self.qps) < 1 or any(b <= a for a, b in zip(self.qps, self.qps[1:])):
             raise ValueError("quantizer ladder must be strictly increasing")
         s = self.block_size
         if s < 8 or s & (s - 1):
             raise ValueError(f"block size must be a power of two >= 8 (the "
                              f"8x8 transform tiles it), got {s}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        check_weighting(self.mu, self.rho)
 
     @property
     def qsteps(self) -> tuple:
@@ -143,7 +147,13 @@ def assemble_window(layout, neighbor_samples: np.ndarray,
 
 
 def frame_blocks(width: int, height: int, size: int) -> list:
-    """Every macroblock of a frame, in line-scan order."""
+    """Every macroblock of a frame, in line-scan order.
+
+    Raises `GeometryError` unless the block grid tiles the frame exactly.
+    """
+    if width % size or height % size:
+        raise GeometryError(f"frame {width}x{height} is not a multiple of "
+                            f"the block size {size}")
     return [BlockRef(x0=x0, y0=y0, size=size)
             for y0 in range(0, height, size) for x0 in range(0, width, size)]
 
@@ -157,6 +167,19 @@ def search_frame(current: Plane, reference: Plane, blocks,
     gives the same vectors as searching block by block inside it.
     """
     return [estimate(current, reference, block, params) for block in blocks]
+
+
+def refine_block(layout, neighbor_samples: np.ndarray, mc_block: np.ndarray,
+                 config: EncoderConfig) -> extrapolate.RefineResult:
+    """Spatially refine one motion-compensated block.
+
+    The one refinement call of the encoder and of `replay_trace`, so both
+    build the working area and the weighting alike.
+    """
+    window = assemble_window(layout, neighbor_samples, mc_block)
+    context = projection_context(layout, mu=config.mu, rho=config.rho)
+    return extrapolate.run(window, layout, config.extrapolation,
+                           context=context)
 
 
 def _predict_block(current: Plane, reference: Plane, block: BlockRef,
@@ -176,11 +199,8 @@ def _predict_block(current: Plane, reference: Plane, block: BlockRef,
     refined_err = float("nan")
     chosen, used_refined, spent = mc, False, 0.0
     if config.refinement != "none" and not layout.r_empty:
-        ctx = projection_context(layout, mu=config.mu, rho=config.rho)
-        window = assemble_window(layout, neighbor_samples, mc)
         t0 = time.perf_counter()
-        result = extrapolate.run(window, layout, config.extrapolation,
-                                 context=ctx)
+        result = refine_block(layout, neighbor_samples, mc, config)
         spent = time.perf_counter() - t0
         refined_err = mse(original, result.block)
         if refined_err < mc_err:
@@ -209,45 +229,35 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
                   jobs: int = 1) -> FramePrediction:
     """Open-loop frame prediction: refinement neighbours come from
     ``neighbor_source`` (the current originals by default), so blocks are
-    independent and may be evaluated in parallel.
+    independent of each other's results.
 
     Motion search runs first, as one `search_frame` pre-pass over every
-    block; the per-block work (MC, refinement, switch) then runs on
-    ``jobs`` threads.  The closed-loop path in `encode_pass` interleaves
-    prediction with reconstruction instead and does not use this
-    function's parallelism.
+    block; the per-block work (MC, refinement, switch) then runs serially
+    in line-scan order.  The closed-loop path in `encode_pass` interleaves
+    prediction with reconstruction instead.
     """
+    # Kept for callers that pass jobs=1; there is no parallel path.
+    if jobs != 1:
+        raise ValueError(f"predict_frame runs serially; jobs must be 1, "
+                         f"got {jobs}")
     s = config.block_size
-    if current.width % s or current.height % s:
-        raise ValueError(f"frame {current.width}x{current.height} not a "
-                         f"multiple of the block size {s}")
-    src = (neighbor_source if neighbor_source is not None else current).data
-    nx = current.width // s
     blocks = frame_blocks(current.width, current.height, s)
+    src = (neighbor_source if neighbor_source is not None else current).data
     motion = search_frame(current, reference, blocks, config.search)
-
-    def work(block, block_motion):
-        return _predict_block(current, reference, block, block_motion, src,
-                              config)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, blocks, motion))
-    else:
-        results = list(map(work, blocks, motion))
-
     predictor = np.empty((current.height, current.width))
     mc_raster = np.empty_like(predictor)
     decisions = []
     refine_total = 0.0
-    for block, (chosen, mc, decision) in zip(blocks, results):
+    for block, block_motion in zip(blocks, motion):
+        chosen, mc, decision = _predict_block(current, reference, block,
+                                              block_motion, src, config)
         ys, xs = slice(block.y0, block.y0 + s), slice(block.x0, block.x0 + s)
         predictor[ys, xs] = chosen
         mc_raster[ys, xs] = mc
         decisions.append(decision)
         refine_total += decision.refine_seconds
-    side = _side_bits(decisions, nx, config.refinement != "none")
+    side = _side_bits(decisions, current.width // s,
+                      config.refinement != "none")
     return FramePrediction(predictor=predictor, mc_predictor=mc_raster,
                            decisions=decisions, side_bits=side,
                            refine_seconds=refine_total)
@@ -339,20 +349,25 @@ class FrameStats:
     refine_seconds: float
 
 
-def _encode_intra(frame: Plane, qstep: float, block_size: int):
+def _sequence_blocks(frames, block_size: int) -> list:
+    """The block grid of an IPPP sequence, checked before any coding."""
+    if len(frames) < 2:
+        raise ValueError("need at least two frames for IPPP encoding")
+    return frame_blocks(frames[0].y.width, frames[0].y.height, block_size)
+
+
+def _encode_intra(frame: Plane, qstep: float, blocks: list):
     """Store the first frame against a flat mid-grey predictor."""
-    s = block_size
+    s = blocks[0].size
     recon = np.empty((frame.height, frame.width), np.uint8)
     flat = np.full((s, s), 128.0)
     bits = 0.0
     levels_all = []
-    for y0 in range(0, frame.height, s):
-        for x0 in range(0, frame.width, s):
-            block = frame.data[y0:y0 + s, x0:x0 + s]
-            rec, b, levels = reconstruct_block(block, flat, qstep)
-            recon[y0:y0 + s, x0:x0 + s] = rec
-            bits += b
-            levels_all.append(levels)
+    for block in blocks:
+        rec, b, levels = reconstruct_block(frame.block(block), flat, qstep)
+        recon[block.y0:block.y0 + s, block.x0:block.x0 + s] = rec
+        bits += b
+        levels_all.append(levels)
     return Plane(recon), bits, np.stack(levels_all)
 
 
@@ -391,18 +406,20 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
 
     Each P-frame starts with a `search_frame` pre-pass against the previous
     reconstruction; the line-scan loop then refines, switches and
-    reconstructs block by block.
+    reconstructs block by block.  Fewer than two frames raise `ValueError`
+    and a frame the block grid does not tile raises `GeometryError`, both
+    before any block is coded.
     """
     s = config.block_size
+    blocks = _sequence_blocks(frames, s)
     first = frames[0].y
     intra_qstep = min(config.qsteps)
     if intra is None:
-        intra = _encode_intra(first, intra_qstep, s)
+        intra = _encode_intra(first, intra_qstep, blocks)
     recon_prev_y, _, intra_levels = intra
     prev_frame = Frame(y=recon_prev_y, u=frames[0].u, v=frames[0].v)
 
     nx = first.width // s
-    blocks = frame_blocks(first.width, first.height, s)
     total_bits = 0.0
     stats = []
     trace_frames = []
@@ -469,14 +486,8 @@ def encode_sequence(frames, config: EncoderConfig, *,
     Returns (RDCurve sorted by rate, per-(qp, frame) stats list, trace of the
     first ladder point or None).  Needs at least two frames (IPPP).
     """
-    if len(frames) < 2:
-        raise ValueError("need at least two frames for IPPP encoding")
-    s = config.block_size
-    first = frames[0].y
-    if first.width % s or first.height % s:
-        raise ValueError(f"frame {first.width}x{first.height} not a multiple "
-                         f"of the block size {s}")
-    intra = _encode_intra(first, min(config.qsteps), s)
+    blocks = _sequence_blocks(frames, config.block_size)
+    intra = _encode_intra(frames[0].y, min(config.qsteps), blocks)
     points = []
     all_stats = []
     trace = None
@@ -507,31 +518,22 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     """
     width, height = trace.dims
     s = trace.block_size
-    nx = width // s
-    blocks_in_scan = frame_blocks(width, height, s)
+    blocks = frame_blocks(width, height, s)
     flat = np.full((s, s), 128.0)
     recon = np.empty((height, width), np.uint8)
-    for i, y0 in enumerate(range(0, height, s)):
-        for j, x0 in enumerate(range(0, width, s)):
-            levels = trace.intra_levels[i * nx + j]
-            recon[y0:y0 + s, x0:x0 + s] = decode_block(flat, levels,
-                                                       trace.intra_qstep)
+    for block, levels in zip(blocks, trace.intra_levels):
+        recon[block.y0:block.y0 + s, block.x0:block.x0 + s] = \
+            decode_block(flat, levels, trace.intra_qstep)
     prev = Plane(recon)
     predictors, recons = [], []
-    for blocks in trace.frames:
+    for frame_trace in trace.frames:
         recon_y = np.zeros((height, width), np.uint8)
         predictor = np.empty((height, width))
-        for block, bt in zip(blocks_in_scan, blocks):
-            mc = compensate(prev, block, bt.mv)
+        for block, bt in zip(blocks, frame_trace):
+            pred = compensate(prev, block, bt.mv)
             if bt.refined:
-                layout = build_layout(prev, block)
-                ctx = projection_context(layout, mu=config.mu, rho=config.rho)
-                window = assemble_window(layout, recon_y, mc)
-                result = extrapolate.run(window, layout, config.extrapolation,
-                                         context=ctx)
-                pred = result.block
-            else:
-                pred = mc
+                pred = refine_block(build_layout(prev, block), recon_y, pred,
+                                    config).block
             predictor[block.y0:block.y0 + s, block.x0:block.x0 + s] = pred
             recon_y[block.y0:block.y0 + s, block.x0:block.x0 + s] = \
                 decode_block(pred, bt.levels, trace.qstep)

@@ -42,27 +42,31 @@ CONVERGENCE_FRACTION = 1e-12
 ALGORITHMS = ("none", "fsa", "rba", "msa")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtrapolationParams:
     """Engine selection and its tuning knobs.
 
     Defaults follow the reference parameterisation: 200 iterations for fsa,
     4 for rba (up to 20 functions each), 12 for msa with threshold 0.75,
-    20 functions per iteration and damping 0.5.
+    20 functions per iteration and damping 0.5.  ``iterations=None`` takes
+    the engine's entry in `DEFAULT_ITERATIONS`.
     """
 
     algorithm: str = "msa"
-    iterations: int = 12
+    iterations: int | None = None
     tau: float = 0.75
     n_bf: int = 20
     gamma: float = 0.5
 
-    _DEFAULT_ITERATIONS = {"fsa": 200, "rba": 4, "msa": 12}
+    DEFAULT_ITERATIONS = {"fsa": 200, "rba": 4, "msa": 12}
 
     def __post_init__(self):
-        self.algorithm = self.algorithm.lower()
-        if self.algorithm not in ("fsa", "rba", "msa"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm not in self.DEFAULT_ITERATIONS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; "
+                             f"choose from {ALGORITHMS}")
+        if self.iterations is None:
+            object.__setattr__(self, "iterations",
+                               self.DEFAULT_ITERATIONS[self.algorithm])
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0.0 < self.tau <= 1.0:
@@ -74,9 +78,7 @@ class ExtrapolationParams:
 
     @classmethod
     def defaults(cls, algorithm: str) -> "ExtrapolationParams":
-        algorithm = algorithm.lower()
-        return cls(algorithm=algorithm,
-                   iterations=cls._DEFAULT_ITERATIONS[algorithm])
+        return cls(algorithm=algorithm)
 
 
 @dataclass
@@ -347,18 +349,17 @@ _STEPS = {"fsa": fsa_step, "rba": rba_step, "msa": msa_step}
 
 
 def run(f, layout: ProjectionLayout, params: ExtrapolationParams, *,
-        mu: float = 0.5, rho: float = 0.8,
         context: ProjectionContext | None = None,
         record: bool = False) -> RefineResult:
     """Run the configured engine on one working-area signal.
 
     ``f`` holds reconstructed samples on R, the temporal predictor on the
     centre block and arbitrary values on padding; padding carries zero weight
-    and provably never changes the result.  Returns the centre block of the
-    final model plus run diagnostics.
+    and provably never changes the result.  ``context`` defaults to
+    ``projection_context(layout)``, the reference weighting.  Returns the
+    centre block of the final model plus run diagnostics.
     """
-    ctx = context if context is not None \
-        else projection_context(layout, mu=mu, rho=rho)
+    ctx = context if context is not None else projection_context(layout)
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (layout.m, layout.n):
         raise ValueError(f"signal shape {f.shape} does not match layout "

@@ -227,7 +227,7 @@ def test_criterion_06(capsys):
     degraded = 0
     refined_blocks = 0
     for t in range(1, len(frames)):
-        fp = predict_frame(frames[t].y, frames[t - 1].y, config, jobs=4)
+        fp = predict_frame(frames[t].y, frames[t - 1].y, config)
         pred_db.append(psnr(frames[t].y.data, fp.predictor))
         mc_db.append(psnr(frames[t].y.data, fp.mc_predictor))
         for d in fp.decisions:
@@ -330,7 +330,7 @@ def test_criterion_10(capsys, tmp_path):
                          "--algorithms", "none,msa",
                          "--out-csv", str(rd)]) == 0
         assert cli.main(["predict", *base, "--algorithms", "none,msa",
-                         "--jobs", "2", "--out-csv", str(pr)]) == 0
+                         "--out-csv", str(pr)]) == 0
         outs.append((rd.read_bytes(), pr.read_bytes()))
     rd_same = outs[0][0] == outs[1][0]
     pr_same = outs[0][1] == outs[1][1]

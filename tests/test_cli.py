@@ -3,7 +3,8 @@ import pytest
 
 from mcrefine import cli
 from mcrefine.cli import ConfigError, RunConfig, load_config
-from mcrefine.codec import DEFAULT_QPS
+from mcrefine.codec import DEFAULT_QPS, EncoderConfig
+from mcrefine.extrapolate import ALGORITHMS
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,7 @@ class TestPredictCommand:
                 "--height", "64", "--algorithms", "none,msa",
                 "--msa-iterations", "6", "--search-range", "8"]
         assert cli.main(argv + ["--out-csv", str(out1)]) == 0
-        assert cli.main(argv + ["--out-csv", str(out2), "--jobs", "2"]) == 0
+        assert cli.main(argv + ["--out-csv", str(out2)]) == 0
         text = out1.read_text()
         lines = text.strip().splitlines()
         assert lines[0] == ("algorithm,frame,psnr_mc_db,psnr_pred_db,"
@@ -157,12 +158,19 @@ class TestPredictCommand:
             assert float(pred) > 20.0
             assert 0.0 <= float(refined) <= 1.0
             assert int(bits) > 0
-        # jobs must not alter the numbers
+        # a repeat run writes the same bytes
         assert text == out2.read_text()
         # 'none' rows predict exactly the MC quality and refine nothing
         for row in lines[1:4]:
             _, _, mc, pred, refined, _ = row.split(",")
             assert mc == pred and float(refined) == 0.0
+
+    def test_jobs_flag_is_gone(self, seq_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--input", str(seq_path), "--width", "64",
+                      "--height", "64", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestEncodeCommand:
@@ -225,13 +233,14 @@ class TestEncodeCommand:
         assert all(row.startswith("none,") for row in lines[1:])
 
     def test_encode_rejects_jobs(self, seq_path, tmp_path, capsys):
+        # there is no thread pool, so `jobs` is not a config key
         ini = tmp_path / "run.ini"
         ini.write_text("[run]\nwidth = 64\nheight = 64\nqps = 28, 34\n"
                        f"algorithms = none\njobs = 2\ninput = {seq_path}\n")
         rd = tmp_path / "rd.csv"
         rc = cli.main(["encode", "--config", str(ini), "--out-csv", str(rd)])
         assert rc == 2
-        assert "jobs must be 1" in capsys.readouterr().err
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
         assert not rd.exists()
 
 
@@ -262,6 +271,7 @@ class TestRunConfigObject:
         with pytest.raises(ConfigError):
             RunConfig(frames=1).validate()
 
-    def test_jobs_lower_bound(self):
-        with pytest.raises(ConfigError):
-            RunConfig(jobs=0).validate()
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_defaults_match_library_types(self, algorithm):
+        assert RunConfig().encoder_config(algorithm) \
+            == EncoderConfig(refinement=algorithm)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mcrefine import basis
+from mcrefine import basis, codec
 from mcrefine.bd import BDInputError, bd_metrics
 from mcrefine.codec import (DEFAULT_QPS, BlockDecision, EncoderConfig,
                             RDCurve, RDPoint, _entropy_bits, _side_bits,
@@ -11,8 +12,8 @@ from mcrefine.codec import (DEFAULT_QPS, BlockDecision, EncoderConfig,
                             encode_pass, encode_sequence, predict_frame,
                             qp_to_qstep, reconstruct_block, replay_trace)
 from mcrefine.extrapolate import ExtrapolationParams
-from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, Plane, \
-    build_layout, mse, psnr
+from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, \
+    GeometryError, Plane, build_layout, mse, psnr
 from mcrefine.motion import MotionVector, SearchParams, mv_bits
 from mcrefine.videoio import synth_sequence
 
@@ -82,6 +83,23 @@ class TestEncoderConfig:
             EncoderConfig(qps=(28, 22))
         with pytest.raises(ValueError):
             EncoderConfig(block_size=12)
+        for weighting in ({"rho": 1.0}, {"rho": 0.0}, {"mu": 0.0}):
+            with pytest.raises(basis.ParameterError):
+                EncoderConfig(**weighting)
+
+    def test_engine_named_once(self):
+        with pytest.raises(ValueError, match="does not match"):
+            EncoderConfig(refinement="msa",
+                          extrapolation=ExtrapolationParams(algorithm="fsa"))
+        with pytest.raises(ValueError, match="takes no extrapolation"):
+            EncoderConfig(refinement="none",
+                          extrapolation=ExtrapolationParams())
+
+    def test_params_cannot_be_changed_after_checks(self):
+        cfg = EncoderConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.extrapolation.gamma = 5.0
+        assert cfg.extrapolation.gamma == 0.5
 
     @pytest.mark.parametrize("size", [0, 4, 24, 40])
     def test_block_size_must_be_power_of_two_from_8(self, size):
@@ -223,13 +241,10 @@ class TestPredictFrame:
         assert all(not d.refined for d in fp.decisions)
         np.testing.assert_array_equal(fp.predictor, fp.mc_predictor)
 
-    def test_jobs_do_not_change_result(self):
-        frames = tiny_sequence(frames=3, sigma=6.0)
-        cfg = fast_config()
-        a = predict_frame(frames[2].y, frames[1].y, cfg, jobs=1)
-        b = predict_frame(frames[2].y, frames[1].y, cfg, jobs=4)
-        np.testing.assert_array_equal(a.predictor, b.predictor)
-        assert a.side_bits == b.side_bits
+    def test_only_one_job(self):
+        frames = tiny_sequence(frames=2)
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            predict_frame(frames[1].y, frames[0].y, fast_config(), jobs=2)
 
     def test_neighbor_source_feeds_refinement(self):
         frames = tiny_sequence(frames=3, sigma=6.0)
@@ -282,6 +297,44 @@ class TestClosedLoop:
             for bt_a, bt_b in zip(blocks_a, blocks_b):
                 assert bt_a.mv == bt_b.mv and bt_a.refined == bt_b.refined
                 np.testing.assert_array_equal(bt_a.levels, bt_b.levels)
+
+    def test_encode_pass_rejects_bad_input_up_front(self, monkeypatch):
+        coded = []
+        monkeypatch.setattr(codec, "reconstruct_block",
+                            lambda *a: coded.append(a))
+        frames = synth_sequence("translate", width=72, height=64, frames=2,
+                                seed=0)
+        with pytest.raises(GeometryError, match="72x64"):
+            encode_pass(frames, fast_config(), qstep=16.0, qp=28)
+        with pytest.raises(ValueError, match="two frames"):
+            encode_pass(tiny_sequence(frames=1), fast_config(), qstep=16.0,
+                        qp=28)
+        assert coded == []
+
+    def test_encoder_and_replay_share_refine_block(self, monkeypatch):
+        frames = tiny_sequence(frames=3, sigma=4.0)
+        cfg = fast_config(qps=(28,))
+        calls = {"refine_block": 0, "run": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(codec, "refine_block",
+                            counted("refine_block", codec.refine_block))
+        monkeypatch.setattr(codec.extrapolate, "run",
+                            counted("run", codec.extrapolate.run))
+        _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
+                                  collect_trace=True)
+        encoded = dict(calls)
+        assert encoded["refine_block"] == encoded["run"] == 2 * 15
+        replay_trace(trace, cfg)
+        refined = sum(bt.refined for blocks in trace.frames for bt in blocks)
+        assert refined > 0
+        assert calls["refine_block"] == calls["run"] \
+            == encoded["run"] + refined
 
     def test_intra_shared_across_ladder(self):
         frames = tiny_sequence(frames=4, sigma=4.0)
