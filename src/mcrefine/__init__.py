@@ -16,7 +16,8 @@ from .bd import BDInputError, BDResult, bd_metrics
 from .codec import (DEFAULT_QPS, EncoderConfig, RDCurve, RDPoint, encode_pass,
                     encode_sequence, predict_frame, qp_to_qstep, replay_trace)
 from .extrapolate import (ALGORITHMS, Diagnostics, ExtrapolationParams,
-                          RefineResult, SparseModel, run, solve_subspace)
+                          RefineResult, SparseModel, run, run_batch,
+                          solve_subspace)
 from .frame import (BlockRef, Frame, GeometryError, Plane, ProjectionLayout,
                     SampleError, build_layout, mse, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
@@ -36,5 +37,5 @@ __all__ = [
     "compensate", "encode_pass", "encode_sequence", "estimate",
     "frame_bytes", "mse", "mv_bits", "predict_frame", "projection_context",
     "psnr", "qp_to_qstep", "read_frames", "replay_trace", "run",
-    "solve_subspace", "synth_sequence", "write_frames",
+    "run_batch", "solve_subspace", "synth_sequence", "write_frames",
 ]

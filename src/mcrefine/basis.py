@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .frame import REGION_B, REGION_R, ProjectionLayout
 
@@ -222,6 +223,43 @@ def excluded_mask(norms: np.ndarray) -> np.ndarray:
     return norms <= 1e-12 * top
 
 
+def _half_spectrum_lookup(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
+    """Where each function's numerator sits in a half spectrum, and its sign.
+
+    ``rfft2`` keeps the columns l <= N/2 of the spectrum X.  Positions index
+    the float64 view of that half spectrum (real and imaginary parts
+    interleaved).  A cosine member reads Re X[k, l] and a sine member
+    -Im X[k, l]; a pair with l > N/2 reads its conjugate image instead,
+    X[k, l] = conj X[-k, -l], which flips the sign of the imaginary part.
+    """
+    m, n = basis.m, basis.n
+    half = n // 2 + 1
+    mirrored = basis.l_freq >= half
+    k = np.where(mirrored, (-basis.k_freq) % m, basis.k_freq)
+    l = np.where(mirrored, (-basis.l_freq) % n, basis.l_freq)
+    positions = 2 * (k * half + l) + basis.is_sin
+    signs = np.where(basis.is_sin & ~mirrored, -1.0, 1.0)
+    return positions, signs
+
+
+@lru_cache(maxsize=128)
+def _pair_positions(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(min(i, j), max(i, j)) for every entry (i, j) of a size x size matrix."""
+    pos = np.arange(size)
+    lower, upper = np.minimum.outer(pos, pos), np.maximum.outer(pos, pos)
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return lower, upper
+
+
+def _flat_rasters(x, basis: BasisSet) -> np.ndarray:
+    """``x`` as (..., M*N) float64 rasters; accepts (..., M, N) too."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-2:] == (basis.m, basis.n):
+        return x.reshape(x.shape[:-2] + (basis.m * basis.n,))
+    return x
+
+
 class ProjectionContext:
     """A basis bound to one weight mask, with fast weighted correlations.
 
@@ -229,6 +267,10 @@ class ProjectionContext:
     closed form from FFT2(w) (see `precompute_norms`), and models are
     rendered from the basis factor tables.  There is one route; the dense
     `BasisSet.matrix` is only the reference that tests check it against.
+
+    `numerators`, `gram` and `render` take any leading batch axes, and a
+    stacked call computes every member exactly as a call on that member
+    alone would, so results never depend on what else is in the batch.
     """
 
     def __init__(self, basis: BasisSet, weights: WeightMask):
@@ -240,52 +282,65 @@ class ProjectionContext:
         self.excluded = excluded_mask(self.norms)
         self._safe_norms = np.where(self.excluded, 1.0, self.norms)
         what = np.fft.fft2(wa)
-        self._wc = np.ascontiguousarray(what.real)   # cos-type table
-        self._ws = np.ascontiguousarray(-what.imag)  # sin-type table
+        # Gram lookups: the cos-type table Re W, then the sin-type -Im W.
+        self._w_table = np.concatenate((what.real.ravel(),
+                                        -what.imag.ravel()))
+        self._spec_pos, self._spec_sign = _half_spectrum_lookup(basis)
 
     # -- weighted correlations -------------------------------------------
 
-    def numerators(self, residual: np.ndarray) -> np.ndarray:
-        """sum(residual * phi_k * w) for every k at once."""
-        b = self.basis
-        r = residual.reshape(b.m, b.n)
-        spec = np.fft.fft2(r * _weights_array(self.weights))
-        return np.where(b.is_sin,
-                        -spec.imag[b.k_freq, b.l_freq],
-                        spec.real[b.k_freq, b.l_freq])
+    def numerators(self, residual) -> np.ndarray:
+        """sum(residual * phi_k * w) for every k at once.
 
-    def gram(self, indices: np.ndarray) -> np.ndarray:
-        """Symmetric matrix of weighted products phi_a * phi_b over P."""
+        ``residual`` holds (..., M, N) or (..., M*N) rasters; the result
+        is (..., count).  One stacked real FFT serves the whole batch.
+        """
+        b = self.basis
+        r = _flat_rasters(residual, b)
+        spec = scipy.fft.rfft2((r * self.w_flat).reshape(-1, b.m, b.n))
+        half = spec.view(np.float64).reshape(len(spec), -1)
+        num = np.take(half, self._spec_pos, axis=1)
+        num *= self._spec_sign
+        return num.reshape(r.shape[:-1] + (b.count,))
+
+    def gram(self, indices) -> np.ndarray:
+        """Symmetric matrices of weighted products phi_a * phi_b over P.
+
+        ``indices`` is (..., K); the result is (..., K, K).  Product-to-sum
+        identities read every entry from the FFT2(w) table at the difference
+        and the sum of the two frequencies.  Entry (i, j) is evaluated with
+        the lower position as the row, so the matrix is exactly symmetric.
+        """
         b = self.basis
         idx = np.asarray(indices, dtype=np.intp)
-        ka, la, sa = b.k_freq[idx], b.l_freq[idx], b.is_sin[idx]
-        kd = (ka[:, None] - ka[None, :]) % b.m
-        ld = (la[:, None] - la[None, :]) % b.n
-        ks = (ka[:, None] + ka[None, :]) % b.m
-        ls = (la[:, None] + la[None, :]) % b.n
-        cd, cs = self._wc[kd, ld], self._wc[ks, ls]
-        sd, ss = self._ws[kd, ld], self._ws[ks, ls]
-        cos_cos = 0.5 * (cd + cs)
-        sin_sin = 0.5 * (cd - cs)
-        cos_sin = 0.5 * (ss - sd)   # row cosine, column sine
-        sin_cos = 0.5 * (ss + sd)   # row sine, column cosine
-        row_sin = sa[:, None]
-        col_sin = sa[None, :]
-        g = np.where(row_sin,
-                     np.where(col_sin, sin_sin, sin_cos),
-                     np.where(col_sin, cos_sin, cos_cos))
-        # Mirror the upper triangle so the result is exactly symmetric.
-        upper = np.triu(g, 1)
-        return upper + upper.T + np.diag(np.diagonal(g))
+        lower, upper = _pair_positions(idx.shape[-1])
+        row, col = idx[..., lower], idx[..., upper]
+        kr, lr, sr = b.k_freq[row], b.l_freq[row], b.is_sin[row]
+        kc, lc, sc = b.k_freq[col], b.l_freq[col], b.is_sin[col]
+        diff = ((kr - kc) % b.m) * b.n + (lr - lc) % b.n
+        total = ((kr + kc) % b.m) * b.n + (lr + lc) % b.n
+        # cos*cos = (Re W[diff] + Re W[sum]) / 2, sin*sin = (Re W[diff] -
+        # Re W[sum]) / 2, sin*cos = (S[sum] + S[diff]) / 2 and cos*sin =
+        # (S[sum] - S[diff]) / 2, with S = -Im W and the row function first.
+        same = sr == sc
+        size = b.m * b.n
+        first = self._w_table[np.where(same, diff, size + total)]
+        second = self._w_table[np.where(same, total, size + diff)]
+        return 0.5 * (first + np.where(same != sr, second, -second))
 
-    def render(self, indices: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        """Spatial raster (flattened) of sum_u c_u * phi_u."""
+    def render(self, indices, coefficients) -> np.ndarray:
+        """Spatial rasters (flattened) of sum_u c_u * phi_u.
+
+        ``indices`` and ``coefficients`` are (..., K); the result is
+        (..., M*N), one stacked matrix product of the factor tables.
+        """
         b = self.basis
         idx = np.asarray(indices, dtype=np.intp)
         c = np.asarray(coefficients, dtype=np.float64)
-        rows = (b.left[idx] * c[:, None, None]).reshape(-1, b.m)
-        cols = b.right[b.l_freq[idx]].reshape(-1, b.n)
-        return (rows.T @ cols).ravel()
+        lead = idx.shape[:-1]
+        rows = (b.left[idx] * c[..., None, None]).reshape(lead + (-1, b.m))
+        cols = b.right[b.l_freq[idx]].reshape(lead + (-1, b.n))
+        return (np.swapaxes(rows, -1, -2) @ cols).reshape(lead + (b.m * b.n,))
 
 
 @lru_cache(maxsize=64)

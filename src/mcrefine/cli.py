@@ -25,7 +25,8 @@ import numpy as np
 
 from . import codec
 from .bd import BDInputError, bd_metrics
-from .codec import DEFAULT_QPS, EncoderConfig, frame_blocks, predict_frame
+from .codec import (DEFAULT_QPS, EncoderConfig, check_frame_count,
+                    frame_blocks, predict_frame)
 from .extrapolate import ExtrapolationParams
 from .frame import psnr
 from .motion import SearchParams
@@ -65,9 +66,9 @@ class RunConfig:
     def validate(self):
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError("duplicate algorithm in selection")
-        if self.frames is not None and self.frames < 2:
-            raise ConfigError("need at least two frames")
-        try:  # names, ranges and geometry are checked by the library types
+        try:  # counts, names, ranges and geometry: the library's checks
+            if self.frames is not None:
+                check_frame_count(self.frames)
             for algo in self.algorithms:
                 self.encoder_config(algo)
             frame_blocks(self.width, self.height, self.block_size)
@@ -136,6 +137,7 @@ def _load_sequence(cfg: RunConfig):
     source = SequenceSource.probe(cfg.input, cfg.width, cfg.height)
     count = source.frame_count if cfg.frames is None \
         else min(cfg.frames, source.frame_count)
+    check_frame_count(count)
     return read_frames(source, range(0, count))
 
 

@@ -11,7 +11,10 @@ one flag bit per macroblock is charged for the choice.  Refinement reads
 only data a decoder would also have: the previous reconstructed frame (via
 the displaced block) and already-reconstructed neighbour blocks of the
 current frame.  `replay_trace` exercises exactly that property; it and the
-encoder reach the engine through the same call, `refine_block`.
+encoder reach the engine through the same call, `refine_block`, one block
+at a time.  Open-loop prediction (`predict_frame`) has no such dependency
+and refines a frame's blocks in batches through `refine_blocks`; the
+engine computes every batch member exactly as it would alone.
 
 Rates are proxy rates: zeroth-order entropy of the quantized transform
 coefficients per block, plus exp-Golomb motion bits and flag bits.  They
@@ -32,6 +35,11 @@ from .basis import DEFAULT_MU, DEFAULT_RHO, check_weighting, projection_context
 from .frame import (BlockRef, Frame, GeometryError, Plane, build_layout, mse,
                     psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
+
+# Blocks per engine call in `predict_frame`.  A chunk's engine state (about
+# 0.27 MB per member at block size 16) stays in cache, and the stacked
+# kernels already amortise their per-call cost at this size.
+REFINE_CHUNK = 16
 
 # Quantizer ladder mirroring ten fixed QPs from 16 to 43 in steps of 3,
 # mapped through qstep = 2**((qp - 4) / 6).
@@ -88,7 +96,6 @@ class BlockDecision:
     refined: bool
     mc_mse: float
     refined_mse: float  # nan when refinement was not attempted
-    refine_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,8 @@ def refine_block(layout, neighbor_samples: np.ndarray, mc_block: np.ndarray,
     """Spatially refine one motion-compensated block.
 
     The one refinement call of the encoder and of `replay_trace`, so both
-    build the working area and the weighting alike.
+    build the working area and the weighting alike; it runs the engine
+    loop with a batch of one.
     """
     window = assemble_window(layout, neighbor_samples, mc_block)
     context = projection_context(layout, mu=config.mu, rho=config.rho)
@@ -182,34 +190,40 @@ def refine_block(layout, neighbor_samples: np.ndarray, mc_block: np.ndarray,
                            context=context)
 
 
-def _predict_block(current: Plane, reference: Plane, block: BlockRef,
-                   motion: tuple, neighbor_samples: np.ndarray,
-                   config: EncoderConfig
-                   ) -> tuple[np.ndarray, np.ndarray, BlockDecision]:
-    """MC + optional refinement + MSE switch for one macroblock.
+def refine_blocks(layouts, neighbor_samples: np.ndarray, mc_blocks,
+                  config: EncoderConfig) -> list:
+    """Refine blocks of one neighbour-availability class as one batch.
 
-    ``motion`` is the block's ``(mv, sad)`` from `search_frame`.  Returns
-    the chosen predictor, the MC predictor and the decision.
+    Every layout must share the availability of the first, so one
+    projection context serves the batch.  Each result is bitwise equal to
+    what `refine_block` gives for that block alone.
+    """
+    windows = np.empty((len(layouts), layouts[0].m, layouts[0].n))
+    for window, layout, mc in zip(windows, layouts, mc_blocks):
+        window[...] = assemble_window(layout, neighbor_samples, mc)
+    context = projection_context(layouts[0], mu=config.mu, rho=config.rho)
+    return extrapolate.run_batch(windows, layouts[0], config.extrapolation,
+                                 context=context)
+
+
+def _switch(block: BlockRef, motion: tuple, original: np.ndarray,
+            mc: np.ndarray, refined: np.ndarray | None
+            ) -> tuple[np.ndarray, BlockDecision]:
+    """The per-block MSE switch: keep ``refined`` only where it beats MC.
+
+    ``motion`` is the block's ``(mv, sad)`` from `search_frame` and
+    ``refined`` is None where refinement was not attempted.  Returns the
+    chosen predictor and the decision.
     """
     mv, sad = motion
-    mc = compensate(reference, block, mv)
-    original = current.block(block)
     mc_err = mse(original, mc)
-    layout = build_layout(current, block)
-    refined_err = float("nan")
-    chosen, used_refined, spent = mc, False, 0.0
-    if config.refinement != "none" and not layout.r_empty:
-        t0 = time.perf_counter()
-        result = refine_block(layout, neighbor_samples, mc, config)
-        spent = time.perf_counter() - t0
-        refined_err = mse(original, result.block)
-        if refined_err < mc_err:
-            chosen, used_refined = result.block, True
-    decision = BlockDecision(bx=block.x0 // block.size, by=block.y0 // block.size,
-                             mv=mv, sad=sad, refined=used_refined,
-                             mc_mse=mc_err, refined_mse=refined_err,
-                             refine_seconds=spent)
-    return chosen, mc, decision
+    refined_err = float("nan") if refined is None else mse(original, refined)
+    use = refined_err < mc_err
+    decision = BlockDecision(bx=block.x0 // block.size,
+                             by=block.y0 // block.size, mv=mv, sad=sad,
+                             refined=use, mc_mse=mc_err,
+                             refined_mse=refined_err)
+    return (refined if use else mc), decision
 
 
 def _side_bits(decisions, n_blocks_x: int, flag_per_block: bool) -> int:
@@ -232,9 +246,14 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
     independent of each other's results.
 
     Motion search runs first, as one `search_frame` pre-pass over every
-    block; the per-block work (MC, refinement, switch) then runs serially
-    in line-scan order.  The closed-loop path in `encode_pass` interleaves
-    prediction with reconstruction instead.
+    block, then motion compensation of every block.  The blocks that have
+    a decoded neighbour are grouped by neighbour-availability class and
+    refined by `refine_blocks` in chunks of `REFINE_CHUNK`, a fixed size
+    that keeps a chunk's engine state in cache; the per-block MSE switch
+    comes last.  Because the engine computes each batch member exactly as
+    it would alone, the result equals refining block by block.  The
+    closed-loop path in `encode_pass` interleaves prediction with
+    reconstruction instead.
     """
     # Kept for callers that pass jobs=1; there is no parallel path.
     if jobs != 1:
@@ -244,23 +263,50 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
     blocks = frame_blocks(current.width, current.height, s)
     src = (neighbor_source if neighbor_source is not None else current).data
     motion = search_frame(current, reference, blocks, config.search)
-    predictor = np.empty((current.height, current.width))
-    mc_raster = np.empty_like(predictor)
-    decisions = []
-    refine_total = 0.0
-    for block, block_motion in zip(blocks, motion):
-        chosen, mc, decision = _predict_block(current, reference, block,
-                                              block_motion, src, config)
-        ys, xs = slice(block.y0, block.y0 + s), slice(block.x0, block.x0 + s)
-        predictor[ys, xs] = chosen
-        mc_raster[ys, xs] = mc
-        decisions.append(decision)
-        refine_total += decision.refine_seconds
+    mc_raster = np.empty((current.height, current.width))
+    for block, (mv, _) in zip(blocks, motion):
+        _cut(mc_raster, block)[...] = compensate(reference, block, mv)
+    predictor = np.empty_like(mc_raster)
+    decisions = [None] * len(blocks)
+
+    def switch(i: int, refined: np.ndarray | None) -> None:
+        block = blocks[i]
+        chosen, decisions[i] = _switch(block, motion[i], current.block(block),
+                                       _cut(mc_raster, block), refined)
+        _cut(predictor, block)[...] = chosen
+
+    refine_seconds = 0.0
+    if config.refinement != "none":
+        classes = {}
+        for i, block in enumerate(blocks):
+            layout = build_layout(current, block)
+            if not layout.r_empty:
+                classes.setdefault(layout.availability, []).append(
+                    (i, layout))
+        t0 = time.perf_counter()
+        for members in classes.values():
+            for lo in range(0, len(members), REFINE_CHUNK):
+                chunk = members[lo:lo + REFINE_CHUNK]
+                for (i, _), result in zip(chunk, refine_blocks(
+                        [layout for _, layout in chunk], src,
+                        [_cut(mc_raster, blocks[i]) for i, _ in chunk],
+                        config)):
+                    switch(i, result.block)
+        refine_seconds = time.perf_counter() - t0
+    for i, decision in enumerate(decisions):
+        if decision is None:
+            switch(i, None)
     side = _side_bits(decisions, current.width // s,
                       config.refinement != "none")
     return FramePrediction(predictor=predictor, mc_predictor=mc_raster,
                            decisions=decisions, side_bits=side,
-                           refine_seconds=refine_total)
+                           refine_seconds=refine_seconds)
+
+
+def _cut(raster: np.ndarray, block: BlockRef) -> np.ndarray:
+    """The view of ``raster`` that ``block`` covers."""
+    return raster[block.y0:block.y0 + block.size,
+                  block.x0:block.x0 + block.size]
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +395,16 @@ class FrameStats:
     refine_seconds: float
 
 
+def check_frame_count(count: int) -> None:
+    """Raise `ValueError` unless there is a reference and a frame to predict."""
+    if count < 2:
+        raise ValueError(f"need at least two frames (a reference and a "
+                         f"frame to predict), got {count}")
+
+
 def _sequence_blocks(frames, block_size: int) -> list:
     """The block grid of an IPPP sequence, checked before any coding."""
-    if len(frames) < 2:
-        raise ValueError("need at least two frames for IPPP encoding")
+    check_frame_count(len(frames))
     return frame_blocks(frames[0].y.width, frames[0].y.height, block_size)
 
 
@@ -434,8 +486,16 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         refine_total = 0.0
         motion = search_frame(cur, prev_frame.y, blocks, config.search)
         for block, block_motion in zip(blocks, motion):
-            chosen, _, decision = _predict_block(
-                cur, prev_frame.y, block, block_motion, recon_y, config)
+            mc = compensate(prev_frame.y, block, block_motion[0])
+            refined = None
+            if config.refinement != "none":
+                layout = build_layout(cur, block)
+                if not layout.r_empty:
+                    t0 = time.perf_counter()
+                    refined = refine_block(layout, recon_y, mc, config).block
+                    refine_total += time.perf_counter() - t0
+            chosen, decision = _switch(block, block_motion, cur.block(block),
+                                       mc, refined)
             rec, coeff_bits, levels = reconstruct_block(
                 cur.block(block), chosen, qstep)
             recon_y[block.y0:block.y0 + s, block.x0:block.x0 + s] = rec
@@ -443,7 +503,6 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
                 pred_y[block.y0:block.y0 + s, block.x0:block.x0 + s] = chosen
             decisions.append(decision)
             frame_bits += coeff_bits
-            refine_total += decision.refine_seconds
             if collect_trace:
                 block_traces.append(BlockTrace(
                     mv=decision.mv, refined=decision.refined, levels=levels))

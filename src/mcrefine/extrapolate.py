@@ -20,15 +20,26 @@ orthogonal over the full area but not under the weighting restricted to the
 known samples, so an undamped coefficient soaks up portions of unselected
 functions.  Taking only a gamma-fraction keeps the weighted error monotone
 for gamma in (0, 2) and lets later iterations re-select the same function.
+
+There is one engine loop, `run_batch`: it steps B working areas that share
+one `ProjectionContext` (one block size and neighbour-availability class)
+together.  Per iteration it takes one stacked FFT for the numerators of
+every member, selects row-wise, builds the Gram matrices by table gathers,
+and solves and renders each group of members with the same support size in
+one stacked call; members that have converged drop out of the batch.
+`run` is its B = 1 call.  Every member's block, coefficients and
+diagnostics are bitwise independent of the batch size and of its
+batch-mates: every stacked operation computes each member exactly as it
+would compute it alone, and the solve never pads a system to a size that
+depends on the batch.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import ProjectionContext, projection_context
 from .frame import ProjectionLayout
@@ -81,54 +92,33 @@ class ExtrapolationParams:
         return cls(algorithm=algorithm)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseModel:
-    """Accumulating model: dense coefficient vector + spatial rendering."""
+    """One member's final model: dense coefficients and their rendering."""
 
     coefficients: np.ndarray
-    rendering: np.ndarray  # flattened raster, kept in sync
-
-    @classmethod
-    def empty(cls, ctx: ProjectionContext) -> "SparseModel":
-        b = ctx.basis
-        return cls(coefficients=np.zeros(b.count),
-                   rendering=np.zeros(b.m * b.n))
+    rendering: np.ndarray  # flattened raster of the model
 
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.coefficients)
 
-    def add(self, indices: np.ndarray, deltas: np.ndarray,
-            ctx: ProjectionContext) -> np.ndarray:
-        """Accumulate coefficient deltas; returns the rendering update."""
-        self.coefficients[indices] += deltas
-        update = ctx.render(indices, deltas)
-        self.rendering += update
-        return update
-
-    def replace(self, indices: np.ndarray, values: np.ndarray,
-                ctx: ProjectionContext) -> None:
-        """Reset the model to exactly the given support and coefficients."""
-        self.coefficients[:] = 0.0
-        self.coefficients[indices] = values
-        self.rendering = ctx.render(indices, values)
-
 
 @dataclass
 class EngineState:
-    """Mutable per-block state shared by the step functions."""
+    """Mutable state of B working areas stepped together, one row each."""
 
-    f: np.ndarray                 # flattened input signal over the area
-    residual: np.ndarray          # flattened f - g
-    model: SparseModel
-    energy0: float                # weighted error of the zero model
-    energy: float
-    iteration: int = 0
-    converged: bool = False
-    gram_retries: int = 0
-    active: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
-    f_numerators: np.ndarray | None = None       # rba: projections of f, cached
-    selections: list | None = None   # optional (indices, coefs, energy) record
+    f: np.ndarray                 # (B, M*N) input signals
+    residual: np.ndarray          # (B, M*N) f - g
+    coefficients: np.ndarray      # (B, count) model coefficients
+    rendering: np.ndarray         # (B, M*N) model rasters, kept in sync
+    energy0: np.ndarray           # (B,) weighted error of the zero model
+    iterations: np.ndarray        # (B,) completed iterations
+    converged: np.ndarray         # (B,) bool
+    gram_retries: np.ndarray      # (B,) singular-Gram retries
+    active: np.ndarray            # (B, count) bool: rba's selected span
+    f_numerators: np.ndarray | None = None   # rba: projections of f, cached
+    selections: list | None = None  # per member, (indices, coefs, energy)
 
 
 @dataclass(frozen=True)
@@ -149,15 +139,20 @@ class RefineResult:
     diagnostics: Diagnostics
 
 
-def new_state(f: np.ndarray, ctx: ProjectionContext,
-              record: bool = False) -> EngineState:
+def new_state(f, ctx: ProjectionContext, record: bool = False) -> EngineState:
+    """State for the signals ``f``: (B, M, N) or (B, M*N), or one signal."""
     b = ctx.basis
-    f_flat = np.asarray(f, dtype=np.float64).reshape(b.m * b.n).copy()
-    e0 = _weighted_energy(f_flat, ctx)
-    return EngineState(f=f_flat, residual=f_flat.copy(),
-                       model=SparseModel.empty(ctx),
-                       energy0=e0, energy=e0,
-                       selections=[] if record else None)
+    f = np.asarray(f, dtype=np.float64).reshape(-1, b.m * b.n)
+    batch = f.shape[0]
+    return EngineState(
+        f=f, residual=f.copy(), coefficients=np.zeros((batch, b.count)),
+        rendering=np.zeros_like(f),
+        energy0=np.array([_weighted_energy(row, ctx) for row in f]),
+        iterations=np.zeros(batch, dtype=int),
+        converged=np.zeros(batch, dtype=bool),
+        gram_retries=np.zeros(batch, dtype=int),
+        active=np.zeros((batch, b.count), dtype=bool),
+        selections=[[] for _ in range(batch)] if record else None)
 
 
 def _weighted_energy(residual_flat: np.ndarray, ctx: ProjectionContext) -> float:
@@ -172,18 +167,49 @@ def project_residual(residual, ctx: ProjectionContext) -> np.ndarray:
     """Projection coefficient of the residual on every basis function.
 
     p_k = <r, phi_k>_w / <phi_k, phi_k>_w; excluded functions (zero weighted
-    norm) get coefficient 0 so they can never be selected.
+    norm) get coefficient 0 so they can never be selected.  Leading batch
+    axes of ``residual`` are kept.
     """
-    num = ctx.numerators(np.asarray(residual, dtype=np.float64))
-    p = num / ctx._safe_norms
-    if ctx.excluded.any():
-        p = np.where(ctx.excluded, 0.0, p)
-    return p
+    num = ctx.numerators(residual)
+    return np.where(ctx.excluded, 0.0, num / ctx._safe_norms)
 
 
 def decrement_energies(p: np.ndarray, weighted_norms: np.ndarray) -> np.ndarray:
     """Energy drop each function would cause if taken alone: p_k^2 * norm_k."""
     return p * p * weighted_norms
+
+
+def select_batch(decrements: np.ndarray, tau: float, n_bf: int,
+                 floor: float | np.ndarray = 0.0) -> np.ndarray:
+    """Row-wise `select_candidates` over (B, count) decrements, as a mask.
+
+    A row keeps every decrement above ``tau`` times its best one plus the
+    best one itself.  Rows over the ``n_bf`` cap keep their ``n_bf``
+    largest candidates, ties going to the lower index; only the candidates
+    are sorted, never a whole row.  A row whose best decrement is not
+    positive, or lies below ``floor`` (a scalar or one value per row),
+    selects nothing.
+    """
+    d_max = decrements.max(axis=1, initial=0.0)
+    valid = (d_max > 0.0) & (d_max >= floor)
+    if n_bf == 1:   # a cap of one keeps only the best
+        picked = np.zeros(decrements.shape, dtype=bool)
+    else:
+        picked = decrements > tau * d_max[:, None]
+        picked[~valid] = False
+    rows = np.flatnonzero(valid)
+    picked[rows, np.argmax(decrements, axis=1)[rows]] = True  # first best
+    counts = np.count_nonzero(picked, axis=1)
+    over = np.flatnonzero(counts > n_bf)
+    if over.size:
+        r, c = np.nonzero(picked[over])
+        order = np.lexsort((c, -decrements[over[r], c], r))
+        r, c = r[order], c[order]
+        first = np.cumsum(counts[over]) - counts[over]
+        keep = np.arange(r.size) - first[r] < n_bf
+        picked[over] = False
+        picked[over[r[keep]], c[keep]] = True
+    return picked
 
 
 def select_candidates(decrements: np.ndarray, tau: float, n_bf: int) -> np.ndarray:
@@ -194,49 +220,49 @@ def select_candidates(decrements: np.ndarray, tau: float, n_bf: int) -> np.ndarr
     lower basis index so results are reproducible across platforms.  An empty
     result means no positive decrement remains (convergence).
     """
-    d_max = decrements.max(initial=0.0)
-    if d_max <= 0.0:
-        return np.empty(0, dtype=np.intp)
-    best = int(np.argmax(decrements))  # first occurrence = lowest index
-    chosen = np.flatnonzero(decrements > tau * d_max)
-    if best not in chosen:             # tau = 1 keeps only the argmax
-        chosen = np.union1d(chosen, [best])
-    if chosen.size > n_bf:
-        order = np.lexsort((chosen, -decrements[chosen]))
-        chosen = np.sort(chosen[order[:n_bf]])
-    return chosen.astype(np.intp)
+    return np.flatnonzero(select_batch(np.asarray(decrements)[None], tau,
+                                       n_bf)[0])
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve stacked normal equations (..., K, K) x = (..., K) by Cholesky.
+
+    Raises `numpy.linalg.LinAlgError` unless every matrix is positive
+    definite.  Stacked calls factor and solve each system on its own, so a
+    member's solution does not depend on the other systems in the stack.
+    """
+    low = np.linalg.cholesky(gram)
+    half = np.linalg.solve(low, rhs[..., None])
+    return np.linalg.solve(np.swapaxes(low, -1, -2), half)[..., 0]
 
 
 def _solve_with_retry(fresh: np.ndarray, rhs_all: np.ndarray,
                       decrements: np.ndarray, ctx: ProjectionContext,
-                      state: EngineState | None,
                       keep: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, int]:
     """Solve the normal equations on ``keep`` + ``fresh`` by Cholesky; while
     the Gram matrix is singular, drop the lowest-decrement member of
     ``fresh`` and retry.  ``keep`` (rba's established support) is never
-    shed.  Returns (solution, solved indices); both empty once no fresh
-    member remains.
+    shed.  Returns (solution, solved indices, retries); the first two are
+    empty once no fresh member remains.
     """
     fresh = np.asarray(fresh, dtype=np.intp)
+    retries = 0
     while fresh.size:
         support = fresh if keep is None \
             else np.union1d(keep, fresh).astype(np.intp)
         if support.size == 1:
             k = support[0]
-            return rhs_all[support] / ctx.norms[k:k + 1], support
+            return rhs_all[support] / ctx.norms[k:k + 1], support, retries
         try:
-            cho = scipy.linalg.cho_factor(ctx.gram(support), lower=True,
-                                          check_finite=False)
-            return scipy.linalg.cho_solve(cho, rhs_all[support],
-                                          check_finite=False), support
+            return _cholesky_solve(ctx.gram(support),
+                                   rhs_all[support]), support, retries
         except np.linalg.LinAlgError:
-            if state is not None:
-                state.gram_retries += 1
+            retries += 1
             weakest = int(np.argmin(decrements[fresh]))
             log.debug("gram singular; shedding function %d", fresh[weakest])
             fresh = np.delete(fresh, weakest)
-    return np.empty(0), np.empty(0, dtype=np.intp)
+    return np.empty(0), np.empty(0, dtype=np.intp), retries
 
 
 def solve_subspace(residual, indices, ctx: ProjectionContext
@@ -252,133 +278,192 @@ def solve_subspace(residual, indices, ctx: ProjectionContext
     """
     idx = np.asarray(indices, dtype=np.intp)
     num = ctx.numerators(np.asarray(residual, dtype=np.float64))
-    p = num / ctx._safe_norms
-    decr = decrement_energies(p, ctx.norms)
-    return _solve_with_retry(idx, num, decr, ctx, None)
+    decr = decrement_energies(num / ctx._safe_norms, ctx.norms)
+    solution, used, _ = _solve_with_retry(idx, num, decr, ctx)
+    return solution, used
 
 
-# ---------------------------------------------------------------------------
-# Engine steps
-# ---------------------------------------------------------------------------
+def _solve_group(state: EngineState, members: np.ndarray,
+                 support: np.ndarray, fresh: np.ndarray, rhs: np.ndarray,
+                 decr: np.ndarray, ctx: ProjectionContext) -> list:
+    """Solve the systems of members that share one support size.
 
-def _greedy_step(state: EngineState, params: ExtrapolationParams,
-                 ctx: ProjectionContext, n_bf: int) -> EngineState:
-    """Shared body of the fsa/msa iteration (they differ only in n_bf)."""
-    if state.converged:
-        return state
-    num = ctx.numerators(state.residual)
-    p = np.where(ctx.excluded, 0.0, num / ctx._safe_norms)
-    decr = decrement_energies(p, ctx.norms)
-    if decr.max(initial=0.0) < CONVERGENCE_FRACTION * state.energy0:
-        state.converged = True
-        return state
-    chosen = select_candidates(decr, params.tau, n_bf)
-    if chosen.size == 0:
-        state.converged = True
-        return state
-    solution, used = _solve_with_retry(chosen, num, decr, ctx, state)
-    if used.size == 0:
-        state.converged = True
-        return state
-    state.model.add(used, params.gamma * solution, ctx)
-    state.residual = state.f - state.model.rendering
-    state.energy = _weighted_energy(state.residual, ctx)
-    state.iteration += 1
-    if state.selections is not None:
-        state.selections.append((used.copy(), params.gamma * solution,
-                                 state.energy))
-    return state
-
-
-def msa_step(state: EngineState, params: ExtrapolationParams,
-             ctx: ProjectionContext) -> EngineState:
-    """One multiple-selection iteration: threshold selection, subspace solve,
-    damped accumulation."""
-    return _greedy_step(state, params, ctx, params.n_bf)
-
-
-def fsa_step(state: EngineState, params: ExtrapolationParams,
-             ctx: ProjectionContext) -> EngineState:
-    """One single-selection iteration; identical to msa_step with n_bf=1."""
-    return _greedy_step(state, params, ctx, 1)
-
-
-def rba_step(state: EngineState, params: ExtrapolationParams,
-             ctx: ProjectionContext) -> EngineState:
-    """One relaxed iteration: select against the residual, then re-project
-    the *input* onto the span of every function selected so far.
-
-    All coefficients are replaced by the new joint projection; no damping is
-    applied.  Because the span only grows, the weighted error cannot
-    increase.
+    ``support``/``fresh`` are the members' (G, count) masks and ``rhs`` and
+    ``decr`` their (G, count) right-hand sides and decrements.  Returns
+    (members, indices, solution) triples with equally sized solutions.  A
+    member whose Gram matrix is singular goes through `_solve_with_retry`
+    alone; its retries are counted in ``state``, and it converges if no
+    fresh pick survives.
     """
-    if state.converged:
+    idx = np.nonzero(support)[1].reshape(len(members), -1)
+    gathered = rhs[np.arange(len(members))[:, None], idx]
+    if idx.shape[1] == 1:
+        return [(members, idx, gathered / ctx.norms[idx])]
+    try:
+        return [(members, idx, _cholesky_solve(ctx.gram(idx), gathered))]
+    except np.linalg.LinAlgError:
+        pass
+    solved = []
+    for i, member in enumerate(members):
+        try:
+            solved.append((members[i:i + 1], idx[i:i + 1], _cholesky_solve(
+                ctx.gram(idx[i:i + 1]), gathered[i:i + 1])))
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        # Only fresh picks are shed; rba's established span is kept.
+        solution, used, retries = _solve_with_retry(
+            np.flatnonzero(fresh[i]), rhs[i], decr[i], ctx,
+            keep=np.flatnonzero(support[i] & ~fresh[i]))
+        state.gram_retries[member] += retries
+        if used.size:
+            solved.append((members[i:i + 1], used[None], solution[None]))
+        else:
+            state.converged[member] = True
+    return solved
+
+
+# ---------------------------------------------------------------------------
+# The engine loop
+# ---------------------------------------------------------------------------
+
+def step(state: EngineState, params: ExtrapolationParams,
+         ctx: ProjectionContext) -> EngineState:
+    """One iteration of the configured engine for every unconverged member.
+
+    fsa and msa select against the residual, solve jointly on the selection
+    and accumulate the damped solution (fsa selects one function, so it is
+    msa with ``n_bf`` 1).  rba selects against the residual, then
+    re-projects the *input* onto the span of every function selected so
+    far and replaces all coefficients, undamped; because the span only
+    grows, the weighted error cannot increase.  A member converges when its
+    best decrement falls below `CONVERGENCE_FRACTION` of its initial error,
+    when nothing new is selected, or when singular retries shed every
+    fresh pick.
+    """
+    live = np.flatnonzero(~state.converged)
+    if live.size == 0:
         return state
-    if state.f_numerators is None:
+    rba = params.algorithm == "rba"
+    if rba and state.f_numerators is None:
         state.f_numerators = ctx.numerators(state.f)
-    num = ctx.numerators(state.residual)
-    p = np.where(ctx.excluded, 0.0, num / ctx._safe_norms)
-    decr = decrement_energies(p, ctx.norms)
-    if decr.max(initial=0.0) < CONVERGENCE_FRACTION * state.energy0:
-        state.converged = True
-        return state
-    chosen = select_candidates(decr, params.tau, params.n_bf)
-    fresh = np.setdiff1d(chosen, state.active)
-    if fresh.size == 0:
-        state.converged = True
-        return state
-    # Singularity handling sheds only the newly picked functions; the
-    # established support solved fine last iteration and is kept.
-    solution, support = _solve_with_retry(fresh, state.f_numerators, decr,
-                                          ctx, state, keep=state.active)
-    if support.size == 0:
-        state.converged = True
-        return state
-    state.model.replace(support, solution, ctx)
-    state.active = support
-    state.residual = state.f - state.model.rendering
-    state.energy = _weighted_energy(state.residual, ctx)
-    state.iteration += 1
+    rows = _index(live, len(state.converged))
+    num = ctx.numerators(state.residual[rows])
+    decr = num / ctx._safe_norms    # projections p, then in place
+    decr[:, ctx.excluded] = 0.0      # decrement_energies: p * p * norms
+    decr *= decr
+    decr *= ctx.norms
+    n_bf = 1 if params.algorithm == "fsa" else params.n_bf
+    fresh = select_batch(decr, params.tau, n_bf,
+                         floor=CONVERGENCE_FRACTION * state.energy0[rows])
+    if rba:
+        fresh &= ~state.active[rows]
+        support = fresh | state.active[rows]
+        rhs = state.f_numerators[rows]
+    else:
+        support, rhs = fresh, num
+    sizes = np.count_nonzero(fresh, axis=1)
+    state.converged[live[sizes == 0]] = True
+    if rba:
+        sizes = np.where(sizes > 0, np.count_nonzero(support, axis=1), 0)
+    solved = []
+    for size in sorted(set(sizes.tolist()) - {0}):
+        group = _index(np.flatnonzero(sizes == size), len(sizes))
+        for members, idx, solution in _solve_group(
+                state, live[group], support[group], fresh[group], rhs[group],
+                decr[group], ctx):
+            values = solution if rba else params.gamma * solution
+            _apply(state, members, idx, values, ctx, rba)
+            solved.append((members, idx, values))
+    # Every live member that has not converged now took a solution.  The
+    # other members' residuals are recomputed unchanged, without temporaries.
+    state.iterations[live[~state.converged[live]]] += 1
+    np.subtract(state.f, state.rendering, out=state.residual)
     if state.selections is not None:
-        state.selections.append((support.copy(), solution.copy(),
-                                 state.energy))
+        for members, idx, values in solved:
+            for member, used, coefs in zip(members, idx, values):
+                state.selections[member].append(
+                    (used.copy(), coefs.copy(),
+                     _weighted_energy(state.residual[member], ctx)))
     return state
 
 
-_STEPS = {"fsa": fsa_step, "rba": rba_step, "msa": msa_step}
+def _index(rows: np.ndarray, total: int):
+    """Ascending ``rows`` of a ``total``-row array as an index: a basic
+    slice when they are all rows, which indexes without copying."""
+    return slice(None) if rows.size == total else rows
+
+
+def _apply(state: EngineState, members: np.ndarray, idx: np.ndarray,
+           values: np.ndarray, ctx: ProjectionContext, rba: bool) -> None:
+    """Put one group's solutions into the models: rba replaces the whole
+    model, fsa/msa add their damped ``values`` to it."""
+    flat = (members[:, None] * state.coefficients.shape[1] + idx).ravel()
+    rows = _index(members, len(state.converged))
+    if rba:
+        state.coefficients[rows] = 0.0
+        state.coefficients.reshape(-1)[flat] = values.ravel()
+        state.rendering[rows] = ctx.render(idx, values)
+        state.active[rows] = False
+        state.active.reshape(-1)[flat] = True
+    else:
+        state.coefficients.reshape(-1)[flat] += values.ravel()
+        state.rendering[rows] += ctx.render(idx, values)
+
+
+def run_batch(windows, layout: ProjectionLayout, params: ExtrapolationParams,
+              *, context: ProjectionContext | None = None,
+              record: bool = False) -> list:
+    """Run the configured engine on B working-area signals at once.
+
+    ``windows`` is a (B, M, N) stack of signals that share ``layout``'s
+    geometry and neighbour availability, so one ``context`` (by default
+    ``projection_context(layout)``, the reference weighting) serves them
+    all.  Each signal holds reconstructed samples on R, the temporal
+    predictor on the centre block and arbitrary values on padding; padding
+    carries zero weight and provably never changes the result.  Returns
+    one `RefineResult` per window, each bitwise equal to what `run` gives
+    for that window alone.
+    """
+    ctx = context if context is not None else projection_context(layout)
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or windows.shape[1:] != (layout.m, layout.n):
+        raise ValueError(f"signal shape {windows.shape[1:]} does not match "
+                         f"layout {(layout.m, layout.n)}")
+    state = new_state(windows, ctx, record=record)
+    for _ in range(params.iterations):
+        step(state, params, ctx)
+        if state.converged.all():
+            break
+    sl = layout.block_slices
+    blocks = state.rendering.reshape(-1, layout.m, layout.n)[:, sl[0], sl[1]]
+    results = []
+    for i in range(len(windows)):
+        diag = Diagnostics(
+            iterations=int(state.iterations[i]),
+            converged=bool(state.converged[i]),
+            energy0=float(state.energy0[i]),
+            energy=_weighted_energy(state.residual[i], ctx),
+            coefficient_count=int(np.count_nonzero(state.coefficients[i])),
+            gram_retries=int(state.gram_retries[i]),
+            selections=None if state.selections is None
+            else state.selections[i])
+        model = SparseModel(coefficients=state.coefficients[i],
+                            rendering=state.rendering[i])
+        results.append(RefineResult(block=blocks[i].copy(), model=model,
+                                    diagnostics=diag))
+    return results
 
 
 def run(f, layout: ProjectionLayout, params: ExtrapolationParams, *,
         context: ProjectionContext | None = None,
         record: bool = False) -> RefineResult:
-    """Run the configured engine on one working-area signal.
-
-    ``f`` holds reconstructed samples on R, the temporal predictor on the
-    centre block and arbitrary values on padding; padding carries zero weight
-    and provably never changes the result.  ``context`` defaults to
-    ``projection_context(layout)``, the reference weighting.  Returns the
-    centre block of the final model plus run diagnostics.
-    """
-    ctx = context if context is not None else projection_context(layout)
+    """Run the configured engine on one working-area signal: `run_batch`
+    with B = 1.  Returns the centre block of the final model plus run
+    diagnostics."""
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (layout.m, layout.n):
         raise ValueError(f"signal shape {f.shape} does not match layout "
                          f"{(layout.m, layout.n)}")
-    state = new_state(f, ctx, record=record)
-    step = _STEPS[params.algorithm]
-    for _ in range(params.iterations):
-        step(state, params, ctx)
-        if state.converged:
-            break
-    sl = layout.block_slices
-    block = state.model.rendering.reshape(layout.m, layout.n)[sl[0], sl[1]].copy()
-    diag = Diagnostics(
-        iterations=state.iteration,
-        converged=state.converged,
-        energy0=state.energy0,
-        energy=state.energy,
-        coefficient_count=int(np.count_nonzero(state.model.coefficients)),
-        gram_retries=state.gram_retries,
-        selections=state.selections,
-    )
-    return RefineResult(block=block, model=state.model, diagnostics=diag)
+    return run_batch(f[None], layout, params, context=context,
+                     record=record)[0]

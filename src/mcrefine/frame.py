@@ -11,7 +11,7 @@ influence any result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -189,7 +189,10 @@ class ProjectionLayout:
         return slice(s, 2 * s), slice(s, 2 * s)
 
 
+@lru_cache(maxsize=64)
 def _region_map(size: int, availability: tuple[bool, bool, bool, bool]) -> np.ndarray:
+    """Read-only region labels of a working area, shared by every layout of
+    the same block size and availability."""
     left, top_left, top, top_right = availability
     m = 3 * size
     reg = np.full((m, m), REGION_PAD, np.uint8)

@@ -40,17 +40,35 @@ from numpy.lib.stride_tricks import as_strided
 from .frame import BlockRef, GeometryError, Plane
 
 
+def check_subpel(subpel: int) -> None:
+    """Raise `ValueError` unless ``subpel`` is 1 (integer-pel) or 2 (half-pel)."""
+    if subpel not in (1, 2):
+        raise ValueError(f"subpel must be 1 or 2, got {subpel}")
+
+
+@dataclass(frozen=True)
+class SearchParams:
+    """Exhaustive-search window: +/- ``search_range`` samples, SAD metric."""
+
+    search_range: int = 16
+    subpel: int = 2  # 1 = integer-pel, 2 = half-pel
+
+    def __post_init__(self):
+        if self.search_range < 1:
+            raise ValueError("search range must be >= 1")
+        check_subpel(self.subpel)
+
+
 @dataclass(frozen=True)
 class MotionVector:
     """Block displacement in sub-pel units (dx columns, dy rows)."""
 
     dx: int
     dy: int
-    scale: int = 2  # sub-pel denominator: 1 integer-pel, 2 half-pel
+    scale: int = SearchParams.subpel  # 1 integer-pel, 2 half-pel
 
     def __post_init__(self):
-        if self.scale not in (1, 2):
-            raise ValueError(f"unsupported sub-pel scale {self.scale}")
+        check_subpel(self.scale)
 
     @property
     def dx_samples(self) -> float:
@@ -71,20 +89,6 @@ class MotionVector:
             return MotionVector(dx=self.dx, dy=self.dy, scale=2)
         return MotionVector(dx=int(np.rint(self.dx / 2)),
                             dy=int(np.rint(self.dy / 2)), scale=2)
-
-
-@dataclass(frozen=True)
-class SearchParams:
-    """Exhaustive-search window: +/- ``search_range`` samples, SAD metric."""
-
-    search_range: int = 16
-    subpel: int = 2  # 1 = integer-pel, 2 = half-pel
-
-    def __post_init__(self):
-        if self.search_range < 1:
-            raise ValueError("search range must be >= 1")
-        if self.subpel not in (1, 2):
-            raise ValueError(f"subpel must be 1 or 2, got {self.subpel}")
 
 
 def _window(plane: Plane, block: BlockRef, params: SearchParams):

@@ -18,20 +18,25 @@ class MatrixContext(ProjectionContext):
 
     The test oracle for the FFT route: norms are inherited (one closed-form
     definition), while numerators, Gram entries and renderings are plain
-    matrix products with the materialised basis.
+    matrix products with the materialised basis.  Like the FFT route, each
+    method takes any leading batch axes.
     """
 
     def numerators(self, residual):
-        return self.basis.matrix @ (np.ravel(residual) * self.w_flat)
+        r = np.asarray(residual, dtype=np.float64)
+        if r.shape[-2:] == (self.basis.m, self.basis.n):
+            r = r.reshape(r.shape[:-2] + (-1,))
+        return (r * self.w_flat) @ self.basis.matrix.T
 
     def gram(self, indices):
         sub = self.basis.matrix[np.asarray(indices, dtype=np.intp)]
-        g = (sub * self.w_flat) @ sub.T
-        return (g + g.T) * 0.5
+        g = (sub * self.w_flat) @ np.swapaxes(sub, -1, -2)
+        return (g + np.swapaxes(g, -1, -2)) * 0.5
 
     def render(self, indices, coefficients):
         idx = np.asarray(indices, dtype=np.intp)
-        return np.asarray(coefficients, dtype=np.float64) @ self.basis.matrix[idx]
+        c = np.asarray(coefficients, dtype=np.float64)
+        return (c[..., None, :] @ self.basis.matrix[idx])[..., 0, :]
 
 
 @pytest.fixture(scope="session")

@@ -112,6 +112,18 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "encode"])
+    def test_one_frame_input(self, command, tmp_path, capsys):
+        seq = tmp_path / "one.yuv"
+        assert cli.main(["synth", "--width", "32", "--height", "32",
+                         "--count", "1", "--out", str(seq)]) == 0
+        out = tmp_path / "out.csv"
+        rc = cli.main([command, "--input", str(seq), "--width", "32",
+                       "--height", "32", "--out-csv", str(out)])
+        assert rc == 2
+        assert "need at least two frames" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_value(self, seq_path, capsys):
         rc = cli.main(["predict", "--input", str(seq_path), "--width", "64",
                        "--height", "64", "--algorithms", "none,warp"])

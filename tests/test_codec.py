@@ -14,7 +14,7 @@ from mcrefine.codec import (DEFAULT_QPS, BlockDecision, EncoderConfig,
 from mcrefine.extrapolate import ExtrapolationParams
 from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, \
     GeometryError, Plane, build_layout, mse, psnr
-from mcrefine.motion import MotionVector, SearchParams, mv_bits
+from mcrefine.motion import MotionVector, SearchParams, compensate, mv_bits
 from mcrefine.videoio import synth_sequence
 
 
@@ -198,8 +198,7 @@ class TestBlockCoding:
 class TestSideBits:
     def make_decision(self, bx, mv, by=0):
         return BlockDecision(bx=bx, by=by, mv=mv, sad=0.0, refined=False,
-                             mc_mse=0.0, refined_mse=float("nan"),
-                             refine_seconds=0.0)
+                             mc_mse=0.0, refined_mse=float("nan"))
 
     def test_flags_and_differential(self):
         mvs = [MotionVector(2, 0), MotionVector(2, 0), MotionVector(-1, 3)]
@@ -260,6 +259,33 @@ class TestPredictFrame:
         # motion search is independent of the neighbour source
         assert [d.mv for d in a.decisions] == [d.mv for d in b.decisions]
 
+    @pytest.mark.parametrize("chunk", [codec.REFINE_CHUNK, 3])
+    def test_batches_equal_block_by_block(self, chunk, monkeypatch):
+        # 4x3 blocks: every availability class; a chunk of 3 splits the
+        # larger classes across engine calls
+        monkeypatch.setattr(codec, "REFINE_CHUNK", chunk)
+        prev, cur = (f.y for f in synth_sequence(
+            "translate", width=64, height=48, frames=2, seed=3,
+            velocity=(0.6, 0.4), noise_sigma=6.0))
+        cfg = fast_config(extrapolation=ExtrapolationParams(algorithm="msa",
+                                                            iterations=12))
+        fp = predict_frame(cur, prev, cfg)
+        refined = 0
+        for d in fp.decisions:
+            block = BlockRef(d.bx * 16, d.by * 16, 16)
+            layout = build_layout(cur, block)
+            mc = compensate(prev, block, d.mv)
+            got = fp.predictor[block.y0:block.y0 + 16, block.x0:block.x0 + 16]
+            if layout.r_empty:
+                assert math.isnan(d.refined_mse)
+                np.testing.assert_array_equal(got, mc)
+                continue
+            alone = codec.refine_block(layout, cur.data, mc, cfg).block
+            assert d.refined_mse == mse(cur.block(block), alone)
+            np.testing.assert_array_equal(got, alone if d.refined else mc)
+            refined += d.refined
+        assert refined > 0
+
     def test_block_grid_covered(self):
         frames = tiny_sequence(frames=2, size=64)
         fp = predict_frame(frames[1].y, frames[0].y,
@@ -310,6 +336,32 @@ class TestClosedLoop:
             encode_pass(tiny_sequence(frames=1), fast_config(), qstep=16.0,
                         qp=28)
         assert coded == []
+
+    @pytest.mark.parametrize("size", [8, 16])
+    @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
+    def test_replay_bit_exact_for_every_engine(self, algo, size):
+        # 48x32: the right-edge blocks of every row below the first have
+        # no top-right neighbour
+        frames = synth_sequence("translate", width=48, height=32, frames=3,
+                                seed=4, velocity=(0.7, 0.4), noise_sigma=6.0)
+        iterations = 40 if algo == "fsa" else None
+        cfg = fast_config(refinement=algo, block_size=size,
+                          extrapolation=ExtrapolationParams(
+                              algorithm=algo, iterations=iterations))
+        refined = 0
+        for qp, qstep in zip(cfg.qps, cfg.qsteps):
+            sink = []
+            _, stats, trace = encode_pass(frames, cfg, qstep, qp,
+                                          collect_trace=True,
+                                          predictor_sink=sink)
+            predictors, recons = replay_trace(trace, cfg)
+            for enc, dec in zip(sink, predictors):
+                np.testing.assert_array_equal(enc, dec)
+            for fs, rec in zip(stats, recons):
+                assert psnr(frames[fs.index].y.data, rec.data) == fs.psnr_db
+            refined += sum(bt.refined for blocks in trace.frames
+                           for bt in blocks)
+        assert refined > 0
 
     def test_encoder_and_replay_share_refine_block(self, monkeypatch):
         frames = tiny_sequence(frames=3, sigma=4.0)

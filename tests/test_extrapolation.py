@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MatrixContext
-from mcrefine.basis import WeightMask, build_basis
-from mcrefine.extrapolate import (ExtrapolationParams, SparseModel, new_state,
-                                  decrement_energies, fsa_step, msa_step,
-                                  project_residual, rba_step, run,
-                                  select_candidates, solve_subspace)
+from mcrefine.basis import WeightMask, build_basis, projection_context
+from mcrefine.extrapolate import (ExtrapolationParams, decrement_energies,
+                                  new_state, project_residual, run, run_batch,
+                                  select_batch, select_candidates,
+                                  solve_subspace, step)
 from mcrefine.frame import BlockRef, build_layout
 
 
@@ -88,6 +88,20 @@ class TestSelectCandidates:
         # every member clears the threshold (argmax trivially does)
         assert np.all(decr[got] >= tau * decr.max() - 1e-12)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 4))
+    @settings(max_examples=40)
+    def test_batch_rows_match_single_rows(self, seed, n_bf, rows):
+        rng = np.random.default_rng(seed)
+        # coarse values make ties at the cap and at tau * max common
+        decr = rng.integers(0, 6, size=(rows, 25)).astype(float)
+        decr[0] = 0.0
+        floor = rng.uniform(0, 6, size=rows)
+        got = select_batch(decr, 0.6, n_bf, floor=floor)
+        for row, lowest, mask in zip(decr, floor, got):
+            want = select_candidates(row, 0.6, n_bf) \
+                if row.max() >= lowest else []
+            np.testing.assert_array_equal(np.flatnonzero(mask), want)
+
 
 class TestSolveSubspace:
     def test_matches_dense_oracle(self, ctx8, rng):
@@ -118,7 +132,8 @@ class TestSolveSubspace:
 
 class SingularWith:
     """Wraps a context; its Gram matrix is singular whenever ``bad`` is in
-    the requested support (that function's row and column are zeroed)."""
+    the requested support (that function's row and column are zeroed).
+    Takes leading batch axes like the context it wraps."""
 
     def __init__(self, ctx, bad):
         self._ctx, self.bad = ctx, bad
@@ -128,22 +143,20 @@ class SingularWith:
 
     def gram(self, indices):
         g = self._ctx.gram(indices)
-        hit = np.asarray(indices) == self.bad
-        g[hit, :] = 0.0
-        g[:, hit] = 0.0
-        return g
+        keep = np.asarray(indices) != self.bad
+        return g * (keep[..., :, None] & keep[..., None, :])
 
 
 class TestSingularRetry:
     def test_rba_sheds_only_fresh_functions(self, layout8, ctx8, rng):
-        f = rng.normal(0, 10, size=(layout8.m, layout8.n))
+        f = rng.normal(0, 10, size=(1, layout8.m, layout8.n))
         params = ExtrapolationParams(algorithm="rba", iterations=4, tau=0.1,
                                      n_bf=5)
-        state = new_state(f.reshape(-1), ctx8)
-        rba_step(state, params, ctx8)
-        active = state.active.copy()
+        state = new_state(f, ctx8)
+        step(state, params, ctx8)
+        active = np.flatnonzero(state.active[0])
         assert active.size > 1
-        decr = decrement_energies(project_residual(state.residual, ctx8),
+        decr = decrement_energies(project_residual(state.residual[0], ctx8),
                                   ctx8.norms)
         fresh = np.setdiff1d(select_candidates(decr, params.tau, params.n_bf),
                              active)
@@ -153,10 +166,11 @@ class TestSingularRetry:
         # shed across the whole support would drop it instead
         bad = fresh[np.argmin(decr[fresh])]
         assert decr[active].max() < decr[bad]
-        rba_step(state, params, SingularWith(ctx8, bad))
-        assert state.gram_retries == 1
+        step(state, params, SingularWith(ctx8, bad))
+        assert state.gram_retries[0] == 1
         np.testing.assert_array_equal(
-            state.active, np.union1d(active, np.setdiff1d(fresh, [bad])))
+            np.flatnonzero(state.active[0]),
+            np.union1d(active, np.setdiff1d(fresh, [bad])))
 
     def test_greedy_sheds_weakest(self, ctx8, rng):
         r = rng.normal(size=ctx8.basis.m * ctx8.basis.n)
@@ -167,6 +181,153 @@ class TestSingularRetry:
         np.testing.assert_array_equal(used, np.setdiff1d(idx, [bad]))
         want, _ = solve_subspace(r, used, ctx8)
         np.testing.assert_array_equal(got, want)
+
+
+class SingularOnSupport:
+    """Wraps a context; the Gram matrix of exactly the index set ``support``
+    is singular (the row and column of ``bad`` are zeroed), wherever that
+    system sits in a batch."""
+
+    def __init__(self, ctx, support, bad):
+        self._ctx, self.support, self.bad = ctx, support, bad
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def gram(self, indices):
+        g = self._ctx.gram(indices)
+        idx = np.asarray(indices)
+        if idx.shape[-1] != self.support.size:
+            return g
+        hit = np.all(idx == self.support, axis=-1)[..., None, None]
+        keep = self.support != self.bad
+        return np.where(hit, g * (keep[:, None] & keep[None, :]), g)
+
+
+def plaid_windows(rng, count, size):
+    """Windows with a few equally strong plane waves plus noise, so the
+    first msa iteration selects several functions."""
+    yy, xx = np.mgrid[0:size, 0:size] / size
+    out = []
+    for _ in range(count):
+        w = np.zeros((size, size))
+        for _ in range(4):
+            a, b = rng.integers(1, 12, size=2)
+            w += 20.0 * np.cos(2 * np.pi * (a * yy + b * xx)
+                               + rng.uniform(0, 2 * np.pi))
+        out.append(w + rng.normal(0, 4.0, size=(size, size)))
+    return np.stack(out)
+
+
+def assert_same_run(a, b):
+    """Bitwise equality of two engine results, diagnostics included."""
+    np.testing.assert_array_equal(a.block, b.block)
+    np.testing.assert_array_equal(a.model.coefficients, b.model.coefficients)
+    np.testing.assert_array_equal(a.model.rendering, b.model.rendering)
+    da, db = a.diagnostics, b.diagnostics
+    assert (da.iterations, da.converged, da.energy0, da.energy,
+            da.coefficient_count, da.gram_retries) \
+        == (db.iterations, db.converged, db.energy0, db.energy,
+            db.coefficient_count, db.gram_retries)
+    assert len(da.selections) == len(db.selections)
+    for (ia, ca, ea), (ib, cb, eb) in zip(da.selections, db.selections):
+        np.testing.assert_array_equal(ia, ib)
+        np.testing.assert_array_equal(ca, cb)
+        assert ea == eb
+
+
+# One layout per availability class (and padding pattern), per block size.
+BATCH_LAYOUTS = {size: [build_layout((6 * size, 4 * size),
+                                     BlockRef(bx * size, by * size, size))
+                        for bx, by in ((2, 2), (0, 2), (2, 0), (5, 2))]
+                 for size in (8, 16)}
+
+
+class TestBatchIndependence:
+    """A member's result must not depend on batch size, order or mates."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           algo=st.sampled_from(["fsa", "rba", "msa"]),
+           size=st.sampled_from([8, 16]), batch=st.integers(1, 7),
+           where=st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_members_equal_single_runs(self, seed, algo, size, batch, where):
+        rng = np.random.default_rng(seed)
+        layout = BATCH_LAYOUTS[size][where]
+        ctx = projection_context(layout)
+        windows = plaid_windows(rng, batch, 3 * size)
+        # members that converge at once or early: the zero signal, and one
+        # basis function
+        kinds = rng.integers(0, 4, size=batch)
+        windows[kinds == 0] = 0.0
+        windows[kinds == 1] = ctx.basis.function(
+            int(rng.integers(1, ctx.basis.count)))
+        params = ExtrapolationParams(
+            algorithm=algo, iterations=30 if algo == "fsa" else None)
+        alone = [run(w, layout, params, context=ctx, record=True)
+                 for w in windows]
+        order = rng.permutation(batch)
+        cuts = np.sort(rng.choice(np.arange(1, batch), size=int(
+            rng.integers(0, batch)), replace=False)) if batch > 1 else []
+        for chunk in np.split(order, cuts):
+            got = run_batch(windows[chunk], layout, params, context=ctx,
+                            record=True)
+            assert len(got) == len(chunk)
+            for member, result in zip(chunk, got):
+                assert_same_run(result, alone[member])
+
+    # Each window is four basis functions, which every msa iteration
+    # selects exactly: five systems of one size, stacked in one solve.
+    SUPPORTS = np.array([[150, 260, 370, 480], [120, 230, 340, 450],
+                         [100, 205, 310, 415], [130, 245, 355, 465],
+                         [110, 215, 325, 435]])
+
+    def four_function_windows(self, ctx):
+        return np.stack([ctx.render(s, np.full(4, 30.0)).reshape(48, 48)
+                         for s in self.SUPPORTS])
+
+    def test_equal_sizes_solve_together(self, layout16, ctx16):
+        windows = self.four_function_windows(ctx16)
+        msa = ExtrapolationParams.defaults("msa")
+        got = run_batch(windows, layout16, msa, context=ctx16, record=True)
+        for window, result, support in zip(windows, got, self.SUPPORTS):
+            assert all(np.array_equal(sel, support)
+                       for sel, _, _ in result.diagnostics.selections)
+            assert_same_run(result, run(window, layout16, msa, context=ctx16,
+                                        record=True))
+
+    def test_singular_member_retries_alone(self, layout16, ctx16):
+        supports = self.SUPPORTS
+        windows = self.four_function_windows(ctx16)
+        support = supports[2]
+        decr = decrement_energies(project_residual(windows[2], ctx16),
+                                  ctx16.norms)
+        bad = support[np.argmin(decr[support])]
+        stub = SingularOnSupport(ctx16, support, bad)
+        # one iteration: exactly one retry, only for that member, which
+        # sheds its weakest pick
+        once = ExtrapolationParams(algorithm="msa", iterations=1)
+        got = run_batch(windows, layout16, once, context=stub, record=True)
+        assert [r.diagnostics.gram_retries for r in got] == [0, 0, 1, 0, 0]
+        for i, (r, s) in enumerate(zip(got, supports)):
+            want = np.setdiff1d(s, [bad]) if i == 2 else s
+            np.testing.assert_array_equal(r.diagnostics.selections[0][0],
+                                          want)
+        # every iteration that picks the singular set again retries again;
+        # the member matches its own B = 1 run and its mates are untouched
+        msa = ExtrapolationParams.defaults("msa")
+        got = run_batch(windows, layout16, msa, context=stub, record=True)
+        assert_same_run(got[2], run(windows[2], layout16, msa, context=stub,
+                                    record=True))
+        for i in (0, 1, 3, 4):
+            assert got[i].diagnostics.gram_retries == 0
+            assert_same_run(got[i], run(windows[i], layout16, msa,
+                                        context=ctx16, record=True))
+
+    def test_shape_validation(self, layout8):
+        with pytest.raises(ValueError, match="shape"):
+            run_batch(np.zeros((2, 10, 10)), layout8,
+                      ExtrapolationParams.defaults("msa"))
 
 
 class TestParams:
@@ -314,11 +475,11 @@ class TestEngines:
 
 class TestStepFunctions:
     def test_fsa_step_selects_single(self, layout8, ctx8, rng):
-        f = rng.normal(0, 10, size=(layout8.m, layout8.n))
-        state = new_state(f.reshape(-1), ctx8, record=True)
-        fsa_step(state, ExtrapolationParams.defaults("fsa"), ctx8)
-        assert state.iteration == 1
-        assert state.selections[0][0].size == 1
+        f = rng.normal(0, 10, size=(1, layout8.m, layout8.n))
+        state = new_state(f, ctx8, record=True)
+        step(state, ExtrapolationParams.defaults("fsa"), ctx8)
+        assert state.iterations[0] == 1
+        assert state.selections[0][0][0].size == 1
 
     def test_decrement_formula(self, ctx8, rng):
         # decrement of function k equals p_k^2 * weighted norm
@@ -336,37 +497,42 @@ class TestStepFunctions:
         assert e0 - e1 == pytest.approx(d[k], rel=1e-9)
 
     def test_rba_replaces_not_accumulates(self, layout8, ctx8, rng):
-        f = rng.normal(0, 10, size=(layout8.m, layout8.n))
-        state = new_state(f.reshape(-1), ctx8, record=True)
+        f = rng.normal(0, 10, size=(1, layout8.m, layout8.n))
+        state = new_state(f, ctx8, record=True)
         params = ExtrapolationParams(algorithm="rba", iterations=4, n_bf=3)
-        rba_step(state, params, ctx8)
-        rba_step(state, params, ctx8)
-        support, coefs, _ = state.selections[-1]
+        step(state, params, ctx8)
+        step(state, params, ctx8)
+        support, coefs, _ = state.selections[0][-1]
         # the model holds exactly the last re-projection
-        np.testing.assert_array_equal(np.flatnonzero(state.model.coefficients),
+        np.testing.assert_array_equal(np.flatnonzero(state.coefficients[0]),
                                       support)
-        np.testing.assert_array_equal(state.model.coefficients[support], coefs)
+        np.testing.assert_array_equal(state.coefficients[0][support], coefs)
 
     def test_msa_step_accumulates(self, layout8, ctx8, rng):
-        f = rng.normal(0, 10, size=(layout8.m, layout8.n))
-        state = new_state(f.reshape(-1), ctx8, record=True)
+        f = rng.normal(0, 10, size=(1, layout8.m, layout8.n))
+        state = new_state(f, ctx8, record=True)
         params = ExtrapolationParams.defaults("msa")
-        msa_step(state, params, ctx8)
-        c_after_1 = state.model.coefficients.copy()
-        msa_step(state, params, ctx8)
-        sel2 = set(state.selections[1][0].tolist())
+        step(state, params, ctx8)
+        c_after_1 = state.coefficients[0].copy()
+        step(state, params, ctx8)
+        sel2 = set(state.selections[0][1][0].tolist())
         unchanged = [k for k in np.flatnonzero(c_after_1) if k not in sel2]
-        np.testing.assert_array_equal(state.model.coefficients[unchanged],
+        np.testing.assert_array_equal(state.coefficients[0][unchanged],
                                       c_after_1[unchanged])
 
-    def test_sparse_model_bookkeeping(self, ctx8):
-        m = SparseModel.empty(ctx8)
-        assert m.support.size == 0
-        m.add(np.array([2, 5]), np.array([1.0, -2.0]), ctx8)
-        np.testing.assert_array_equal(m.support, [2, 5])
-        want = ctx8.basis.matrix[2] - 2.0 * ctx8.basis.matrix[5]
-        np.testing.assert_allclose(m.rendering, want, atol=1e-12)
-        m.replace(np.array([1]), np.array([3.0]), ctx8)
-        np.testing.assert_array_equal(m.support, [1])
-        np.testing.assert_allclose(m.rendering, 3.0 * ctx8.basis.matrix[1],
-                                   atol=1e-12)
+    def test_sparse_model_bookkeeping(self, layout8, ctx8, rng):
+        # the batched coefficients and renderings stay in sync per member
+        f = rng.normal(0, 10, size=(3, layout8.m, layout8.n))
+        for params in (ExtrapolationParams.defaults("msa"),
+                       ExtrapolationParams(algorithm="rba", n_bf=3)):
+            state = new_state(f, ctx8)
+            for _ in range(3):
+                step(state, params, ctx8)
+            want = state.coefficients @ ctx8.basis.matrix
+            np.testing.assert_allclose(state.rendering, want, atol=1e-12)
+            np.testing.assert_array_equal(
+                state.residual, state.f - state.rendering)
+        res = run(f[0], layout8, ExtrapolationParams.defaults("msa"),
+                  context=ctx8)
+        np.testing.assert_array_equal(res.model.support,
+                                      np.flatnonzero(res.model.coefficients))

@@ -56,6 +56,15 @@ class TestMotionVector:
         # full-pel luma becomes half-pel chroma of the same displacement
         assert mv.scale == 2 and (mv.dx, mv.dy) == (3, -1)
 
+    def test_scale_and_subpel_share_one_rule(self):
+        with pytest.raises(ValueError) as vector:
+            MotionVector(0, 0, scale=3)
+        with pytest.raises(ValueError) as search:
+            SearchParams(subpel=3)
+        assert str(vector.value) == str(search.value) \
+            == "subpel must be 1 or 2, got 3"
+        assert MotionVector(0, 0).scale == SearchParams().subpel
+
 
 class TestCompensate:
     def test_integer_vector_is_a_shift(self, rng):
