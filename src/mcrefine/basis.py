@@ -23,8 +23,8 @@ cosine member and minus for the sine member.  Models are rendered from
 small per-frequency factor tables, never from a dense basis matrix.
 
 `BasisSet.matrix`, one raster per function, is built lazily on first access
-and is not used by the projection route; it is the reference that tests
-and analysis scripts check the fast route against.
+and is not used by the projection route; it is the reference that the tests
+check the fast route against.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class BasisSet:
     def matrix(self) -> np.ndarray:
         """Dense (M*N, M*N) matrix, one flattened raster per row (C-order).
 
-        The reference for tests and scripts; 40.5 MB at 48 x 48, so nothing
-        on the projection route reads it.
+        The reference for the tests; 40.5 MB at 48 x 48, so nothing on the
+        projection route reads it.
         """
         rows = np.arange(self.m)[:, None].astype(np.float64)
         cols = np.arange(self.n)[None, :].astype(np.float64)
@@ -184,17 +184,6 @@ def build_weight_mask(layout: ProjectionLayout, mu: float = DEFAULT_MU,
 
 def _weights_array(w) -> np.ndarray:
     return w.w if isinstance(w, WeightMask) else np.asarray(w, dtype=np.float64)
-
-
-def weighted_inner(a, b, w) -> float:
-    """Weighted inner product sum(a * b * w) over the working area."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    wa = _weights_array(w)
-    if not (a.shape == b.shape == wa.shape):
-        raise ValueError(
-            f"dimension mismatch: {a.shape}, {b.shape}, weights {wa.shape}")
-    return float(np.sum(a * b * wa))
 
 
 def precompute_norms(basis: BasisSet, w) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -215,17 +215,57 @@ def _write_rd_csv(path, results):
 
 
 def cmd_encode(args) -> int:
+    """Encode every selected algorithm over the quantizer ladder, write the
+    RD table, and summarise each refinement against the MC-only anchor.
+
+    RD CSV rows depend only on config and input (byte-reproducible);
+    wall-clock numbers go to the separate timing report.
+    """
     cfg = load_config(args.config, _overrides(args))
     frames = _load_sequence(cfg)
-    result = run_experiment(cfg, frames=frames, rd_csv=args.out_csv,
-                            timing_path=args.timing, summary_path=args.summary)
-    for algo, curve in result.curves:
+    curves, timing_rows = [], []
+    for algo in cfg.algorithms:
+        curve, per_qp = codec.encode_sequence(frames, cfg.encoder_config(algo))
+        curves.append((algo, curve))
+        refine_ms = [1000.0 * fs.refine_seconds
+                     for _, frame_stats in per_qp for fs in frame_stats]
+        timing_rows.append((algo, float(np.mean(refine_ms)),
+                            float(np.sum(refine_ms)) / 1000.0))
+    if args.out_csv:
+        _write_rd_csv(args.out_csv, curves)
+
+    lines = []
+    anchor = dict(curves).get("none")
+    if anchor is not None:
+        for algo, curve in curves:
+            if algo == "none":
+                continue
+            try:
+                res = bd_metrics(anchor, curve)
+                lines.append(f"{algo:5s} vs none:  BD-rate "
+                             f"{res.bd_rate_percent:+7.3f} %   BD-PSNR "
+                             f"{res.bd_psnr_db:+7.4f} dB")
+            except BDInputError as exc:
+                lines.append(f"{algo:5s} vs none:  BD unavailable ({exc})")
+    summary = ""
+    if lines:
+        summary = ("Bjontegaard means over the quantizer ladder "
+                   "(proxy rates, luma PSNR):\n" + "\n".join(lines) + "\n")
+    if args.summary and summary:
+        Path(args.summary).write_text(summary)
+    if args.timing:
+        text = ["mean refinement time per frame (wall clock, excluded from CSVs)"]
+        for algo, per_frame_ms, total_s in timing_rows:
+            text.append(f"{algo:5s}  {per_frame_ms:9.3f} ms/frame   "
+                        f"total {total_s:8.3f} s")
+        Path(args.timing).write_text("\n".join(text) + "\n")
+
+    for algo, curve in curves:
         print(f"-- {algo}")
         for p in curve.points:
             print(f"  qp {p.qp:4.0f}  {p.rate_kbps:10.2f} kbit/s (proxy)  "
                   f"{p.psnr_db:6.2f} dB  refined {100 * p.refined_fraction:5.1f}%")
-    if result.summary_text:
-        print(result.summary_text, end="")
+    print(summary, end="")
     return 0
 
 
@@ -261,73 +301,6 @@ def cmd_bd(args) -> int:
     print(f"BD-rate {result.bd_rate_percent:+.3f} %   "
           f"BD-PSNR {result.bd_psnr_db:+.4f} dB")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Experiment driver (library entry point used by `encode` and scripts)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ExperimentResult:
-    curves: list
-    stats: dict
-    summary_text: str
-    bd_table: dict = field(default_factory=dict)
-
-
-def run_experiment(cfg: RunConfig, *, frames=None, rd_csv=None,
-                   timing_path=None, summary_path=None) -> ExperimentResult:
-    """Encode every selected algorithm over the quantizer ladder, write the
-    RD table, and summarise each refinement against the MC-only anchor.
-
-    rd CSV rows depend only on config and input (byte-reproducible);
-    wall-clock numbers go to the separate timing report.
-    """
-    if frames is None:
-        frames = _load_sequence(cfg)
-    curves, stats, timing_rows = [], {}, []
-    for algo in cfg.algorithms:
-        econf = cfg.encoder_config(algo)
-        curve, per_qp, _ = codec.encode_sequence(frames, econf)
-        curves.append((algo, curve))
-        stats[algo] = per_qp
-        refine_ms = [1000.0 * fs.refine_seconds
-                     for _, frame_stats in per_qp for fs in frame_stats]
-        timing_rows.append((algo, float(np.mean(refine_ms)),
-                            float(np.sum(refine_ms)) / 1000.0))
-    if rd_csv:
-        _write_rd_csv(rd_csv, curves)
-
-    bd_table = {}
-    lines = []
-    anchors = dict(curves)
-    if "none" in anchors:
-        anchor = anchors["none"]
-        for algo, curve in curves:
-            if algo == "none":
-                continue
-            try:
-                res = bd_metrics(anchor, curve)
-                bd_table[algo] = res
-                lines.append(f"{algo:5s} vs none:  BD-rate "
-                             f"{res.bd_rate_percent:+7.3f} %   BD-PSNR "
-                             f"{res.bd_psnr_db:+7.4f} dB")
-            except BDInputError as exc:
-                lines.append(f"{algo:5s} vs none:  BD unavailable ({exc})")
-    summary = ""
-    if lines:
-        summary = ("Bjontegaard means over the quantizer ladder "
-                   "(proxy rates, luma PSNR):\n" + "\n".join(lines) + "\n")
-    if summary_path and summary:
-        Path(summary_path).write_text(summary)
-    if timing_path:
-        text = ["mean refinement time per frame (wall clock, excluded from CSVs)"]
-        for algo, per_frame_ms, total_s in timing_rows:
-            text.append(f"{algo:5s}  {per_frame_ms:9.3f} ms/frame   "
-                        f"total {total_s:8.3f} s")
-        Path(timing_path).write_text("\n".join(text) + "\n")
-    return ExperimentResult(curves=curves, stats=stats, summary_text=summary,
-                            bd_table=bd_table)
 
 
 # ---------------------------------------------------------------------------

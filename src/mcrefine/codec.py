@@ -32,8 +32,8 @@ import scipy.fft
 
 from . import extrapolate
 from .basis import DEFAULT_MU, DEFAULT_RHO, check_weighting, projection_context
-from .frame import (BlockRef, Frame, GeometryError, Plane, build_layout, mse,
-                    psnr)
+from .frame import (NEIGHBOUR_TILES, BlockRef, Frame, GeometryError, Plane,
+                    build_layout, mse, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
 
 # Blocks per engine call in `predict_frame`.  A chunk's engine state (about
@@ -76,10 +76,12 @@ class EncoderConfig:
                              f"the extrapolation engine {params.algorithm!r}")
         if len(self.qps) < 1 or any(b <= a for a, b in zip(self.qps, self.qps[1:])):
             raise ValueError("quantizer ladder must be strictly increasing")
+        # The engine's factor table takes 16*(3s)**3 bytes: 113 MB at 64,
+        # 906 MB at 128.
         s = self.block_size
-        if s < 8 or s & (s - 1):
-            raise ValueError(f"block size must be a power of two >= 8 (the "
-                             f"8x8 transform tiles it), got {s}")
+        if s < 8 or s > 64 or s & (s - 1):
+            raise ValueError(f"block size must be a power of two from 8 (the "
+                             f"8x8 transform tiles it) to 64, got {s}")
         check_weighting(self.mu, self.rho)
 
     @property
@@ -104,7 +106,6 @@ class FramePrediction:
     mc_predictor: np.ndarray   # pure motion-compensated raster
     decisions: list
     side_bits: int             # flag bits + motion bits, exactly
-    refine_seconds: float
 
 
 @dataclass(frozen=True)
@@ -137,18 +138,13 @@ def assemble_window(layout, neighbor_samples: np.ndarray,
     """Fill the 3x3-block working area: neighbours on R, the temporal
     predictor in the centre, zeros on padding (weight-excluded anyway)."""
     s = layout.block.size
-    x0, y0 = layout.block.x0, layout.block.y0
+    oy, ox = layout.origin
     f = np.zeros((layout.m, layout.n))
-    left, top_left, top, top_right = layout.availability
-    src = neighbor_samples
-    if top_left:
-        f[:s, :s] = src[y0 - s:y0, x0 - s:x0]
-    if top:
-        f[:s, s:2 * s] = src[y0 - s:y0, x0:x0 + s]
-    if top_right:
-        f[:s, 2 * s:] = src[y0 - s:y0, x0 + s:x0 + 2 * s]
-    if left:
-        f[s:2 * s, :s] = src[y0:y0 + s, x0 - s:x0]
+    for (ty, tx), present in zip(NEIGHBOUR_TILES, layout.availability):
+        if present:
+            y, x = ty * s, tx * s
+            f[y:y + s, x:x + s] = \
+                neighbor_samples[oy + y:oy + y + s, ox + x:ox + x + s]
     f[s:2 * s, s:2 * s] = mc_block
     return f
 
@@ -239,11 +235,9 @@ def _side_bits(decisions, n_blocks_x: int, flag_per_block: bool) -> int:
 
 
 def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
-                  neighbor_source: Plane | None = None,
                   jobs: int = 1) -> FramePrediction:
-    """Open-loop frame prediction: refinement neighbours come from
-    ``neighbor_source`` (the current originals by default), so blocks are
-    independent of each other's results.
+    """Open-loop frame prediction: refinement neighbours come from the
+    current originals, so blocks are independent of each other's results.
 
     Motion search runs first, as one `search_frame` pre-pass over every
     block, then motion compensation of every block.  The blocks that have
@@ -261,7 +255,6 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
                          f"got {jobs}")
     s = config.block_size
     blocks = frame_blocks(current.width, current.height, s)
-    src = (neighbor_source if neighbor_source is not None else current).data
     motion = search_frame(current, reference, blocks, config.search)
     mc_raster = np.empty((current.height, current.width))
     for block, (mv, _) in zip(blocks, motion):
@@ -275,7 +268,6 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
                                        _cut(mc_raster, block), refined)
         _cut(predictor, block)[...] = chosen
 
-    refine_seconds = 0.0
     if config.refinement != "none":
         classes = {}
         for i, block in enumerate(blocks):
@@ -283,24 +275,21 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
             if not layout.r_empty:
                 classes.setdefault(layout.availability, []).append(
                     (i, layout))
-        t0 = time.perf_counter()
         for members in classes.values():
             for lo in range(0, len(members), REFINE_CHUNK):
                 chunk = members[lo:lo + REFINE_CHUNK]
                 for (i, _), result in zip(chunk, refine_blocks(
-                        [layout for _, layout in chunk], src,
+                        [layout for _, layout in chunk], current.data,
                         [_cut(mc_raster, blocks[i]) for i, _ in chunk],
                         config)):
                     switch(i, result.block)
-        refine_seconds = time.perf_counter() - t0
     for i, decision in enumerate(decisions):
         if decision is None:
             switch(i, None)
     side = _side_bits(decisions, current.width // s,
                       config.refinement != "none")
     return FramePrediction(predictor=predictor, mc_predictor=mc_raster,
-                           decisions=decisions, side_bits=side,
-                           refine_seconds=refine_seconds)
+                           decisions=decisions, side_bits=side)
 
 
 def _cut(raster: np.ndarray, block: BlockRef) -> np.ndarray:
@@ -424,7 +413,11 @@ def _encode_intra(frame: Plane, qstep: float, blocks: list):
 
 
 def _mc_chroma(prev: Frame, decisions, block_size: int) -> tuple:
-    """Carry chroma by plain MC with halved displacements (no residual)."""
+    """Carry chroma by plain MC with halved displacements (no residual).
+
+    A halved in-range luma vector never leaves the chroma plane.  Returns
+    ``(None, None)`` for a frame without chroma.
+    """
     if prev.u is None or prev.v is None:
         return None, None
     cs = block_size // 2
@@ -433,11 +426,7 @@ def _mc_chroma(prev: Frame, decisions, block_size: int) -> tuple:
         rec = np.empty((comp.height, comp.width), np.uint8)
         for d in decisions:
             blk = BlockRef(x0=d.bx * cs, y0=d.by * cs, size=cs)
-            cmv = d.mv.for_chroma()
-            try:
-                pred = compensate(comp, blk, cmv)
-            except GeometryError:  # cannot happen for halved in-range vectors
-                pred = comp.block(blk).astype(np.float64)
+            pred = compensate(comp, blk, d.mv.for_chroma())
             rec[blk.y0:blk.y0 + cs, blk.x0:blk.x0 + cs] = \
                 np.clip(np.rint(pred), 0, 255).astype(np.uint8)
         out.append(Plane(rec))
@@ -514,8 +503,7 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
             psnr_db=psnr(cur.data, recon_y),
             refined_fraction=refined_n / len(decisions),
             refine_seconds=refine_total))
-        recon_u, recon_v = _mc_chroma(prev_frame, decisions, s) \
-            if prev_frame.u is not None else (None, None)
+        recon_u, recon_v = _mc_chroma(prev_frame, decisions, s)
         prev_frame = Frame(y=Plane(recon_y), u=recon_u, v=recon_v)
         if collect_trace:
             trace_frames.append(tuple(block_traces))
@@ -538,29 +526,22 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     return point, stats, trace
 
 
-def encode_sequence(frames, config: EncoderConfig, *,
-                    collect_trace: bool = False):
+def encode_sequence(frames, config: EncoderConfig):
     """Closed-loop encode over the whole quantizer ladder.
 
-    Returns (RDCurve sorted by rate, per-(qp, frame) stats list, trace of the
-    first ladder point or None).  Needs at least two frames (IPPP).
+    Returns (RDCurve sorted by rate, per-(qp, frame) stats list).  Needs at
+    least two frames (IPPP); `encode_pass` gives the trace of one pass.
     """
     blocks = _sequence_blocks(frames, config.block_size)
     intra = _encode_intra(frames[0].y, min(config.qsteps), blocks)
     points = []
     all_stats = []
-    trace = None
-    for i, (qp, qstep) in enumerate(zip(config.qps, config.qsteps)):
-        want_trace = collect_trace and i == 0
-        point, stats, tr = encode_pass(frames, config, qstep, qp,
-                                       intra=intra, collect_trace=want_trace)
+    for qp, qstep in zip(config.qps, config.qsteps):
+        point, stats, _ = encode_pass(frames, config, qstep, qp, intra=intra)
         points.append(point)
         all_stats.append((qp, stats))
-        if want_trace:
-            trace = tr
     points.sort(key=lambda p: p.rate_kbps)
-    label = config.refinement
-    return RDCurve(label=label, points=tuple(points)), all_stats, trace
+    return RDCurve(label=config.refinement, points=tuple(points)), all_stats
 
 
 # ---------------------------------------------------------------------------

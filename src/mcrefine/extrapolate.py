@@ -290,8 +290,8 @@ def _solve_group(state: EngineState, members: np.ndarray,
 
     ``support``/``fresh`` are the members' (G, count) masks and ``rhs`` and
     ``decr`` their (G, count) right-hand sides and decrements.  Returns
-    (members, indices, solution) triples with equally sized solutions.  A
-    member whose Gram matrix is singular goes through `_solve_with_retry`
+    (members, indices, solution) triples with equally sized solutions.  If
+    the stacked solve fails, each member goes through `_solve_with_retry`
     alone; its retries are counted in ``state``, and it converges if no
     fresh pick survives.
     """
@@ -305,12 +305,6 @@ def _solve_group(state: EngineState, members: np.ndarray,
         pass
     solved = []
     for i, member in enumerate(members):
-        try:
-            solved.append((members[i:i + 1], idx[i:i + 1], _cholesky_solve(
-                ctx.gram(idx[i:i + 1]), gathered[i:i + 1])))
-            continue
-        except np.linalg.LinAlgError:
-            pass
         # Only fresh picks are shed; rba's established span is kept.
         solution, used, retries = _solve_with_retry(
             np.flatnonzero(fresh[i]), rhs[i], decr[i], ctx,

@@ -20,6 +20,10 @@ REGION_PAD = 0  # not transmitted yet, or outside the frame
 REGION_R = 1    # reconstructed neighbour samples
 REGION_B = 2    # the block being predicted
 
+# Tile (row, column) of the working area, in block units, that each neighbour
+# of `ProjectionLayout.availability` occupies: left, top-left, top, top-right.
+NEIGHBOUR_TILES = ((1, 0), (0, 0), (0, 1), (0, 2))
+
 
 class GeometryError(ValueError):
     """Block placement inconsistent with the frame geometry."""
@@ -37,7 +41,7 @@ class Plane:
     and cached, which is safe because the sample data is read-only.
     """
 
-    __slots__ = ("data", "_f32", "_half", "_quarter")
+    __slots__ = ("data", "_quarter")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -55,8 +59,6 @@ class Plane:
             arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "_f32", None)
-        object.__setattr__(self, "_half", None)
         object.__setattr__(self, "_quarter", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -73,13 +75,6 @@ class Plane:
     def block(self, ref: "BlockRef") -> np.ndarray:
         """Read-only view of the samples covered by ``ref``."""
         return self.data[ref.y0:ref.y0 + ref.size, ref.x0:ref.x0 + ref.size]
-
-    def as_float32(self) -> np.ndarray:
-        if self._f32 is None:
-            f = self.data.astype(np.float32)
-            f.setflags(write=False)
-            object.__setattr__(self, "_f32", f)
-        return self._f32
 
     def quarter_grid(self, subpel: int) -> np.ndarray:
         """Sample grid at ``1/subpel`` resolution in int16 quarter units.
@@ -108,20 +103,6 @@ class Plane:
             grid.setflags(write=False)
             self._quarter[subpel] = grid
         return grid
-
-    def half_pel(self) -> np.ndarray:
-        """Bilinearly interpolated raster on the half-sample grid.
-
-        Index ``[2y, 2x]`` reproduces the integer-position sample exactly;
-        odd indices are two- or four-tap averages.  The bottom and right
-        borders are edge-replicated, so the result has shape
-        ``(2*height, 2*width)`` and every half-pel position is defined.
-        """
-        if self._half is None:
-            up = self.quarter_grid(2) * np.float32(0.25)
-            up.setflags(write=False)
-            object.__setattr__(self, "_half", up)
-        return self._half
 
     def __repr__(self):
         return f"Plane({self.width}x{self.height})"
@@ -193,17 +174,10 @@ class ProjectionLayout:
 def _region_map(size: int, availability: tuple[bool, bool, bool, bool]) -> np.ndarray:
     """Read-only region labels of a working area, shared by every layout of
     the same block size and availability."""
-    left, top_left, top, top_right = availability
-    m = 3 * size
-    reg = np.full((m, m), REGION_PAD, np.uint8)
-    if top_left:
-        reg[:size, :size] = REGION_R
-    if top:
-        reg[:size, size:2 * size] = REGION_R
-    if top_right:
-        reg[:size, 2 * size:] = REGION_R
-    if left:
-        reg[size:2 * size, :size] = REGION_R
+    reg = np.full((3 * size, 3 * size), REGION_PAD, np.uint8)
+    for (ty, tx), present in zip(NEIGHBOUR_TILES, availability):
+        if present:
+            reg[ty * size:(ty + 1) * size, tx * size:(tx + 1) * size] = REGION_R
     reg[size:2 * size, size:2 * size] = REGION_B
     reg.setflags(write=False)
     return reg

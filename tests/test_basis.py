@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import MatrixContext
 from mcrefine.basis import (ParameterError, ProjectionContext, WeightMask,
                             build_basis, build_weight_mask, excluded_mask,
-                            precompute_norms, projection_context,
-                            weighted_inner)
+                            precompute_norms, projection_context)
 from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, build_layout
 
 
@@ -139,29 +136,13 @@ class TestWeightMask:
         assert np.all(wm.w == 2.0)
 
 
-class TestWeightedInner:
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=20)
-    def test_matches_two_loop_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(5, 7))
-        w = rng.uniform(0, 2, size=(5, 7))
-        assert weighted_inner(a, b, w) == pytest.approx(
-            weighted_inner_oracle(a, b, w), rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            weighted_inner(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 2)))
-
-
 class TestNorms:
     def test_norms_match_inner(self, layout8):
         wm = build_weight_mask(layout8)
         b = build_basis(layout8.m, layout8.n)
         norms = precompute_norms(b, wm)
         for k in (0, 3, 17, b.count - 1):
-            want = weighted_inner(b.function(k), b.function(k), wm.w)
+            want = weighted_inner_oracle(b.function(k), b.function(k), wm.w)
             assert norms[k] == pytest.approx(want, rel=1e-12)
 
     def test_excluded_mask(self):

@@ -1,7 +1,9 @@
-import numpy as np
+import runpy
+from pathlib import Path
+
 import pytest
 
-from mcrefine import cli
+from mcrefine import basis, cli, codec
 from mcrefine.cli import ConfigError, RunConfig, load_config
 from mcrefine.codec import DEFAULT_QPS, EncoderConfig
 from mcrefine.extrapolate import ALGORITHMS
@@ -124,6 +126,24 @@ class TestExitCodes:
         assert "need at least two frames" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_block_size_above_64_fails_before_any_basis(
+            self, tmp_path, monkeypatch, capsys):
+        seq = tmp_path / "big.yuv"
+        assert cli.main(["synth", "--width", "128", "--height", "128",
+                         "--count", "2", "--out", str(seq)]) == 0
+
+        def no_basis(*args):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(basis, "build_basis", no_basis)
+        out = tmp_path / "rd.csv"
+        rc = cli.main(["encode", "--input", str(seq), "--width", "128",
+                       "--height", "128", "--block-size", "128",
+                       "--out-csv", str(out)])
+        assert rc == 2
+        assert "to 64, got 128" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_value(self, seq_path, capsys):
         rc = cli.main(["predict", "--input", str(seq_path), "--width", "64",
                        "--height", "64", "--algorithms", "none,warp"])
@@ -176,6 +196,22 @@ class TestPredictCommand:
         for row in lines[1:4]:
             _, _, mc, pred, refined, _ = row.split(",")
             assert mc == pred and float(refined) == 0.0
+
+    def test_csv_bytes_do_not_depend_on_chunk_size(self, tmp_path,
+                                                   monkeypatch):
+        seq = tmp_path / "in.yuv"
+        assert cli.main(["synth", "--width", "64", "--height", "48",
+                         "--count", "3", "--noise-sigma", "6",
+                         "--out", str(seq)]) == 0
+        texts = []
+        for chunk in (1, 3, 16):
+            monkeypatch.setattr(codec, "REFINE_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}.csv"
+            assert cli.main(["predict", "--input", str(seq), "--width", "64",
+                             "--height", "48", "--algorithms", "none,msa",
+                             "--out-csv", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
 
     def test_jobs_flag_is_gone(self, seq_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -254,6 +290,29 @@ class TestEncodeCommand:
         assert rc == 2
         assert "unknown config key 'jobs'" in capsys.readouterr().err
         assert not rd.exists()
+
+
+class TestDemoScript:
+    def test_runs_every_stage(self, tmp_path, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_demo.py"
+        demo = runpy.run_path(str(script))
+        out = tmp_path / "demo"
+        rc = demo["main"](["--outdir", str(out), "--width", "32",
+                           "--height", "32", "--frames", "3",
+                           "--algorithms", "none,msa",
+                           "--qps", "22,28,34,40"])
+        assert rc == 0
+        headers = {
+            "predict.csv": "algorithm,frame,psnr_mc_db,psnr_pred_db,"
+                           "refined_fraction,side_bits",
+            "rd.csv": "algorithm,qp,qstep,rate_kbps,psnr_db,refined_fraction",
+            "timing.txt": "mean refinement time per frame (wall clock, "
+                          "excluded from CSVs)",
+            "summary.txt": "Bjontegaard means over the quantizer ladder "
+                           "(proxy rates, luma PSNR):",
+        }
+        for name, header in headers.items():
+            assert (out / name).read_text().splitlines()[0] == header
 
 
 class TestSynthCommand:

@@ -78,15 +78,6 @@ class TestPlane:
         ref = BlockRef(16, 8, size=8)
         np.testing.assert_array_equal(p.block(ref), data[8:16, 16:24])
 
-    def test_half_pel_matches_oracle(self, rng):
-        data = rng.integers(0, 256, size=(7, 5), dtype=np.uint8)
-        got = Plane(data).half_pel()
-        np.testing.assert_array_equal(got, half_pel_oracle(data))
-
-    def test_half_pel_cached(self, rng):
-        p = Plane(rng.integers(0, 256, size=(4, 4), dtype=np.uint8))
-        assert p.half_pel() is p.half_pel()
-
 
 class TestFrame:
     def test_chroma_must_be_half_size(self, rng):

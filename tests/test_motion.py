@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from mcrefine.codec import frame_blocks, search_frame
 from mcrefine.frame import BlockRef, GeometryError, Plane
-from mcrefine.motion import (MotionVector, SearchParams, compensate, estimate,
-                             mv_bits, signed_golomb_bits)
+from mcrefine.motion import (MotionVector, SearchParams, _window, compensate,
+                             estimate, mv_bits, signed_golomb_bits)
 
 
 def sad_oracle(current, reference, block, mv):
     """Direct SAD: float32 interpolation grid, python-side difference."""
-    cur = current.as_float32()[block.y0:block.y0 + block.size,
-                               block.x0:block.x0 + block.size]
+    cur = current.block(block).astype(np.float64)
     cand = compensate(reference, block, mv)
     return float(np.abs(cur.astype(np.float64) - cand).sum())
 
@@ -99,6 +98,30 @@ class TestCompensate:
         with pytest.raises(GeometryError):
             compensate(ref, block, MotionVector(0, 65, scale=2))
 
+    @pytest.mark.parametrize("search_range", [3, 64])
+    @pytest.mark.parametrize("subpel", [1, 2])
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_chroma_vectors_of_border_blocks_stay_in_frame(
+            self, rng, size, subpel, search_range):
+        # Every corner of a border block's clamped search window is an
+        # in-range luma vector; halved for 4:2:0 chroma it must still
+        # compensate the co-located chroma block inside the chroma plane.
+        luma = Plane(rng.integers(0, 256, size=(48, 64), dtype=np.uint8))
+        chroma = Plane(rng.integers(0, 256, size=(24, 32), dtype=np.uint8))
+        params = SearchParams(search_range=search_range, subpel=subpel)
+        border = [b for b in frame_blocks(64, 48, size)
+                  if b.x0 in (0, 64 - size) or b.y0 in (0, 48 - size)]
+        assert len(border) == (10 if size == 16 else 24)
+        for block in border:
+            cblock = BlockRef(block.x0 // 2, block.y0 // 2, size // 2)
+            dy_lo, dy_hi, dx_lo, dx_hi = _window(luma, block, params)
+            for dy in (dy_lo, dy_hi):
+                for dx in (dx_lo, dx_hi):
+                    mv = MotionVector(dx, dy, scale=subpel)
+                    compensate(luma, block, mv)
+                    got = compensate(chroma, cblock, mv.for_chroma())
+                    assert got.shape == (size // 2, size // 2)
+
 
 class TestEstimate:
     def test_recovers_integer_shift(self, rng):
@@ -184,7 +207,7 @@ class TestEstimate:
         base = (128 + 60 * np.sin(2 * np.pi * y / 32)
                 * np.cos(2 * np.pi * x / 32))
         ref = Plane(base.astype(np.uint8))
-        cur_grid = ref.half_pel()
+        cur_grid = ref.quarter_grid(2) * np.float32(0.25)
         block = BlockRef(24, 24, size=8)
         # cut the current block from the shifted half-pel grid
         ys, xs = 2 * block.y0 + dy, 2 * block.x0 + dx
@@ -197,8 +220,7 @@ class TestEstimate:
         got = compensate(ref, block, mv)
         planted = compensate(ref, block, MotionVector(dx, dy, scale=2))
         # the estimator can do no worse than the planted shift
-        cur_f = cur.as_float32()[block.y0:block.y0 + 8,
-                                 block.x0:block.x0 + 8].astype(np.float64)
+        cur_f = cur.block(block).astype(np.float64)
         assert np.abs(cur_f - got).sum() <= np.abs(cur_f - planted).sum() + 1e-6
 
 
