@@ -1,32 +1,57 @@
-"""Full-search block motion estimation and motion compensation.
+"""Block motion estimation (exact pruned search) and motion compensation.
 
 Displacements are stored in sub-pel units: ``scale`` is 1 for integer-pel
 search and 2 for half-pel, so a vector (dx=3, dy=-1) at scale 2 means a
 displacement of (+1.5, -0.5) samples.  Half-pel samples come from bilinear
-interpolation on an edge-replicated grid.  The search is exhaustive over the
-clamped window at the selected resolution and minimises the sum of absolute
-differences.
+interpolation on an edge-replicated grid.  The search minimises the sum of
+absolute differences (SAD) over the clamped window at the selected
+resolution and returns the exhaustive minimum, but scores only the
+candidates that a lower bound cannot rule out.
 
-The search is exact integer arithmetic.  It reads the reference through
+All arithmetic is exact integer arithmetic.  The reference is read through
 `Plane.quarter_grid`, which holds 4x every (interpolated) sample as int16:
 bilinear half-pel values are multiples of 1/4, so the scaled values are
 integers in [0, 1020].  A difference of two such values lies in
-[-1020, 1020] and its absolute value fits int16 exactly.  Per candidate,
-the |differences| are added pairwise in int16 until each partial sum covers
-up to 32 samples (at most 32 * 1020 = 32640 <= 32767), and those partial
-sums are added in int32 (at most 261120 for a 16x16 block).  The reported
-SAD is the integer sum / 4, the same dyadic rational a float32 search
-gives, so comparisons and ties are exact.
+[-1020, 1020] and its absolute value fits int16 exactly; a candidate's SAD
+is their sum in int32 (at most 4096 * 1020 for a 64x64 block).  The
+reported SAD is that integer / 4, the same dyadic rational a float32
+search gives, so comparisons and ties are exact.
 
-The candidate SADs of one block are computed a chunk of displacement rows
-at a time (15 of the 65 rows for a 16x16 block at +/-16 half-pel) in a
-per-thread scratch buffer of 512 KB that is allocated once and reused.
+Pruning is the successive elimination algorithm (Li & Salari, IEEE TIP
+1995) at the 4x4 level of its multilevel form (Gao, Duanmu & Zou, IEEE TIP
+2000).  Split the block into 4x4 sub-blocks.  The |differences| inside one
+sub-block add up to at least |candidate sub-block sum - target sub-block
+sum|, so the sum of those terms over the sub-blocks is a lower bound of the
+candidate's SAD.  `Plane.subblock_sums` holds the sub-block sum at every
+grid position, once per reference plane; the sums lie in [0, 16320], their
+differences and a pair of |differences| fit int16, and a bound is summed in
+int32.  One strided view of that table gives the bound of every candidate
+of a block at once.
+
+The zero vector and the candidate of smallest bound are scored first; their
+best SAD is the threshold.  Only candidates whose bound is at most the
+threshold are then scored, gathered a chunk at a time (at most 512 KB of
+int16 |differences|), and the threshold falls to the best SAD so far.  A
+candidate whose bound exceeds the threshold has a SAD above the minimum.
+Every candidate that ties the minimum has a bound at most the minimum, so
+keeping candidates on ``<=`` rather than ``<`` scores every tie, and the tie
+rule picks the same vector as the exhaustive search.  On content that
+prunes weakly (uniform noise, flat areas), where more than a third of the
+window survives, gathering costs more than scoring every candidate in
+place, so `_sad_table` scores the whole window instead: about the old
+exhaustive cost plus the bound.
+
+`_sad_table` computes a chunk of displacement rows at a time (15 of the 65
+rows for a 16x16 block at +/-16 half-pel) in a per-thread scratch buffer of
+512 KB that is allocated once and reused; the bound uses the same buffer.
 One ``(n_dy, s, s, n_dx)`` temporary for the whole window would be 2.2 MB;
 a fresh allocation that size lands above the C allocator's mmap threshold
 and is page-faulted again on every call, which costs as much as the
 arithmetic, and it does not stay in the L2 cache between the passes over
 it.  The displacement ``dx`` is the innermost axis, so the subtraction
-streams along contiguous grid rows.
+streams along contiguous grid rows.  Its |differences| are added pairwise
+in int16 until each partial sum covers up to 32 samples (at most
+32 * 1020 = 32640 <= 32767), and those partial sums are added in int32.
 """
 
 from __future__ import annotations
@@ -48,7 +73,7 @@ def check_subpel(subpel: int) -> None:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Exhaustive-search window: +/- ``search_range`` samples, SAD metric."""
+    """Search window: +/- ``search_range`` samples, SAD metric."""
 
     search_range: int = 16
     subpel: int = 2  # 1 = integer-pel, 2 = half-pel
@@ -104,6 +129,7 @@ def _window(plane: Plane, block: BlockRef, params: SearchParams):
 
 _CHUNK_BYTES = 1 << 19    # scratch per thread for one chunk of |differences|
 _INT16_TERMS = 32         # 32 * 1020 <= 32767: partial sums exact in int16
+_GATHER_COST = 3          # one gathered candidate costs ~3 scored in place
 _scratch = threading.local()
 
 
@@ -119,6 +145,8 @@ def _sad_table(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     ``candidates`` is an ``(n_dy, s, s, n_dx)`` int16 view, ``target`` the
     ``(s, s, 1)`` int16 block; returns the ``(n_dy, n_dx)`` int32 table.
+    This is the exhaustive search: `estimate` uses it when pruning is weak,
+    and the tests hold the pruned search to it.
     """
     n_dy, s, _, n_dx = candidates.shape
     n = s * s  # |differences| per candidate, a power of two
@@ -140,38 +168,107 @@ def _sad_table(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
     return sad
 
 
+def _lower_bounds(reference: Plane, target: np.ndarray,
+                  origin: tuple[int, int], window: tuple[int, int],
+                  scale: int) -> np.ndarray:
+    """Successive-elimination lower bound of every candidate's SAD.
+
+    For each candidate, the sum over the block's 4x4 sub-blocks of
+    |candidate sub-block sum - target sub-block sum|, read from
+    `Plane.subblock_sums`.  ``target`` is the block in quarter units,
+    ``origin`` the grid position of the first candidate and ``window`` the
+    ``(n_dy, n_dx)`` candidate count; returns that shape in int32.
+    """
+    n_dy, n_dx = window
+    s = target.shape[0]
+    if s < 4:  # no 4x4 sub-block: no bound, every candidate is scored
+        return np.zeros(window, np.int32)
+    a = s // 4
+    n = a * a  # sub-blocks, a power of two
+    table = reference.subblock_sums(scale)
+    t0, t1 = table.strides
+    # sums[u, v, dy, dx] = table[y + dy + 4*scale*u, x + 4*scale*v + dx]
+    sums = as_strided(table[origin[0]:, origin[1]:],
+                      shape=(a, a, n_dy, n_dx),
+                      strides=(4 * scale * t0, 4 * scale * t1, t0, t1))
+    own = target.reshape(a, 4, a, 4).sum(axis=(1, 3), dtype=np.int16)
+    rows = min(n_dy, max(1, _CHUNK_BYTES // (2 * n * n_dx)))
+    bound = np.empty(window, np.int32)
+    for r0 in range(0, n_dy, rows):
+        k = min(rows, n_dy - r0)
+        diff = _scratch_buffer(n * k * n_dx).reshape(a, a, k, n_dx)
+        np.subtract(sums[:, :, r0:r0 + k], own[:, :, None, None], out=diff)
+        np.abs(diff, out=diff)
+        terms, m = diff.reshape(n, k, n_dx), max(1, n // 2)
+        if n > 1:  # pairs of |differences| of sums: 2 * 16320 <= 32767
+            np.add(terms[:m], terms[m:], out=terms[:m])
+        np.add.reduce(terms[:m], axis=0, dtype=np.int32,
+                      out=bound[r0:r0 + k])
+    return bound
+
+
 def estimate(current: Plane, reference: Plane, block: BlockRef,
              params: SearchParams = SearchParams()
              ) -> tuple[MotionVector, float]:
-    """Exhaustive SAD search for the best displacement of one block.
+    """Best displacement of one block: the exhaustive SAD minimum, pruned.
 
-    Ties are broken by smallest |dx|+|dy|, then dy, then dx, so a static
-    scene always yields the zero vector.  Returns the winning vector and its
-    SAD.
+    Every candidate of the clamped window first gets a lower bound of its
+    SAD (`_lower_bounds`).  The zero vector and the candidate of smallest
+    bound are scored exactly, and their best SAD is the first threshold.
+    Then only candidates whose bound is at most the threshold are scored,
+    in chunks, and the threshold falls to the best SAD found so far; when
+    more than a third of the window is left, `_sad_table` scores every
+    candidate in place instead.  A candidate whose bound exceeds the
+    threshold has a SAD above the minimum, so the result is the exhaustive
+    one.  Every candidate whose SAD equals the minimum has a bound at most
+    the minimum and is kept (``<=``, not ``<``), so all ties are scored
+    and broken as before: by smallest |dx|+|dy|, then dy, then dx.  A
+    static scene therefore always yields the zero vector.  Returns the
+    winning vector and its SAD.
     """
     scale = params.subpel
     grid = reference.quarter_grid(scale)
-    target = 4 * current.block(block).astype(np.int16)[:, :, None]
+    target = 4 * current.block(block).astype(np.int16)
     dy_lo, dy_hi, dx_lo, dx_hi = _window(reference, block, params)
     s = block.size
+    window = n_dy, n_dx = dy_hi - dy_lo + 1, dx_hi - dx_lo + 1
+    origin = (scale * block.y0 + dy_lo, scale * block.x0 + dx_lo)
     s0, s1 = grid.strides
     # candidates[dy, i, j, dx] = grid[y + dy + scale*i, x + scale*j + dx]
-    candidates = as_strided(
-        grid[scale * block.y0 + dy_lo:, scale * block.x0 + dx_lo:],
-        shape=(dy_hi - dy_lo + 1, s, s, dx_hi - dx_lo + 1),
-        strides=(s0, scale * s0, scale * s1, s1),
-    )
-    sad = _sad_table(candidates, target)
-    best = sad.min()
-    ties = np.argwhere(sad == best)
-    if ties.shape[0] == 1:
-        iy, ix = ties[0]
+    candidates = as_strided(grid[origin[0]:, origin[1]:],
+                            shape=(n_dy, s, s, n_dx),
+                            strides=(s0, scale * s0, scale * s1, s1))
+    bound = _lower_bounds(reference, target, origin, window, scale).ravel()
+
+    def score(flat: np.ndarray) -> np.ndarray:
+        d = candidates[flat // n_dx, :, :, flat % n_dx]   # (k, s, s) copy
+        np.subtract(d, target, out=d)
+        np.abs(d, out=d)
+        return np.add.reduce(d.reshape(flat.size, -1), axis=1,
+                             dtype=np.int32)
+
+    best = score(np.array([-dy_lo * n_dx - dx_lo, np.argmin(bound)])).min()
+    todo = np.flatnonzero(bound <= best)
+    if todo.size * _GATHER_COST > bound.size:
+        # Weak pruning: scoring every candidate in place is cheaper.
+        scored = np.arange(bound.size)
+        sads = _sad_table(candidates, target[:, :, None]).ravel()
+        best = sads.min()
     else:
-        dy_t = ties[:, 0] + dy_lo
-        dx_t = ties[:, 1] + dx_lo
-        pick = np.lexsort((dx_t, dy_t, np.abs(dx_t) + np.abs(dy_t)))[0]
-        iy, ix = ties[pick]
-    mv = MotionVector(dx=int(ix + dx_lo), dy=int(iy + dy_lo), scale=scale)
+        chunk = max(1, _CHUNK_BYTES // (2 * s * s))
+        scored, sads = [], []
+        while todo.size:
+            flat, todo = todo[:chunk], todo[chunk:]
+            sad = score(flat)
+            best = min(best, sad.min())
+            scored.append(flat)
+            sads.append(sad)
+            todo = todo[bound[todo] <= best]
+        scored, sads = np.concatenate(scored), np.concatenate(sads)
+    ties = scored[sads == best]
+    dy_t, dx_t = ties // n_dx + dy_lo, ties % n_dx + dx_lo
+    pick = np.lexsort((dx_t, dy_t, np.abs(dx_t) + np.abs(dy_t)))[0]
+    mv = MotionVector(dx=int(dx_t[pick]), dy=int(dy_t[pick]), scale=scale)
     return mv, int(best) / 4
 
 

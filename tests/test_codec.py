@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcrefine import basis, codec
 from mcrefine.bd import BDInputError, bd_metrics
@@ -353,6 +355,33 @@ class TestClosedLoop:
             refined += sum(bt.refined for blocks in trace.frames
                            for bt in blocks)
         assert refined > 0
+
+    @given(blocks=st.tuples(st.integers(1, 5), st.integers(1, 4)),
+           velocity=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+           sigma=st.sampled_from([6.0, 24.0]), qp=st.sampled_from([22, 34]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=20)
+    def test_replay_bit_exact_on_drawn_geometries(self, blocks, velocity,
+                                                  sigma, qp, seed):
+        # frames of 1-5 by 1-4 blocks of 8: single rows and columns, no
+        # top-right neighbour at the right edge, search windows clamped by
+        # every border, and motion searched on reconstructed references;
+        # strong noise makes refinement win on some blocks
+        width, height = 8 * blocks[0], 8 * blocks[1]
+        frames = synth_sequence("translate", width=width, height=height,
+                                frames=3, seed=seed, velocity=velocity,
+                                noise_sigma=sigma, texture="field")
+        cfg = fast_config(block_size=8, qps=(qp,))
+        sink = []
+        _, stats, trace = encode_pass(frames, cfg, cfg.qsteps[0], qp,
+                                      collect_trace=True,
+                                      predictor_sink=sink)
+        predictors, recons = replay_trace(trace, cfg)
+        assert len(predictors) == len(sink) == 2
+        for enc, dec in zip(sink, predictors):
+            np.testing.assert_array_equal(enc, dec)
+        for fs, rec in zip(stats, recons):
+            assert psnr(frames[fs.index].y.data, rec.data) == fs.psnr_db
 
     def test_encoder_and_replay_share_refine_block(self, monkeypatch):
         frames = tiny_sequence(frames=3, sigma=4.0)

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcrefine import motion
 from mcrefine.codec import frame_blocks, search_frame
 from mcrefine.frame import BlockRef, GeometryError, Plane
-from mcrefine.motion import (MotionVector, SearchParams, _window, compensate,
-                             estimate, mv_bits, signed_golomb_bits)
+from mcrefine.motion import (MotionVector, SearchParams, _lower_bounds,
+                             _sad_table, _window, compensate, estimate,
+                             mv_bits, signed_golomb_bits)
 
 
 def sad_oracle(current, reference, block, mv):
@@ -222,6 +224,168 @@ class TestEstimate:
         # the estimator can do no worse than the planted shift
         cur_f = cur.block(block).astype(np.float64)
         assert np.abs(cur_f - got).sum() <= np.abs(cur_f - planted).sum() + 1e-6
+
+
+def table_oracle(current, reference, block, params):
+    """The exhaustive `_sad_table` over the clamped window, on candidates
+    cut by fancy indexing, with the tie rule as a plain `min` over
+    (SAD, |dx|+|dy|, dy, dx).  Returns ((dx, dy, SAD), SAD table, window
+    origin in grid units)."""
+    scale, s = params.subpel, block.size
+    dy_lo, dy_hi, dx_lo, dx_hi = _window(reference, block, params)
+    dy = np.arange(dy_lo, dy_hi + 1)[:, None, None, None]
+    dx = np.arange(dx_lo, dx_hi + 1)[None, None, None, :]
+    i = np.arange(s)[None, :, None, None]
+    j = np.arange(s)[None, None, :, None]
+    grid = reference.quarter_grid(scale)
+    candidates = grid[scale * (block.y0 + i) + dy, scale * (block.x0 + j) + dx]
+    target = 4 * current.block(block).astype(np.int16)
+    sad = _sad_table(candidates, target[:, :, None])
+    _, _, y, x = min((sad[a, b], abs(y) + abs(x), y, x)
+                     for a, y in enumerate(range(dy_lo, dy_hi + 1))
+                     for b, x in enumerate(range(dx_lo, dx_hi + 1)))
+    origin = (scale * block.y0 + dy_lo, scale * block.x0 + dx_lo)
+    return (x, y, sad[y - dy_lo, x - dx_lo] / 4), sad, origin
+
+
+# The three ways `estimate` scores candidates, forced by its constants:
+# as it runs (pruned, with in-place scoring when most candidates survive),
+# gathering survivors four at most to a chunk, and in place on every block.
+SEARCH_PATHS = {"as is": {},
+                "gathered": {"_CHUNK_BYTES": 4 * 2 * 8 * 8,
+                             "_GATHER_COST": 0},
+                "in place": {"_GATHER_COST": 10 ** 9}}
+
+
+def estimate_each_way(current, reference, block, params):
+    """``(dx, dy, sad)`` of `estimate` along every search path."""
+    got = {}
+    for name, constants in SEARCH_PATHS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, value in constants.items():
+                mp.setattr(motion, attr, value)
+            mv, sad = estimate(current, reference, block, params)
+        assert mv.scale == params.subpel
+        got[name] = (mv.dx, mv.dy, sad)
+    return got
+
+
+def content(kind, rng, shape):
+    """Reference and current samples of one drawn kind."""
+    if kind == "noise":      # uniform noise: the bound prunes almost nothing
+        return rng.integers(0, 256, size=(2,) + shape, dtype=np.uint8)
+    if kind == "flat":       # every candidate ties
+        return np.broadcast_to(rng.integers(0, 256, size=(2, 1, 1),
+                                            dtype=np.uint8), (2,) + shape)
+    if kind == "checker":    # the inverse matches at every odd shift
+        y, x = np.indices(shape)
+        board = np.where((y + x) % 2, 200, 40).astype(np.uint8)
+        return np.stack([board, 240 - board])
+    if kind == "extreme":    # 0/255 samples: the largest |differences|
+        return (255 * rng.integers(0, 2, size=(2,) + shape)).astype(np.uint8)
+    # a shifted smooth pattern plus noise: the bound prunes most candidates
+    y, x = np.indices((shape[0] + 8, shape[1] + 8))
+    smooth = 128 + 90 * np.sin(y / 3.1 + rng.uniform(0, 6)) * np.cos(x / 2.3)
+    dy, dx = rng.integers(0, 9, size=2)
+    noisy = smooth + rng.normal(0, 3, size=smooth.shape)
+    cur = noisy[dy:dy + shape[0], dx:dx + shape[1]]
+    ref = smooth[4:4 + shape[0], 4:4 + shape[1]]
+    return np.clip(np.rint(np.stack([ref, cur])), 0, 255).astype(np.uint8)
+
+
+class TestPrunedSearch:
+    """`estimate` scores only candidates its lower bound cannot rule out;
+    it must still return the exhaustive minimum and its tie-break."""
+
+    @given(size=st.sampled_from([8, 16, 32]), subpel=st.sampled_from([1, 2]),
+           extra=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+           where=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+           search_range=st.integers(1, 10),
+           kind=st.sampled_from(["noise", "flat", "checker", "extreme",
+                                 "shifted"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80)
+    def test_equals_exhaustive_minimum(self, size, subpel, extra, where,
+                                       search_range, kind, seed):
+        # frames up to 40 samples wider or taller than the block, the
+        # block anywhere on the grid: windows clamp at every border
+        shape = (size + extra[0], size + extra[1])
+        ref, cur = (Plane(a) for a in content(
+            kind, np.random.default_rng(seed), shape))
+        block = BlockRef(size * int(where[1] * (shape[1] // size - 1) + 0.5),
+                         size * int(where[0] * (shape[0] // size - 1) + 0.5),
+                         size)
+        params = SearchParams(search_range=search_range, subpel=subpel)
+        want, sad, origin = table_oracle(cur, ref, block, params)
+        bound = _lower_bounds(ref, 4 * cur.block(block).astype(np.int16),
+                              origin, sad.shape, subpel)
+        assert bound.shape == sad.shape and (bound <= sad).all()
+        got = estimate_each_way(cur, ref, block, params)
+        assert got == dict.fromkeys(SEARCH_PATHS, want)
+        if sad.size <= 100:
+            mv, sad_o = search_oracle(cur, ref, block, params)
+            assert (mv.dx, mv.dy, sad_o) == want
+
+    @pytest.mark.parametrize("subpel", [1, 2])
+    def test_flat_plane_ties_everywhere(self, subpel):
+        ref = Plane(np.full((48, 64), 90, np.uint8))
+        cur = Plane(np.full((48, 64), 77, np.uint8))
+        for block in (BlockRef(16, 16), BlockRef(0, 0), BlockRef(48, 32)):
+            got = estimate_each_way(cur, ref, block, SearchParams(
+                search_range=16, subpel=subpel))
+            assert set(got.values()) == {(0, 0, 13.0 * 256)}
+
+    def test_checkerboard_ties_break_on_dy(self):
+        y, x = np.mgrid[0:48, 0:48]
+        board = np.where((y + x) % 2, 200, 40).astype(np.uint8)
+        got = estimate_each_way(Plane(240 - board), Plane(board),
+                                BlockRef(16, 16),
+                                SearchParams(search_range=3, subpel=1))
+        assert set(got.values()) == {(0, -1, 0.0)}
+
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_noise_is_scored_in_several_chunks(self, rng, size):
+        # uniform noise: nearly every candidate survives the bound, so the
+        # gathered path works through many chunks and must stay exact
+        ref, cur = (Plane(a) for a in
+                    rng.integers(0, 256, size=(2, 64, 64), dtype=np.uint8))
+        block = BlockRef(2 * size, size, size)
+        params = SearchParams(search_range=8, subpel=2)
+        want, sad, origin = table_oracle(cur, ref, block, params)
+        bound = _lower_bounds(ref, 4 * cur.block(block).astype(np.int16),
+                              origin, sad.shape, 2)
+        survivors = np.count_nonzero(bound <= 4 * want[2])
+        chunk = SEARCH_PATHS["gathered"]["_CHUNK_BYTES"] // (2 * size * size)
+        assert survivors > 10 * chunk
+        assert estimate_each_way(cur, ref, block, params) \
+            == dict.fromkeys(SEARCH_PATHS, want)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_blocks_without_sub_blocks_or_with_one(self, rng, size):
+        # below 4 samples there is no bound and every candidate is scored;
+        # at 4 the bound is a single sub-block sum
+        ref, cur = (Plane(a) for a in
+                    rng.integers(0, 256, size=(2, 12, 12), dtype=np.uint8))
+        for subpel in (1, 2):
+            params = SearchParams(search_range=2, subpel=subpel)
+            block = BlockRef(4, 4, size) if size < 4 else BlockRef(4, 8, 4)
+            mv, sad = search_oracle(cur, ref, block, params)
+            assert set(estimate_each_way(cur, ref, block, params).values()) \
+                == {(mv.dx, mv.dy, sad)}
+
+    def test_scores_in_place_only_when_pruning_is_weak(self, rng,
+                                                       monkeypatch):
+        calls = []
+        monkeypatch.setattr(motion, "_sad_table",
+                            lambda *a: calls.append(1) or _sad_table(*a))
+        noise = Plane(rng.integers(0, 256, size=(48, 48), dtype=np.uint8))
+        estimate(noise, Plane(rng.integers(0, 256, size=(48, 48),
+                                           dtype=np.uint8)), BlockRef(16, 16))
+        assert calls == [1]
+        y, x = np.mgrid[0:48, 0:48]
+        wave = Plane((128 + 100 * np.sin(y / 3.0 + x / 5.0)).astype(np.uint8))
+        estimate(wave, wave, BlockRef(16, 16))
+        assert calls == [1]
 
 
 class TestBitCounts:
