@@ -259,15 +259,10 @@ def _solve_with_retry(fresh: np.ndarray, rhs_all: np.ndarray,
                                    rhs_all[support]), support, retries
         except np.linalg.LinAlgError:
             retries += 1
-            fresh = _shed(fresh, decrements)
+            weakest = int(np.argmin(decrements[fresh]))
+            log.debug("gram singular; shedding function %d", fresh[weakest])
+            fresh = np.delete(fresh, weakest)
     return np.empty(0), np.empty(0, dtype=np.intp), retries
-
-
-def _shed(fresh: np.ndarray, decrements: np.ndarray) -> np.ndarray:
-    """``fresh`` without its lowest-decrement member."""
-    weakest = int(np.argmin(decrements[fresh]))
-    log.debug("gram singular; shedding function %d", fresh[weakest])
-    return np.delete(fresh, weakest)
 
 
 def solve_subspace(residual, indices, ctx: ProjectionContext
@@ -298,9 +293,7 @@ def _solve_group(state: EngineState, members: np.ndarray,
     (members, indices, solution) triples with equally sized solutions.  If
     the stacked solve fails, each member goes through `_solve_with_retry`
     alone; its retries are counted in ``state``, and it converges if no
-    fresh pick survives.  A lone member's stacked solve was its own first
-    attempt, so it sheds before retrying rather than factor the same
-    system again.
+    fresh pick survives.
     """
     idx = np.nonzero(support)[1].reshape(len(members), -1)
     gathered = rhs[np.arange(len(members))[:, None], idx]
@@ -311,16 +304,12 @@ def _solve_group(state: EngineState, members: np.ndarray,
     except np.linalg.LinAlgError:
         pass
     solved = []
-    failed = int(len(members) == 1)
     for i, member in enumerate(members):
-        picks = np.flatnonzero(fresh[i])
-        if failed:
-            picks = _shed(picks, decr[i])
         # Only fresh picks are shed; rba's established span is kept.
         solution, used, retries = _solve_with_retry(
-            picks, rhs[i], decr[i], ctx,
+            np.flatnonzero(fresh[i]), rhs[i], decr[i], ctx,
             keep=np.flatnonzero(support[i] & ~fresh[i]))
-        state.gram_retries[member] += failed + retries
+        state.gram_retries[member] += retries
         if used.size:
             solved.append((members[i:i + 1], used[None], solution[None]))
         else:

@@ -41,7 +41,7 @@ class Plane:
     and cached, which is safe because the sample data is read-only.
     """
 
-    __slots__ = ("data", "_quarter", "_sums")
+    __slots__ = ("data", "_quarter")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -60,7 +60,6 @@ class Plane:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "_quarter", {})
-        object.__setattr__(self, "_sums", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Plane is immutable")
@@ -104,32 +103,6 @@ class Plane:
             grid.setflags(write=False)
             self._quarter[subpel] = grid
         return grid
-
-    def subblock_sums(self, subpel: int) -> np.ndarray:
-        """Sums of 4x4 sub-blocks of `quarter_grid`, at every grid position.
-
-        Entry ``[y, x]`` is the sum of ``quarter_grid(subpel)[y + subpel*i,
-        x + subpel*j]`` over i, j in 0..3: the 4x4 samples that a block
-        displaced to grid position (y, x) covers with one sub-block.  The
-        sums lie in [0, 16 * 1020] = [0, 16320], so the table is int16.  It
-        has ``3*subpel`` fewer rows and columns than the grid (none when
-        the grid is smaller), is built once from separable strided box sums
-        and is read-only.
-        """
-        sums = self._sums.get(subpel)
-        if sums is None:
-            grid = self.quarter_grid(subpel)
-            h, w = (max(0, n - 3 * subpel) for n in grid.shape)
-            taps = [subpel * k for k in range(1, 4)]
-            rows = grid[:, :w].copy()
-            for t in taps:
-                rows += grid[:, t:t + w]
-            sums = rows[:h].copy()
-            for t in taps:
-                sums += rows[t:t + h]
-            sums.setflags(write=False)
-            self._sums[subpel] = sums
-        return sums
 
     def __repr__(self):
         return f"Plane({self.width}x{self.height})"

@@ -22,36 +22,37 @@ Pruning is the successive elimination algorithm (Li & Salari, IEEE TIP
 2000).  Split the block into 4x4 sub-blocks.  The |differences| inside one
 sub-block add up to at least |candidate sub-block sum - target sub-block
 sum|, so the sum of those terms over the sub-blocks is a lower bound of the
-candidate's SAD.  `Plane.subblock_sums` holds the sub-block sum at every
-grid position, once per reference plane; the sums lie in [0, 16320], their
+candidate's SAD.  `_subblock_sums` tabulates the sub-block sum at every
+grid position of the reference; the sums lie in [0, 16320], their
 differences and a pair of |differences| fit int16, and a bound is summed in
 int32.  One strided view of that table gives the bound of every candidate
-of a block at once.
+of a block at once.  The table of the reference last searched is kept per
+thread, so the blocks of a frame share one table and no plane keeps one
+after its search.
 
 The zero vector and the candidate of smallest bound are scored first; their
 best SAD is the threshold.  Only candidates whose bound is at most the
-threshold are then scored, gathered a chunk at a time (at most 512 KB of
-int16 |differences|), and the threshold falls to the best SAD so far.  A
-candidate whose bound exceeds the threshold has a SAD above the minimum.
-Every candidate that ties the minimum has a bound at most the minimum, so
-keeping candidates on ``<=`` rather than ``<`` scores every tie, and the tie
-rule picks the same vector as the exhaustive search.  On content that
-prunes weakly (uniform noise, flat areas), where more than a third of the
-window survives, gathering costs more than scoring every candidate in
-place, so `_sad_table` scores the whole window instead: about the old
-exhaustive cost plus the bound.
+threshold are then scored, a chunk at a time, and the threshold falls to
+the best SAD so far.  A candidate whose bound exceeds the threshold has a
+SAD above the minimum.  Every candidate that ties the minimum has a bound
+at most the minimum, so keeping candidates on ``<=`` rather than ``<``
+scores every tie, and the tie rule picks the same vector as the exhaustive
+search.  Each chunk gathers its candidates into a fresh int16 array of at
+most 512 KB, where they are differenced in place; no temporary is larger.
+On content that prunes weakly (uniform noise, flat areas) nearly every
+candidate is gathered, which costs more than the exhaustive search.
 
-`_sad_table` computes a chunk of displacement rows at a time (15 of the 65
-rows for a 16x16 block at +/-16 half-pel) in a per-thread scratch buffer of
-512 KB that is allocated once and reused; the bound uses the same buffer.
-One ``(n_dy, s, s, n_dx)`` temporary for the whole window would be 2.2 MB;
-a fresh allocation that size lands above the C allocator's mmap threshold
-and is page-faulted again on every call, which costs as much as the
-arithmetic, and it does not stay in the L2 cache between the passes over
-it.  The displacement ``dx`` is the innermost axis, so the subtraction
-streams along contiguous grid rows.  Its |differences| are added pairwise
-in int16 until each partial sum covers up to 32 samples (at most
-32 * 1020 = 32640 <= 32767), and those partial sums are added in int32.
+The bound is computed a chunk of displacement rows at a time in a
+per-thread scratch buffer of 512 KB that is allocated once and reused.
+`_sad_table`, the exhaustive search that the tests hold `estimate` to,
+works the same way (15 of the 65 rows for a 16x16 block at +/-16 half-pel
+per chunk): one ``(n_dy, s, s, n_dx)`` temporary for the whole window
+would be 2.2 MB, would be page-faulted again on every call and would not
+stay in the L2 cache between the passes over it.  The displacement ``dx``
+is the innermost axis, so the subtraction streams along contiguous grid
+rows.  Its |differences| are added pairwise in int16 until each partial sum
+covers up to 32 samples (at most 32 * 1020 = 32640 <= 32767), and those
+partial sums are added in int32.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ def _window(plane: Plane, block: BlockRef, params: SearchParams):
     return dy_lo, dy_hi, dx_lo, dx_hi
 
 
-_CHUNK_BYTES = 1 << 19    # scratch per thread for one chunk of |differences|
+_CHUNK_BYTES = 1 << 19    # one chunk of int16 |differences|
 _INT16_TERMS = 32         # 32 * 1020 <= 32767: partial sums exact in int16
-_GATHER_COST = 3          # one gathered candidate costs ~3 scored in place
+_SUB = 4                  # side of the sub-blocks of the elimination bound
 _scratch = threading.local()
 
 
@@ -145,8 +146,7 @@ def _sad_table(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     ``candidates`` is an ``(n_dy, s, s, n_dx)`` int16 view, ``target`` the
     ``(s, s, 1)`` int16 block; returns the ``(n_dy, n_dx)`` int32 table.
-    This is the exhaustive search: `estimate` uses it when pruning is weak,
-    and the tests hold the pruned search to it.
+    This is the exhaustive search, the reference for `estimate`.
     """
     n_dy, s, _, n_dx = candidates.shape
     n = s * s  # |differences| per candidate, a power of two
@@ -168,6 +168,35 @@ def _sad_table(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
     return sad
 
 
+def _subblock_sums(reference: Plane, scale: int) -> np.ndarray:
+    """Sums of 4x4 sub-blocks of the reference's quarter grid, everywhere.
+
+    Entry ``[y, x]`` is the sum of ``quarter_grid(scale)[y + scale*i,
+    x + scale*j]`` over i, j in 0..3: the samples that one sub-block of a
+    block displaced to grid position (y, x) covers.  The sums lie in
+    [0, 16 * 1020] = [0, 16320], so the table is int16.  It has
+    ``3*scale`` fewer rows and columns than the grid (none when the grid is
+    smaller) and is built from separable strided box sums.  The table of
+    the last reference is kept, read-only, for the calls that follow.
+    """
+    kept = getattr(_scratch, "sums", None)
+    if kept is not None and kept[0] is reference and kept[1] == scale:
+        return kept[2]
+    _scratch.sums = None  # free the old table before building the new one
+    grid = reference.quarter_grid(scale)
+    h, w = (max(0, n - (_SUB - 1) * scale) for n in grid.shape)
+    taps = [scale * k for k in range(1, _SUB)]
+    rows = grid[:, :w].copy()
+    for t in taps:
+        rows += grid[:, t:t + w]
+    sums = rows[:h].copy()
+    for t in taps:
+        sums += rows[t:t + h]
+    sums.setflags(write=False)
+    _scratch.sums = (reference, scale, sums)
+    return sums
+
+
 def _lower_bounds(reference: Plane, target: np.ndarray,
                   origin: tuple[int, int], window: tuple[int, int],
                   scale: int) -> np.ndarray:
@@ -175,23 +204,23 @@ def _lower_bounds(reference: Plane, target: np.ndarray,
 
     For each candidate, the sum over the block's 4x4 sub-blocks of
     |candidate sub-block sum - target sub-block sum|, read from
-    `Plane.subblock_sums`.  ``target`` is the block in quarter units,
+    `_subblock_sums`.  ``target`` is the block in quarter units,
     ``origin`` the grid position of the first candidate and ``window`` the
     ``(n_dy, n_dx)`` candidate count; returns that shape in int32.
     """
     n_dy, n_dx = window
     s = target.shape[0]
-    if s < 4:  # no 4x4 sub-block: no bound, every candidate is scored
+    if s < _SUB:  # no sub-block: no bound, every candidate is scored
         return np.zeros(window, np.int32)
-    a = s // 4
+    a = s // _SUB
     n = a * a  # sub-blocks, a power of two
-    table = reference.subblock_sums(scale)
-    t0, t1 = table.strides
+    table = _subblock_sums(reference, scale)
+    t0, t1 = (_SUB * scale * t for t in table.strides)
     # sums[u, v, dy, dx] = table[y + dy + 4*scale*u, x + 4*scale*v + dx]
     sums = as_strided(table[origin[0]:, origin[1]:],
                       shape=(a, a, n_dy, n_dx),
-                      strides=(4 * scale * t0, 4 * scale * t1, t0, t1))
-    own = target.reshape(a, 4, a, 4).sum(axis=(1, 3), dtype=np.int16)
+                      strides=(t0, t1) + table.strides)
+    own = target.reshape(a, _SUB, a, _SUB).sum(axis=(1, 3), dtype=np.int16)
     rows = min(n_dy, max(1, _CHUNK_BYTES // (2 * n * n_dx)))
     bound = np.empty(window, np.int32)
     for r0 in range(0, n_dy, rows):
@@ -216,9 +245,8 @@ def estimate(current: Plane, reference: Plane, block: BlockRef,
     SAD (`_lower_bounds`).  The zero vector and the candidate of smallest
     bound are scored exactly, and their best SAD is the first threshold.
     Then only candidates whose bound is at most the threshold are scored,
-    in chunks, and the threshold falls to the best SAD found so far; when
-    more than a third of the window is left, `_sad_table` scores every
-    candidate in place instead.  A candidate whose bound exceeds the
+    in chunks of at most 512 KB of int16 |differences|, and the threshold
+    falls to the best SAD found so far.  A candidate whose bound exceeds the
     threshold has a SAD above the minimum, so the result is the exhaustive
     one.  Every candidate whose SAD equals the minimum has a bound at most
     the minimum and is kept (``<=``, not ``<``), so all ties are scored
@@ -241,7 +269,7 @@ def estimate(current: Plane, reference: Plane, block: BlockRef,
     bound = _lower_bounds(reference, target, origin, window, scale).ravel()
 
     def score(flat: np.ndarray) -> np.ndarray:
-        d = candidates[flat // n_dx, :, :, flat % n_dx]   # (k, s, s) copy
+        d = candidates[flat // n_dx, :, :, flat % n_dx]   # (k, s, s) gather
         np.subtract(d, target, out=d)
         np.abs(d, out=d)
         return np.add.reduce(d.reshape(flat.size, -1), axis=1,
@@ -249,22 +277,16 @@ def estimate(current: Plane, reference: Plane, block: BlockRef,
 
     best = score(np.array([-dy_lo * n_dx - dx_lo, np.argmin(bound)])).min()
     todo = np.flatnonzero(bound <= best)
-    if todo.size * _GATHER_COST > bound.size:
-        # Weak pruning: scoring every candidate in place is cheaper.
-        scored = np.arange(bound.size)
-        sads = _sad_table(candidates, target[:, :, None]).ravel()
-        best = sads.min()
-    else:
-        chunk = max(1, _CHUNK_BYTES // (2 * s * s))
-        scored, sads = [], []
-        while todo.size:
-            flat, todo = todo[:chunk], todo[chunk:]
-            sad = score(flat)
-            best = min(best, sad.min())
-            scored.append(flat)
-            sads.append(sad)
-            todo = todo[bound[todo] <= best]
-        scored, sads = np.concatenate(scored), np.concatenate(sads)
+    chunk = max(1, _CHUNK_BYTES // (2 * s * s))
+    scored, sads = [], []
+    while todo.size:
+        flat, todo = todo[:chunk], todo[chunk:]
+        sad = score(flat)
+        best = min(best, sad.min())
+        scored.append(flat)
+        sads.append(sad)
+        todo = todo[bound[todo] <= best]
+    scored, sads = np.concatenate(scored), np.concatenate(sads)
     ties = scored[sads == best]
     dy_t, dx_t = ties // n_dx + dy_lo, ties % n_dx + dx_lo
     pick = np.lexsort((dx_t, dy_t, np.abs(dx_t) + np.abs(dy_t)))[0]

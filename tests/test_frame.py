@@ -63,39 +63,6 @@ class TestPlane:
         assert p.quarter_grid(2).dtype == np.int16
         assert p.quarter_grid(2) is p.quarter_grid(2)
 
-    @pytest.mark.parametrize("subpel", [1, 2])
-    def test_subblock_sums_match_brute_force(self, rng, subpel):
-        data = rng.integers(0, 256, size=(13, 11), dtype=np.uint8)
-        p = Plane(data)
-        grid = p.quarter_grid(subpel).astype(int)
-        sums = p.subblock_sums(subpel)
-        assert sums.shape == (13 * subpel - 3 * subpel,
-                              11 * subpel - 3 * subpel)
-        want = np.zeros(sums.shape, int)
-        for y in range(sums.shape[0]):
-            for x in range(sums.shape[1]):
-                want[y, x] = sum(grid[y + subpel * i, x + subpel * j]
-                                 for i in range(4) for j in range(4))
-        np.testing.assert_array_equal(sums, want)
-        # the far corner: the last sub-block a block at the bottom-right
-        # edge of the frame covers, its samples at the grid's last phase
-        last = subpel * 3
-        assert sums[-1, -1] == grid[-1 - last::subpel, -1 - last::subpel].sum()
-
-    def test_subblock_sums_cached_readonly_int16(self):
-        p = Plane(np.full((12, 20), 255, np.uint8))
-        for subpel in (1, 2):
-            sums = p.subblock_sums(subpel)
-            assert sums is p.subblock_sums(subpel)
-            assert sums.dtype == np.int16
-            assert (sums == 16 * 1020).all()   # the largest sum, exact
-            with pytest.raises(ValueError):
-                sums[0, 0] = 0
-
-    def test_subblock_sums_of_plane_narrower_than_a_sub_block(self):
-        assert Plane(np.zeros((3, 8), np.uint8)).subblock_sums(1).shape \
-            == (0, 5)
-
     def test_rounds_float_input(self):
         p = Plane(np.full((2, 2), 7.6))
         assert p.data[0, 0] == 8

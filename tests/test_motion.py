@@ -7,8 +7,8 @@ from mcrefine import motion
 from mcrefine.codec import frame_blocks, search_frame
 from mcrefine.frame import BlockRef, GeometryError, Plane
 from mcrefine.motion import (MotionVector, SearchParams, _lower_bounds,
-                             _sad_table, _window, compensate, estimate,
-                             mv_bits, signed_golomb_bits)
+                             _sad_table, _subblock_sums, _window, compensate,
+                             estimate, mv_bits, signed_golomb_bits)
 
 
 def sad_oracle(current, reference, block, mv):
@@ -248,13 +248,9 @@ def table_oracle(current, reference, block, params):
     return (x, y, sad[y - dy_lo, x - dx_lo] / 4), sad, origin
 
 
-# The three ways `estimate` scores candidates, forced by its constants:
-# as it runs (pruned, with in-place scoring when most candidates survive),
-# gathering survivors four at most to a chunk, and in place on every block.
-SEARCH_PATHS = {"as is": {},
-                "gathered": {"_CHUNK_BYTES": 4 * 2 * 8 * 8,
-                             "_GATHER_COST": 0},
-                "in place": {"_GATHER_COST": 10 ** 9}}
+# `estimate` as it runs and with survivors gathered four at most to a
+# chunk (at blocks of 8), so that the threshold falls between many chunks.
+SEARCH_PATHS = {"as is": {}, "small chunks": {"_CHUNK_BYTES": 4 * 2 * 8 * 8}}
 
 
 def estimate_each_way(current, reference, block, params):
@@ -346,7 +342,7 @@ class TestPrunedSearch:
     @pytest.mark.parametrize("size", [8, 16])
     def test_noise_is_scored_in_several_chunks(self, rng, size):
         # uniform noise: nearly every candidate survives the bound, so the
-        # gathered path works through many chunks and must stay exact
+        # search works through many chunks and must stay exact
         ref, cur = (Plane(a) for a in
                     rng.integers(0, 256, size=(2, 64, 64), dtype=np.uint8))
         block = BlockRef(2 * size, size, size)
@@ -355,7 +351,8 @@ class TestPrunedSearch:
         bound = _lower_bounds(ref, 4 * cur.block(block).astype(np.int16),
                               origin, sad.shape, 2)
         survivors = np.count_nonzero(bound <= 4 * want[2])
-        chunk = SEARCH_PATHS["gathered"]["_CHUNK_BYTES"] // (2 * size * size)
+        chunk = SEARCH_PATHS["small chunks"]["_CHUNK_BYTES"] \
+            // (2 * size * size)
         assert survivors > 10 * chunk
         assert estimate_each_way(cur, ref, block, params) \
             == dict.fromkeys(SEARCH_PATHS, want)
@@ -373,19 +370,61 @@ class TestPrunedSearch:
             assert set(estimate_each_way(cur, ref, block, params).values()) \
                 == {(mv.dx, mv.dy, sad)}
 
-    def test_scores_in_place_only_when_pruning_is_weak(self, rng,
-                                                       monkeypatch):
-        calls = []
-        monkeypatch.setattr(motion, "_sad_table",
-                            lambda *a: calls.append(1) or _sad_table(*a))
-        noise = Plane(rng.integers(0, 256, size=(48, 48), dtype=np.uint8))
-        estimate(noise, Plane(rng.integers(0, 256, size=(48, 48),
-                                           dtype=np.uint8)), BlockRef(16, 16))
-        assert calls == [1]
-        y, x = np.mgrid[0:48, 0:48]
-        wave = Plane((128 + 100 * np.sin(y / 3.0 + x / 5.0)).astype(np.uint8))
-        estimate(wave, wave, BlockRef(16, 16))
-        assert calls == [1]
+    def test_alternating_references_of_one_shape(self):
+        # the sum table of the last reference is kept; a search against
+        # another plane of the same shape must not read it.  A stale table
+        # of the flat plane would bound every candidate of the wave above
+        # its true minimum.
+        y, x = np.mgrid[0:40, 0:40]
+        wave = (128 + 100 * np.sin(y / 3.0 + x / 5.0)).astype(np.uint8)
+        cur = Plane(np.roll(wave, (1, 2), axis=(0, 1)))
+        params = SearchParams(search_range=4, subpel=2)
+        block = BlockRef(16, 16, 8)
+        for ref in [Plane(np.full((40, 40), 255, np.uint8)),
+                    Plane(wave)] * 2:
+            mv, sad = search_oracle(cur, ref, block, params)
+            got, got_sad = estimate(cur, ref, block, params)
+            assert (got.dx, got.dy, got_sad) == (mv.dx, mv.dy, sad)
+
+
+class TestSubblockSums:
+    @pytest.mark.parametrize("subpel", [1, 2])
+    def test_match_brute_force(self, rng, subpel):
+        data = rng.integers(0, 256, size=(13, 11), dtype=np.uint8)
+        p = Plane(data)
+        grid = p.quarter_grid(subpel).astype(int)
+        sums = _subblock_sums(p, subpel)
+        assert sums.shape == (13 * subpel - 3 * subpel,
+                              11 * subpel - 3 * subpel)
+        want = np.zeros(sums.shape, int)
+        for y in range(sums.shape[0]):
+            for x in range(sums.shape[1]):
+                want[y, x] = sum(grid[y + subpel * i, x + subpel * j]
+                                 for i in range(4) for j in range(4))
+        np.testing.assert_array_equal(sums, want)
+        # the far corner: the last sub-block a block at the bottom-right
+        # edge of the frame covers, its samples at the grid's last phase
+        last = subpel * 3
+        assert sums[-1, -1] == grid[-1 - last::subpel, -1 - last::subpel].sum()
+
+    def test_kept_for_the_last_reference_readonly_int16(self):
+        p = Plane(np.full((12, 20), 255, np.uint8))
+        for subpel in (1, 2):
+            sums = _subblock_sums(p, subpel)
+            assert sums is _subblock_sums(p, subpel)
+            assert sums.dtype == np.int16
+            assert (sums == 16 * 1020).all()   # the largest sum, exact
+            with pytest.raises(ValueError):
+                sums[0, 0] = 0
+        # another reference, or another resolution, gets its own table
+        other = Plane(np.zeros((12, 20), np.uint8))
+        assert (_subblock_sums(other, 2) == 0).all()
+        assert (_subblock_sums(p, 2) == 16 * 1020).all()
+        assert _subblock_sums(p, 1).shape == (9, 17)
+
+    def test_plane_narrower_than_a_sub_block(self):
+        assert _subblock_sums(Plane(np.zeros((3, 8), np.uint8)), 1).shape \
+            == (0, 5)
 
 
 class TestBitCounts:
