@@ -131,14 +131,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg.validate()
 
 
-def _load_sequence(cfg: RunConfig):
+def _probe_sequence(cfg: RunConfig) -> tuple[SequenceSource, int]:
+    """The input file and the number of frames to code from it."""
     if not cfg.input:
         raise ConfigError("no input file given (--input)")
     source = SequenceSource.probe(cfg.input, cfg.width, cfg.height)
     count = source.frame_count if cfg.frames is None \
         else min(cfg.frames, source.frame_count)
     check_frame_count(count)
-    return read_frames(source, range(0, count))
+    return source, count
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +181,36 @@ def cmd_synth(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Predict every frame from its predecessor with each selected algorithm
+    and report the prediction PSNR per algorithm.
+
+    Frames are read one at a time in the outer loop and each is released
+    once it has served as a reference, so memory does not grow with the
+    sequence length.  Rows and summaries are still algorithm-major.
+    """
     cfg = load_config(args.config, _overrides(args))
-    frames = _load_sequence(cfg)
-    rows = []
-    for algo in cfg.algorithms:
-        econf = cfg.encoder_config(algo)
-        mean_pred, mean_mc = [], []
-        for t in range(1, len(frames)):
-            fp = predict_frame(frames[t].y, frames[t - 1].y, econf)
-            pred_psnr = psnr(frames[t].y.data, fp.predictor)
-            mc_psnr = psnr(frames[t].y.data, fp.mc_predictor)
+    source, count = _probe_sequence(cfg)
+    configs = {algo: cfg.encoder_config(algo) for algo in cfg.algorithms}
+    rows = {algo: [] for algo in cfg.algorithms}
+    reference = read_frames(source, range(0, 1))[0]
+    for t in range(1, count):
+        current = read_frames(source, range(t, t + 1))[0]
+        for algo, econf in configs.items():
+            fp = predict_frame(current.y, reference.y, econf)
             refined = float(np.mean([d.refined for d in fp.decisions]))
-            rows.append((algo, t, mc_psnr, pred_psnr, refined, fp.side_bits))
-            mean_pred.append(pred_psnr)
-            mean_mc.append(mc_psnr)
-        print(f"{algo:5s}  prediction PSNR {np.mean(mean_pred):7.3f} dB  "
-              f"(pure MC {np.mean(mean_mc):7.3f} dB, luma)")
+            rows[algo].append((t, psnr(current.y.data, fp.mc_predictor),
+                               psnr(current.y.data, fp.predictor), refined,
+                               fp.side_bits))
+        reference = current
+    for algo, algo_rows in rows.items():
+        _, mc, pred, _, _ = zip(*algo_rows)
+        print(f"{algo:5s}  prediction PSNR {np.mean(pred):7.3f} dB  "
+              f"(pure MC {np.mean(mc):7.3f} dB, luma)")
     if args.out_csv:
         header = "algorithm,frame,psnr_mc_db,psnr_pred_db,refined_fraction,side_bits"
         lines = [header] + [
-            f"{a},{t},{m:.6f},{p:.6f},{r:.6f},{b}" for a, t, m, p, r, b in rows]
+            f"{a},{t},{m:.6f},{p:.6f},{r:.6f},{b}"
+            for a, algo_rows in rows.items() for t, m, p, r, b in algo_rows]
         Path(args.out_csv).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out_csv}")
     return 0
@@ -222,7 +233,8 @@ def cmd_encode(args) -> int:
     wall-clock numbers go to the separate timing report.
     """
     cfg = load_config(args.config, _overrides(args))
-    frames = _load_sequence(cfg)
+    source, count = _probe_sequence(cfg)
+    frames = read_frames(source, range(0, count))
     curves, timing_rows = [], []
     for algo in cfg.algorithms:
         curve, per_qp = codec.encode_sequence(frames, cfg.encoder_config(algo))

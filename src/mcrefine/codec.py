@@ -406,7 +406,7 @@ def _encode_intra(frame: Plane, qstep: float, blocks: list):
     levels_all = []
     for block in blocks:
         rec, b, levels = reconstruct_block(frame.block(block), flat, qstep)
-        recon[block.y0:block.y0 + s, block.x0:block.x0 + s] = rec
+        _cut(recon, block)[...] = rec
         bits += b
         levels_all.append(levels)
     return Plane(recon), bits, np.stack(levels_all)
@@ -427,8 +427,7 @@ def _mc_chroma(prev: Frame, decisions, block_size: int) -> tuple:
         for d in decisions:
             blk = BlockRef(x0=d.bx * cs, y0=d.by * cs, size=cs)
             pred = compensate(comp, blk, d.mv.for_chroma())
-            rec[blk.y0:blk.y0 + cs, blk.x0:blk.x0 + cs] = \
-                np.clip(np.rint(pred), 0, 255).astype(np.uint8)
+            _cut(rec, blk)[...] = np.rint(pred).clip(0, 255).astype(np.uint8)
         out.append(Plane(rec))
     return tuple(out)
 
@@ -487,9 +486,9 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
                                        mc, refined)
             rec, coeff_bits, levels = reconstruct_block(
                 cur.block(block), chosen, qstep)
-            recon_y[block.y0:block.y0 + s, block.x0:block.x0 + s] = rec
+            _cut(recon_y, block)[...] = rec
             if pred_y is not None:
-                pred_y[block.y0:block.y0 + s, block.x0:block.x0 + s] = chosen
+                _cut(pred_y, block)[...] = chosen
             decisions.append(decision)
             frame_bits += coeff_bits
             if collect_trace:
@@ -562,8 +561,8 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     flat = np.full((s, s), 128.0)
     recon = np.empty((height, width), np.uint8)
     for block, levels in zip(blocks, trace.intra_levels):
-        recon[block.y0:block.y0 + s, block.x0:block.x0 + s] = \
-            decode_block(flat, levels, trace.intra_qstep)
+        _cut(recon, block)[...] = decode_block(flat, levels,
+                                               trace.intra_qstep)
     prev = Plane(recon)
     predictors, recons = [], []
     for frame_trace in trace.frames:
@@ -574,9 +573,9 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
             if bt.refined:
                 pred = refine_block(build_layout(prev, block), recon_y, pred,
                                     config).block
-            predictor[block.y0:block.y0 + s, block.x0:block.x0 + s] = pred
-            recon_y[block.y0:block.y0 + s, block.x0:block.x0 + s] = \
-                decode_block(pred, bt.levels, trace.qstep)
+            _cut(predictor, block)[...] = pred
+            _cut(recon_y, block)[...] = decode_block(pred, bt.levels,
+                                                     trace.qstep)
         predictors.append(predictor)
         recons.append(Plane(recon_y))
         prev = recons[-1]

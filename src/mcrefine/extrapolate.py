@@ -27,11 +27,15 @@ together.  Per iteration it takes one stacked FFT for the numerators of
 every member, selects row-wise, builds the Gram matrices by table gathers,
 and solves and renders each group of members with the same support size in
 one stacked call; members that have converged drop out of the batch.
-`run` is its B = 1 call.  Every member's block, coefficients and
-diagnostics are bitwise independent of the batch size and of its
-batch-mates: every stacked operation computes each member exactly as it
-would compute it alone, and the solve never pads a system to a size that
-depends on the batch.
+`run` is its B = 1 call.  That stacked Cholesky solve, `_solve_group`, is
+the only solver, and `solve_subspace` is its one-member call.  If a
+group's stack is singular, its members are solved again one by one, and a
+member whose own Gram is singular sheds its weakest fresh pick, one retry
+at a time, until its system is solvable or no fresh pick is left.  Every
+member's block, coefficients and diagnostics are bitwise independent of
+the batch size and of its batch-mates: every stacked operation computes
+each member exactly as it would compute it alone, and the solve never pads
+a system to a size that depends on the batch.
 """
 
 from __future__ import annotations
@@ -163,20 +167,17 @@ def _weighted_energy(residual_flat: np.ndarray, ctx: ProjectionContext) -> float
 # Projection, selection, subspace solve
 # ---------------------------------------------------------------------------
 
-def project_residual(residual, ctx: ProjectionContext) -> np.ndarray:
-    """Projection coefficient of the residual on every basis function.
-
-    p_k = <r, phi_k>_w / <phi_k, phi_k>_w; excluded functions (zero weighted
-    norm) get coefficient 0 so they can never be selected.  Leading batch
-    axes of ``residual`` are kept.
+def decrement_energies(num: np.ndarray, ctx: ProjectionContext) -> np.ndarray:
+    """Energy drop each function would cause if taken alone, from its
+    weighted correlations ``num`` with the residual: p_k^2 * norm_k with
+    p_k = num_k / norm_k.  Excluded functions (zero weighted norm) get 0,
+    so they can never be selected.  Leading batch axes are kept.
     """
-    num = ctx.numerators(residual)
-    return np.where(ctx.excluded, 0.0, num / ctx._safe_norms)
-
-
-def decrement_energies(p: np.ndarray, weighted_norms: np.ndarray) -> np.ndarray:
-    """Energy drop each function would cause if taken alone: p_k^2 * norm_k."""
-    return p * p * weighted_norms
+    decr = num / ctx._safe_norms    # projections p, then in place
+    decr[..., ctx.excluded] = 0.0
+    decr *= decr
+    decr *= ctx.norms
+    return decr
 
 
 def select_batch(decrements: np.ndarray, tau: float, n_bf: int,
@@ -236,35 +237,6 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(low, -1, -2), half)[..., 0]
 
 
-def _solve_with_retry(fresh: np.ndarray, rhs_all: np.ndarray,
-                      decrements: np.ndarray, ctx: ProjectionContext,
-                      keep: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Solve the normal equations on ``keep`` + ``fresh`` by Cholesky; while
-    the Gram matrix is singular, drop the lowest-decrement member of
-    ``fresh`` and retry.  ``keep`` (rba's established support) is never
-    shed.  Returns (solution, solved indices, retries); the first two are
-    empty once no fresh member remains.
-    """
-    fresh = np.asarray(fresh, dtype=np.intp)
-    retries = 0
-    while fresh.size:
-        support = fresh if keep is None \
-            else np.union1d(keep, fresh).astype(np.intp)
-        if support.size == 1:
-            k = support[0]
-            return rhs_all[support] / ctx.norms[k:k + 1], support, retries
-        try:
-            return _cholesky_solve(ctx.gram(support),
-                                   rhs_all[support]), support, retries
-        except np.linalg.LinAlgError:
-            retries += 1
-            weakest = int(np.argmin(decrements[fresh]))
-            log.debug("gram singular; shedding function %d", fresh[weakest])
-            fresh = np.delete(fresh, weakest)
-    return np.empty(0), np.empty(0, dtype=np.intp), retries
-
-
 def solve_subspace(residual, indices, ctx: ProjectionContext
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Joint projection of the residual onto the selected subspace.
@@ -273,48 +245,58 @@ def solve_subspace(residual, indices, ctx: ProjectionContext
     Gram matrix of the selected functions and b their weighted correlations
     with the residual.  A single selected function degenerates to the plain
     projection coefficient.  Numerically singular systems shed their
-    lowest-decrement member and are retried, so the returned index array may
-    be a subset of the input.
+    lowest-decrement member and are retried, so the returned (sorted) index
+    array may be a subset of the input.  This is the engine's own solve,
+    `_solve_group`, for one member.
     """
-    idx = np.asarray(indices, dtype=np.intp)
-    num = ctx.numerators(np.asarray(residual, dtype=np.float64))
-    decr = decrement_energies(num / ctx._safe_norms, ctx.norms)
-    solution, used, _ = _solve_with_retry(idx, num, decr, ctx)
-    return solution, used
+    num = ctx.numerators(np.asarray(residual, dtype=np.float64))[None]
+    picks = np.zeros(num.shape, dtype=bool)
+    picks[0, np.asarray(indices, dtype=np.intp)] = True
+    solved = _solve_group(np.zeros(1, int), picks, picks, num,
+                          decrement_energies(num, ctx), ctx, np.zeros(1, int))
+    if not solved:
+        return np.empty(0), np.empty(0, dtype=np.intp)
+    _, used, solution = solved[0]
+    return solution[0], used[0]
 
 
-def _solve_group(state: EngineState, members: np.ndarray,
-                 support: np.ndarray, fresh: np.ndarray, rhs: np.ndarray,
-                 decr: np.ndarray, ctx: ProjectionContext) -> list:
+def _solve_group(members: np.ndarray, support: np.ndarray, fresh: np.ndarray,
+                 rhs: np.ndarray, decr: np.ndarray, ctx: ProjectionContext,
+                 retries: np.ndarray) -> list:
     """Solve the systems of members that share one support size.
 
     ``support``/``fresh`` are the members' (G, count) masks and ``rhs`` and
     ``decr`` their (G, count) right-hand sides and decrements.  Returns
-    (members, indices, solution) triples with equally sized solutions.  If
-    the stacked solve fails, each member goes through `_solve_with_retry`
-    alone; its retries are counted in ``state``, and it converges if no
-    fresh pick survives.
+    (members, indices, solution) triples with equally sized solutions; the
+    stacked Cholesky here is the only place a system is factored.  If it
+    fails, a group of several members is solved again member by member.  A
+    lone member sheds its lowest-decrement fresh pick (rba's established
+    span is never fresh), counts one retry in ``retries[member]`` and is
+    solved again; once no fresh pick is left it takes no solution.
     """
-    idx = np.nonzero(support)[1].reshape(len(members), -1)
-    gathered = rhs[np.arange(len(members))[:, None], idx]
-    if idx.shape[1] == 1:
-        return [(members, idx, gathered / ctx.norms[idx])]
-    try:
-        return [(members, idx, _cholesky_solve(ctx.gram(idx), gathered))]
-    except np.linalg.LinAlgError:
-        pass
-    solved = []
-    for i, member in enumerate(members):
-        # Only fresh picks are shed; rba's established span is kept.
-        solution, used, retries = _solve_with_retry(
-            np.flatnonzero(fresh[i]), rhs[i], decr[i], ctx,
-            keep=np.flatnonzero(support[i] & ~fresh[i]))
-        state.gram_retries[member] += retries
-        if used.size:
-            solved.append((members[i:i + 1], used[None], solution[None]))
-        else:
-            state.converged[member] = True
-    return solved
+    while True:
+        idx = np.nonzero(support)[1].reshape(len(members), -1)
+        gathered = rhs[np.arange(len(members))[:, None], idx]
+        if idx.shape[1] == 1:
+            return [(members, idx, gathered / ctx.norms[idx])]
+        try:
+            return [(members, idx, _cholesky_solve(ctx.gram(idx), gathered))]
+        except np.linalg.LinAlgError:
+            pass
+        if len(members) > 1:
+            return [solved for i in range(len(members))
+                    for solved in _solve_group(
+                        members[i:i + 1], support[i:i + 1], fresh[i:i + 1],
+                        rhs[i:i + 1], decr[i:i + 1], ctx, retries)]
+        retries[members] += 1
+        picks = np.flatnonzero(fresh[0])
+        if picks.size == 1:
+            return []
+        weakest = picks[np.argmin(decr[0, picks])]
+        log.debug("gram singular; shedding function %d", weakest)
+        # copies: the masks may be views, and fsa/msa pass ``support is fresh``
+        support, fresh = support.copy(), fresh.copy()
+        support[0, weakest] = fresh[0, weakest] = False
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +312,12 @@ def step(state: EngineState, params: ExtrapolationParams,
     msa with ``n_bf`` 1).  rba selects against the residual, then
     re-projects the *input* onto the span of every function selected so
     far and replaces all coefficients, undamped; because the span only
-    grows, the weighted error cannot increase.  A member converges when its
-    best decrement falls below `CONVERGENCE_FRACTION` of its initial error,
-    when nothing new is selected, or when singular retries shed every
-    fresh pick.
+    grows, the weighted error cannot increase.  Members with equally large
+    systems share one `_solve_group` call, in which a member with a
+    singular Gram sheds fresh picks, one retry each, until it solves.  A
+    member converges when its best decrement falls below
+    `CONVERGENCE_FRACTION` of its initial error, when nothing new is
+    selected, or when the retries shed every fresh pick.
     """
     live = np.flatnonzero(~state.converged)
     if live.size == 0:
@@ -343,10 +327,7 @@ def step(state: EngineState, params: ExtrapolationParams,
         state.f_numerators = ctx.numerators(state.f)
     rows = _index(live, len(state.converged))
     num = ctx.numerators(state.residual[rows])
-    decr = num / ctx._safe_norms    # projections p, then in place
-    decr[:, ctx.excluded] = 0.0      # decrement_energies: p * p * norms
-    decr *= decr
-    decr *= ctx.norms
+    decr = decrement_energies(num, ctx)
     n_bf = 1 if params.algorithm == "fsa" else params.n_bf
     fresh = select_batch(decr, params.tau, n_bf,
                          floor=CONVERGENCE_FRACTION * state.energy0[rows])
@@ -357,20 +338,22 @@ def step(state: EngineState, params: ExtrapolationParams,
     else:
         support, rhs = fresh, num
     sizes = np.count_nonzero(fresh, axis=1)
-    state.converged[live[sizes == 0]] = True
     if rba:
         sizes = np.where(sizes > 0, np.count_nonzero(support, axis=1), 0)
+    # A live member converges unless it takes a solution.
+    state.converged[live] = True
     solved = []
     for size in sorted(set(sizes.tolist()) - {0}):
         group = _index(np.flatnonzero(sizes == size), len(sizes))
         for members, idx, solution in _solve_group(
-                state, live[group], support[group], fresh[group], rhs[group],
-                decr[group], ctx):
+                live[group], support[group], fresh[group], rhs[group],
+                decr[group], ctx, state.gram_retries):
             values = solution if rba else params.gamma * solution
+            state.converged[members] = False
             _apply(state, members, idx, values, ctx, rba)
             solved.append((members, idx, values))
-    # Every live member that has not converged now took a solution.  The
-    # other members' residuals are recomputed unchanged, without temporaries.
+    # The other members' residuals are recomputed unchanged, without
+    # temporaries.
     state.iterations[live[~state.converged[live]]] += 1
     np.subtract(state.f, state.rendering, out=state.residual)
     if state.selections is not None:
@@ -455,9 +438,5 @@ def run(f, layout: ProjectionLayout, params: ExtrapolationParams, *,
     """Run the configured engine on one working-area signal: `run_batch`
     with B = 1.  Returns the centre block of the final model plus run
     diagnostics."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (layout.m, layout.n):
-        raise ValueError(f"signal shape {f.shape} does not match layout "
-                         f"{(layout.m, layout.n)}")
-    return run_batch(f[None], layout, params, context=context,
+    return run_batch(np.asarray(f)[None], layout, params, context=context,
                      record=record)[0]

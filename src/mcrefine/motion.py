@@ -43,16 +43,10 @@ On content that prunes weakly (uniform noise, flat areas) nearly every
 candidate is gathered, which costs more than the exhaustive search.
 
 The bound is computed a chunk of displacement rows at a time in a
-per-thread scratch buffer of 512 KB that is allocated once and reused.
-`_sad_table`, the exhaustive search that the tests hold `estimate` to,
-works the same way (15 of the 65 rows for a 16x16 block at +/-16 half-pel
-per chunk): one ``(n_dy, s, s, n_dx)`` temporary for the whole window
-would be 2.2 MB, would be page-faulted again on every call and would not
-stay in the L2 cache between the passes over it.  The displacement ``dx``
-is the innermost axis, so the subtraction streams along contiguous grid
-rows.  Its |differences| are added pairwise in int16 until each partial sum
-covers up to 32 samples (at most 32 * 1020 = 32640 <= 32767), and those
-partial sums are added in int32.
+per-thread scratch buffer of 512 KB that is allocated once and reused.  The
+displacement ``dx`` is the innermost axis, so the subtraction streams along
+contiguous table rows.  `_sad_table`, the exhaustive search that the tests
+hold `estimate` to, is a plain int32 sum of |candidates - target|.
 """
 
 from __future__ import annotations
@@ -129,7 +123,6 @@ def _window(plane: Plane, block: BlockRef, params: SearchParams):
 
 
 _CHUNK_BYTES = 1 << 19    # one chunk of int16 |differences|
-_INT16_TERMS = 32         # 32 * 1020 <= 32767: partial sums exact in int16
 _SUB = 4                  # side of the sub-blocks of the elimination bound
 _scratch = threading.local()
 
@@ -142,30 +135,14 @@ def _scratch_buffer(size: int) -> np.ndarray:
 
 
 def _sad_table(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Integer SAD of every candidate, a chunk of displacement rows at a time.
+    """Integer SAD of every candidate: the exhaustive search, the reference
+    for `estimate`.
 
-    ``candidates`` is an ``(n_dy, s, s, n_dx)`` int16 view, ``target`` the
-    ``(s, s, 1)`` int16 block; returns the ``(n_dy, n_dx)`` int32 table.
-    This is the exhaustive search, the reference for `estimate`.
+    ``candidates`` is an ``(n_dy, s, s, n_dx)`` int16 array, ``target`` the
+    ``(s, s, 1)`` int16 block; their |differences| (at most 1020) fit int16
+    and are summed into the ``(n_dy, n_dx)`` int32 table.
     """
-    n_dy, s, _, n_dx = candidates.shape
-    n = s * s  # |differences| per candidate, a power of two
-    rows = min(n_dy, max(1, _CHUNK_BYTES // (2 * n * n_dx)))
-    diff = _scratch_buffer(rows * n * n_dx).reshape(rows, s, s, n_dx)
-    terms = diff.reshape(rows, n, n_dx)
-    sad = np.empty((n_dy, n_dx), np.int32)
-    for r0 in range(0, n_dy, rows):
-        k = min(rows, n_dy - r0)
-        d = diff[:k]
-        np.subtract(candidates[r0:r0 + k], target, out=d)
-        np.abs(d, out=d)
-        part, m = terms[:k], n
-        while m > 1 and n // m < _INT16_TERMS:  # m partials of n // m terms
-            m //= 2
-            np.add(part[:, :m], part[:, m:2 * m], out=part[:, :m])
-        np.add.reduce(part[:, :m], axis=1, dtype=np.int32,
-                      out=sad[r0:r0 + k])
-    return sad
+    return np.abs(candidates - target).sum(axis=(1, 2), dtype=np.int32)
 
 
 def _subblock_sums(reference: Plane, scale: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import runpy
+import weakref
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,29 @@ class TestPredictCommand:
         for row in lines[1:4]:
             _, _, mc, pred, refined, _ = row.split(",")
             assert mc == pred and float(refined) == 0.0
+
+    def test_frames_are_released_once_predicted(self, seq_path,
+                                                monkeypatch):
+        # only the reference and the current frame are alive while a frame
+        # is predicted, so memory does not grow with the sequence length
+        frames, alive = [], []
+        read, predict = cli.read_frames, cli.predict_frame
+
+        def reading(source, span):
+            out = read(source, span)
+            frames.extend(weakref.ref(f) for f in out)
+            return out
+
+        def predicting(*args):
+            alive.append(sum(f() is not None for f in frames))
+            return predict(*args)
+
+        monkeypatch.setattr(cli, "read_frames", reading)
+        monkeypatch.setattr(cli, "predict_frame", predicting)
+        assert cli.main(["predict", "--input", str(seq_path), "--width", "64",
+                         "--height", "64", "--algorithms", "none,msa",
+                         "--msa-iterations", "1", "--search-range", "4"]) == 0
+        assert len(frames) == 4 and alive == [2] * 6
 
     def test_csv_bytes_do_not_depend_on_chunk_size(self, tmp_path,
                                                    monkeypatch):

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from conftest import MatrixContext
 from mcrefine.basis import WeightMask, build_basis, projection_context
 from mcrefine.extrapolate import (ExtrapolationParams, decrement_energies,
-                                  new_state, project_residual, run, run_batch,
-                                  select_batch, select_candidates,
-                                  solve_subspace, step)
+                                  new_state, run, run_batch, select_batch,
+                                  select_candidates, solve_subspace, step)
 from mcrefine.frame import BlockRef, build_layout
 
 
@@ -133,15 +132,17 @@ class TestSolveSubspace:
 class SingularWith:
     """Wraps a context; its Gram matrix is singular whenever ``bad`` is in
     the requested support (that function's row and column are zeroed).
-    Takes leading batch axes like the context it wraps."""
+    Takes leading batch axes like the context it wraps, and counts its
+    `gram` calls in ``calls``."""
 
     def __init__(self, ctx, bad):
-        self._ctx, self.bad = ctx, bad
+        self._ctx, self.bad, self.calls = ctx, bad, 0
 
     def __getattr__(self, name):
         return getattr(self._ctx, name)
 
     def gram(self, indices):
+        self.calls += 1
         g = self._ctx.gram(indices)
         keep = ~np.isin(indices, self.bad)
         return g * (keep[..., :, None] & keep[..., None, :])
@@ -156,15 +157,17 @@ class TestSingularRetry:
         # exactly those, weakest first, one retry each
         support = TestBatchIndependence.SUPPORTS[2]
         window = ctx16.render(support, np.full(4, 30.0)).reshape(48, 48)
-        decr = decrement_energies(project_residual(window, ctx16),
-                                  ctx16.norms)
+        decr = decrement_energies(ctx16.numerators(window), ctx16)
         bad = support[np.argsort(decr[support], kind="stable")[:shed]]
         once = ExtrapolationParams(algorithm="msa", iterations=1)
-        got = run(window, layout16, once, context=SingularWith(ctx16, bad),
-                  record=True)
+        stub = SingularWith(ctx16, bad)
+        got = run(window, layout16, once, context=stub, record=True)
         np.testing.assert_array_equal(got.diagnostics.selections[0][0],
                                       np.setdiff1d(support, bad))
         assert got.diagnostics.gram_retries == shed
+        # each support tried (4, 3, ... functions) is factored once; a lone
+        # survivor needs no Gram
+        assert stub.calls == min(shed + 1, 3)
 
     def test_rba_sheds_only_fresh_functions(self, layout8, ctx8, rng):
         f = rng.normal(0, 10, size=(1, layout8.m, layout8.n))
@@ -174,8 +177,7 @@ class TestSingularRetry:
         step(state, params, ctx8)
         active = np.flatnonzero(state.active[0])
         assert active.size > 1
-        decr = decrement_energies(project_residual(state.residual[0], ctx8),
-                                  ctx8.norms)
+        decr = decrement_energies(ctx8.numerators(state.residual[0]), ctx8)
         fresh = np.setdiff1d(select_candidates(decr, params.tau, params.n_bf),
                              active)
         assert fresh.size > 1
@@ -192,7 +194,7 @@ class TestSingularRetry:
 
     def test_greedy_sheds_weakest(self, ctx8, rng):
         r = rng.normal(size=ctx8.basis.m * ctx8.basis.n)
-        decr = decrement_energies(project_residual(r, ctx8), ctx8.norms)
+        decr = decrement_energies(ctx8.numerators(r), ctx8)
         idx = np.argsort(decr)[-4:]
         bad = idx[np.argmin(decr[idx])]
         got, used = solve_subspace(r, np.sort(idx), SingularWith(ctx8, bad))
@@ -267,9 +269,10 @@ class TestBatchIndependence:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            algo=st.sampled_from(["fsa", "rba", "msa"]),
            size=st.sampled_from([8, 16]), batch=st.integers(1, 7),
-           where=st.integers(0, 3))
+           where=st.integers(0, 3), singular=st.booleans())
     @settings(max_examples=60)
-    def test_members_equal_single_runs(self, seed, algo, size, batch, where):
+    def test_members_equal_single_runs(self, seed, algo, size, batch, where,
+                                       singular):
         rng = np.random.default_rng(seed)
         layout = BATCH_LAYOUTS[size][where]
         ctx = projection_context(layout)
@@ -280,6 +283,14 @@ class TestBatchIndependence:
         windows[kinds == 0] = 0.0
         windows[kinds == 1] = ctx.basis.function(
             int(rng.integers(1, ctx.basis.count)))
+        if singular:
+            # each window names one of its four strongest functions, and
+            # any Gram that holds a named function is singular, so rba/msa
+            # members retry and shed
+            top = np.argsort(decrement_energies(ctx.numerators(windows), ctx),
+                             axis=1)[:, -4:]
+            ctx = SingularWith(ctx, top[np.arange(batch),
+                                        rng.integers(0, 4, size=batch)])
         params = ExtrapolationParams(
             algorithm=algo, iterations=30 if algo == "fsa" else None)
         alone = [run(w, layout, params, context=ctx, record=True)
@@ -318,8 +329,7 @@ class TestBatchIndependence:
         supports = self.SUPPORTS
         windows = self.four_function_windows(ctx16)
         support = supports[2]
-        decr = decrement_energies(project_residual(windows[2], ctx16),
-                                  ctx16.norms)
+        decr = decrement_energies(ctx16.numerators(windows[2]), ctx16)
         bad = support[np.argmin(decr[support])]
         stub = SingularOnSupport(ctx16, support, bad)
         # one iteration: exactly one retry, only for that member, which
@@ -504,7 +514,7 @@ class TestStepFunctions:
         r = rng.normal(size=ctx8.basis.m * ctx8.basis.n)
         num = ctx8.numerators(r)
         p = num / ctx8.norms
-        d = decrement_energies(p, ctx8.norms)
+        d = decrement_energies(num, ctx8)
         k = 13
         assert d[k] == pytest.approx(p[k] ** 2 * ctx8.norms[k], rel=1e-12)
         # and subtracting p_k*phi_k really lowers the energy by ~d[k]
