@@ -10,8 +10,8 @@ fast multi-select variant) share one projection core, and a small
 hybrid-codec harness measures the effect on rate-distortion behaviour.
 """
 
-from .basis import (BasisSet, ParameterError, ProjectionContext, WeightMask,
-                    build_basis, build_weight_mask, projection_context)
+from .basis import (BasisSet, ParameterError, ProjectionContext, build_basis,
+                    build_weight_mask, projection_context)
 from .bd import BDInputError, BDResult, bd_metrics
 from .codec import (DEFAULT_QPS, EncoderConfig, RDCurve, RDPoint, encode_pass,
                     encode_sequence, predict_frame, qp_to_qstep, replay_trace)
@@ -32,7 +32,7 @@ __all__ = [
     "FormatError", "Frame", "GeometryError", "MotionVector",
     "ParameterError", "Plane", "ProjectionContext", "ProjectionLayout",
     "RDCurve", "RDPoint", "RefineResult", "SampleError", "SearchParams",
-    "SequenceSource", "SparseModel", "WeightMask",
+    "SequenceSource", "SparseModel",
     "bd_metrics", "build_basis", "build_layout", "build_weight_mask",
     "compensate", "encode_pass", "encode_sequence", "estimate",
     "frame_bytes", "mse", "mv_bits", "predict_frame", "projection_context",

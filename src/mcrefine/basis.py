@@ -10,8 +10,10 @@ whole real raster space.  All members are mutually orthogonal under the
 uniform inner product over the area.
 
 Projections against an arbitrary non-negative weighting are the workhorse of
-the extrapolation engines.  They take one route: every weighted correlation
-is read out of two FFTs,
+the extrapolation engines.  A weighting is a plain read-only (M, N) float64
+array; `build_weight_mask` derives the reference one from a working area's
+block size and neighbour availability.  Projections take one route: every
+weighted correlation is read out of two FFTs,
 
     sum_x r[x] w[x] cos(phi_k[x]) =  Re FFT2(r*w)[k, l]
     sum_x r[x] w[x] sin(phi_k[x]) = -Im FFT2(r*w)[k, l]
@@ -29,13 +31,14 @@ check the fast route against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
 
-from .frame import REGION_B, REGION_R, ProjectionLayout
+from .frame import REGION_B, REGION_R, BlockRef, ProjectionLayout
 
 
 class ParameterError(ValueError):
@@ -134,42 +137,29 @@ def build_basis(m: int, n: int) -> BasisSet:
                     left=left, right=right)
 
 
-@dataclass(frozen=True)
-class WeightMask:
-    """Non-negative per-sample weighting of the working area."""
-
-    w: np.ndarray
-    mu: float
-    rho: float
-
-    @classmethod
-    def uniform(cls, m: int, n: int, value: float = 1.0) -> "WeightMask":
-        """Constant weighting over the whole area (padding included)."""
-        w = np.full((m, n), float(value))
-        w.setflags(write=False)
-        return cls(w=w, mu=float(value), rho=0.5)
-
-
 # Reference weighting: centre-block weight and radial decay on R.
 DEFAULT_MU = 0.5
 DEFAULT_RHO = 0.8
 
 
 def check_weighting(mu: float, rho: float) -> None:
-    """Raise `ParameterError` unless ``mu > 0`` and ``0 < rho < 1``."""
+    """Raise `ParameterError` unless ``mu`` is finite and positive and
+    ``0 < rho < 1``."""
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"decay factor rho must lie in (0, 1), got {rho}")
-    if mu <= 0.0:
-        raise ParameterError(f"centre-block weight mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ParameterError(
+            f"centre-block weight mu must be finite and positive, got {mu}")
 
 
 def build_weight_mask(layout: ProjectionLayout, mu: float = DEFAULT_MU,
-                      rho: float = DEFAULT_RHO) -> WeightMask:
+                      rho: float = DEFAULT_RHO) -> np.ndarray:
     """Spatial weighting: ``mu`` on the centre block, a radial decay on R.
 
     Reconstructed samples are weighted ``rho ** d`` where ``d`` is the
     Euclidean distance from the centre of the working area, so neighbours far
-    from the block contribute little.  Padding gets exactly zero.
+    from the block contribute little.  Padding gets exactly zero.  Returns
+    a read-only float64 (M, N) array.
     """
     check_weighting(mu, rho)
     m, n = layout.m, layout.n
@@ -179,14 +169,10 @@ def build_weight_mask(layout: ProjectionLayout, mu: float = DEFAULT_MU,
     w = np.where(layout.region_map == REGION_R, rho ** dist, 0.0)
     w = np.where(layout.region_map == REGION_B, mu, w)
     w.setflags(write=False)
-    return WeightMask(w=w, mu=float(mu), rho=float(rho))
+    return w
 
 
-def _weights_array(w) -> np.ndarray:
-    return w.w if isinstance(w, WeightMask) else np.asarray(w, dtype=np.float64)
-
-
-def precompute_norms(basis: BasisSet, w) -> np.ndarray:
+def precompute_norms(basis: BasisSet, w: np.ndarray) -> np.ndarray:
     """Weighted squared norm of every basis function under ``w``.
 
     Closed form: cos^2 = (1 + cos 2phi) / 2 and sin^2 = (1 - cos 2phi) / 2,
@@ -195,11 +181,10 @@ def precompute_norms(basis: BasisSet, w) -> np.ndarray:
     Functions whose weighted norm (numerically) vanishes cannot take part in
     any projection; callers detect them via `excluded_mask`.
     """
-    wa = _weights_array(w)
-    if wa.shape != (basis.m, basis.n):
-        raise ValueError(f"weights {wa.shape} do not match basis "
+    if w.shape != (basis.m, basis.n):
+        raise ValueError(f"weights {w.shape} do not match basis "
                          f"{(basis.m, basis.n)}")
-    wc = np.fft.fft2(wa).real
+    wc = np.fft.fft2(w).real
     doubled = wc[(2 * basis.k_freq) % basis.m, (2 * basis.l_freq) % basis.n]
     norms = 0.5 * (wc[0, 0] + np.where(basis.is_sin, -doubled, doubled))
     norms.setflags(write=False)
@@ -250,7 +235,8 @@ def _flat_rasters(x, basis: BasisSet) -> np.ndarray:
 
 
 class ProjectionContext:
-    """A basis bound to one weight mask, with fast weighted correlations.
+    """A basis bound to one (M, N) weight array, with fast weighted
+    correlations.
 
     Numerators and Gram entries are read out of FFT tables, norms come in
     closed form from FFT2(w) (see `precompute_norms`), and models are
@@ -262,15 +248,14 @@ class ProjectionContext:
     alone would, so results never depend on what else is in the batch.
     """
 
-    def __init__(self, basis: BasisSet, weights: WeightMask):
+    def __init__(self, basis: BasisSet, weights: np.ndarray):
         self.basis = basis
         self.weights = weights
-        wa = _weights_array(weights)
-        self.w_flat = wa.ravel()
-        self.norms = precompute_norms(basis, wa)
+        self.w_flat = weights.ravel()
+        self.norms = precompute_norms(basis, weights)
         self.excluded = excluded_mask(self.norms)
         self._safe_norms = np.where(self.excluded, 1.0, self.norms)
-        what = np.fft.fft2(wa)
+        what = np.fft.fft2(weights)
         # Gram lookups: the cos-type table Re W, then the sin-type -Im W.
         self._w_table = np.concatenate((what.real.ravel(),
                                         -what.imag.ravel()))
@@ -333,27 +318,21 @@ class ProjectionContext:
 
 
 @lru_cache(maxsize=64)
-def _cached_context(m: int, n: int, size: int,
-                    availability: tuple[bool, bool, bool, bool],
+def _cached_context(size: int, availability: tuple[bool, bool, bool, bool],
                     mu: float, rho: float) -> ProjectionContext:
-    from .frame import BlockRef, ProjectionLayout, _region_map
-    layout = ProjectionLayout(
-        block=BlockRef(x0=size, y0=size, size=size),
-        m=m, n=n,
-        region_map=_region_map(size, availability),
-        availability=availability,
-        origin=(0, 0),
-    )
-    return ProjectionContext(build_basis(m, n), build_weight_mask(layout, mu, rho))
+    layout = ProjectionLayout(BlockRef(size, size, size), availability)
+    return ProjectionContext(build_basis(layout.m, layout.n),
+                             build_weight_mask(layout, mu, rho))
 
 
 def projection_context(layout: ProjectionLayout, mu: float = DEFAULT_MU,
                        rho: float = DEFAULT_RHO) -> ProjectionContext:
     """Shared, cached context for a layout's region pattern.
 
-    Layouts at the same frame position class (same neighbour availability and
-    block size) produce identical weight masks, so contexts are cached on
-    that key.  The basis itself is shared across all contexts of one size.
+    A layout is its block plus its neighbour availability, and the weights
+    depend only on the block size, the availability, ``mu`` and ``rho``, so
+    contexts are cached on those four.  The basis itself is shared across
+    all contexts of one size.
     """
-    return _cached_context(layout.m, layout.n, layout.block.size,
-                           layout.availability, float(mu), float(rho))
+    return _cached_context(layout.block.size, layout.availability,
+                           float(mu), float(rho))

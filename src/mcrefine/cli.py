@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -170,9 +171,8 @@ def _overrides(args) -> dict:
 
 def cmd_synth(args) -> int:
     frames = synth_sequence(
-        args.kind, width=args.width or 352, height=args.height or 288,
-        frames=args.count, seed=args.seed,
-        velocity=(args.velocity_y, args.velocity_x),
+        args.kind, width=args.width, height=args.height, frames=args.count,
+        seed=args.seed, velocity=(args.velocity_y, args.velocity_x),
         noise_sigma=args.noise_sigma, texture=args.texture,
         zoom_rate=args.zoom_rate)
     total = write_frames(args.out, frames)
@@ -324,18 +324,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "by sparse frequency-selective extrapolation.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # Defaults come from `synth_sequence`, which also rejects unknown kinds
+    # and textures and unreadable frame dimensions.
+    synth = {k: p.default for k, p in
+             inspect.signature(synth_sequence).parameters.items()}
     sp = sub.add_parser("synth", help="generate a deterministic test sequence")
-    sp.add_argument("--kind", choices=("translate", "zoom-texture", "noise"),
-                    default="translate")
-    sp.add_argument("--width", type=int, default=352)
-    sp.add_argument("--height", type=int, default=288)
-    sp.add_argument("--count", type=int, default=30, help="number of frames")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--velocity-y", type=float, default=0.8)
-    sp.add_argument("--velocity-x", type=float, default=0.3)
-    sp.add_argument("--noise-sigma", type=float, default=0.0)
-    sp.add_argument("--texture", choices=("waves", "field"), default="waves")
-    sp.add_argument("--zoom-rate", type=float, default=0.005)
+    sp.add_argument("--kind", default="translate")
+    sp.add_argument("--width", type=int, default=synth["width"])
+    sp.add_argument("--height", type=int, default=synth["height"])
+    sp.add_argument("--count", type=int, default=synth["frames"],
+                    help="number of frames")
+    sp.add_argument("--seed", type=int, default=synth["seed"])
+    sp.add_argument("--velocity-y", type=float, default=synth["velocity"][0])
+    sp.add_argument("--velocity-x", type=float, default=synth["velocity"][1])
+    sp.add_argument("--noise-sigma", type=float, default=synth["noise_sigma"])
+    sp.add_argument("--texture", default=synth["texture"])
+    sp.add_argument("--zoom-rate", type=float, default=synth["zoom_rate"])
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_synth)
 

@@ -24,6 +24,7 @@ coder's output.  PSNR is luma-only.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -83,6 +84,9 @@ class EncoderConfig:
             raise ValueError(f"block size must be a power of two from 8 (the "
                              f"8x8 transform tiles it) to 64, got {s}")
         check_weighting(self.mu, self.rho)
+        if not 0.0 < self.fps < math.inf:
+            raise ValueError(f"frame rate must be finite and positive, "
+                             f"got {self.fps}")
 
     @property
     def qsteps(self) -> tuple:
@@ -94,7 +98,6 @@ class BlockDecision:
     bx: int
     by: int
     mv: MotionVector
-    sad: float
     refined: bool
     mc_mse: float
     refined_mse: float  # nan when refinement was not attempted
@@ -202,21 +205,19 @@ def refine_blocks(layouts, neighbor_samples: np.ndarray, mc_blocks,
                                  context=context)
 
 
-def _switch(block: BlockRef, motion: tuple, original: np.ndarray,
+def _switch(block: BlockRef, mv: MotionVector, original: np.ndarray,
             mc: np.ndarray, refined: np.ndarray | None
             ) -> tuple[np.ndarray, BlockDecision]:
     """The per-block MSE switch: keep ``refined`` only where it beats MC.
 
-    ``motion`` is the block's ``(mv, sad)`` from `search_frame` and
     ``refined`` is None where refinement was not attempted.  Returns the
     chosen predictor and the decision.
     """
-    mv, sad = motion
     mc_err = mse(original, mc)
     refined_err = float("nan") if refined is None else mse(original, refined)
     use = refined_err < mc_err
     decision = BlockDecision(bx=block.x0 // block.size,
-                             by=block.y0 // block.size, mv=mv, sad=sad,
+                             by=block.y0 // block.size, mv=mv,
                              refined=use, mc_mse=mc_err,
                              refined_mse=refined_err)
     return (refined if use else mc), decision
@@ -259,15 +260,7 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
     mc_raster = np.empty((current.height, current.width))
     for block, (mv, _) in zip(blocks, motion):
         _cut(mc_raster, block)[...] = compensate(reference, block, mv)
-    predictor = np.empty_like(mc_raster)
-    decisions = [None] * len(blocks)
-
-    def switch(i: int, refined: np.ndarray | None) -> None:
-        block = blocks[i]
-        chosen, decisions[i] = _switch(block, motion[i], current.block(block),
-                                       _cut(mc_raster, block), refined)
-        _cut(predictor, block)[...] = chosen
-
+    refined = [None] * len(blocks)
     if config.refinement != "none":
         classes = {}
         for i, block in enumerate(blocks):
@@ -282,10 +275,14 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
                         [layout for _, layout in chunk], current.data,
                         [_cut(mc_raster, blocks[i]) for i, _ in chunk],
                         config)):
-                    switch(i, result.block)
-    for i, decision in enumerate(decisions):
-        if decision is None:
-            switch(i, None)
+                    refined[i] = result.block
+    predictor = np.empty_like(mc_raster)
+    decisions = []
+    for block, (mv, _), block_refined in zip(blocks, motion, refined):
+        chosen, decision = _switch(block, mv, current.block(block),
+                                   _cut(mc_raster, block), block_refined)
+        _cut(predictor, block)[...] = chosen
+        decisions.append(decision)
     side = _side_bits(decisions, current.width // s,
                       config.refinement != "none")
     return FramePrediction(predictor=predictor, mc_predictor=mc_raster,
@@ -402,14 +399,12 @@ def _encode_intra(frame: Plane, qstep: float, blocks: list):
     s = blocks[0].size
     recon = np.empty((frame.height, frame.width), np.uint8)
     flat = np.full((s, s), 128.0)
-    bits = 0.0
     levels_all = []
     for block in blocks:
-        rec, b, levels = reconstruct_block(frame.block(block), flat, qstep)
+        rec, _, levels = reconstruct_block(frame.block(block), flat, qstep)
         _cut(recon, block)[...] = rec
-        bits += b
         levels_all.append(levels)
-    return Plane(recon), bits, np.stack(levels_all)
+    return Plane(recon), np.stack(levels_all)
 
 
 def _mc_chroma(prev: Frame, decisions, block_size: int) -> tuple:
@@ -456,7 +451,7 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     intra_qstep = min(config.qsteps)
     if intra is None:
         intra = _encode_intra(first, intra_qstep, blocks)
-    recon_prev_y, _, intra_levels = intra
+    recon_prev_y, intra_levels = intra
     prev_frame = Frame(y=recon_prev_y, u=frames[0].u, v=frames[0].v)
 
     nx = first.width // s
@@ -473,8 +468,8 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         frame_bits = 0.0
         refine_total = 0.0
         motion = search_frame(cur, prev_frame.y, blocks, config.search)
-        for block, block_motion in zip(blocks, motion):
-            mc = compensate(prev_frame.y, block, block_motion[0])
+        for block, (mv, _) in zip(blocks, motion):
+            mc = compensate(prev_frame.y, block, mv)
             refined = None
             if config.refinement != "none":
                 layout = build_layout(cur, block)
@@ -482,8 +477,8 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
                     t0 = time.perf_counter()
                     refined = refine_block(layout, recon_y, mc, config).block
                     refine_total += time.perf_counter() - t0
-            chosen, decision = _switch(block, block_motion, cur.block(block),
-                                       mc, refined)
+            chosen, decision = _switch(block, mv, cur.block(block), mc,
+                                       refined)
             rec, coeff_bits, levels = reconstruct_block(
                 cur.block(block), chosen, qstep)
             _cut(recon_y, block)[...] = rec

@@ -5,13 +5,15 @@ right, top to bottom).  Around the block currently being predicted, a square
 working area of 3x3 macroblocks is laid out.  Neighbouring blocks that have
 already been transmitted carry usable samples; the centre block holds the
 preliminary temporal predictor; everything else is padding and must never
-influence any result.
+influence any result.  A `ProjectionLayout` is therefore just the block plus
+the availability of its four causal neighbours; its extents, origin and
+region labels are derived from those two fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,27 +145,42 @@ class BlockRef:
 
 @dataclass(frozen=True)
 class ProjectionLayout:
-    """Geometry of the 3x3-macroblock working area around one block.
+    """The 3x3-macroblock working area around one block.
 
-    ``region_map`` labels every sample of the area as REGION_B (the centre
-    block), REGION_R (transmitted neighbours: left, top-left, top, top-right
-    when they exist inside the frame) or REGION_PAD.  ``origin`` is the frame
-    coordinate of the area's top-left corner and may stick out of the frame;
+    The area is fixed by two facts: the block, and which of its four causal
+    neighbours (left, top-left, top, top-right) have been transmitted inside
+    the frame.  Everything else follows from them.  ``region_map`` labels
+    every sample of the area as REGION_B (the centre block), REGION_R (an
+    available neighbour) or REGION_PAD.  ``origin`` is the frame coordinate
+    of the area's top-left corner and may stick out of the frame;
     out-of-frame samples are always PAD.
     """
 
     block: BlockRef
-    m: int
-    n: int
-    region_map: np.ndarray
     availability: tuple[bool, bool, bool, bool]  # left, top-left, top, top-right
-    origin: tuple[int, int]  # (y, x) of area sample [0, 0] in frame coordinates
+
+    @property
+    def m(self) -> int:
+        return 3 * self.block.size
+
+    @property
+    def n(self) -> int:
+        return 3 * self.block.size
+
+    @property
+    def origin(self) -> tuple[int, int]:
+        """(y, x) of area sample [0, 0] in frame coordinates."""
+        return self.block.y0 - self.block.size, self.block.x0 - self.block.size
+
+    @property
+    def region_map(self) -> np.ndarray:
+        return _region_map(self.block.size, self.availability)
 
     @property
     def r_empty(self) -> bool:
         return not any(self.availability)
 
-    @cached_property
+    @property
     def block_slices(self) -> tuple[slice, slice]:
         """Slices of the centre block within the working area."""
         s = self.block.size
@@ -206,20 +223,12 @@ def build_layout(frame_dims, block: BlockRef) -> ProjectionLayout:
             f"block ({block.x0}, {block.y0}) size {s} exceeds frame {width}x{height}")
     left = block.x0 >= s
     top = block.y0 >= s
-    availability = (
+    return ProjectionLayout(block, (
         left,
         left and top,
         top,
         top and block.x0 + 2 * s <= width,
-    )
-    return ProjectionLayout(
-        block=block,
-        m=3 * s,
-        n=3 * s,
-        region_map=_region_map(s, availability),
-        availability=availability,
-        origin=(block.y0 - s, block.x0 - s),
-    )
+    ))
 
 
 def mse(a, b) -> float:

@@ -176,6 +176,10 @@ def synth_sequence(kind: str, *, width: int = 352, height: int = 288,
     """
     if frames < 1:
         raise ValueError("need at least one frame")
+    if width < 1 or height < 1:
+        raise ValueError(f"frame dimensions must be positive, got "
+                         f"{width}x{height}")
+    frame_bytes(width, height)  # 4:2:0 needs even dimensions
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     out = []
     chroma = _gray_chroma(width, height)

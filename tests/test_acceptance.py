@@ -14,8 +14,7 @@ import pytest
 
 from mcrefine import cli
 from mcrefine.bd import bd_metrics
-from mcrefine.basis import (ProjectionContext, WeightMask, build_basis,
-                            projection_context)
+from mcrefine.basis import ProjectionContext, build_basis, projection_context
 from mcrefine.codec import EncoderConfig, encode_pass, predict_frame, \
     replay_trace
 from mcrefine.extrapolate import ExtrapolationParams, run, solve_subspace
@@ -159,7 +158,7 @@ def test_criterion_04(capsys):
     """Signals spanned by a few basis functions are recovered exactly under
     uniform weighting with undamped estimation."""
     basis = build_basis(AREA, AREA)
-    ctx = ProjectionContext(basis, WeightMask.uniform(AREA, AREA))
+    ctx = ProjectionContext(basis, np.ones((AREA, AREA)))
     layout = build_layout((160, 160), BlockRef(64, 64))
     params = ExtrapolationParams(algorithm="msa", iterations=5, gamma=1.0)
     rng = np.random.default_rng(23)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import MatrixContext
-from mcrefine.basis import (ParameterError, ProjectionContext, WeightMask,
-                            build_basis, build_weight_mask, excluded_mask,
+from mcrefine.basis import (ParameterError, ProjectionContext, build_basis,
+                            build_weight_mask, excluded_mask,
                             precompute_norms, projection_context)
 from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, build_layout
 
@@ -100,26 +100,26 @@ class TestBuildBasis:
 class TestWeightMask:
     def test_matches_oracle(self, layout8):
         wm = build_weight_mask(layout8, mu=0.5, rho=0.8)
-        np.testing.assert_allclose(wm.w, weight_oracle(layout8, 0.5, 0.8),
+        np.testing.assert_allclose(wm, weight_oracle(layout8, 0.5, 0.8),
                                    atol=1e-15)
 
     def test_pad_is_exactly_zero(self):
         lay = build_layout((64, 48), BlockRef(0, 0, size=16))
         wm = build_weight_mask(lay)
-        assert np.all(wm.w[lay.region_map == REGION_PAD] == 0.0)
-        assert np.all(wm.w[lay.region_map == REGION_B] == 0.5)
+        assert np.all(wm[lay.region_map == REGION_PAD] == 0.0)
+        assert np.all(wm[lay.region_map == REGION_B] == 0.5)
 
     def test_far_corner_weight(self, layout16):
         # Sample (0,0) of a fully available 48x48 area lies 23.5*sqrt(2)
         # samples from the centre:  0.8**33.234... ~ 6.0e-4.
         wm = build_weight_mask(layout16, mu=0.5, rho=0.8)
         want = 0.8 ** math.sqrt(2 * 23.5 ** 2)
-        assert wm.w[0, 0] == pytest.approx(want, rel=1e-9)
+        assert wm[0, 0] == pytest.approx(want, rel=1e-9)
         assert want == pytest.approx(6.0e-4, rel=0.02)
 
     def test_decay_monotone_towards_corner(self, layout16):
         wm = build_weight_mask(layout16)
-        top_row = wm.w[0, :24]
+        top_row = wm[0, :24]
         assert np.all(np.diff(top_row) >= 0)  # approaching centre column
 
     def test_parameter_validation(self, layout8):
@@ -130,11 +130,6 @@ class TestWeightMask:
         with pytest.raises(ParameterError):
             build_weight_mask(layout8, mu=0.0)
 
-    def test_uniform(self):
-        wm = WeightMask.uniform(6, 4, value=2.0)
-        assert wm.w.shape == (6, 4)
-        assert np.all(wm.w == 2.0)
-
 
 class TestNorms:
     def test_norms_match_inner(self, layout8):
@@ -142,7 +137,7 @@ class TestNorms:
         b = build_basis(layout8.m, layout8.n)
         norms = precompute_norms(b, wm)
         for k in (0, 3, 17, b.count - 1):
-            want = weighted_inner_oracle(b.function(k), b.function(k), wm.w)
+            want = weighted_inner_oracle(b.function(k), b.function(k), wm)
             assert norms[k] == pytest.approx(want, rel=1e-12)
 
     def test_excluded_mask(self):
@@ -152,7 +147,7 @@ class TestNorms:
 
     def test_norm_positive_under_uniform(self):
         b = build_basis(8, 8)
-        norms = precompute_norms(b, WeightMask.uniform(8, 8))
+        norms = precompute_norms(b, np.ones((8, 8)))
         assert np.all(norms > 0)
         assert not excluded_mask(norms).any()
 
@@ -237,7 +232,7 @@ class TestFactoredRoute:
             basis = build_basis.__wrapped__(24, 24)
             wm = build_weight_mask(
                 build_layout((96, 96), BlockRef(0, 48, size=8)))
-        dense = (basis.matrix * basis.matrix) @ wm.w.ravel()
+        dense = (basis.matrix * basis.matrix) @ wm.ravel()
         np.testing.assert_allclose(precompute_norms(basis, wm), dense,
                                    rtol=1e-12, atol=0)
         gram = ProjectionContext(basis, wm).gram(np.arange(64))

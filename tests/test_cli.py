@@ -151,6 +151,12 @@ class TestExitCodes:
         assert rc == 2
         assert "unknown algorithm" in capsys.readouterr().err
 
+    def test_non_finite_weight(self, seq_path, capsys):
+        rc = cli.main(["predict", "--input", str(seq_path), "--width", "64",
+                       "--height", "64", "--mu", "nan"])
+        assert rc == 2
+        assert "mu must be finite" in capsys.readouterr().err
+
     def test_no_input_given(self, capsys):
         rc = cli.main(["encode", "--width", "64", "--height", "64"])
         assert rc == 2
@@ -355,6 +361,15 @@ class TestSynthCommand:
                              "--height", "32", "--count", "2",
                              "--out", str(out)]) == 0
             assert out.stat().st_size == 2 * 32 * 32 * 3 // 2
+
+    @pytest.mark.parametrize("dims", [("0", "32"), ("33", "32")])
+    def test_unreadable_geometry(self, dims, tmp_path, capsys):
+        out = tmp_path / "s.yuv"
+        rc = cli.main(["synth", "--width", dims[0], "--height", dims[1],
+                       "--count", "2", "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunConfigObject:

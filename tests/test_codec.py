@@ -85,9 +85,13 @@ class TestEncoderConfig:
             EncoderConfig(qps=(28, 22))
         with pytest.raises(ValueError):
             EncoderConfig(block_size=12)
-        for weighting in ({"rho": 1.0}, {"rho": 0.0}, {"mu": 0.0}):
+        for weighting in ({"rho": 1.0}, {"rho": 0.0}, {"mu": 0.0},
+                          {"mu": float("nan")}, {"mu": float("inf")}):
             with pytest.raises(basis.ParameterError):
                 EncoderConfig(**weighting)
+        for fps in (0.0, -30.0, float("nan")):
+            with pytest.raises(ValueError, match="frame rate"):
+                EncoderConfig(fps=fps)
 
     def test_engine_named_once(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -204,7 +208,7 @@ class TestBlockCoding:
 
 class TestSideBits:
     def make_decision(self, bx, mv, by=0):
-        return BlockDecision(bx=bx, by=by, mv=mv, sad=0.0, refined=False,
+        return BlockDecision(bx=bx, by=by, mv=mv, refined=False,
                              mc_mse=0.0, refined_mse=float("nan"))
 
     def test_flags_and_differential(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MatrixContext
-from mcrefine.basis import WeightMask, build_basis, projection_context
+from mcrefine.basis import build_basis, projection_context
 from mcrefine.extrapolate import (ExtrapolationParams, decrement_energies,
                                   new_state, run, run_batch, select_batch,
                                   select_candidates, solve_subspace, step)
@@ -40,7 +40,7 @@ def gauss_solve_oracle(a, b):
 
 
 def uniform_ctx(m, n):
-    return MatrixContext(build_basis(m, n), WeightMask.uniform(m, n))
+    return MatrixContext(build_basis(m, n), np.ones((m, n)))
 
 
 class TestSelectCandidates:

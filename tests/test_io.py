@@ -177,6 +177,10 @@ class TestSynth:
             synth_sequence("wibble", frames=1)
         with pytest.raises(ValueError):
             synth_sequence("translate", frames=0)
+        for width, height in ((0, 32), (32, -16), (33, 32), (32, 31)):
+            with pytest.raises(ValueError):
+                synth_sequence("translate", width=width, height=height,
+                               frames=1)
 
     def test_output_feeds_file_roundtrip(self, tmp_path):
         frames = synth_sequence("translate", width=48, height=32, frames=2)
