@@ -10,8 +10,9 @@ fast multi-select variant) share one projection core, and a small
 hybrid-codec harness measures the effect on rate-distortion behaviour.
 """
 
-from .basis import (BasisSet, ParameterError, ProjectionContext, build_basis,
-                    build_weight_mask, projection_context)
+from .basis import (BasisSet, ParameterError, ProjectionContext,
+                    ProjectionStack, build_basis, build_weight_mask,
+                    projection_context, stack_contexts)
 from .bd import BDInputError, BDResult, bd_metrics
 from .codec import (DEFAULT_QPS, EncoderConfig, RDCurve, RDPoint, encode_pass,
                     encode_sequence, predict_frame, qp_to_qstep, replay_trace)
@@ -21,8 +22,8 @@ from .extrapolate import (ALGORITHMS, Diagnostics, ExtrapolationParams,
 from .frame import (BlockRef, Frame, GeometryError, Plane, ProjectionLayout,
                     SampleError, build_layout, mse, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
-from .videoio import (FormatError, SequenceSource, frame_bytes, read_frames,
-                      synth_sequence, write_frames)
+from .videoio import (FormatError, SequenceSource, UnusedOptionError,
+                      frame_bytes, read_frames, synth_sequence, write_frames)
 
 __version__ = "0.1.0"
 
@@ -31,11 +32,12 @@ __all__ = [
     "DEFAULT_QPS", "Diagnostics", "EncoderConfig", "ExtrapolationParams",
     "FormatError", "Frame", "GeometryError", "MotionVector",
     "ParameterError", "Plane", "ProjectionContext", "ProjectionLayout",
-    "RDCurve", "RDPoint", "RefineResult", "SampleError", "SearchParams",
-    "SequenceSource", "SparseModel",
+    "ProjectionStack", "RDCurve", "RDPoint", "RefineResult", "SampleError",
+    "SearchParams", "SequenceSource", "SparseModel", "UnusedOptionError",
     "bd_metrics", "build_basis", "build_layout", "build_weight_mask",
     "compensate", "encode_pass", "encode_sequence", "estimate",
     "frame_bytes", "mse", "mv_bits", "predict_frame", "projection_context",
     "psnr", "qp_to_qstep", "read_frames", "replay_trace", "run",
-    "run_batch", "solve_subspace", "synth_sequence", "write_frames",
+    "run_batch", "solve_subspace", "stack_contexts", "synth_sequence",
+    "write_frames",
 ]

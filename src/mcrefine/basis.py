@@ -246,6 +246,8 @@ class ProjectionContext:
     `numerators`, `gram` and `render` take any leading batch axes, and a
     stacked call computes every member exactly as a call on that member
     alone would, so results never depend on what else is in the batch.
+    A batch whose members need different weightings (different neighbour
+    availability) is served by a `ProjectionStack` instead.
     """
 
     def __init__(self, basis: BasisSet, weights: np.ndarray):
@@ -298,9 +300,19 @@ class ProjectionContext:
         # (S[sum] - S[diff]) / 2, with S = -Im W and the row function first.
         same = sr == sc
         size = b.m * b.n
-        first = self._w_table[np.where(same, diff, size + total)]
-        second = self._w_table[np.where(same, total, size + diff)]
+        first = self.lookup("_w_table", np.where(same, diff, size + total))
+        second = self.lookup("_w_table", np.where(same, total, size + diff))
         return 0.5 * (first + np.where(same != sr, second, -second))
+
+    def lookup(self, table: str, positions) -> np.ndarray:
+        """Entries of the weighting table ``table`` (``"norms"`` or
+        ``"_w_table"``) at ``positions``, whose leading axes are batch axes."""
+        return getattr(self, table)[positions]
+
+    def take(self, rows) -> "ProjectionContext":
+        """The context of the batch members ``rows``: this one, since every
+        member shares its weighting."""
+        return self
 
     def render(self, indices, coefficients) -> np.ndarray:
         """Spatial rasters (flattened) of sum_u c_u * phi_u.
@@ -315,6 +327,81 @@ class ProjectionContext:
         rows = (b.left[idx] * c[..., None, None]).reshape(lead + (-1, b.m))
         cols = b.right[b.l_freq[idx]].reshape(lead + (-1, b.n))
         return (np.swapaxes(rows, -1, -2) @ cols).reshape(lead + (b.m * b.n,))
+
+
+# The arrays that depend on a context's weighting, not only on its basis.
+_WEIGHTING = ("w_flat", "norms", "excluded", "_safe_norms", "_w_table")
+
+
+class ProjectionStack(ProjectionContext):
+    """One weighting per batch member, over one shared basis.
+
+    Member i is weighted like ``contexts[i]``, so one batch can mix
+    neighbour-availability classes of one block size.  The weighting arrays
+    (`w_flat`, `norms`, `excluded`, ...) gain a leading member axis; each is
+    gathered from the distinct contexts when first read, and `lookup` reads
+    member i's Gram table and norms straight from its own context's.  Every
+    method therefore computes member i bitwise as ``contexts[i]`` computes
+    it alone.  `take` restricts the stack to some members without copying
+    their tables, and hands back the plain context when those members
+    share one weighting.
+    """
+
+    def __init__(self, contexts):
+        distinct = list({id(c): c for c in contexts}.values())
+        first = distinct[0]
+        if any(c.basis is not first.basis for c in distinct):
+            raise ValueError("stacked contexts must share one basis")
+        self._distinct = distinct
+        self.basis = first.basis
+        self._spec_pos, self._spec_sign = first._spec_pos, first._spec_sign
+        self._tables = {name: np.stack([getattr(c, name) for c in distinct])
+                        for name in _WEIGHTING}
+        slot = {id(c): i for i, c in enumerate(distinct)}
+        self._slots = np.array([slot[id(c)] for c in contexts])
+
+    def __getattr__(self, name):
+        # Only reached while a weighting array has not been read yet.
+        if name not in _WEIGHTING:
+            raise AttributeError(name)
+        value = self._tables[name][self._slots]
+        setattr(self, name, value)
+        return value
+
+    def lookup(self, table: str, positions) -> np.ndarray:
+        """Member i's entries of ``table`` at ``positions[i]``, one row of
+        positions per member."""
+        rows = self._tables[table]
+        # one flat gather: offsets into the stacked rows cost less to add
+        # than a second index array costs to broadcast
+        offsets = self._slots * rows.shape[1]
+        return rows.reshape(-1)[positions + offsets.reshape(
+            offsets.shape + (1,) * (positions.ndim - 1))]
+
+    def take(self, rows) -> ProjectionContext:
+        """The context of the members ``rows`` (an index or a slice): the
+        members' own context when they all share one, else a stack."""
+        if isinstance(rows, slice) and rows == slice(None):
+            return self
+        slots = self._slots[rows]
+        shared = set(slots.tolist())
+        if len(shared) == 1:
+            return self._distinct[shared.pop()]
+        view = object.__new__(ProjectionStack)
+        view.__dict__.update((key, value) for key, value
+                             in self.__dict__.items() if key not in _WEIGHTING)
+        view._slots = slots
+        return view
+
+
+def stack_contexts(contexts) -> ProjectionContext:
+    """One context for a batch whose member i is weighted by
+    ``contexts[i]``: that context itself when every member shares it,
+    otherwise a `ProjectionStack`."""
+    first = contexts[0]
+    if all(c is first for c in contexts):
+        return first
+    return ProjectionStack(contexts)
 
 
 @lru_cache(maxsize=64)

@@ -31,8 +31,8 @@ from .codec import (DEFAULT_QPS, EncoderConfig, check_frame_count,
 from .extrapolate import ExtrapolationParams
 from .frame import psnr
 from .motion import SearchParams
-from .videoio import (SequenceSource, read_frames, synth_sequence,
-                      write_frames)
+from .videoio import (SYNTH_OPTIONS, SequenceSource, read_frames,
+                      synth_sequence, write_frames)
 
 
 class ConfigError(ValueError):
@@ -170,11 +170,19 @@ def _overrides(args) -> dict:
 
 
 def cmd_synth(args) -> int:
+    """Write a synthetic sequence.  Only the options given are passed on,
+    so `synth_sequence` refuses one that the kind does not use."""
+    options = {"noise_sigma": args.noise_sigma, "texture": args.texture,
+               "zoom_rate": args.zoom_rate}
+    if args.velocity_y is not None or args.velocity_x is not None:
+        vy, vx = SYNTH_OPTIONS["translate"]["velocity"]
+        options["velocity"] = (
+            vy if args.velocity_y is None else args.velocity_y,
+            vx if args.velocity_x is None else args.velocity_x)
     frames = synth_sequence(
         args.kind, width=args.width, height=args.height, frames=args.count,
-        seed=args.seed, velocity=(args.velocity_y, args.velocity_x),
-        noise_sigma=args.noise_sigma, texture=args.texture,
-        zoom_rate=args.zoom_rate)
+        seed=args.seed,
+        **{k: v for k, v in options.items() if v is not None})
     total = write_frames(args.out, frames)
     print(f"wrote {len(frames)} frames ({total} bytes) to {args.out}")
     return 0
@@ -324,10 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "by sparse frequency-selective extrapolation.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # Defaults come from `synth_sequence`, which also rejects unknown kinds
-    # and textures and unreadable frame dimensions.
+    # Defaults come from `synth_sequence` and `SYNTH_OPTIONS`; the function
+    # also rejects unknown kinds and textures, options the kind does not
+    # use, and unreadable frame dimensions.
     synth = {k: p.default for k, p in
              inspect.signature(synth_sequence).parameters.items()}
+    translate, zoom = SYNTH_OPTIONS["translate"], SYNTH_OPTIONS["zoom-texture"]
     sp = sub.add_parser("synth", help="generate a deterministic test sequence")
     sp.add_argument("--kind", default="translate")
     sp.add_argument("--width", type=int, default=synth["width"])
@@ -335,11 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=synth["frames"],
                     help="number of frames")
     sp.add_argument("--seed", type=int, default=synth["seed"])
-    sp.add_argument("--velocity-y", type=float, default=synth["velocity"][0])
-    sp.add_argument("--velocity-x", type=float, default=synth["velocity"][1])
-    sp.add_argument("--noise-sigma", type=float, default=synth["noise_sigma"])
-    sp.add_argument("--texture", default=synth["texture"])
-    sp.add_argument("--zoom-rate", type=float, default=synth["zoom_rate"])
+    sp.add_argument("--velocity-y", type=float, help=f"translate only "
+                    f"(default {translate['velocity'][0]})")
+    sp.add_argument("--velocity-x", type=float, help=f"translate only "
+                    f"(default {translate['velocity'][1]})")
+    sp.add_argument("--noise-sigma", type=float, help=f"translate only "
+                    f"(default {translate['noise_sigma']})")
+    sp.add_argument("--texture", help=f"translate only: waves or field "
+                    f"(default {translate['texture']})")
+    sp.add_argument("--zoom-rate", type=float, help=f"zoom-texture only "
+                    f"(default {zoom['zoom_rate']})")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_synth)
 

@@ -10,11 +10,16 @@ predictor; whichever has the smaller MSE against the original is kept, and
 one flag bit per macroblock is charged for the choice.  Refinement reads
 only data a decoder would also have: the previous reconstructed frame (via
 the displaced block) and already-reconstructed neighbour blocks of the
-current frame.  `replay_trace` exercises exactly that property; it and the
-encoder reach the engine through the same call, `refine_block`, one block
-at a time.  Open-loop prediction (`predict_frame`) has no such dependency
-and refines a frame's blocks in batches through `refine_blocks`; the
-engine computes every batch member exactly as it would alone.
+current frame.  `replay_trace` exercises exactly that property.
+
+Every path reaches the engine through one call, `refine_blocks`, which
+refines a batch of blocks of one size, of any neighbour-availability
+classes, and returns for each block exactly what refining it alone would.
+Open-loop prediction (`predict_frame`) reads no reconstruction, so it
+batches a frame's blocks in raster-order chunks.  The closed loop
+(`encode_pass`) and its replay go wave by wave (`wave_schedule`): a block
+reads only its left, top-left, top and top-right neighbours, which all lie
+in earlier waves, so the blocks of one wave are refined as one batch.
 
 Rates are proxy rates: zeroth-order entropy of the quantized transform
 coefficients per block, plus exp-Golomb motion bits and flag bits.  They
@@ -32,7 +37,8 @@ import numpy as np
 import scipy.fft
 
 from . import extrapolate
-from .basis import DEFAULT_MU, DEFAULT_RHO, check_weighting, projection_context
+from .basis import (DEFAULT_MU, DEFAULT_RHO, check_weighting,
+                    projection_context, stack_contexts)
 from .frame import (NEIGHBOUR_TILES, BlockRef, Frame, GeometryError, Plane,
                     build_layout, mse, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
@@ -175,33 +181,38 @@ def search_frame(current: Plane, reference: Plane, blocks,
     return [estimate(current, reference, block, params) for block in blocks]
 
 
-def refine_block(layout, neighbor_samples: np.ndarray, mc_block: np.ndarray,
-                 config: EncoderConfig) -> extrapolate.RefineResult:
-    """Spatially refine one motion-compensated block.
+def wave_schedule(nx: int, ny: int) -> list:
+    """The blocks of an ``nx`` x ``ny`` grid, by line-scan index, in waves.
 
-    The one refinement call of the encoder and of `replay_trace`, so both
-    build the working area and the weighting alike; it runs the engine
-    loop with a batch of one.
+    Wave w holds the blocks with ``bx + 2 * by == w``, in line-scan order
+    (empty waves of a one-column grid are left out).  A block's left,
+    top-left, top and top-right neighbours lie in waves w - 1, w - 3, w - 2
+    and w - 1, so no block of a wave reads another of the same wave: the
+    wavefront schedule of HEVC's wavefront parallel processing.
     """
-    window = assemble_window(layout, neighbor_samples, mc_block)
-    context = projection_context(layout, mu=config.mu, rho=config.rho)
-    return extrapolate.run(window, layout, config.extrapolation,
-                           context=context)
+    waves = [[] for _ in range(nx + 2 * ny - 2)]
+    for by in range(ny):
+        for bx in range(nx):
+            waves[bx + 2 * by].append(by * nx + bx)
+    return [wave for wave in waves if wave]
 
 
 def refine_blocks(layouts, neighbor_samples: np.ndarray, mc_blocks,
                   config: EncoderConfig) -> list:
-    """Refine blocks of one neighbour-availability class as one batch.
+    """Spatially refine motion-compensated blocks as one engine batch.
 
-    Every layout must share the availability of the first, so one
-    projection context serves the batch.  Each result is bitwise equal to
-    what `refine_block` gives for that block alone.
+    The one refinement call of `predict_frame`, `encode_pass` and
+    `replay_trace`, so all three build working areas and weightings alike.
+    The blocks share one size but may differ in neighbour availability;
+    each result is bitwise equal to what a batch of that block alone gives.
     """
     windows = np.empty((len(layouts), layouts[0].m, layouts[0].n))
     for window, layout, mc in zip(windows, layouts, mc_blocks):
         window[...] = assemble_window(layout, neighbor_samples, mc)
-    context = projection_context(layouts[0], mu=config.mu, rho=config.rho)
-    return extrapolate.run_batch(windows, layouts[0], config.extrapolation,
+    context = stack_contexts([projection_context(layout, mu=config.mu,
+                                                 rho=config.rho)
+                              for layout in layouts])
+    return extrapolate.run_batch(windows, layouts, config.extrapolation,
                                  context=context)
 
 
@@ -242,13 +253,13 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
 
     Motion search runs first, as one `search_frame` pre-pass over every
     block, then motion compensation of every block.  The blocks that have
-    a decoded neighbour are grouped by neighbour-availability class and
-    refined by `refine_blocks` in chunks of `REFINE_CHUNK`, a fixed size
-    that keeps a chunk's engine state in cache; the per-block MSE switch
-    comes last.  Because the engine computes each batch member exactly as
-    it would alone, the result equals refining block by block.  The
-    closed-loop path in `encode_pass` interleaves prediction with
-    reconstruction instead.
+    a decoded neighbour are refined by `refine_blocks` in raster-order
+    chunks of `REFINE_CHUNK`, a fixed size that keeps a chunk's engine
+    state in cache, whatever availability classes a chunk mixes; the
+    per-block MSE switch comes last.  Because the engine computes each
+    batch member exactly as it would alone, the result equals refining
+    block by block.  The closed-loop path in `encode_pass` interleaves
+    prediction with reconstruction instead.
     """
     # Kept for callers that pass jobs=1; there is no parallel path.
     if jobs != 1:
@@ -262,20 +273,14 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
         _cut(mc_raster, block)[...] = compensate(reference, block, mv)
     refined = [None] * len(blocks)
     if config.refinement != "none":
-        classes = {}
-        for i, block in enumerate(blocks):
-            layout = build_layout(current, block)
-            if not layout.r_empty:
-                classes.setdefault(layout.availability, []).append(
-                    (i, layout))
-        for members in classes.values():
-            for lo in range(0, len(members), REFINE_CHUNK):
-                chunk = members[lo:lo + REFINE_CHUNK]
-                for (i, _), result in zip(chunk, refine_blocks(
-                        [layout for _, layout in chunk], current.data,
-                        [_cut(mc_raster, blocks[i]) for i, _ in chunk],
-                        config)):
-                    refined[i] = result.block
+        layouts = [build_layout(current, block) for block in blocks]
+        todo = [i for i, layout in enumerate(layouts) if not layout.r_empty]
+        for lo in range(0, len(todo), REFINE_CHUNK):
+            chunk = todo[lo:lo + REFINE_CHUNK]
+            for i, result in zip(chunk, refine_blocks(
+                    [layouts[i] for i in chunk], current.data,
+                    [_cut(mc_raster, blocks[i]) for i in chunk], config)):
+                refined[i] = result.block
     predictor = np.empty_like(mc_raster)
     decisions = []
     for block, (mv, _), block_refined in zip(blocks, motion, refined):
@@ -374,6 +379,9 @@ class EncodeTrace:
 
 @dataclass(frozen=True)
 class FrameStats:
+    """One coded P-frame.  ``refine_seconds`` is the wall time of the
+    frame's `refine_blocks` calls, one per wave."""
+
     index: int
     bits: float
     psnr_db: float
@@ -440,10 +448,15 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     a decoder-side replay has to reproduce.
 
     Each P-frame starts with a `search_frame` pre-pass against the previous
-    reconstruction; the line-scan loop then refines, switches and
-    reconstructs block by block.  Fewer than two frames raise `ValueError`
-    and a frame the block grid does not tile raises `GeometryError`, both
-    before any block is coded.
+    reconstruction.  The blocks are then coded wave by wave
+    (`wave_schedule`): every block of a wave is motion compensated, the
+    ones with a reconstructed neighbour are refined in one `refine_blocks`
+    call, and each block is switched and reconstructed.  Per-block bits are
+    summed in line-scan order after the frame, so the result equals coding
+    block by block in line-scan order.  ``FrameStats.refine_seconds`` times
+    the per-wave refinement calls.  Fewer than two frames raise
+    `ValueError` and a frame the block grid does not tile raises
+    `GeometryError`, both before any block is coded.
     """
     s = config.block_size
     blocks = _sequence_blocks(frames, s)
@@ -455,6 +468,7 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     prev_frame = Frame(y=recon_prev_y, u=frames[0].u, v=frames[0].v)
 
     nx = first.width // s
+    schedule = wave_schedule(nx, first.height // s)
     total_bits = 0.0
     stats = []
     trace_frames = []
@@ -463,32 +477,40 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         recon_y = np.zeros((cur.height, cur.width), np.uint8)
         pred_y = np.empty((cur.height, cur.width)) \
             if predictor_sink is not None else None
-        decisions = []
-        block_traces = []
-        frame_bits = 0.0
+        decisions = [None] * len(blocks)
+        coeff_bits = [0.0] * len(blocks)
+        levels = [None] * len(blocks)
         refine_total = 0.0
         motion = search_frame(cur, prev_frame.y, blocks, config.search)
-        for block, (mv, _) in zip(blocks, motion):
-            mc = compensate(prev_frame.y, block, mv)
-            refined = None
+        for wave in schedule:
+            mc = {i: compensate(prev_frame.y, blocks[i], motion[i][0])
+                  for i in wave}
+            refined = dict.fromkeys(wave)
             if config.refinement != "none":
-                layout = build_layout(cur, block)
-                if not layout.r_empty:
+                layouts = {i: build_layout(cur, blocks[i]) for i in wave}
+                todo = [i for i in wave if not layouts[i].r_empty]
+                if todo:
                     t0 = time.perf_counter()
-                    refined = refine_block(layout, recon_y, mc, config).block
+                    for i, result in zip(todo, refine_blocks(
+                            [layouts[i] for i in todo], recon_y,
+                            [mc[i] for i in todo], config)):
+                        refined[i] = result.block
                     refine_total += time.perf_counter() - t0
-            chosen, decision = _switch(block, mv, cur.block(block), mc,
-                                       refined)
-            rec, coeff_bits, levels = reconstruct_block(
-                cur.block(block), chosen, qstep)
-            _cut(recon_y, block)[...] = rec
-            if pred_y is not None:
-                _cut(pred_y, block)[...] = chosen
-            decisions.append(decision)
-            frame_bits += coeff_bits
-            if collect_trace:
-                block_traces.append(BlockTrace(
-                    mv=decision.mv, refined=decision.refined, levels=levels))
+            for i in wave:
+                block = blocks[i]
+                chosen, decisions[i] = _switch(block, motion[i][0],
+                                               cur.block(block), mc[i],
+                                               refined[i])
+                rec, coeff_bits[i], levels[i] = reconstruct_block(
+                    cur.block(block), chosen, qstep)
+                _cut(recon_y, block)[...] = rec
+                if pred_y is not None:
+                    _cut(pred_y, block)[...] = chosen
+        # Added one by one in line-scan order, so the float sum does not
+        # depend on the schedule.
+        frame_bits = 0.0
+        for bits in coeff_bits:
+            frame_bits += bits
         frame_bits += _side_bits(decisions, nx, config.refinement != "none")
         total_bits += frame_bits
         refined_n = sum(d.refined for d in decisions)
@@ -500,7 +522,9 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         recon_u, recon_v = _mc_chroma(prev_frame, decisions, s)
         prev_frame = Frame(y=Plane(recon_y), u=recon_u, v=recon_v)
         if collect_trace:
-            trace_frames.append(tuple(block_traces))
+            trace_frames.append(tuple(
+                BlockTrace(mv=d.mv, refined=d.refined, levels=block_levels)
+                for d, block_levels in zip(decisions, levels)))
         if pred_y is not None:
             predictor_sink.append(pred_y)
 
@@ -547,8 +571,10 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
 
     Uses only decoder-visible data: motion vectors, refinement flags and
     quantized levels.  Motion search and the RD switch are *not* re-run; the
-    refinement engine is, reading reconstructed samples only.  Returns the
-    list of per-frame predictor rasters and reconstructed planes.
+    refinement engine is, reading reconstructed samples only.  Blocks are
+    decoded wave by wave as in `encode_pass`, each wave's refined blocks in
+    one `refine_blocks` call.  Returns the list of per-frame predictor
+    rasters and reconstructed planes.
     """
     width, height = trace.dims
     s = trace.block_size
@@ -560,17 +586,23 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
                                                trace.intra_qstep)
     prev = Plane(recon)
     predictors, recons = [], []
+    schedule = wave_schedule(width // s, height // s)
     for frame_trace in trace.frames:
         recon_y = np.zeros((height, width), np.uint8)
         predictor = np.empty((height, width))
-        for block, bt in zip(blocks, frame_trace):
-            pred = compensate(prev, block, bt.mv)
-            if bt.refined:
-                pred = refine_block(build_layout(prev, block), recon_y, pred,
-                                    config).block
-            _cut(predictor, block)[...] = pred
-            _cut(recon_y, block)[...] = decode_block(pred, bt.levels,
-                                                     trace.qstep)
+        for wave in schedule:
+            pred = {i: compensate(prev, blocks[i], frame_trace[i].mv)
+                    for i in wave}
+            todo = [i for i in wave if frame_trace[i].refined]
+            if todo:
+                for i, result in zip(todo, refine_blocks(
+                        [build_layout(prev, blocks[i]) for i in todo],
+                        recon_y, [pred[i] for i in todo], config)):
+                    pred[i] = result.block
+            for i in wave:
+                _cut(predictor, blocks[i])[...] = pred[i]
+                _cut(recon_y, blocks[i])[...] = decode_block(
+                    pred[i], frame_trace[i].levels, trace.qstep)
         predictors.append(predictor)
         recons.append(Plane(recon_y))
         prev = recons[-1]

@@ -21,12 +21,14 @@ known samples, so an undamped coefficient soaks up portions of unselected
 functions.  Taking only a gamma-fraction keeps the weighted error monotone
 for gamma in (0, 2) and lets later iterations re-select the same function.
 
-There is one engine loop, `run_batch`: it steps B working areas that share
-one `ProjectionContext` (one block size and neighbour-availability class)
-together.  Per iteration it takes one stacked FFT for the numerators of
-every member, selects row-wise, builds the Gram matrices by table gathers,
-and solves and renders each group of members with the same support size in
-one stacked call; members that have converged drop out of the batch.
+There is one engine loop, `run_batch`: it steps B working areas of one
+block size together.  Their neighbour availability may differ, so each
+member has its own weighting: one shared `ProjectionContext` when they all
+have the same, a `ProjectionStack` of per-member weightings otherwise.  Per
+iteration it takes one stacked FFT for the numerators of every member,
+selects row-wise, builds the Gram matrices by table gathers, and solves and
+renders each group of members with the same support size in one stacked
+call; members that have converged drop out of the batch.
 `run` is its B = 1 call.  That stacked Cholesky solve, `_solve_group`, is
 the only solver, and `solve_subspace` is its one-member call.  If a
 group's stack is singular, its members are solved again one by one, and a
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProjectionContext, projection_context
+from .basis import ProjectionContext, projection_context, stack_contexts
 from .frame import ProjectionLayout
 
 log = logging.getLogger(__name__)
@@ -151,7 +153,8 @@ def new_state(f, ctx: ProjectionContext, record: bool = False) -> EngineState:
     return EngineState(
         f=f, residual=f.copy(), coefficients=np.zeros((batch, b.count)),
         rendering=np.zeros_like(f),
-        energy0=np.array([_weighted_energy(row, ctx) for row in f]),
+        energy0=np.array([_weighted_energy(row, w) for row, w
+                          in zip(f, _member_weights(ctx, batch))]),
         iterations=np.zeros(batch, dtype=int),
         converged=np.zeros(batch, dtype=bool),
         gram_retries=np.zeros(batch, dtype=int),
@@ -159,8 +162,14 @@ def new_state(f, ctx: ProjectionContext, record: bool = False) -> EngineState:
         selections=[[] for _ in range(batch)] if record else None)
 
 
-def _weighted_energy(residual_flat: np.ndarray, ctx: ProjectionContext) -> float:
-    return float((residual_flat * ctx.w_flat) @ residual_flat)
+def _member_weights(ctx: ProjectionContext, batch: int):
+    """Every member's flattened weights, indexable by member."""
+    w = ctx.w_flat
+    return w if w.ndim == 2 else [w] * batch
+
+
+def _weighted_energy(residual_flat: np.ndarray, w_flat: np.ndarray) -> float:
+    return float((residual_flat * w_flat) @ residual_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +282,13 @@ def _solve_group(members: np.ndarray, support: np.ndarray, fresh: np.ndarray,
     lone member sheds its lowest-decrement fresh pick (rba's established
     span is never fresh), counts one retry in ``retries[member]`` and is
     solved again; once no fresh pick is left it takes no solution.
+    ``ctx`` weights the group's members, row by row.
     """
     while True:
         idx = np.nonzero(support)[1].reshape(len(members), -1)
         gathered = rhs[np.arange(len(members))[:, None], idx]
         if idx.shape[1] == 1:
-            return [(members, idx, gathered / ctx.norms[idx])]
+            return [(members, idx, gathered / ctx.lookup("norms", idx))]
         try:
             return [(members, idx, _cholesky_solve(ctx.gram(idx), gathered))]
         except np.linalg.LinAlgError:
@@ -287,7 +297,8 @@ def _solve_group(members: np.ndarray, support: np.ndarray, fresh: np.ndarray,
             return [solved for i in range(len(members))
                     for solved in _solve_group(
                         members[i:i + 1], support[i:i + 1], fresh[i:i + 1],
-                        rhs[i:i + 1], decr[i:i + 1], ctx, retries)]
+                        rhs[i:i + 1], decr[i:i + 1], ctx.take(slice(i, i + 1)),
+                        retries)]
         retries[members] += 1
         picks = np.flatnonzero(fresh[0])
         if picks.size == 1:
@@ -326,8 +337,9 @@ def step(state: EngineState, params: ExtrapolationParams,
     if rba and state.f_numerators is None:
         state.f_numerators = ctx.numerators(state.f)
     rows = _index(live, len(state.converged))
-    num = ctx.numerators(state.residual[rows])
-    decr = decrement_energies(num, ctx)
+    live_ctx = ctx.take(rows)
+    num = live_ctx.numerators(state.residual[rows])
+    decr = decrement_energies(num, live_ctx)
     n_bf = 1 if params.algorithm == "fsa" else params.n_bf
     fresh = select_batch(decr, params.tau, n_bf,
                          floor=CONVERGENCE_FRACTION * state.energy0[rows])
@@ -347,7 +359,7 @@ def step(state: EngineState, params: ExtrapolationParams,
         group = _index(np.flatnonzero(sizes == size), len(sizes))
         for members, idx, solution in _solve_group(
                 live[group], support[group], fresh[group], rhs[group],
-                decr[group], ctx, state.gram_retries):
+                decr[group], live_ctx.take(group), state.gram_retries):
             values = solution if rba else params.gamma * solution
             state.converged[members] = False
             _apply(state, members, idx, values, ctx, rba)
@@ -357,11 +369,13 @@ def step(state: EngineState, params: ExtrapolationParams,
     state.iterations[live[~state.converged[live]]] += 1
     np.subtract(state.f, state.rendering, out=state.residual)
     if state.selections is not None:
+        weights = _member_weights(ctx, len(state.f))
         for members, idx, values in solved:
             for member, used, coefs in zip(members, idx, values):
                 state.selections[member].append(
                     (used.copy(), coefs.copy(),
-                     _weighted_energy(state.residual[member], ctx)))
+                     _weighted_energy(state.residual[member],
+                                      weights[member])))
     return state
 
 
@@ -388,39 +402,47 @@ def _apply(state: EngineState, members: np.ndarray, idx: np.ndarray,
         state.rendering[rows] += ctx.render(idx, values)
 
 
-def run_batch(windows, layout: ProjectionLayout, params: ExtrapolationParams,
-              *, context: ProjectionContext | None = None,
+def run_batch(windows, layouts, params: ExtrapolationParams, *,
+              context: ProjectionContext | None = None,
               record: bool = False) -> list:
     """Run the configured engine on B working-area signals at once.
 
-    ``windows`` is a (B, M, N) stack of signals that share ``layout``'s
-    geometry and neighbour availability, so one ``context`` (by default
-    ``projection_context(layout)``, the reference weighting) serves them
-    all.  Each signal holds reconstructed samples on R, the temporal
-    predictor on the centre block and arbitrary values on padding; padding
-    carries zero weight and provably never changes the result.  Returns
-    one `RefineResult` per window, each bitwise equal to what `run` gives
-    for that window alone.
+    ``windows`` is a (B, M, N) stack of signals and ``layouts`` their B
+    working areas, all of one block size; their neighbour availability may
+    differ.  ``context`` weights the batch, member by member (see
+    `stack_contexts`); by default every member takes its layout's reference
+    weighting, ``projection_context(layout)``.  Each signal holds
+    reconstructed samples on R, the temporal predictor on the centre block
+    and arbitrary values on padding; padding carries zero weight and
+    provably never changes the result.  Returns one `RefineResult` per
+    window, each bitwise equal to what `run` gives for that window alone.
     """
-    ctx = context if context is not None else projection_context(layout)
+    layouts = list(layouts)
+    first = layouts[0]
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1:] != (layout.m, layout.n):
-        raise ValueError(f"signal shape {windows.shape[1:]} does not match "
-                         f"layout {(layout.m, layout.n)}")
+    if windows.ndim != 3 or windows.shape[1:] != (first.m, first.n) \
+            or len(windows) != len(layouts):
+        raise ValueError(f"signal shape {windows.shape} does not match "
+                         f"{len(layouts)} layouts of {(first.m, first.n)}")
+    if any(layout.block.size != first.block.size for layout in layouts):
+        raise ValueError("a batch takes one block size")
+    ctx = context if context is not None else stack_contexts(
+        [projection_context(layout) for layout in layouts])
     state = new_state(windows, ctx, record=record)
     for _ in range(params.iterations):
         step(state, params, ctx)
         if state.converged.all():
             break
-    sl = layout.block_slices
-    blocks = state.rendering.reshape(-1, layout.m, layout.n)[:, sl[0], sl[1]]
+    sl = first.block_slices
+    blocks = state.rendering.reshape(-1, first.m, first.n)[:, sl[0], sl[1]]
+    weights = _member_weights(ctx, len(windows))
     results = []
     for i in range(len(windows)):
         diag = Diagnostics(
             iterations=int(state.iterations[i]),
             converged=bool(state.converged[i]),
             energy0=float(state.energy0[i]),
-            energy=_weighted_energy(state.residual[i], ctx),
+            energy=_weighted_energy(state.residual[i], weights[i]),
             coefficient_count=int(np.count_nonzero(state.coefficients[i])),
             gram_retries=int(state.gram_retries[i]),
             selections=None if state.selections is None
@@ -438,5 +460,5 @@ def run(f, layout: ProjectionLayout, params: ExtrapolationParams, *,
     """Run the configured engine on one working-area signal: `run_batch`
     with B = 1.  Returns the centre block of the final model plus run
     diagnostics."""
-    return run_batch(np.asarray(f)[None], layout, params, context=context,
+    return run_batch(np.asarray(f)[None], [layout], params, context=context,
                      record=record)[0]

@@ -20,6 +20,10 @@ class FormatError(ValueError):
     """File contents inconsistent with the declared geometry."""
 
 
+class UnusedOptionError(ValueError):
+    """A `synth_sequence` option that the chosen kind does not use."""
+
+
 def frame_bytes(width: int, height: int) -> int:
     if width % 2 or height % 2:
         raise FormatError(f"4:2:0 needs even dimensions, got {width}x{height}")
@@ -154,10 +158,17 @@ def _gray_chroma(width: int, height: int) -> Plane:
     return Plane(np.full((height // 2, width // 2), 128, np.uint8))
 
 
+# The options each sequence kind takes, with their defaults.
+SYNTH_OPTIONS = {
+    "translate": {"velocity": (0.8, 0.3), "noise_sigma": 0.0,
+                  "texture": "waves"},
+    "zoom-texture": {"zoom_rate": 0.005},
+    "noise": {},
+}
+
+
 def synth_sequence(kind: str, *, width: int = 352, height: int = 288,
-                   frames: int = 30, seed: int = 0,
-                   velocity: tuple = (0.8, 0.3), noise_sigma: float = 0.0,
-                   texture: str = "waves", zoom_rate: float = 0.005) -> list:
+                   frames: int = 30, seed: int = 0, **options) -> list:
     """Deterministic test material.
 
     kind "translate": a fixed textured pattern moves by ``velocity``
@@ -171,9 +182,18 @@ def synth_sequence(kind: str, *, width: int = 352, height: int = 288,
 
     kind "noise": independent uniform noise per frame (worst case).
 
+    `SYNTH_OPTIONS` lists the options each kind takes and their defaults;
+    any other option raises `UnusedOptionError` rather than being ignored.
     Chroma planes are constant mid-grey.  Output is bit-reproducible for a
     fixed (kind, geometry, seed, parameter) combination.
     """
+    if kind not in SYNTH_OPTIONS:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    unused = sorted(set(options) - set(SYNTH_OPTIONS[kind]))
+    if unused:
+        raise UnusedOptionError(f"sequence kind {kind!r} does not use "
+                                f"{', '.join(unused)}")
+    options = {**SYNTH_OPTIONS[kind], **options}
     if frames < 1:
         raise ValueError("need at least one frame")
     if width < 1 or height < 1:
@@ -192,7 +212,8 @@ def synth_sequence(kind: str, *, width: int = 352, height: int = 288,
         return out
 
     if kind == "translate":
-        vy, vx = float(velocity[0]), float(velocity[1])
+        vy, vx = (float(v) for v in options["velocity"])
+        noise_sigma, texture = options["noise_sigma"], options["texture"]
         if texture == "waves":
             sample = _wave_pattern
         elif texture == "field":
@@ -209,6 +230,7 @@ def synth_sequence(kind: str, *, width: int = 352, height: int = 288,
         return out
 
     if kind == "zoom-texture":
+        zoom_rate = options["zoom_rate"]
         margin = int(np.ceil(max(height, width) * abs(zoom_rate) * frames)) + 2
         field = _FieldPattern(height, width, margin, seed)
         cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
@@ -217,5 +239,3 @@ def synth_sequence(kind: str, *, width: int = 352, height: int = 288,
             values = field.sample(cy + (yy - cy) * s, cx + (xx - cx) * s)
             out.append(Frame(y=_quantize(values), u=chroma, v=chroma))
         return out
-
-    raise ValueError(f"unknown sequence kind {kind!r}")

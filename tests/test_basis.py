@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import MatrixContext
-from mcrefine.basis import (ParameterError, ProjectionContext, build_basis,
-                            build_weight_mask, excluded_mask,
-                            precompute_norms, projection_context)
+from mcrefine.basis import (ParameterError, ProjectionContext,
+                            ProjectionStack, build_basis, build_weight_mask,
+                            excluded_mask, precompute_norms,
+                            projection_context, stack_contexts)
 from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, build_layout
 
 
@@ -219,6 +220,48 @@ def oracle48(layout16):
     the module instead of pinning the shared cached basis."""
     return MatrixContext(build_basis.__wrapped__(48, 48),
                          build_weight_mask(layout16))
+
+
+class TestProjectionStack:
+    """Member i of a stack is projected bitwise like its own context."""
+
+    @pytest.fixture()
+    def contexts(self):
+        # left-only, no-left, full, full, no-top-right: a wave-like mix
+        return [projection_context(build_layout((48, 32), BlockRef(x, y, 8)))
+                for x, y in ((8, 0), (0, 8), (8, 8), (16, 8), (40, 8))]
+
+    def test_one_weighting_is_not_stacked(self, ctx8):
+        assert stack_contexts([ctx8] * 3) is ctx8
+        assert ctx8.take(np.array([0, 2])) is ctx8
+
+    def test_members_match_their_contexts(self, contexts, rng):
+        stack = stack_contexts(contexts)
+        assert isinstance(stack, ProjectionStack)
+        r = rng.normal(size=(len(contexts), 24 * 24))
+        idx = np.sort(rng.choice(24 * 24, size=(len(contexts), 6)), axis=1)
+        # members 2 and 3 share one weighting, so their view is that context
+        assert stack.take(np.array([3, 2])) is contexts[2]
+        assert stack.take(np.array([3, 0])).take(slice(1, 2)) is contexts[0]
+        for view, rows in ((stack, range(5)),
+                           (stack.take(np.array([4, 1, 2])), [4, 1, 2]),
+                           (stack.take(np.array([3, 4, 0])).take(
+                               slice(1, 3)), [4, 0])):
+            rows = list(rows)
+            num = view.numerators(r[rows])
+            gram = view.gram(idx[rows])
+            norms = view.lookup("norms", idx[rows])
+            for j, i in enumerate(rows):
+                ctx = contexts[i]
+                np.testing.assert_array_equal(num[j], ctx.numerators(r[i]))
+                np.testing.assert_array_equal(gram[j], ctx.gram(idx[i]))
+                np.testing.assert_array_equal(norms[j], ctx.norms[idx[i]])
+                np.testing.assert_array_equal(view.excluded[j], ctx.excluded)
+                np.testing.assert_array_equal(view.w_flat[j], ctx.w_flat)
+
+    def test_one_basis(self, ctx8, ctx16):
+        with pytest.raises(ValueError, match="one basis"):
+            stack_contexts([ctx8, ctx16])
 
 
 class TestFactoredRoute:

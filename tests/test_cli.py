@@ -310,6 +310,28 @@ class TestEncodeCommand:
         assert len(lines) == 3
         assert all(row.startswith("none,") for row in lines[1:])
 
+    @pytest.mark.parametrize("block", ["8", "16"])
+    def test_csv_bytes_do_not_depend_on_schedule(self, block, tmp_path,
+                                                 monkeypatch):
+        # wave by wave against block by block in line-scan order
+        seq = tmp_path / "in.yuv"
+        assert cli.main(["synth", "--width", "96", "--height", "64",
+                         "--count", "3", "--noise-sigma", "10",
+                         "--texture", "field", "--out", str(seq)]) == 0
+        texts = []
+        for schedule in (codec.wave_schedule,
+                         lambda nx, ny: [[i] for i in range(nx * ny)]):
+            monkeypatch.setattr(codec, "wave_schedule", schedule)
+            out = tmp_path / f"rd{len(texts)}.csv"
+            assert cli.main(["encode", "--input", str(seq), "--width", "96",
+                             "--height", "64", "--block-size", block,
+                             "--qps", "28", "--algorithms", "none,msa",
+                             "--search-range", "8",
+                             "--out-csv", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert b"msa," in texts[0]
+
     def test_encode_rejects_jobs(self, seq_path, tmp_path, capsys):
         # there is no thread pool, so `jobs` is not a config key
         ini = tmp_path / "run.ini"
@@ -359,6 +381,37 @@ class TestSynthCommand:
             out = tmp_path / f"{kind}.yuv"
             assert cli.main(["synth", "--kind", kind, "--width", "32",
                              "--height", "32", "--count", "2",
+                             "--out", str(out)]) == 0
+            assert out.stat().st_size == 2 * 32 * 32 * 3 // 2
+
+    @pytest.mark.parametrize("kind, option", [
+        ("noise", ["--texture", "plasma"]),
+        ("noise", ["--texture", "field"]),
+        ("noise", ["--velocity-y", "1"]),
+        ("noise", ["--velocity-x", "0"]),
+        ("noise", ["--noise-sigma", "4"]),
+        ("zoom-texture", ["--texture", "field"]),
+        ("zoom-texture", ["--noise-sigma", "4"]),
+        ("zoom-texture", ["--velocity-x", "1"]),
+        ("translate", ["--zoom-rate", "0.01"]),
+    ])
+    def test_option_the_kind_does_not_use(self, kind, option, tmp_path,
+                                          capsys):
+        out = tmp_path / "s.yuv"
+        rc = cli.main(["synth", "--kind", kind, "--width", "32", "--height",
+                       "32", "--count", "2", *option, "--out", str(out)])
+        assert rc == 2
+        assert f"sequence kind {kind!r} does not use" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_options_the_kind_uses(self, tmp_path):
+        for kind, option in (("translate", ["--velocity-x", "1",
+                                            "--texture", "field"]),
+                             ("zoom-texture", ["--zoom-rate", "0.01"])):
+            out = tmp_path / f"{kind}.yuv"
+            assert cli.main(["synth", "--kind", kind, "--width", "32",
+                             "--height", "32", "--count", "2", *option,
                              "--out", str(out)]) == 0
             assert out.stat().st_size == 2 * 32 * 32 * 3 // 2
 

@@ -12,7 +12,8 @@ from mcrefine.codec import (DEFAULT_QPS, BlockDecision, EncoderConfig,
                             RDCurve, RDPoint, _entropy_bits, _side_bits,
                             assemble_window, decode_block, dct_8x8, idct_8x8,
                             encode_pass, encode_sequence, predict_frame,
-                            qp_to_qstep, reconstruct_block, replay_trace)
+                            qp_to_qstep, reconstruct_block, replay_trace,
+                            wave_schedule)
 from mcrefine.extrapolate import ExtrapolationParams
 from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, \
     GeometryError, build_layout, mse, psnr
@@ -258,8 +259,8 @@ class TestPredictFrame:
 
     @pytest.mark.parametrize("chunk", [codec.REFINE_CHUNK, 3])
     def test_batches_equal_block_by_block(self, chunk, monkeypatch):
-        # 4x3 blocks: every availability class; a chunk of 3 splits the
-        # larger classes across engine calls
+        # 4x3 blocks: every availability class, mixed in raster-order
+        # chunks; a chunk of 3 splits the frame across four engine calls
         monkeypatch.setattr(codec, "REFINE_CHUNK", chunk)
         prev, cur = (f.y for f in synth_sequence(
             "translate", width=64, height=48, frames=2, seed=3,
@@ -277,7 +278,7 @@ class TestPredictFrame:
                 assert math.isnan(d.refined_mse)
                 np.testing.assert_array_equal(got, mc)
                 continue
-            alone = codec.refine_block(layout, cur.data, mc, cfg).block
+            alone = codec.refine_blocks([layout], cur.data, [mc], cfg)[0].block
             assert d.refined_mse == mse(cur.block(block), alone)
             np.testing.assert_array_equal(got, alone if d.refined else mc)
             refined += d.refined
@@ -290,6 +291,66 @@ class TestPredictFrame:
         assert len(fp.decisions) == 16
         assert {(d.bx, d.by) for d in fp.decisions} \
             == {(x, y) for x in range(4) for y in range(4)}
+
+
+def line_scan(nx, ny):
+    """One block per wave: the block-by-block line-scan schedule."""
+    return [[i] for i in range(nx * ny)]
+
+
+SCHEDULES = (wave_schedule, line_scan)
+
+
+def encode_on(schedule, frames, cfg, qstep, qp):
+    """`encode_pass` under ``schedule``: its point, stats, trace and
+    predictor rasters."""
+    sink = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "wave_schedule", schedule)
+        return (*encode_pass(frames, cfg, qstep, qp, collect_trace=True,
+                             predictor_sink=sink), sink)
+
+
+def replay_on(schedule, trace, cfg):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "wave_schedule", schedule)
+        return replay_trace(trace, cfg)
+
+
+def assert_same_pass(a, b):
+    """Two `encode_pass` results (with traces and predictor rasters) are
+    identical, apart from wall-clock timings."""
+    (point_a, stats_a, trace_a, sink_a), (point_b, stats_b, trace_b, sink_b) \
+        = a, b
+    assert point_a == point_b
+    assert [dataclasses.replace(fs, refine_seconds=0.0) for fs in stats_a] \
+        == [dataclasses.replace(fs, refine_seconds=0.0) for fs in stats_b]
+    for enc_a, enc_b in zip(sink_a, sink_b, strict=True):
+        np.testing.assert_array_equal(enc_a, enc_b)
+    for blocks_a, blocks_b in zip(trace_a.frames, trace_b.frames,
+                                  strict=True):
+        for bt_a, bt_b in zip(blocks_a, blocks_b, strict=True):
+            assert (bt_a.mv, bt_a.refined) == (bt_b.mv, bt_b.refined)
+            np.testing.assert_array_equal(bt_a.levels, bt_b.levels)
+
+
+class TestWaveSchedule:
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 1), (4, 4),
+                                        (22, 18)])
+    def test_every_block_once_after_its_neighbours(self, nx, ny):
+        waves = wave_schedule(nx, ny)
+        assert all(waves)
+        assert sorted(i for wave in waves for i in wave) \
+            == list(range(nx * ny))
+        wave_of = {i: w for w, wave in enumerate(waves) for i in wave}
+        for wave in waves:
+            assert wave == sorted(wave)
+            for i in wave:
+                by, bx = divmod(i, nx)
+                for dx, dy in ((-1, 0), (-1, -1), (0, -1), (1, -1)):
+                    x, y = bx + dx, by + dy
+                    if 0 <= x < nx and 0 <= y < ny:
+                        assert wave_of[y * nx + x] < wave_of[i]
 
 
 class TestClosedLoop:
@@ -338,7 +399,8 @@ class TestClosedLoop:
     @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
     def test_replay_bit_exact_for_every_engine(self, algo, size):
         # 48x32: the right-edge blocks of every row below the first have
-        # no top-right neighbour
+        # no top-right neighbour.  The encoder runs wave by wave and the
+        # replay block by block in line-scan order.
         frames = synth_sequence("translate", width=48, height=32, frames=3,
                                 seed=4, velocity=(0.7, 0.4), noise_sigma=6.0)
         iterations = 40 if algo == "fsa" else None
@@ -351,7 +413,7 @@ class TestClosedLoop:
             _, stats, trace = encode_pass(frames, cfg, qstep, qp,
                                           collect_trace=True,
                                           predictor_sink=sink)
-            predictors, recons = replay_trace(trace, cfg)
+            predictors, recons = replay_on(line_scan, trace, cfg)
             for enc, dec in zip(sink, predictors):
                 np.testing.assert_array_equal(enc, dec)
             for fs, rec in zip(stats, recons):
@@ -370,47 +432,72 @@ class TestClosedLoop:
         # frames of 1-5 by 1-4 blocks of 8: single rows and columns, no
         # top-right neighbour at the right edge, search windows clamped by
         # every border, and motion searched on reconstructed references;
-        # strong noise makes refinement win on some blocks
+        # strong noise makes refinement win on some blocks.  Coding wave by
+        # wave and block by block in line-scan order must agree.
         width, height = 8 * blocks[0], 8 * blocks[1]
         frames = synth_sequence("translate", width=width, height=height,
                                 frames=3, seed=seed, velocity=velocity,
                                 noise_sigma=sigma, texture="field")
         cfg = fast_config(block_size=8, qps=(qp,))
-        sink = []
-        _, stats, trace = encode_pass(frames, cfg, cfg.qsteps[0], qp,
-                                      collect_trace=True,
-                                      predictor_sink=sink)
-        predictors, recons = replay_trace(trace, cfg)
-        assert len(predictors) == len(sink) == 2
-        for enc, dec in zip(sink, predictors):
-            np.testing.assert_array_equal(enc, dec)
-        for fs, rec in zip(stats, recons):
-            assert psnr(frames[fs.index].y.data, rec.data) == fs.psnr_db
+        passes = [encode_on(schedule, frames, cfg, cfg.qsteps[0], qp)
+                  for schedule in SCHEDULES]
+        assert_same_pass(*passes)
+        # each schedule's trace replays bit-exactly on the other schedule
+        for (_, stats, trace, sink), schedule in zip(passes, SCHEDULES[::-1]):
+            predictors, recons = replay_on(schedule, trace, cfg)
+            assert len(predictors) == len(sink) == 2
+            for enc, dec in zip(sink, predictors):
+                np.testing.assert_array_equal(enc, dec)
+            for fs, rec in zip(stats, recons):
+                assert psnr(frames[fs.index].y.data, rec.data) == fs.psnr_db
 
-    def test_encoder_and_replay_share_refine_block(self, monkeypatch):
+    @pytest.mark.parametrize("algo", ["none", "fsa", "rba", "msa"])
+    def test_pass_does_not_depend_on_schedule(self, algo):
+        # 48x32 blocks of 8: waves of up to 3 blocks that mix all four
+        # availability classes
+        frames = synth_sequence("translate", width=48, height=32, frames=3,
+                                seed=5, velocity=(0.7, -0.4),
+                                noise_sigma=12.0, texture="field")
+        cfg = fast_config(
+            refinement=algo, block_size=8, qps=(28,),
+            extrapolation=None if algo == "none" else ExtrapolationParams(
+                algorithm=algo, iterations=30 if algo == "fsa" else None))
+        passes = [encode_on(schedule, frames, cfg, 16.0, 28)
+                  for schedule in SCHEDULES]
+        assert_same_pass(*passes)
+        trace = passes[0][2]
+        assert algo == "none" or any(bt.refined for blocks in trace.frames
+                                     for bt in blocks)
+
+    def test_one_engine_batch_per_wave(self, monkeypatch):
+        # 4x4 blocks of 16: ten waves, the first of them the top-left block,
+        # which has no neighbour to refine from
         frames = tiny_sequence(frames=3, sigma=4.0)
         cfg = fast_config(qps=(28,))
-        calls = {"refine_block": 0, "run": 0}
+        members, batches = [], []
 
-        def counted(name, fn):
+        def counted(fn, log):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                log.append(len(args[0]))
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(codec, "refine_block",
-                            counted("refine_block", codec.refine_block))
-        monkeypatch.setattr(codec.extrapolate, "run",
-                            counted("run", codec.extrapolate.run))
+        monkeypatch.setattr(codec, "refine_blocks",
+                            counted(codec.refine_blocks, members))
+        monkeypatch.setattr(codec.extrapolate, "run_batch",
+                            counted(codec.extrapolate.run_batch, batches))
         _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
                                   collect_trace=True)
-        encoded = dict(calls)
-        assert encoded["refine_block"] == encoded["run"] == 2 * 15
+        waves = wave_schedule(4, 4)
+        assert len(waves) == 10
+        assert members == batches == 2 * [len(w) for w in waves[1:]]
+        members.clear()
+        batches.clear()
         replay_trace(trace, cfg)
-        refined = sum(bt.refined for blocks in trace.frames for bt in blocks)
-        assert refined > 0
-        assert calls["refine_block"] == calls["run"] \
-            == encoded["run"] + refined
+        refined = [[i for i in wave if blocks[i].refined]
+                   for blocks in trace.frames for wave in waves]
+        assert sum(map(len, refined)) > 0
+        assert members == batches == [len(r) for r in refined if r]
 
     def test_intra_shared_across_ladder(self):
         frames = tiny_sequence(frames=4, sigma=4.0)

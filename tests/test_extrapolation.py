@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MatrixContext
-from mcrefine.basis import build_basis, projection_context
+from mcrefine.basis import build_basis, projection_context, stack_contexts
 from mcrefine.extrapolate import (ExtrapolationParams, decrement_energies,
                                   new_state, run, run_batch, select_batch,
                                   select_candidates, solve_subspace, step)
@@ -147,6 +147,10 @@ class SingularWith:
         keep = ~np.isin(indices, self.bad)
         return g * (keep[..., :, None] & keep[..., None, :])
 
+    def take(self, rows):
+        sub = self._ctx.take(rows)
+        return self if sub is self._ctx else SingularWith(sub, self.bad)
+
 
 class TestSingularRetry:
     @pytest.mark.parametrize("shed", [1, 2, 3])
@@ -223,6 +227,9 @@ class SingularOnSupport:
         keep = self.support != self.bad
         return np.where(hit, g * (keep[:, None] & keep[None, :]), g)
 
+    def take(self, rows):
+        return self
+
 
 def plaid_windows(rng, count, size):
     """Windows with a few equally strong plane waves plus noise, so the
@@ -264,43 +271,54 @@ BATCH_LAYOUTS = {size: [build_layout((6 * size, 4 * size),
 
 
 class TestBatchIndependence:
-    """A member's result must not depend on batch size, order or mates."""
+    """A member's result must not depend on batch size, order or mates,
+    nor on its mates' neighbour-availability classes."""
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            algo=st.sampled_from(["fsa", "rba", "msa"]),
            size=st.sampled_from([8, 16]), batch=st.integers(1, 7),
-           where=st.integers(0, 3), singular=st.booleans())
+           singular=st.booleans())
     @settings(max_examples=60)
-    def test_members_equal_single_runs(self, seed, algo, size, batch, where,
+    def test_members_equal_single_runs(self, seed, algo, size, batch,
                                        singular):
         rng = np.random.default_rng(seed)
-        layout = BATCH_LAYOUTS[size][where]
-        ctx = projection_context(layout)
+        # every member draws its own availability class
+        layouts = [BATCH_LAYOUTS[size][w] for w in rng.integers(0, 4, batch)]
+        contexts = [projection_context(layout) for layout in layouts]
         windows = plaid_windows(rng, batch, 3 * size)
         # members that converge at once or early: the zero signal, and one
         # basis function
         kinds = rng.integers(0, 4, size=batch)
         windows[kinds == 0] = 0.0
-        windows[kinds == 1] = ctx.basis.function(
-            int(rng.integers(1, ctx.basis.count)))
+        windows[kinds == 1] = contexts[0].basis.function(
+            int(rng.integers(1, contexts[0].basis.count)))
+        bad = None
         if singular:
             # each window names one of its four strongest functions, and
             # any Gram that holds a named function is singular, so rba/msa
             # members retry and shed
-            top = np.argsort(decrement_energies(ctx.numerators(windows), ctx),
-                             axis=1)[:, -4:]
-            ctx = SingularWith(ctx, top[np.arange(batch),
-                                        rng.integers(0, 4, size=batch)])
+            top = np.stack([np.argsort(decrement_energies(
+                ctx.numerators(w), ctx))[-4:]
+                for w, ctx in zip(windows, contexts)])
+            bad = top[np.arange(batch), rng.integers(0, 4, size=batch)]
+
+        def weighting(members):
+            # None: run_batch stacks each layout's reference weighting
+            if bad is None:
+                return None
+            return SingularWith(stack_contexts([contexts[m] for m in members]),
+                                bad)
+
         params = ExtrapolationParams(
             algorithm=algo, iterations=30 if algo == "fsa" else None)
-        alone = [run(w, layout, params, context=ctx, record=True)
-                 for w in windows]
+        alone = [run(w, layouts[m], params, context=weighting([m]),
+                     record=True) for m, w in enumerate(windows)]
         order = rng.permutation(batch)
         cuts = np.sort(rng.choice(np.arange(1, batch), size=int(
             rng.integers(0, batch)), replace=False)) if batch > 1 else []
         for chunk in np.split(order, cuts):
-            got = run_batch(windows[chunk], layout, params, context=ctx,
-                            record=True)
+            got = run_batch(windows[chunk], [layouts[m] for m in chunk],
+                            params, context=weighting(chunk), record=True)
             assert len(got) == len(chunk)
             for member, result in zip(chunk, got):
                 assert_same_run(result, alone[member])
@@ -318,7 +336,8 @@ class TestBatchIndependence:
     def test_equal_sizes_solve_together(self, layout16, ctx16):
         windows = self.four_function_windows(ctx16)
         msa = ExtrapolationParams.defaults("msa")
-        got = run_batch(windows, layout16, msa, context=ctx16, record=True)
+        got = run_batch(windows, [layout16] * 5, msa, context=ctx16,
+                        record=True)
         for window, result, support in zip(windows, got, self.SUPPORTS):
             assert all(np.array_equal(sel, support)
                        for sel, _, _ in result.diagnostics.selections)
@@ -335,7 +354,8 @@ class TestBatchIndependence:
         # one iteration: exactly one retry, only for that member, which
         # sheds its weakest pick
         once = ExtrapolationParams(algorithm="msa", iterations=1)
-        got = run_batch(windows, layout16, once, context=stub, record=True)
+        got = run_batch(windows, [layout16] * 5, once, context=stub,
+                        record=True)
         assert [r.diagnostics.gram_retries for r in got] == [0, 0, 1, 0, 0]
         for i, (r, s) in enumerate(zip(got, supports)):
             want = np.setdiff1d(s, [bad]) if i == 2 else s
@@ -344,7 +364,8 @@ class TestBatchIndependence:
         # every iteration that picks the singular set again retries again;
         # the member matches its own B = 1 run and its mates are untouched
         msa = ExtrapolationParams.defaults("msa")
-        got = run_batch(windows, layout16, msa, context=stub, record=True)
+        got = run_batch(windows, [layout16] * 5, msa, context=stub,
+                        record=True)
         assert_same_run(got[2], run(windows[2], layout16, msa, context=stub,
                                     record=True))
         for i in (0, 1, 3, 4):
@@ -352,10 +373,14 @@ class TestBatchIndependence:
             assert_same_run(got[i], run(windows[i], layout16, msa,
                                         context=ctx16, record=True))
 
-    def test_shape_validation(self, layout8):
+    def test_shape_validation(self, layout8, layout16):
+        msa = ExtrapolationParams.defaults("msa")
         with pytest.raises(ValueError, match="shape"):
-            run_batch(np.zeros((2, 10, 10)), layout8,
-                      ExtrapolationParams.defaults("msa"))
+            run_batch(np.zeros((2, 10, 10)), [layout8] * 2, msa)
+        with pytest.raises(ValueError, match="2 layouts"):
+            run_batch(np.zeros((3, 24, 24)), [layout8] * 2, msa)
+        with pytest.raises(ValueError, match="one block size"):
+            run_batch(np.zeros((2, 24, 24)), [layout8, layout16], msa)
 
 
 class TestParams:

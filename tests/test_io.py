@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mcrefine.frame import Frame, Plane
-from mcrefine.videoio import (FormatError, SequenceSource, frame_bytes,
-                              read_frames, synth_sequence, write_frames)
+from mcrefine.videoio import (FormatError, SequenceSource,
+                              UnusedOptionError, frame_bytes, read_frames,
+                              synth_sequence, write_frames)
 
 
 def random_frames(rng, n=3, width=32, height=24):
@@ -173,6 +174,11 @@ class TestSynth:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             synth_sequence("translate", texture="plasma", frames=1)
+        with pytest.raises(UnusedOptionError, match="does not use texture"):
+            synth_sequence("noise", texture="waves", frames=1)
+        with pytest.raises(UnusedOptionError, match="noise_sigma, velocity"):
+            synth_sequence("zoom-texture", velocity=(1, 0), noise_sigma=2.0,
+                           frames=1)
         with pytest.raises(ValueError):
             synth_sequence("wibble", frames=1)
         with pytest.raises(ValueError):
