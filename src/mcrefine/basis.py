@@ -18,11 +18,18 @@ weighted correlation is read out of two FFTs,
     sum_x r[x] w[x] cos(phi_k[x]) =  Re FFT2(r*w)[k, l]
     sum_x r[x] w[x] sin(phi_k[x]) = -Im FFT2(r*w)[k, l]
 
-and product-to-sum identities reduce weighted products of two basis
-functions to lookups into W = FFT2(w).  The weighted norms are the diagonal
-of that rule in closed form, (W[0, 0] +/- Re W[2k, 2l]) / 2, plus for the
-cosine member and minus for the sine member.  Models are rendered from
-small per-frequency factor tables, never from a dense basis matrix.
+and product-to-sum identities reduce the weighted product of two basis
+functions to half the sum of two entries of W = FFT2(w), one at the
+difference and one at the sum of their frequencies, each signed by the two
+members' kinds.  Each context keeps those entries, with their signs, in one
+flat table: the four quarters -S, C, S and -C, with C = Re W and S = -Im W,
+each tiled to 2M x 2N so that a difference or a sum of two frequencies is
+in range without a modulo.  Every basis function carries three integer
+keys (`BasisSet.gram_keys`), so a Gram entry is two gathers at a row key
+plus a column key.  The weighted norms are the diagonal of that rule in
+closed form, (W[0, 0] +/- Re W[2k, 2l]) / 2, plus for the cosine member and
+minus for the sine member.  Models are rendered from small per-frequency
+factor tables, never from a dense basis matrix.
 
 `BasisSet.matrix`, one raster per function, is built lazily on first access
 and is not used by the projection route; it is the reference that the tests
@@ -71,6 +78,28 @@ class BasisSet:
 
     def function(self, k: int) -> np.ndarray:
         return self.left[k].T @ self.right[self.l_freq[k]]
+
+    @cached_property
+    def gram_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, difference, sum) keys of every function into a Gram table.
+
+        With p = k*2N + l a frequency's position in the 2M x 2N tile and Q
+        = 4MN a quarter of the table, the row key is p + Q*sin, the
+        difference key -p + M*2N + N + Q*(1 - sin) and the sum key p +
+        Q*(1 + sin).  A row key plus a column key then lands in the
+        quarter that the two members' kinds select (C for cos*cos at both
+        frequencies and sin*sin at the difference, -C for sin*sin at the
+        sum, S or -S for mixed pairs) at the difference or the sum of
+        their frequencies, each in [0, 2M) x [0, 2N).
+        """
+        quarter = 4 * self.m * self.n
+        pos = self.k_freq * (2 * self.n) + self.l_freq
+        sin = self.is_sin * quarter
+        keys = (pos + sin, (self.m * 2 * self.n + self.n + quarter) - pos - sin,
+                pos + quarter + sin)
+        for key in keys:
+            key.setflags(write=False)
+        return keys
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -217,13 +246,27 @@ def _half_spectrum_lookup(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
-def _pair_positions(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(min(i, j), max(i, j)) for every entry (i, j) of a size x size matrix."""
+def _upper_triangle(size: int) -> np.ndarray:
+    """Mask of the entries (i, j) with i <= j of a size x size matrix."""
     pos = np.arange(size)
-    lower, upper = np.minimum.outer(pos, pos), np.maximum.outer(pos, pos)
-    lower.setflags(write=False)
+    upper = pos[:, None] <= pos[None, :]
     upper.setflags(write=False)
-    return lower, upper
+    return upper
+
+
+def gram_table(weights: np.ndarray) -> np.ndarray:
+    """The signed, doubled FFT2(w) table that `ProjectionContext.gram` reads.
+
+    Four quarters, -S, C, S and -C, with C = Re W, S = -Im W and W =
+    FFT2(w), each tiled to 2M x 2N and flattened: 16*M*N float64 values,
+    295 KB at a 48 x 48 area.  The negated quarters are exact negations,
+    so a lookup into them equals subtracting the unsigned entry.
+    """
+    what = np.fft.fft2(weights)
+    cos, sin = what.real, -what.imag
+    table = np.tile(np.stack((-sin, cos, sin, -cos)), (1, 2, 2)).ravel()
+    table.setflags(write=False)
+    return table
 
 
 def _flat_rasters(x, basis: BasisSet) -> np.ndarray:
@@ -238,8 +281,9 @@ class ProjectionContext:
     """A basis bound to one (M, N) weight array, with fast weighted
     correlations.
 
-    Numerators and Gram entries are read out of FFT tables, norms come in
-    closed form from FFT2(w) (see `precompute_norms`), and models are
+    Numerators are read out of one stacked real FFT and Gram entries out of
+    the context's signed, doubled FFT2(w) table (`gram_table`), norms come
+    in closed form from FFT2(w) (see `precompute_norms`), and models are
     rendered from the basis factor tables.  There is one route; the dense
     `BasisSet.matrix` is only the reference that tests check it against.
 
@@ -257,10 +301,7 @@ class ProjectionContext:
         self.norms = precompute_norms(basis, weights)
         self.excluded = excluded_mask(self.norms)
         self._safe_norms = np.where(self.excluded, 1.0, self.norms)
-        what = np.fft.fft2(weights)
-        # Gram lookups: the cos-type table Re W, then the sin-type -Im W.
-        self._w_table = np.concatenate((what.real.ravel(),
-                                        -what.imag.ravel()))
+        self._gram_table = gram_table(weights)
         self._spec_pos, self._spec_sign = _half_spectrum_lookup(basis)
 
     # -- weighted correlations -------------------------------------------
@@ -283,30 +324,33 @@ class ProjectionContext:
         """Symmetric matrices of weighted products phi_a * phi_b over P.
 
         ``indices`` is (..., K); the result is (..., K, K).  Product-to-sum
-        identities read every entry from the FFT2(w) table at the difference
-        and the sum of the two frequencies.  Entry (i, j) is evaluated with
-        the lower position as the row, so the matrix is exactly symmetric.
+        identities make entry (a, b) half the sum of two signed FFT2(w)
+        entries, at the difference and at the sum of the two frequencies:
+        cos*cos = (C[diff] + C[sum]) / 2, sin*sin = (C[diff] - C[sum]) / 2,
+        sin*cos = (S[sum] + S[diff]) / 2 and cos*sin = (S[sum] - S[diff]) /
+        2, with C = Re W, S = -Im W and the row function first.  Both are
+        read from the signed table, at the row key of a plus the difference
+        or sum key of b (`BasisSet.gram_keys`), with no modulo and no
+        select.  Entry (i, j) is evaluated with the lower position as the
+        row, so the matrix is exactly symmetric.
         """
-        b = self.basis
         idx = np.asarray(indices, dtype=np.intp)
-        lower, upper = _pair_positions(idx.shape[-1])
-        row, col = idx[..., lower], idx[..., upper]
-        kr, lr, sr = b.k_freq[row], b.l_freq[row], b.is_sin[row]
-        kc, lc, sc = b.k_freq[col], b.l_freq[col], b.is_sin[col]
-        diff = ((kr - kc) % b.m) * b.n + (lr - lc) % b.n
-        total = ((kr + kc) % b.m) * b.n + (lr + lc) % b.n
-        # cos*cos = (Re W[diff] + Re W[sum]) / 2, sin*sin = (Re W[diff] -
-        # Re W[sum]) / 2, sin*cos = (S[sum] + S[diff]) / 2 and cos*sin =
-        # (S[sum] - S[diff]) / 2, with S = -Im W and the row function first.
-        same = sr == sc
-        size = b.m * b.n
-        first = self.lookup("_w_table", np.where(same, diff, size + total))
-        second = self.lookup("_w_table", np.where(same, total, size + diff))
-        return 0.5 * (first + np.where(same != sr, second, -second))
+        _, diff, total = self.basis.gram_keys
+        row = self._row_keys(idx)[..., :, None]
+        table = self._gram_table
+        g = table[row + diff[idx][..., None, :]]
+        g += table[row + total[idx][..., None, :]]
+        g *= 0.5
+        return np.where(_upper_triangle(idx.shape[-1]), g,
+                        np.swapaxes(g, -1, -2))
+
+    def _row_keys(self, idx: np.ndarray) -> np.ndarray:
+        """Gram row keys of the functions ``idx`` into `_gram_table`."""
+        return self.basis.gram_keys[0][idx]
 
     def lookup(self, table: str, positions) -> np.ndarray:
-        """Entries of the weighting table ``table`` (``"norms"`` or
-        ``"_w_table"``) at ``positions``, whose leading axes are batch axes."""
+        """Entries of the weighting table ``table`` (such as ``"norms"``) at
+        ``positions``, whose leading axes are batch axes."""
         return getattr(self, table)[positions]
 
     def take(self, rows) -> "ProjectionContext":
@@ -329,22 +373,68 @@ class ProjectionContext:
         return (np.swapaxes(rows, -1, -2) @ cols).reshape(lead + (b.m * b.n,))
 
 
-# The arrays that depend on a context's weighting, not only on its basis.
-_WEIGHTING = ("w_flat", "norms", "excluded", "_safe_norms", "_w_table")
+# The arrays that depend on a context's weighting, not only on its basis,
+# and that a stack gathers per member when first read.
+_WEIGHTING = ("w_flat", "norms", "excluded", "_safe_norms")
+# An atlas holds at most this many contexts, one per neighbour-availability
+# pattern of one weighting, which bounds its memory.
+_ATLAS_SLOTS = 16
+
+
+class _Atlas:
+    """The weighting arrays and Gram tables of the contexts stacked so far
+    at one area size, one row per context, built once so that a stack of
+    any of those contexts indexes rows instead of copying tables.
+
+    Each of those contexts then reads its own arrays from its atlas row,
+    which holds the same values, so a stacked context's Gram table is kept
+    once, not twice.
+    """
+
+    def __init__(self, contexts):
+        self.contexts = tuple(contexts)
+        self.slot = {id(c): i for i, c in enumerate(self.contexts)}
+        self.rows = {name: np.stack([getattr(c, name) for c in self.contexts])
+                     for name in _WEIGHTING + ("_gram_table",)}
+        for name, rows in self.rows.items():
+            rows.setflags(write=False)
+            for context, row in zip(self.contexts, rows):
+                setattr(context, name, row)
+
+
+_ATLASES: dict[tuple[int, int], _Atlas] = {}
+
+
+def _atlas(contexts) -> _Atlas:
+    """The atlas of the area size of ``contexts`` (distinct contexts of one
+    basis), extended by those it lacks.  A full atlas starts over with
+    ``contexts`` alone, which bounds its memory."""
+    shape = (contexts[0].basis.m, contexts[0].basis.n)
+    atlas = _ATLASES.get(shape)
+    known = atlas.contexts if atlas is not None else ()
+    missing = tuple(c for c in contexts if c not in known)
+    if missing:
+        if len(known) + len(missing) > _ATLAS_SLOTS:
+            known, missing = (), tuple(contexts)
+        atlas = _ATLASES[shape] = _Atlas(known + missing)
+    return atlas
 
 
 class ProjectionStack(ProjectionContext):
     """One weighting per batch member, over one shared basis.
 
     Member i is weighted like ``contexts[i]``, so one batch can mix
-    neighbour-availability classes of one block size.  The weighting arrays
-    (`w_flat`, `norms`, `excluded`, ...) gain a leading member axis; each is
-    gathered from the distinct contexts when first read, and `lookup` reads
-    member i's Gram table and norms straight from its own context's.  Every
-    method therefore computes member i bitwise as ``contexts[i]`` computes
-    it alone.  `take` restricts the stack to some members without copying
-    their tables, and hands back the plain context when those members
-    share one weighting.
+    neighbour-availability classes of one block size.  The contexts' arrays
+    are rows of the atlas of their area size, stacked once and shared by
+    every later stack of those contexts.  The weighting arrays (`w_flat`,
+    `norms`, `excluded`, ...) gain a leading member axis, gathered from the
+    atlas rows when first read.  `gram` reads the flat atlas Gram table:
+    each member's slot offset is added once to its row keys, so the (K, K)
+    positions cost no more than a single context's.  `lookup` reads each
+    member's norms the same way.  Every method therefore computes member i
+    bitwise as ``contexts[i]`` computes it alone.  `take` restricts the
+    stack to some members without copying any table, and hands back the
+    plain context when those members share one weighting.
     """
 
     def __init__(self, contexts):
@@ -352,13 +442,18 @@ class ProjectionStack(ProjectionContext):
         first = distinct[0]
         if any(c.basis is not first.basis for c in distinct):
             raise ValueError("stacked contexts must share one basis")
-        self._distinct = distinct
+        atlas = _atlas(distinct)
         self.basis = first.basis
         self._spec_pos, self._spec_sign = first._spec_pos, first._spec_sign
-        self._tables = {name: np.stack([getattr(c, name) for c in distinct])
-                        for name in _WEIGHTING}
-        slot = {id(c): i for i, c in enumerate(distinct)}
-        self._slots = np.array([slot[id(c)] for c in contexts])
+        self._contexts = atlas.contexts
+        self._tables = atlas.rows
+        self._gram_table = atlas.rows["_gram_table"].reshape(-1)
+        self._bind(np.array([atlas.slot[id(c)] for c in contexts]))
+
+    def _bind(self, slots: np.ndarray) -> None:
+        """Make member i the atlas row ``slots[i]``."""
+        self._slots = slots
+        self._gram_offsets = slots * self._tables["_gram_table"].shape[1]
 
     def __getattr__(self, name):
         # Only reached while a weighting array has not been read yet.
@@ -368,6 +463,15 @@ class ProjectionStack(ProjectionContext):
         setattr(self, name, value)
         return value
 
+    @staticmethod
+    def _per_member(offsets: np.ndarray, ndim: int) -> np.ndarray:
+        """Member offsets shaped to broadcast over ``ndim``-axis positions."""
+        return offsets.reshape(offsets.shape + (1,) * (ndim - 1))
+
+    def _row_keys(self, idx: np.ndarray) -> np.ndarray:
+        keys = self.basis.gram_keys[0][idx]
+        return keys + self._per_member(self._gram_offsets, keys.ndim)
+
     def lookup(self, table: str, positions) -> np.ndarray:
         """Member i's entries of ``table`` at ``positions[i]``, one row of
         positions per member."""
@@ -375,8 +479,8 @@ class ProjectionStack(ProjectionContext):
         # one flat gather: offsets into the stacked rows cost less to add
         # than a second index array costs to broadcast
         offsets = self._slots * rows.shape[1]
-        return rows.reshape(-1)[positions + offsets.reshape(
-            offsets.shape + (1,) * (positions.ndim - 1))]
+        return rows.reshape(-1)[positions + self._per_member(
+            offsets, positions.ndim)]
 
     def take(self, rows) -> ProjectionContext:
         """The context of the members ``rows`` (an index or a slice): the
@@ -386,11 +490,11 @@ class ProjectionStack(ProjectionContext):
         slots = self._slots[rows]
         shared = set(slots.tolist())
         if len(shared) == 1:
-            return self._distinct[shared.pop()]
+            return self._contexts[shared.pop()]
         view = object.__new__(ProjectionStack)
         view.__dict__.update((key, value) for key, value
                              in self.__dict__.items() if key not in _WEIGHTING)
-        view._slots = slots
+        view._bind(slots)
         return view
 
 

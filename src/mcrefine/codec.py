@@ -84,7 +84,8 @@ class EncoderConfig:
         if len(self.qps) < 1 or any(b <= a for a, b in zip(self.qps, self.qps[1:])):
             raise ValueError("quantizer ladder must be strictly increasing")
         # The engine's factor table takes 16*(3s)**3 bytes: 113 MB at 64,
-        # 906 MB at 128.
+        # 906 MB at 128.  Each projection context adds a Gram table of
+        # 128*(3s)**2 bytes: 295 KB at 16, 4.7 MB at 64.
         s = self.block_size
         if s < 8 or s > 64 or s & (s - 1):
             raise ValueError(f"block size must be a power of two from 8 (the "

@@ -25,10 +25,14 @@ There is one engine loop, `run_batch`: it steps B working areas of one
 block size together.  Their neighbour availability may differ, so each
 member has its own weighting: one shared `ProjectionContext` when they all
 have the same, a `ProjectionStack` of per-member weightings otherwise.  Per
-iteration it takes one stacked FFT for the numerators of every member,
-selects row-wise, builds the Gram matrices by table gathers, and solves and
-renders each group of members with the same support size in one stacked
-call; members that have converged drop out of the batch.
+iteration it takes one stacked FFT for the numerators of every member and
+selects row-wise.  It then extracts the live support once, as flat
+entries ordered by support size, so each group of members with the same
+support size is a set of (G, K) arrays (indices, right-hand sides,
+decrements and fresh flags) read off those entries without copying a
+(G, count) row.  Each group's Gram matrices are two gathers per entry from
+the signed FFT2(w) table, and the group is solved and rendered in one
+stacked call; members that have converged drop out of the batch.
 `run` is its B = 1 call.  That stacked Cholesky solve, `_solve_group`, is
 the only solver, and `solve_subspace` is its one-member call.  If a
 group's stack is singular, its members are solved again one by one, and a
@@ -258,45 +262,46 @@ def solve_subspace(residual, indices, ctx: ProjectionContext
     array may be a subset of the input.  This is the engine's own solve,
     `_solve_group`, for one member.
     """
-    num = ctx.numerators(np.asarray(residual, dtype=np.float64))[None]
-    picks = np.zeros(num.shape, dtype=bool)
-    picks[0, np.asarray(indices, dtype=np.intp)] = True
-    solved = _solve_group(np.zeros(1, int), picks, picks, num,
-                          decrement_energies(num, ctx), ctx, np.zeros(1, int))
+    num = ctx.numerators(np.asarray(residual, dtype=np.float64))
+    idx = np.unique(np.asarray(indices, dtype=np.intp))
+    decr = decrement_energies(num, ctx)
+    solved = _solve_group(np.zeros(1, int), idx[None],
+                          np.ones((1, idx.size), bool), num[idx][None],
+                          decr[idx][None], ctx, np.zeros(1, int))
     if not solved:
         return np.empty(0), np.empty(0, dtype=np.intp)
     _, used, solution = solved[0]
     return solution[0], used[0]
 
 
-def _solve_group(members: np.ndarray, support: np.ndarray, fresh: np.ndarray,
+def _solve_group(members: np.ndarray, idx: np.ndarray, fresh: np.ndarray,
                  rhs: np.ndarray, decr: np.ndarray, ctx: ProjectionContext,
                  retries: np.ndarray) -> list:
     """Solve the systems of members that share one support size.
 
-    ``support``/``fresh`` are the members' (G, count) masks and ``rhs`` and
-    ``decr`` their (G, count) right-hand sides and decrements.  Returns
-    (members, indices, solution) triples with equally sized solutions; the
-    stacked Cholesky here is the only place a system is factored.  If it
-    fails, a group of several members is solved again member by member.  A
-    lone member sheds its lowest-decrement fresh pick (rba's established
-    span is never fresh), counts one retry in ``retries[member]`` and is
-    solved again; once no fresh pick is left it takes no solution.
-    ``ctx`` weights the group's members, row by row.
+    Row g of the (G, K) arrays belongs to ``members[g]``: ``idx`` holds its
+    support in ascending order, ``fresh`` flags the picks of this
+    iteration, and ``rhs`` and ``decr`` hold the right-hand sides and
+    decrements at those functions.  Returns (members, indices, solution)
+    triples with equally sized solutions; the stacked Cholesky here is the
+    only place a system is factored.  If it fails, a group of several
+    members is solved again member by member.  A lone member sheds its
+    lowest-decrement fresh pick (rba's established span is never fresh),
+    counts one retry in ``retries[member]`` and is solved again; once no
+    fresh pick is left it takes no solution.  ``ctx`` weights the group's
+    members, row by row.
     """
     while True:
-        idx = np.nonzero(support)[1].reshape(len(members), -1)
-        gathered = rhs[np.arange(len(members))[:, None], idx]
         if idx.shape[1] == 1:
-            return [(members, idx, gathered / ctx.lookup("norms", idx))]
+            return [(members, idx, rhs / ctx.lookup("norms", idx))]
         try:
-            return [(members, idx, _cholesky_solve(ctx.gram(idx), gathered))]
+            return [(members, idx, _cholesky_solve(ctx.gram(idx), rhs))]
         except np.linalg.LinAlgError:
             pass
         if len(members) > 1:
             return [solved for i in range(len(members))
                     for solved in _solve_group(
-                        members[i:i + 1], support[i:i + 1], fresh[i:i + 1],
+                        members[i:i + 1], idx[i:i + 1], fresh[i:i + 1],
                         rhs[i:i + 1], decr[i:i + 1], ctx.take(slice(i, i + 1)),
                         retries)]
         retries[members] += 1
@@ -304,10 +309,9 @@ def _solve_group(members: np.ndarray, support: np.ndarray, fresh: np.ndarray,
         if picks.size == 1:
             return []
         weakest = picks[np.argmin(decr[0, picks])]
-        log.debug("gram singular; shedding function %d", weakest)
-        # copies: the masks may be views, and fsa/msa pass ``support is fresh``
-        support, fresh = support.copy(), fresh.copy()
-        support[0, weakest] = fresh[0, weakest] = False
+        log.debug("gram singular; shedding function %d", idx[0, weakest])
+        keep = np.arange(idx.shape[1]) != weakest
+        idx, fresh, rhs, decr = (a[:, keep] for a in (idx, fresh, rhs, decr))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +327,13 @@ def step(state: EngineState, params: ExtrapolationParams,
     msa with ``n_bf`` 1).  rba selects against the residual, then
     re-projects the *input* onto the span of every function selected so
     far and replaces all coefficients, undamped; because the span only
-    grows, the weighted error cannot increase.  Members with equally large
-    systems share one `_solve_group` call, in which a member with a
-    singular Gram sheds fresh picks, one retry each, until it solves.  A
+    grows, the weighted error cannot increase.  The live support is read
+    with one ``nonzero`` over the (L, count) mask; its entries, ordered by
+    (support size, member, index), give each size's members as contiguous
+    (G, K) arrays of indices, right-hand sides, decrements and fresh
+    flags.  Members with equally large systems share one `_solve_group`
+    call on those arrays, in which a member with a singular Gram sheds
+    fresh picks, one retry each, until it solves.  A
     member converges when its best decrement falls below
     `CONVERGENCE_FRACTION` of its initial error, when nothing new is
     selected, or when the retries shed every fresh pick.
@@ -346,24 +354,41 @@ def step(state: EngineState, params: ExtrapolationParams,
     if rba:
         fresh &= ~state.active[rows]
         support = fresh | state.active[rows]
-        rhs = state.f_numerators[rows]
+        support[~fresh.any(axis=1)] = False   # nothing new: no system
     else:
-        support, rhs = fresh, num
-    sizes = np.count_nonzero(fresh, axis=1)
-    if rba:
-        sizes = np.where(sizes > 0, np.count_nonzero(support, axis=1), 0)
+        support = fresh
+    # The live support, once, as flat entries of the (L, count) masks,
+    # ordered by (size, member, index) when the sizes differ, so that each
+    # size's group is one contiguous (G, K) block of entries.
+    count = support.shape[1]
+    flat = support.reshape(-1).nonzero()[0]
+    member = flat // count
+    sizes = np.bincount(member, minlength=len(live))
+    members_per_size = np.bincount(sizes).tolist()
+    if members_per_size[-1] < len(live):
+        flat = flat[sizes[member].argsort(kind="stable")]
+    by_size = sizes.argsort(kind="stable")
+    col = flat % count
+    rhs = (state.f_numerators[rows] if rba else num).take(flat)
+    decr, fresh = decr.take(flat), fresh.take(flat)
     # A live member converges unless it takes a solution.
     state.converged[live] = True
     solved = []
-    for size in sorted(set(sizes.tolist()) - {0}):
-        group = _index(np.flatnonzero(sizes == size), len(sizes))
-        for members, idx, solution in _solve_group(
-                live[group], support[group], fresh[group], rhs[group],
-                decr[group], live_ctx.take(group), state.gram_retries):
-            values = solution if rba else params.gamma * solution
-            state.converged[members] = False
-            _apply(state, members, idx, values, ctx, rba)
-            solved.append((members, idx, values))
+    first = start = 0
+    for size, n in enumerate(members_per_size):
+        if size and n:
+            group = _index(by_size[first:first + n], len(live))
+            block = slice(start, start + size * n)
+            for members, idx, solution in _solve_group(
+                    live[group], *(a[block].reshape(n, size)
+                                   for a in (col, fresh, rhs, decr)),
+                    live_ctx.take(group), state.gram_retries):
+                values = solution if rba else params.gamma * solution
+                state.converged[members] = False
+                _apply(state, members, idx, values, ctx, rba)
+                solved.append((members, idx, values))
+        first += n
+        start += size * n
     # The other members' residuals are recomputed unchanged, without
     # temporaries.
     state.iterations[live[~state.converged[live]]] += 1

@@ -39,6 +39,37 @@ class MatrixContext(ProjectionContext):
         return (c[..., None, :] @ self.basis.matrix[idx])[..., 0, :]
 
 
+def reference_gram(ctx, indices):
+    """Gram matrices by the modulo/`np.where` formula over W = FFT2(w).
+
+    The reference for `ProjectionContext.gram`, which must match it bit for
+    bit: the same two FFT2(w) entries per product, at the difference and
+    the sum of the two frequencies taken modulo (M, N), signed by the two
+    members' kinds, added once and halved, with the lower position as the
+    row.
+    """
+    b = ctx.basis
+    what = np.fft.fft2(ctx.weights)
+    # the cos-type table Re W, then the sin-type -Im W
+    table = np.concatenate((what.real.ravel(), -what.imag.ravel()))
+    idx = np.asarray(indices, dtype=np.intp)
+    pos = np.arange(idx.shape[-1])
+    row = idx[..., np.minimum.outer(pos, pos)]
+    col = idx[..., np.maximum.outer(pos, pos)]
+    kr, lr, sr = b.k_freq[row], b.l_freq[row], b.is_sin[row]
+    kc, lc, sc = b.k_freq[col], b.l_freq[col], b.is_sin[col]
+    diff = ((kr - kc) % b.m) * b.n + (lr - lc) % b.n
+    total = ((kr + kc) % b.m) * b.n + (lr + lc) % b.n
+    # cos*cos = (Re W[diff] + Re W[sum]) / 2, sin*sin = (Re W[diff] -
+    # Re W[sum]) / 2, sin*cos = (S[sum] + S[diff]) / 2 and cos*sin =
+    # (S[sum] - S[diff]) / 2, with S = -Im W and the row function first.
+    same = sr == sc
+    size = b.m * b.n
+    first = table[np.where(same, diff, size + total)]
+    second = table[np.where(same, total, size + diff)]
+    return 0.5 * (first + np.where(same != sr, second, -second))
+
+
 @pytest.fixture(scope="session")
 def layout8():
     """Interior block of size 8: all four neighbours available, 24x24 area."""

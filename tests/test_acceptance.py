@@ -7,6 +7,7 @@ selection-order pathology, prediction gain, BD arithmetic, relative speed,
 decoder consistency and bit-reproducibility.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -270,13 +271,25 @@ def test_criterion_08(capsys, interior_ctx):
     and in the same league as cumulative re-projection."""
     layout, ctx = interior_ctx
     windows = working_windows(100, seed=31)
-    times = {}
-    for algorithm in ("fsa", "rba", "msa"):
+
+    def seconds(algorithm):
         params = ExtrapolationParams.defaults(algorithm)
         t0 = time.perf_counter()
         for window in windows:
             run(window, layout, params, context=ctx)
-        times[algorithm] = time.perf_counter() - t0
+        return time.perf_counter() - t0
+
+    # rba and msa take a few tenths of a second each, so one slow spell of
+    # a shared machine could move their ratio across a bound: they
+    # alternate over five repeats and are compared by their medians.  fsa,
+    # about ten times slower than msa, is timed once.
+    repeats = {"rba": [], "msa": []}
+    for _ in range(5):
+        for algorithm, spent in repeats.items():
+            spent.append(seconds(algorithm))
+    times = {algorithm: statistics.median(spent)
+             for algorithm, spent in repeats.items()}
+    times["fsa"] = seconds("fsa")
     fsa_ratio = times["fsa"] / times["msa"]
     rba_ratio = times["rba"] / times["msa"]
     ok = fsa_ratio >= 5.0 and 1.0 / 3.0 <= rba_ratio <= 3.0

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import MatrixContext
+from conftest import MatrixContext, reference_gram
 from mcrefine.basis import (ParameterError, ProjectionContext,
                             ProjectionStack, build_basis, build_weight_mask,
                             excluded_mask, precompute_norms,
                             projection_context, stack_contexts)
-from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, build_layout
+from mcrefine.frame import (REGION_B, REGION_PAD, REGION_R, BlockRef,
+                            ProjectionLayout, build_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +263,65 @@ class TestProjectionStack:
     def test_one_basis(self, ctx8, ctx16):
         with pytest.raises(ValueError, match="one basis"):
             stack_contexts([ctx8, ctx16])
+
+
+def _bitwise_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# All sixteen (left, top-left, top, top-right) patterns, from no neighbour
+# at all through every pattern without a top-right neighbour to the full set.
+PATTERNS = [tuple(bool(bits >> i & 1) for i in range(4)) for bits in range(16)]
+
+
+def _pattern_context(size, availability):
+    """An uncached context, so block-32 tables are freed with the test."""
+    layout = ProjectionLayout(BlockRef(size, size, size), availability)
+    return ProjectionContext(build_basis(layout.m, layout.n),
+                             build_weight_mask(layout))
+
+
+class TestGramTable:
+    """The signed, doubled table route equals the modulo reference bitwise."""
+
+    @pytest.mark.parametrize("size", [8, 16, 32])
+    def test_every_pattern(self, size, rng):
+        for availability in PATTERNS:
+            ctx = _pattern_context(size, availability)
+            count = ctx.basis.count
+            for k in (1, 2, 3, 7, 20, 33, 80):
+                # unsorted, with repeats and an explicit duplicate
+                idx = rng.integers(0, count, size=k)
+                idx[-1] = idx[0]
+                _bitwise_equal(ctx.gram(idx), reference_gram(ctx, idx))
+            # leading batch axes, and the extreme frequencies
+            idx = rng.integers(0, count, size=(2, 3, 9))
+            idx[0, 0, :4] = (0, count - 1, count - 2, 1)
+            _bitwise_equal(ctx.gram(idx), reference_gram(ctx, idx))
+
+    def test_every_size_up_to_80(self, ctx16, rng):
+        for k in range(1, 81):
+            idx = np.sort(rng.choice(ctx16.basis.count, size=(2, k)), axis=1)
+            _bitwise_equal(ctx16.gram(idx), reference_gram(ctx16, idx))
+
+    def test_mixed_stack_members_equal_their_contexts(self, rng):
+        contexts = [projection_context(build_layout((64, 48), BlockRef(
+            x, y, 16))) for x, y in ((16, 0), (0, 16), (16, 16), (48, 16),
+                                     (32, 16), (0, 32))]
+        stack = stack_contexts(contexts)
+        assert isinstance(stack, ProjectionStack)
+        for k in (2, 5, 20, 80):
+            idx = np.sort(rng.integers(0, stack.basis.count,
+                                       size=(len(contexts), k)), axis=1)
+            idx[:, -1] = idx[:, 0]
+            for view, rows in ((stack, range(len(contexts))),
+                               (stack.take(np.array([5, 0, 3])), [5, 0, 3])):
+                rows = list(rows)
+                gram = view.gram(idx[rows])
+                for j, i in enumerate(rows):
+                    _bitwise_equal(gram[j], reference_gram(contexts[i], idx[i]))
+                    _bitwise_equal(gram[j], contexts[i].gram(idx[i]))
 
 
 class TestFactoredRoute:
