@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import MatrixContext, reference_gram
-from mcrefine.basis import (ParameterError, ProjectionContext,
-                            ProjectionStack, build_basis, build_weight_mask,
-                            excluded_mask, precompute_norms,
-                            projection_context, stack_contexts)
+from mcrefine.basis import (_ATLAS_SLOTS, _ATLASES, ParameterError,
+                            ProjectionContext, ProjectionStack, build_basis,
+                            build_weight_mask, excluded_mask,
+                            precompute_norms, projection_context,
+                            stack_contexts)
 from mcrefine.frame import (REGION_B, REGION_PAD, REGION_R, BlockRef,
                             ProjectionLayout, build_layout)
 
@@ -259,6 +260,18 @@ class TestProjectionStack:
                 np.testing.assert_array_equal(norms[j], ctx.norms[idx[i]])
                 np.testing.assert_array_equal(view.excluded[j], ctx.excluded)
                 np.testing.assert_array_equal(view.w_flat[j], ctx.w_flat)
+
+    def test_atlas_is_bounded(self, rng):
+        # more distinct weightings of one area size than an atlas holds
+        layout = build_layout((48, 32), BlockRef(8, 8, 8))
+        contexts = [projection_context(layout, rho=0.5 + 0.02 * i)
+                    for i in range(_ATLAS_SLOTS + 4)]
+        idx = np.sort(rng.choice(24 * 24, size=(2, 6)), axis=1)
+        for pair in zip(contexts, contexts[1:]):
+            gram = stack_contexts(pair).gram(idx)
+            assert len(_ATLASES[(24, 24)].contexts) <= _ATLAS_SLOTS
+            for j, ctx in enumerate(pair):
+                _bitwise_equal(gram[j], reference_gram(ctx, idx[j]))
 
     def test_one_basis(self, ctx8, ctx16):
         with pytest.raises(ValueError, match="one basis"):
