@@ -27,17 +27,19 @@ member has its own weighting: one shared `ProjectionContext` when they all
 have the same, a `ProjectionStack` of per-member weightings otherwise.  Per
 iteration it takes one stacked FFT for the numerators of every member and
 selects row-wise.  It then extracts the live support once, as flat
-entries ordered by support size, so each group of members with the same
-support size is a set of (G, K) arrays (indices, right-hand sides,
-decrements and fresh flags) read off those entries without copying a
-(G, count) row.  Each group's Gram matrices are two gathers per entry from
-the signed FFT2(w) table, and the group is solved and rendered in one
-stacked call; members that have converged drop out of the batch.
-`run` is its B = 1 call.  That stacked Cholesky solve, `_solve_group`, is
-the only solver, and `solve_subspace` is its one-member call.  If a
-group's stack is singular, its members are solved again one by one, and a
-member whose own Gram is singular sheds its weakest fresh pick, one retry
-at a time, until its system is solvable or no fresh pick is left.  Every
+entries, so each group of members with the same support size is a set of
+(G, K) arrays (indices, right-hand sides, decrements and fresh flags) read
+off those entries without copying a (G, count) row; entries are reordered
+by support size only when the sizes differ.  Each group's Gram matrices
+are built in one stacked call, two gathers per entry from the signed
+FFT2(w) table, and its models are rendered in another; members that have
+converged drop out of the batch.  `run` is its B = 1 call.  The solve,
+`_solve_group`, is the only solver, and `solve_subspace` is its one-member
+call: it factors and solves each member's Gram on its own with LAPACK's
+Cholesky pair (``dpotrf``, ``dpotrs``), so a member whose Gram is singular
+fails alone and sheds its weakest fresh pick, one retry at a time, until
+its system is solvable or no fresh pick is left, while its batch-mates are
+factored once.  Every
 member's block, coefficients and diagnostics are bitwise independent of
 the batch size and of its batch-mates: every stacked operation computes
 each member exactly as it would compute it alone, and the solve never pads
@@ -50,9 +52,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .basis import ProjectionContext, projection_context, stack_contexts
-from .frame import ProjectionLayout
+from .frame import ProjectionLayout, SampleError
 
 log = logging.getLogger(__name__)
 
@@ -186,8 +189,7 @@ def decrement_energies(num: np.ndarray, ctx: ProjectionContext) -> np.ndarray:
     p_k = num_k / norm_k.  Excluded functions (zero weighted norm) get 0,
     so they can never be selected.  Leading batch axes are kept.
     """
-    decr = num / ctx._safe_norms    # projections p, then in place
-    decr[..., ctx.excluded] = 0.0
+    decr = num / ctx._safe_norms    # projections p (0 if excluded), in place
     decr *= decr
     decr *= ctx.norms
     return decr
@@ -204,17 +206,19 @@ def select_batch(decrements: np.ndarray, tau: float, n_bf: int,
     positive, or lies below ``floor`` (a scalar or one value per row),
     selects nothing.
     """
-    d_max = decrements.max(axis=1, initial=0.0)
+    rows = np.arange(len(decrements))
+    best = decrements.argmax(axis=1)      # the first best of each row
+    d_max = decrements[rows, best]
     valid = (d_max > 0.0) & (d_max >= floor)
     if n_bf == 1:   # a cap of one keeps only the best
         picked = np.zeros(decrements.shape, dtype=bool)
-    else:
-        picked = decrements > tau * d_max[:, None]
-        picked[~valid] = False
-    rows = np.flatnonzero(valid)
-    picked[rows, np.argmax(decrements, axis=1)[rows]] = True  # first best
-    counts = np.count_nonzero(picked, axis=1)
-    over = np.flatnonzero(counts > n_bf)
+        picked[rows, best] = valid
+        return picked
+    picked = decrements > tau * d_max[:, None]
+    picked &= valid[:, None]
+    picked[rows, best] = valid
+    counts = picked.sum(axis=1)
+    over = (counts > n_bf).nonzero()[0]
     if over.size:
         r, c = np.nonzero(picked[over])
         order = np.lexsort((c, -decrements[over[r], c], r))
@@ -236,18 +240,6 @@ def select_candidates(decrements: np.ndarray, tau: float, n_bf: int) -> np.ndarr
     """
     return np.flatnonzero(select_batch(np.asarray(decrements)[None], tau,
                                        n_bf)[0])
-
-
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve stacked normal equations (..., K, K) x = (..., K) by Cholesky.
-
-    Raises `numpy.linalg.LinAlgError` unless every matrix is positive
-    definite.  Stacked calls factor and solve each system on its own, so a
-    member's solution does not depend on the other systems in the stack.
-    """
-    low = np.linalg.cholesky(gram)
-    half = np.linalg.solve(low, rhs[..., None])
-    return np.linalg.solve(np.swapaxes(low, -1, -2), half)[..., 0]
 
 
 def solve_subspace(residual, indices, ctx: ProjectionContext
@@ -283,35 +275,44 @@ def _solve_group(members: np.ndarray, idx: np.ndarray, fresh: np.ndarray,
     support in ascending order, ``fresh`` flags the picks of this
     iteration, and ``rhs`` and ``decr`` hold the right-hand sides and
     decrements at those functions.  Returns (members, indices, solution)
-    triples with equally sized solutions; the stacked Cholesky here is the
-    only place a system is factored.  If it fails, a group of several
-    members is solved again member by member.  A lone member sheds its
-    lowest-decrement fresh pick (rba's established span is never fresh),
-    counts one retry in ``retries[member]`` and is solved again; once no
-    fresh pick is left it takes no solution.  ``ctx`` weights the group's
-    members, row by row.
+    triples with equally sized solutions.  The group's Gram matrices are
+    built in one stacked call; each member's own is then factored and
+    solved by LAPACK's Cholesky pair, ``dpotrf`` and ``dpotrs``, on its
+    lower triangle, the only place a system is factored.  So each member
+    succeeds or fails on its own: a member whose Gram is not positive
+    definite sheds its lowest-decrement fresh pick (rba's established span
+    is never fresh), counts one retry in ``retries[member]`` and is solved
+    again alone; once no fresh pick is left it takes no solution.  ``ctx``
+    weights the group's members, row by row.
     """
-    while True:
-        if idx.shape[1] == 1:
-            return [(members, idx, rhs / ctx.lookup("norms", idx))]
-        try:
-            return [(members, idx, _cholesky_solve(ctx.gram(idx), rhs))]
-        except np.linalg.LinAlgError:
-            pass
-        if len(members) > 1:
-            return [solved for i in range(len(members))
-                    for solved in _solve_group(
-                        members[i:i + 1], idx[i:i + 1], fresh[i:i + 1],
-                        rhs[i:i + 1], decr[i:i + 1], ctx.take(slice(i, i + 1)),
-                        retries)]
-        retries[members] += 1
-        picks = np.flatnonzero(fresh[0])
+    if idx.shape[1] == 1:
+        return [(members, idx, rhs / ctx.lookup("norms", idx))]
+    solution = np.empty_like(rhs)
+    failed = []
+    for g, gram in enumerate(ctx.gram(idx)):
+        low, info = dpotrf(gram, lower=True)
+        if info:
+            failed.append(g)
+        else:
+            solution[g] = dpotrs(low, rhs[g], lower=True)[0]
+    if not failed:
+        return [(members, idx, solution)]
+    ok = np.ones(len(members), dtype=bool)
+    ok[failed] = False
+    solved = [(members[ok], idx[ok], solution[ok])] if ok.any() else []
+    for g in failed:
+        retries[members[g]] += 1
+        picks = fresh[g].nonzero()[0]
         if picks.size == 1:
-            return []
-        weakest = picks[np.argmin(decr[0, picks])]
-        log.debug("gram singular; shedding function %d", idx[0, weakest])
+            continue
+        weakest = picks[np.argmin(decr[g, picks])]
+        log.debug("gram singular; shedding function %d", idx[g, weakest])
         keep = np.arange(idx.shape[1]) != weakest
-        idx, fresh, rhs, decr = (a[:, keep] for a in (idx, fresh, rhs, decr))
+        solved += _solve_group(members[g:g + 1],
+                               *(a[g:g + 1, keep]
+                                 for a in (idx, fresh, rhs, decr)),
+                               ctx.take(slice(g, g + 1)), retries)
+    return solved
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +330,17 @@ def step(state: EngineState, params: ExtrapolationParams,
     far and replaces all coefficients, undamped; because the span only
     grows, the weighted error cannot increase.  The live support is read
     with one ``nonzero`` over the (L, count) mask; its entries, ordered by
-    (support size, member, index), give each size's members as contiguous
-    (G, K) arrays of indices, right-hand sides, decrements and fresh
-    flags.  Members with equally large systems share one `_solve_group`
-    call on those arrays, in which a member with a singular Gram sheds
-    fresh picks, one retry each, until it solves.  A
-    member converges when its best decrement falls below
-    `CONVERGENCE_FRACTION` of its initial error, when nothing new is
-    selected, or when the retries shed every fresh pick.
+    (support size, member, index) when the sizes differ, give each size's
+    members as contiguous (G, K) arrays of indices, right-hand sides,
+    decrements and fresh flags.  Members with equally large systems share
+    one `_solve_group` call on those arrays, which factors each member's
+    Gram on its own; a member whose Gram is singular sheds fresh picks, one
+    retry each, until it solves.  A member converges when its best
+    decrement falls below `CONVERGENCE_FRACTION` of its initial error, when
+    nothing new is selected, or when the retries shed every fresh pick;
+    every other live member counts one iteration.
     """
-    live = np.flatnonzero(~state.converged)
+    live = (~state.converged).nonzero()[0]
     if live.size == 0:
         return state
     rba = params.algorithm == "rba"
@@ -357,41 +359,43 @@ def step(state: EngineState, params: ExtrapolationParams,
         support[~fresh.any(axis=1)] = False   # nothing new: no system
     else:
         support = fresh
-    # The live support, once, as flat entries of the (L, count) masks,
-    # ordered by (size, member, index) when the sizes differ, so that each
-    # size's group is one contiguous (G, K) block of entries.
+    # The live support, once, as flat entries of the (L, count) masks.
+    # When the sizes differ they are ordered by (size, member, index), so
+    # that each size's group is one contiguous (G, K) block of entries.
     count = support.shape[1]
     flat = support.reshape(-1).nonzero()[0]
-    member = flat // count
-    sizes = np.bincount(member, minlength=len(live))
-    members_per_size = np.bincount(sizes).tolist()
-    if members_per_size[-1] < len(live):
-        flat = flat[sizes[member].argsort(kind="stable")]
-    by_size = sizes.argsort(kind="stable")
+    sizes = support.sum(axis=1)
+    group_sizes = sorted(set(sizes.tolist()) - {0})
+    if len(group_sizes) > 1:
+        flat = flat[sizes[flat // count].argsort(kind="stable")]
+        by_size = sizes.argsort(kind="stable")
+        ends = np.bincount(sizes).cumsum()
+        groups = [by_size[ends[size - 1]:ends[size]] for size in group_sizes]
+    else:   # one size: the entries are in order already
+        groups = [sizes.nonzero()[0]] * len(group_sizes)
     col = flat % count
     rhs = (state.f_numerators[rows] if rba else num).take(flat)
     decr, fresh = decr.take(flat), fresh.take(flat)
     # A live member converges unless it takes a solution.
     state.converged[live] = True
     solved = []
-    first = start = 0
-    for size, n in enumerate(members_per_size):
-        if size and n:
-            group = _index(by_size[first:first + n], len(live))
-            block = slice(start, start + size * n)
-            for members, idx, solution in _solve_group(
-                    live[group], *(a[block].reshape(n, size)
-                                   for a in (col, fresh, rhs, decr)),
-                    live_ctx.take(group), state.gram_retries):
-                values = solution if rba else params.gamma * solution
-                state.converged[members] = False
-                _apply(state, members, idx, values, ctx, rba)
-                solved.append((members, idx, values))
-        first += n
+    start = 0
+    for size, group in zip(group_sizes, groups):
+        n = len(group)
+        block = slice(start, start + size * n)
         start += size * n
+        group = _index(group, len(live))
+        for members, idx, solution in _solve_group(
+                live[group], *(a[block].reshape(n, size)
+                               for a in (col, fresh, rhs, decr)),
+                live_ctx.take(group), state.gram_retries):
+            values = solution if rba else params.gamma * solution
+            state.converged[members] = False
+            _apply(state, members, idx, values, ctx, rba)
+            solved.append((members, idx, values))
+    state.iterations += ~state.converged
     # The other members' residuals are recomputed unchanged, without
     # temporaries.
-    state.iterations[live[~state.converged[live]]] += 1
     np.subtract(state.f, state.rendering, out=state.residual)
     if state.selections is not None:
         weights = _member_weights(ctx, len(state.f))
@@ -441,8 +445,12 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
     and arbitrary values on padding; padding carries zero weight and
     provably never changes the result.  Returns one `RefineResult` per
     window, each bitwise equal to what `run` gives for that window alone.
+    Raises `ValueError` before any work for an empty batch, mismatched
+    shapes or block sizes, and `SampleError` for a non-finite sample.
     """
     layouts = list(layouts)
+    if not layouts:
+        raise ValueError("a batch needs at least one working area")
     first = layouts[0]
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[1:] != (first.m, first.n) \
@@ -451,6 +459,8 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
                          f"{len(layouts)} layouts of {(first.m, first.n)}")
     if any(layout.block.size != first.block.size for layout in layouts):
         raise ValueError("a batch takes one block size")
+    if not np.isfinite(windows).all():
+        raise SampleError("working-area signals must be finite")
     ctx = context if context is not None else stack_contexts(
         [projection_context(layout) for layout in layouts])
     state = new_state(windows, ctx, record=record)

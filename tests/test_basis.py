@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from conftest import MatrixContext, reference_gram
 from mcrefine.basis import (_ATLAS_SLOTS, _ATLASES, ParameterError,
@@ -168,6 +169,13 @@ class TestProjectionContextModes:
         for k in (0, 1, 40, 111):
             want = weighted_inner_oracle(r, b.function(k), w)
             assert ref[k] == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_numerators_keep_the_rfft2_bits(self, ctx16, rng):
+        # the row pass and the in-place column pass give scipy's rfft2 bits
+        r = rng.normal(size=(3, 48, 48))
+        half = scipy.fft.rfft2(r * ctx16.weights).view(np.float64)
+        want = half.reshape(3, -1)[:, ctx16._spec_pos] * ctx16._spec_sign
+        np.testing.assert_array_equal(ctx16.numerators(r), want)
 
     def test_gram_matches_oracle(self, ctx8, ctx8_matrix, rng):
         idx = np.sort(rng.choice(ctx8.basis.count, size=12, replace=False))

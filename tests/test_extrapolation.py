@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from conftest import MatrixContext
+from mcrefine import extrapolate
 from mcrefine.basis import build_basis, projection_context, stack_contexts
 from mcrefine.extrapolate import (ExtrapolationParams, decrement_energies,
                                   new_state, run, run_batch, select_batch,
                                   select_candidates, solve_subspace, step)
-from mcrefine.frame import BlockRef, build_layout
+from mcrefine.frame import BlockRef, SampleError, build_layout
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +346,32 @@ class TestBatchIndependence:
             assert_same_run(result, run(window, layout16, msa, context=ctx16,
                                         record=True))
 
-    def test_singular_member_retries_alone(self, layout16, ctx16):
+    def test_singular_member_retries_alone(self, layout16, ctx16,
+                                           monkeypatch):
         supports = self.SUPPORTS
         windows = self.four_function_windows(ctx16)
         support = supports[2]
         decr = decrement_energies(ctx16.numerators(windows[2]), ctx16)
         bad = support[np.argmin(decr[support])]
         stub = SingularOnSupport(ctx16, support, bad)
+        factored = []
+
+        def dpotrf(gram, **kwargs):
+            factored.append(np.array(gram))
+            return lapack.dpotrf(gram, **kwargs)
+
         # one iteration: exactly one retry, only for that member, which
-        # sheds its weakest pick
+        # sheds its weakest pick; every batch-mate is factored once
         once = ExtrapolationParams(algorithm="msa", iterations=1)
-        got = run_batch(windows, [layout16] * 5, once, context=stub,
-                        record=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(extrapolate, "dpotrf", dpotrf)
+            got = run_batch(windows, [layout16] * 5, once, context=stub,
+                            record=True)
         assert [r.diagnostics.gram_retries for r in got] == [0, 0, 1, 0, 0]
+        for i in (0, 1, 3, 4):
+            mate = ctx16.gram(supports[i])
+            assert sum(np.array_equal(g, mate) for g in factored) == 1
+        assert len(factored) == 6   # five members, then the shed retry
         for i, (r, s) in enumerate(zip(got, supports)):
             want = np.setdiff1d(s, [bad]) if i == 2 else s
             np.testing.assert_array_equal(r.diagnostics.selections[0][0],
@@ -381,6 +396,48 @@ class TestBatchIndependence:
             run_batch(np.zeros((3, 24, 24)), [layout8] * 2, msa)
         with pytest.raises(ValueError, match="one block size"):
             run_batch(np.zeros((2, 24, 24)), [layout8, layout16], msa)
+
+    # a non-finite sample on R, on the centre block and on padding
+    @pytest.mark.parametrize("where, value", [((0, 0), np.nan),
+                                              ((12, 12), np.inf),
+                                              ((20, 20), -np.inf)])
+    def test_rejects_bad_input_before_any_work(self, layout8, monkeypatch,
+                                               where, value):
+        # an empty batch used to fail on ``layouts[0]``, and a non-finite
+        # sample used to give a zero block marked converged
+        def no_work(*args, **kwargs):
+            raise AssertionError("the engine started")
+
+        monkeypatch.setattr(extrapolate, "new_state", no_work)
+        monkeypatch.setattr(extrapolate, "stack_contexts", no_work)
+        msa = ExtrapolationParams.defaults("msa")
+        with pytest.raises(ValueError, match="at least one"):
+            run_batch(np.zeros((0, 24, 24)), [], msa)
+        windows = np.zeros((3, 24, 24))
+        windows[1][where] = value
+        with pytest.raises(SampleError, match="finite"):
+            run_batch(windows, [layout8] * 3, msa)
+        with pytest.raises(SampleError, match="finite"):
+            run(windows[1], layout8, msa)
+
+    @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
+    def test_no_numpy_factorisation(self, algo, monkeypatch):
+        # every system is factored and solved by LAPACK's Cholesky pair
+        # alone: a mixed-class batch completes with numpy's general solve
+        # and its Cholesky out of reach
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        monkeypatch.setattr(np.linalg, "cholesky", refused)
+        rng = np.random.default_rng(12)
+        layouts = [BATCH_LAYOUTS[16][i] for i in (0, 1, 2, 3, 0)]
+        params = ExtrapolationParams(
+            algorithm=algo, iterations=30 if algo == "fsa" else None)
+        got = run_batch(plaid_windows(rng, 5, 48), layouts, params)
+        assert all(r.diagnostics.iterations > 0 for r in got)
+        if algo != "fsa":   # joint systems of several functions were solved
+            assert max(r.diagnostics.coefficient_count for r in got) > 1
 
 
 class TestParams:
