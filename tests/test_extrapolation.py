@@ -434,10 +434,12 @@ class TestBatchIndependence:
         layouts = [BATCH_LAYOUTS[16][i] for i in (0, 1, 2, 3, 0)]
         params = ExtrapolationParams(
             algorithm=algo, iterations=30 if algo == "fsa" else None)
-        got = run_batch(plaid_windows(rng, 5, 48), layouts, params)
+        got = run_batch(plaid_windows(rng, 5, 48), layouts, params,
+                        record=True)
         assert all(r.diagnostics.iterations > 0 for r in got)
-        if algo != "fsa":   # joint systems of several functions were solved
-            assert max(r.diagnostics.coefficient_count for r in got) > 1
+        joint = [used.size > 1 for r in got
+                 for used, _, _ in r.diagnostics.selections]
+        assert any(joint) == (algo != "fsa")
 
 
 class TestParams:
