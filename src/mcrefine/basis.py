@@ -39,6 +39,7 @@ check the fast route against.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -123,8 +124,27 @@ def _unit_phases(size: int) -> np.ndarray:
     return (2.0 * np.pi / size) * ((f[:, None] * f[None, :]) % size)
 
 
+# Every basis still held somewhere, by area size, weakly: `build_basis`
+# hands out a live one again rather than building a second.
+_LIVE_BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=4)
 def build_basis(m: int, n: int) -> BasisSet:
+    """The shared basis of an ``m`` x ``n`` area.
+
+    The four most recent are kept.  A basis that has left that cache but
+    is still held, by a cached context say, is handed out again rather
+    than rebuilt, so an area size never has two live bases and contexts
+    of one size always stack.
+    """
+    basis = _LIVE_BASES.get((m, n))
+    if basis is None:
+        basis = _LIVE_BASES[m, n] = _enumerate_basis(m, n)
+    return basis
+
+
+def _enumerate_basis(m: int, n: int) -> BasisSet:
     """Enumerate the real DFT-derived basis for an ``m`` x ``n`` area.
 
     Frequency pairs are walked in row-major order; of each conjugate pair
@@ -245,12 +265,40 @@ def _half_spectrum_lookup(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
-def _upper_triangle(size: int) -> np.ndarray:
-    """Mask of the entries (i, j) with i <= j of a size x size matrix."""
+def _pair_template(size: int) -> np.ndarray:
+    """(2, size**2) positions of a size x size Gram's entries, row-major:
+    entry (i, j) pairs the lower position min(i, j), its row, with the
+    higher one, max(i, j)."""
     pos = np.arange(size)
-    upper = pos[:, None] <= pos[None, :]
-    upper.setflags(write=False)
-    return upper
+    pairs = np.stack((np.minimum.outer(pos, pos).ravel(),
+                      np.maximum.outer(pos, pos).ravel()))
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _gram_pairs(sizes: list) -> np.ndarray:
+    """`_pair_template` of every member, shifted to its support's entries
+    in the members' concatenated supports."""
+    if len(sizes) == 1:
+        return _pair_template(sizes[0])
+    pairs = np.concatenate([_pair_template(k) for k in sizes], axis=1)
+    sizes = np.asarray(sizes)
+    pairs += (sizes.cumsum() - sizes).repeat(sizes * sizes)
+    return pairs
+
+
+def _ragged(indices, sizes):
+    """Flat supports, their per-member sizes as a list, and the shape of
+    the (..., K) form (None for the flat form).
+
+    The flat form is ``indices`` (E,), member i owning the next
+    ``sizes[i]`` entries; the (..., K) form gives every member K.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    if sizes is not None:
+        return idx, list(sizes), None
+    shape = idx.shape
+    return idx.reshape(-1), [shape[-1]] * math.prod(shape[:-1]), shape
 
 
 def gram_table(weights: np.ndarray) -> np.ndarray:
@@ -286,7 +334,9 @@ class ProjectionContext:
     rendered from the basis factor tables.  There is one route; the dense
     `BasisSet.matrix` is only the reference that tests check it against.
 
-    `numerators`, `gram` and `render` take any leading batch axes, and a
+    `numerators` takes any leading batch axes.  `gram`, `render` and
+    `lookup` take either a (..., K) support per member or the members'
+    supports of different sizes as one flat array plus their sizes.  A
     stacked call computes every member exactly as a call on that member
     alone would, so results never depend on what else is in the batch.
     A batch whose members need different weightings (different neighbour
@@ -324,56 +374,79 @@ class ProjectionContext:
         num *= self._spec_sign
         return num.reshape(r.shape[:-1] + (b.count,))
 
-    def gram(self, indices) -> np.ndarray:
+    def gram(self, indices, sizes=None) -> np.ndarray:
         """Symmetric matrices of weighted products phi_a * phi_b over P.
 
-        ``indices`` is (..., K); the result is (..., K, K).  Product-to-sum
-        identities make entry (a, b) half the sum of two signed FFT2(w)
-        entries, at the difference and at the sum of the two frequencies:
-        cos*cos = (C[diff] + C[sum]) / 2, sin*sin = (C[diff] - C[sum]) / 2,
-        sin*cos = (S[sum] + S[diff]) / 2 and cos*sin = (S[sum] - S[diff]) /
-        2, with C = Re W, S = -Im W and the row function first.  Both are
-        read from the signed table, at the row key of a plus the difference
-        or sum key of b (`BasisSet.gram_keys`), with no modulo and no
-        select.  Entry (i, j) is evaluated with the lower position as the
-        row, so the matrix is exactly symmetric.
+        ``indices`` is (..., K) and the result (..., K, K); or ``indices``
+        holds the members' supports one after another, member i owning
+        ``sizes[i]`` of them, and the result is their K_i x K_i matrices,
+        each flattened, one after another.  Product-to-sum identities make
+        entry (a, b) half the sum of two signed FFT2(w) entries, at the
+        difference and at the sum of the two frequencies: cos*cos =
+        (C[diff] + C[sum]) / 2, sin*sin = (C[diff] - C[sum]) / 2, sin*cos
+        = (S[sum] + S[diff]) / 2 and cos*sin = (S[sum] - S[diff]) / 2,
+        with C = Re W, S = -Im W and the row function first.  Both are
+        read from the signed table, at the row key of a plus the
+        difference or sum key of b (`BasisSet.gram_keys`), with no modulo
+        and no select.  Every entry is evaluated once, with the lower
+        position as the row, so the matrix is exactly symmetric; all
+        members' entries come from one gather per key.
         """
-        idx = np.asarray(indices, dtype=np.intp)
+        idx, sizes, shape = _ragged(indices, sizes)
+        lo, hi = _gram_pairs(sizes)
         _, diff, total = self.basis.gram_keys
-        row = self._row_keys(idx)[..., :, None]
+        row = self._row_keys(idx, sizes).take(lo)
+        col = idx.take(hi)
         table = self._gram_table
-        g = table[row + diff[idx][..., None, :]]
-        g += table[row + total[idx][..., None, :]]
+        g = table.take(row + diff.take(col))
+        g += table.take(row + total.take(col))
         g *= 0.5
-        return np.where(_upper_triangle(idx.shape[-1]), g, g.swapaxes(-1, -2))
+        return g if shape is None else g.reshape(shape + shape[-1:])
 
-    def _row_keys(self, idx: np.ndarray) -> np.ndarray:
-        """Gram row keys of the functions ``idx`` into `_gram_table`."""
-        return self.basis.gram_keys[0][idx]
+    def _row_keys(self, idx: np.ndarray, sizes: list) -> np.ndarray:
+        """Gram row keys of the flat supports ``idx`` into `_gram_table`."""
+        return self.basis.gram_keys[0].take(idx)
 
-    def lookup(self, table: str, positions) -> np.ndarray:
+    def lookup(self, table: str, positions, sizes=None) -> np.ndarray:
         """Entries of the weighting table ``table`` (such as ``"norms"``) at
-        ``positions``, whose leading axes are batch axes."""
-        return getattr(self, table)[positions]
+        ``positions``: (..., K), or flat with per-member ``sizes`` as in
+        `gram`."""
+        return getattr(self, table).take(positions)
 
     def take(self, rows) -> "ProjectionContext":
         """The context of the batch members ``rows``: this one, since every
         member shares its weighting."""
         return self
 
-    def render(self, indices, coefficients) -> np.ndarray:
+    def render(self, indices, coefficients, sizes=None) -> np.ndarray:
         """Spatial rasters (flattened) of sum_u c_u * phi_u.
 
-        ``indices`` and ``coefficients`` are (..., K); the result is
-        (..., M*N), one stacked matrix product of the factor tables.
+        ``indices`` and ``coefficients`` are (..., K) and the result is
+        (..., M*N); or they are flat with per-member ``sizes`` as in
+        `gram`, and the result is (len(sizes), M*N).  Every function's
+        factor rows are gathered and scaled in one call; each member is
+        then one (2K, M)^T @ (2K, N) product of its own rows, and members
+        of one size share one stacked call, which runs that same product
+        per member.
         """
         b = self.basis
-        idx = np.asarray(indices, dtype=np.intp)
-        c = np.asarray(coefficients, dtype=np.float64)
-        lead = idx.shape[:-1]
-        rows = (b.left[idx] * c[..., None, None]).reshape(*lead, -1, b.m)
-        cols = b.right[b.l_freq[idx]].reshape(*lead, -1, b.n)
-        return (rows.swapaxes(-1, -2) @ cols).reshape(*lead, b.m * b.n)
+        idx, sizes, shape = _ragged(indices, sizes)
+        rows = b.left.take(idx, axis=0)
+        rows *= np.asarray(coefficients, dtype=np.float64).reshape(-1, 1, 1)
+        cols = b.right.take(b.l_freq.take(idx), axis=0)
+        if len(set(sizes)) == 1:
+            out = rows.reshape(len(sizes), -1, b.m).swapaxes(1, 2) \
+                @ cols.reshape(len(sizes), -1, b.n)
+        else:
+            out = np.empty((len(sizes), b.m, b.n))
+            start = 0
+            for member, k in enumerate(sizes):
+                end = start + k
+                np.matmul(rows[start:end].reshape(-1, b.m).T,
+                          cols[start:end].reshape(-1, b.n), out=out[member])
+                start = end
+        lead = (len(sizes),) if shape is None else shape[:-1]
+        return out.reshape(lead + (b.m * b.n,))
 
 
 # The arrays that depend on a context's weighting, not only on its basis,
@@ -466,24 +539,20 @@ class ProjectionStack(ProjectionContext):
         setattr(self, name, value)
         return value
 
-    @staticmethod
-    def _per_member(offsets: np.ndarray, ndim: int) -> np.ndarray:
-        """Member offsets shaped to broadcast over ``ndim``-axis positions."""
-        return offsets.reshape(offsets.shape + (1,) * (ndim - 1))
+    def _row_keys(self, idx: np.ndarray, sizes: list) -> np.ndarray:
+        return self.basis.gram_keys[0].take(idx) \
+            + self._gram_offsets.repeat(sizes)
 
-    def _row_keys(self, idx: np.ndarray) -> np.ndarray:
-        keys = self.basis.gram_keys[0][idx]
-        return keys + self._per_member(self._gram_offsets, keys.ndim)
-
-    def lookup(self, table: str, positions) -> np.ndarray:
-        """Member i's entries of ``table`` at ``positions[i]``, one row of
-        positions per member."""
+    def lookup(self, table: str, positions, sizes=None) -> np.ndarray:
+        """Member i's entries of ``table`` at its positions: row i of
+        (members, K) positions, or its ``sizes[i]`` flat ones."""
         rows = self._tables[table]
+        idx, sizes, shape = _ragged(positions, sizes)
         # one flat gather: offsets into the stacked rows cost less to add
         # than a second index array costs to broadcast
-        offsets = self._slots * rows.shape[1]
-        return rows.reshape(-1)[positions + self._per_member(
-            offsets, positions.ndim)]
+        got = rows.reshape(-1).take(
+            idx + (self._slots * rows.shape[1]).repeat(sizes))
+        return got if shape is None else got.reshape(shape)
 
     def take(self, rows) -> ProjectionContext:
         """The context of the members ``rows`` (an index or a slice): the

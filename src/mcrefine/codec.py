@@ -16,10 +16,19 @@ Every path reaches the engine through one call, `refine_blocks`, which
 refines a batch of blocks of one size, of any neighbour-availability
 classes, and returns for each block exactly what refining it alone would.
 Open-loop prediction (`predict_frame`) reads no reconstruction, so it
-batches a frame's blocks in raster-order chunks.  The closed loop
-(`encode_pass`) and its replay go wave by wave (`wave_schedule`): a block
-reads only its left, top-left, top and top-right neighbours, which all lie
-in earlier waves, so the blocks of one wave are refined as one batch.
+batches a frame's blocks in raster-order chunks.  The closed loop and its
+replay share one scheduler, `dependency_levels`: a block reads only its
+left, top-left, top and top-right neighbours, so the blocks of one level
+need only blocks of earlier levels.  `encode_pass` schedules every block,
+which gives the wavefront (block (bx, by) on level bx + 2 by), and refines
+and transform-codes each wave in one call each.  `replay_trace` decodes
+every unrefined block first, from its MC block and levels alone, and then
+schedules only the refined blocks, by their depth among themselves.
+
+Transform coding takes stacks: `reconstruct_block` and `decode_block` code
+any number of blocks in one transform call, each exactly as alone, and the
+entropy of each block stays its own.  scipy's transforms are imported on
+the first transform, not with the module.
 
 Rates are proxy rates: zeroth-order entropy of the quantized transform
 coefficients per block, plus exp-Golomb motion bits and flag bits.  They
@@ -34,7 +43,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from . import extrapolate
 from .basis import (DEFAULT_MU, DEFAULT_RHO, check_weighting,
@@ -182,20 +190,31 @@ def search_frame(current: Plane, reference: Plane, blocks,
     return [estimate(current, reference, block, params) for block in blocks]
 
 
-def wave_schedule(nx: int, ny: int) -> list:
-    """The blocks of an ``nx`` x ``ny`` grid, by line-scan index, in waves.
+def dependency_levels(nx: int, ny: int, needs) -> list:
+    """The blocks ``needs`` of an ``nx`` x ``ny`` grid, by line-scan index,
+    grouped by dependency depth.
 
-    Wave w holds the blocks with ``bx + 2 * by == w``, in line-scan order
-    (empty waves of a one-column grid are left out).  A block's left,
-    top-left, top and top-right neighbours lie in waves w - 1, w - 3, w - 2
-    and w - 1, so no block of a wave reads another of the same wave: the
-    wavefront schedule of HEVC's wavefront parallel processing.
+    A block of ``needs`` lies one level above the deepest of its left,
+    top-left, top and top-right neighbours that are also in ``needs``,
+    and on level 0 when it has none; other blocks are no dependency.  So
+    no block reads another of its own level, and every block is on the
+    least level that lies above the blocks it needs.  Each level is in
+    line-scan order.  With every block in ``needs``, block (bx, by) is on
+    level bx + 2 * by whenever ``nx`` > 1: the wavefront schedule of
+    HEVC's wavefront parallel processing.
     """
-    waves = [[] for _ in range(nx + 2 * ny - 2)]
-    for by in range(ny):
-        for bx in range(nx):
-            waves[bx + 2 * by].append(by * nx + bx)
-    return [wave for wave in waves if wave]
+    depth = {}
+    for i in sorted(needs):
+        by, bx = divmod(i, nx)
+        # the neighbours' tiles sit one row and column off the centre's
+        above = [depth.get((by + ty - 1) * nx + bx + tx - 1, -1)
+                 for ty, tx in NEIGHBOUR_TILES
+                 if by + ty >= 1 and 0 <= bx + tx - 1 < nx]
+        depth[i] = 1 + max(above, default=-1)
+    levels = [[] for _ in range(1 + max(depth.values(), default=-1))]
+    for i, level in depth.items():
+        levels[level].append(i)
+    return levels
 
 
 def refine_blocks(layouts, neighbor_samples: np.ndarray, mc_blocks,
@@ -305,43 +324,70 @@ def _cut(raster: np.ndarray, block: BlockRef) -> np.ndarray:
 # Transform path and closed-loop encoding
 # ---------------------------------------------------------------------------
 
-def _tile_8x8(block: np.ndarray) -> np.ndarray:
-    """(s, s) raster -> (n_tiles, 8, 8) in row-major tile order."""
-    s = block.shape[0]
+def _tile_8x8(blocks: np.ndarray) -> np.ndarray:
+    """(..., s, s) rasters -> (..., n_tiles, 8, 8) in row-major tile order."""
+    *lead, s, _ = blocks.shape
     t = s // 8
-    return block.reshape(t, 8, t, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+    return blocks.reshape(*lead, t, 8, t, 8).swapaxes(-3, -2) \
+        .reshape(*lead, t * t, 8, 8)
 
 
 def _untile_8x8(tiles: np.ndarray, s: int) -> np.ndarray:
+    *lead, _, _, _ = tiles.shape
     t = s // 8
-    return tiles.reshape(t, t, 8, 8).transpose(0, 2, 1, 3).reshape(s, s)
+    return tiles.reshape(*lead, t, t, 8, 8).swapaxes(-3, -2) \
+        .reshape(*lead, s, s)
 
 
 def dct_8x8(tiles: np.ndarray) -> np.ndarray:
-    return scipy.fft.dctn(tiles, type=2, axes=(-2, -1), norm="ortho")
+    from scipy import fft
+    return fft.dctn(tiles, type=2, axes=(-2, -1), norm="ortho")
 
 
 def idct_8x8(tiles: np.ndarray) -> np.ndarray:
-    return scipy.fft.idctn(tiles, type=2, axes=(-2, -1), norm="ortho")
+    from scipy import fft
+    return fft.idctn(tiles, type=2, axes=(-2, -1), norm="ortho")
 
 
-def _entropy_bits(symbols: np.ndarray) -> float:
-    """Zeroth-order entropy of the symbol stream, in bits."""
-    _, counts = np.unique(symbols, return_counts=True)
-    if counts.size <= 1:
-        return 0.0
-    p = counts / symbols.size
-    return float(-(counts * np.log2(p)).sum())
+def _entropy_bits(symbols: np.ndarray) -> float | np.ndarray:
+    """Zeroth-order entropy of each symbol stream, in bits.
+
+    ``symbols`` is (..., n), one stream per row; a single stream gives a
+    float.  Each row is sorted and its runs counted, so a row's counts
+    are its distinct symbols' in ascending order, as ``np.unique`` gives
+    them, and its terms are summed alone with ``.sum()``.  A row of one
+    symbol costs 0 bits.
+    """
+    symbols = np.asarray(symbols)
+    rows = np.sort(symbols.reshape(-1, symbols.shape[-1]), axis=1)
+    starts = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    edges = starts.reshape(-1).nonzero()[0]
+    counts = np.diff(edges, append=rows.size)
+    terms = counts * np.log2(counts / rows.shape[1])
+    bits = np.zeros(len(rows))
+    end = 0
+    for row, runs in enumerate(starts.sum(axis=1).tolist()):
+        end += runs
+        if runs > 1:
+            bits[row] = -terms[end - runs:end].sum()
+    if symbols.ndim == 1:
+        return float(bits[0])
+    return bits.reshape(symbols.shape[:-1])
 
 
 def reconstruct_block(original: np.ndarray, predictor: np.ndarray,
-                      qstep: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """Transform-code the prediction residual of one block.
+                      qstep: float
+                      ) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
+    """Transform-code the prediction residuals of one block or a stack.
 
     residual -> 8x8 DCT-II (orthonormal) -> uniform quantization -> inverse
     -> predictor + coded residual, clamped to [0, 255] and rounded to the
-    8-bit grid.  Returns (reconstructed block uint8, coefficient bits,
-    quantized levels) — the levels make the path replayable.
+    8-bit grid.  ``original`` is (..., s, s), and ``predictor`` broadcasts
+    against it; a stack is coded in one transform call, each block as it
+    would be alone.  Returns (reconstructed blocks uint8, coefficient bits
+    per block, quantized levels (..., tiles, 8, 8)); the bits are a float
+    for one block, and the levels make the path replayable.
     """
     if qstep <= 0:
         raise ValueError("qstep must be positive")
@@ -349,15 +395,24 @@ def reconstruct_block(original: np.ndarray, predictor: np.ndarray,
     coeffs = dct_8x8(_tile_8x8(residual))
     levels = np.asarray(np.rint(coeffs / qstep), dtype=np.int32)
     recon = decode_block(predictor, levels, qstep)
-    return recon, _entropy_bits(levels.ravel()), levels
+    bits = _entropy_bits(levels.reshape(levels.shape[:-3] + (-1,)))
+    return recon, bits, levels
 
 
 def decode_block(predictor: np.ndarray, levels: np.ndarray,
                  qstep: float) -> np.ndarray:
-    """Decoder-side counterpart of `reconstruct_block`."""
+    """Decoder-side counterpart of `reconstruct_block`: ``levels`` is
+    (..., tiles, 8, 8) and ``predictor`` broadcasts against its blocks."""
     coded = idct_8x8(levels.astype(np.float64) * qstep)
-    out = predictor + _untile_8x8(coded, predictor.shape[0])
+    out = predictor + _untile_8x8(coded, predictor.shape[-1])
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def _grid(raster: np.ndarray, s: int) -> np.ndarray:
+    """The (rows, columns, s, s) view of ``raster`` as a grid of blocks;
+    ``_grid(r, s)[by, bx]`` reads or writes blocks."""
+    h, w = raster.shape
+    return raster.reshape(h // s, s, w // s, s).swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -404,16 +459,16 @@ def _sequence_blocks(frames, block_size: int) -> list:
 
 
 def _encode_intra(frame: Plane, qstep: float, blocks: list):
-    """Store the first frame against a flat mid-grey predictor."""
+    """Store the first frame against a flat mid-grey predictor, in one
+    transform call."""
     s = blocks[0].size
     recon = np.empty((frame.height, frame.width), np.uint8)
-    flat = np.full((s, s), 128.0)
-    levels_all = []
-    for block in blocks:
-        rec, _, levels = reconstruct_block(frame.block(block), flat, qstep)
-        _cut(recon, block)[...] = rec
-        levels_all.append(levels)
-    return Plane(recon), np.stack(levels_all)
+    grid = _grid(recon, s)
+    rec, _, levels = reconstruct_block(
+        _grid(frame.data, s).reshape(-1, s, s), np.full((s, s), 128.0),
+        qstep)
+    grid[...] = rec.reshape(grid.shape)
+    return Plane(recon), levels
 
 
 def _mc_chroma(prev: Frame, decisions, block_size: int) -> tuple:
@@ -450,9 +505,10 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
 
     Each P-frame starts with a `search_frame` pre-pass against the previous
     reconstruction.  The blocks are then coded wave by wave
-    (`wave_schedule`): every block of a wave is motion compensated, the
-    ones with a reconstructed neighbour are refined in one `refine_blocks`
-    call, and each block is switched and reconstructed.  Per-block bits are
+    (`dependency_levels` of every block): every block of a wave is motion
+    compensated, the ones with a reconstructed neighbour are refined in
+    one `refine_blocks` call, each block is switched, and the wave is
+    transform-coded in one `reconstruct_block` call.  Per-block bits are
     summed in line-scan order after the frame, so the result equals coding
     block by block in line-scan order.  ``FrameStats.refine_seconds`` times
     the per-wave refinement calls.  Fewer than two frames raise
@@ -468,8 +524,8 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     recon_prev_y, intra_levels = intra
     prev_frame = Frame(y=recon_prev_y, u=frames[0].u, v=frames[0].v)
 
-    nx = first.width // s
-    schedule = wave_schedule(nx, first.height // s)
+    nx, ny = first.width // s, first.height // s
+    schedule = dependency_levels(nx, ny, range(nx * ny))
     total_bits = 0.0
     stats = []
     trace_frames = []
@@ -478,6 +534,7 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         recon_y = np.zeros((cur.height, cur.width), np.uint8)
         pred_y = np.empty((cur.height, cur.width)) \
             if predictor_sink is not None else None
+        originals, recon_grid = _grid(cur.data, s), _grid(recon_y, s)
         decisions = [None] * len(blocks)
         coeff_bits = [0.0] * len(blocks)
         levels = [None] * len(blocks)
@@ -497,16 +554,21 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
                             [mc[i] for i in todo], config)):
                         refined[i] = result.block
                     refine_total += time.perf_counter() - t0
-            for i in wave:
+            chosen = np.empty((len(wave), s, s))
+            for j, i in enumerate(wave):
                 block = blocks[i]
-                chosen, decisions[i] = _switch(block, motion[i][0],
-                                               cur.block(block), mc[i],
-                                               refined[i])
-                rec, coeff_bits[i], levels[i] = reconstruct_block(
-                    cur.block(block), chosen, qstep)
-                _cut(recon_y, block)[...] = rec
-                if pred_y is not None:
-                    _cut(pred_y, block)[...] = chosen
+                chosen[j], decisions[i] = _switch(block, motion[i][0],
+                                                  cur.block(block), mc[i],
+                                                  refined[i])
+            at = np.divmod(wave, nx)
+            rec, bits, wave_levels = reconstruct_block(originals[at], chosen,
+                                                       qstep)
+            recon_grid[at] = rec
+            if pred_y is not None:
+                _grid(pred_y, s)[at] = chosen
+            for i, block_bits, block_levels in zip(wave, bits.tolist(),
+                                                   wave_levels):
+                coeff_bits[i], levels[i] = block_bits, block_levels
         # Added one by one in line-scan order, so the float sum does not
         # depend on the schedule.
         frame_bits = 0.0
@@ -572,38 +634,49 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
 
     Uses only decoder-visible data: motion vectors, refinement flags and
     quantized levels.  Motion search and the RD switch are *not* re-run; the
-    refinement engine is, reading reconstructed samples only.  Blocks are
-    decoded wave by wave as in `encode_pass`, each wave's refined blocks in
-    one `refine_blocks` call.  Returns the list of per-frame predictor
-    rasters and reconstructed planes.
+    refinement engine is, reading reconstructed samples only.  A block
+    coded without refinement needs nothing but its MC block and levels, so
+    every such block of a frame is decoded first, in one `decode_block`
+    call.  Only refined blocks chain through the engine: they are refined
+    by their depth among the frame's refined blocks (`dependency_levels`
+    of those blocks), each level in one `refine_blocks` call and one
+    `decode_block` call.  The intra frame is decoded in one call too.
+    Returns the list of per-frame predictor rasters and reconstructed
+    planes.
     """
     width, height = trace.dims
     s = trace.block_size
     blocks = frame_blocks(width, height, s)
-    flat = np.full((s, s), 128.0)
+    nx, ny = width // s, height // s
     recon = np.empty((height, width), np.uint8)
-    for block, levels in zip(blocks, trace.intra_levels):
-        _cut(recon, block)[...] = decode_block(flat, levels,
-                                               trace.intra_qstep)
+    grid = _grid(recon, s)
+    grid[...] = decode_block(np.full((s, s), 128.0), trace.intra_levels,
+                             trace.intra_qstep).reshape(grid.shape)
     prev = Plane(recon)
     predictors, recons = [], []
-    schedule = wave_schedule(width // s, height // s)
     for frame_trace in trace.frames:
         recon_y = np.zeros((height, width), np.uint8)
         predictor = np.empty((height, width))
-        for wave in schedule:
-            pred = {i: compensate(prev, blocks[i], frame_trace[i].mv)
-                    for i in wave}
-            todo = [i for i in wave if frame_trace[i].refined]
-            if todo:
-                for i, result in zip(todo, refine_blocks(
-                        [build_layout(prev, blocks[i]) for i in todo],
-                        recon_y, [pred[i] for i in todo], config)):
-                    pred[i] = result.block
-            for i in wave:
-                _cut(predictor, blocks[i])[...] = pred[i]
-                _cut(recon_y, blocks[i])[...] = decode_block(
-                    pred[i], frame_trace[i].levels, trace.qstep)
+        pred_grid, recon_grid = _grid(predictor, s), _grid(recon_y, s)
+        for i, (block, bt) in enumerate(zip(blocks, frame_trace)):
+            pred_grid[divmod(i, nx)] = compensate(prev, block, bt.mv)
+
+        def decode(part):
+            at = np.divmod(part, nx)
+            recon_grid[at] = decode_block(
+                pred_grid[at], np.stack([frame_trace[i].levels for i in part]),
+                trace.qstep)
+
+        refined = [i for i, bt in enumerate(frame_trace) if bt.refined]
+        plain = [i for i, bt in enumerate(frame_trace) if not bt.refined]
+        if plain:
+            decode(plain)
+        for level in dependency_levels(nx, ny, refined):
+            for i, result in zip(level, refine_blocks(
+                    [build_layout(prev, blocks[i]) for i in level], recon_y,
+                    [pred_grid[divmod(i, nx)] for i in level], config)):
+                pred_grid[divmod(i, nx)] = result.block
+            decode(level)
         predictors.append(predictor)
         recons.append(Plane(recon_y))
         prev = recons[-1]

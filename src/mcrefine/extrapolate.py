@@ -26,24 +26,23 @@ block size together.  Their neighbour availability may differ, so each
 member has its own weighting: one shared `ProjectionContext` when they all
 have the same, a `ProjectionStack` of per-member weightings otherwise.  Per
 iteration it takes one stacked FFT for the numerators of every member and
-selects row-wise.  It then extracts the live support once, as flat
-entries, so each group of members with the same support size is a set of
-(G, K) arrays (indices, right-hand sides, decrements and fresh flags) read
-off those entries without copying a (G, count) row; entries are reordered
-by support size only when the sizes differ.  Each group's Gram matrices
-are built in one stacked call, two gathers per entry from the signed
-FFT2(w) table, and its models are rendered in another; members that have
-converged drop out of the batch.  `run` is its B = 1 call.  The solve,
-`_solve_group`, is the only solver, and `solve_subspace` is its one-member
-call: it factors and solves each member's Gram on its own with LAPACK's
-Cholesky pair (``dpotrf``, ``dpotrs``), so a member whose Gram is singular
-fails alone and sheds its weakest fresh pick, one retry at a time, until
-its system is solvable or no fresh pick is left, while its batch-mates are
-factored once.  Every
-member's block, coefficients and diagnostics are bitwise independent of
-the batch size and of its batch-mates: every stacked operation computes
-each member exactly as it would compute it alone, and the solve never pads
-a system to a size that depends on the batch.
+selects row-wise.  It then reads the live support once, in member order,
+as flat entries: each member's support is a run of them, of its own size,
+with no sort and no grouping by size.  Size-1 systems take the closed
+form; every larger member's Gram matrix comes from one ragged gather over
+all of them, two table reads per entry from the signed FFT2(w) table; the
+solutions go into the coefficients in one scatter; and each member's model
+update is rendered by one matrix product.  Members that have converged
+drop out of the batch.  `run` is its B = 1 call.  The solve, `_solve`, is
+the only solver, and `solve_subspace` is its one-member call: it factors
+and solves each member's Gram on its own with LAPACK's Cholesky pair
+(``dpotrf``, ``dpotrs``), so a member whose Gram is singular fails alone
+and sheds its weakest fresh pick, one retry at a time, until its system is
+solvable or no fresh pick is left, while its batch-mates are factored
+once.  Every member's block, coefficients and diagnostics are bitwise
+independent of the batch size and of its batch-mates: every stacked
+operation computes each member exactly as it would compute it alone, and
+the solve never pads a system to a size that depends on the batch.
 """
 
 from __future__ import annotations
@@ -252,67 +251,97 @@ def solve_subspace(residual, indices, ctx: ProjectionContext
     projection coefficient.  Numerically singular systems shed their
     lowest-decrement member and are retried, so the returned (sorted) index
     array may be a subset of the input.  This is the engine's own solve,
-    `_solve_group`, for one member.
+    `_solve`, for one member.
     """
     num = ctx.numerators(np.asarray(residual, dtype=np.float64))
     idx = np.unique(np.asarray(indices, dtype=np.intp))
     decr = decrement_energies(num, ctx)
-    solved = _solve_group(np.zeros(1, int), idx[None],
-                          np.ones((1, idx.size), bool), num[idx][None],
-                          decr[idx][None], ctx, np.zeros(1, int))
-    if not solved:
-        return np.empty(0), np.empty(0, dtype=np.intp)
-    _, used, solution = solved[0]
-    return solution[0], used[0]
+    solution, solved, shed = _solve(
+        idx, [idx.size], np.ones(idx.size, bool), num[idx], decr[idx], ctx,
+        np.zeros(1, int), np.zeros(1, int))
+    if solved[0]:
+        return solution, idx
+    if shed:
+        _, used, solution = shed[0]
+        return solution, used
+    return np.empty(0), np.empty(0, dtype=np.intp)
 
 
-def _solve_group(members: np.ndarray, idx: np.ndarray, fresh: np.ndarray,
-                 rhs: np.ndarray, decr: np.ndarray, ctx: ProjectionContext,
-                 retries: np.ndarray) -> list:
-    """Solve the systems of members that share one support size.
+def _solve(idx: np.ndarray, sizes: list, fresh: np.ndarray, rhs: np.ndarray,
+           decr: np.ndarray, ctx: ProjectionContext, members: np.ndarray,
+           retries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Solve every member's system, one support of its own size each.
 
-    Row g of the (G, K) arrays belongs to ``members[g]``: ``idx`` holds its
-    support in ascending order, ``fresh`` flags the picks of this
-    iteration, and ``rhs`` and ``decr`` hold the right-hand sides and
-    decrements at those functions.  Returns (members, indices, solution)
-    triples with equally sized solutions.  The group's Gram matrices are
-    built in one stacked call; each member's own is then factored and
-    solved by LAPACK's Cholesky pair, ``dpotrf`` and ``dpotrs``, on its
-    lower triangle, the only place a system is factored.  So each member
-    succeeds or fails on its own: a member whose Gram is not positive
-    definite sheds its lowest-decrement fresh pick (rba's established span
-    is never fresh), counts one retry in ``retries[member]`` and is solved
-    again alone; once no fresh pick is left it takes no solution.  ``ctx``
-    weights the group's members, row by row.
+    The flat arrays hold the members' supports one after another, member
+    i owning the next ``sizes[i]`` entries: ``idx`` its functions in
+    ascending order, ``fresh`` the picks of this iteration, ``rhs`` and
+    ``decr`` the right-hand sides and decrements there.  ``ctx`` weights
+    the members row by row; ``members[i]`` is member i's row in
+    ``retries``.  Returns the solutions, flat like ``idx``, a mask of the
+    members solved on their whole support, and (i, indices, solution)
+    for each member solved only after shedding picks.
+
+    A size-1 system is the closed form ``rhs / norm``.  The larger ones'
+    Gram matrices come from one ragged `ProjectionContext.gram` call;
+    each member's own is then factored and solved alone
+    (`_cholesky_solve`).  So each member succeeds or fails on its own: a
+    member whose Gram is not positive definite sheds its lowest-decrement
+    fresh pick (rba's established span is never fresh), counts one retry
+    and is solved again alone (`_shed`); once no fresh pick is left it
+    takes no solution.
     """
-    if idx.shape[1] == 1:
-        return [(members, idx, rhs / ctx.lookup("norms", idx))]
-    solution = np.empty_like(rhs)
-    failed = []
-    for g, gram in enumerate(ctx.gram(idx)):
-        low, info = dpotrf(gram, lower=True)
-        if info:
-            failed.append(g)
-        else:
-            solution[g] = dpotrs(low, rhs[g], lower=True)[0]
-    if not failed:
-        return [(members, idx, solution)]
-    ok = np.ones(len(members), dtype=bool)
-    ok[failed] = False
-    solved = [(members[ok], idx[ok], solution[ok])] if ok.any() else []
-    for g in failed:
-        retries[members[g]] += 1
-        picks = fresh[g].nonzero()[0]
+    solution = rhs / ctx.lookup("norms", idx, sizes)
+    solved = np.array(sizes) > 0
+    shed = []
+    if max(sizes, default=0) < 2:
+        return solution, solved, shed
+    grams = ctx.gram(idx, sizes)
+    start = corner = 0
+    for i, k in enumerate(sizes):
+        end, last = start + k, corner + k * k
+        if k > 1:
+            got = _cholesky_solve(grams[corner:last].reshape(k, k),
+                                  rhs[start:end])
+            if got is not None:
+                solution[start:end] = got
+            else:
+                solved[i] = False
+                retries[members[i]] += 1
+                got = _shed(*(a[start:end] for a in (idx, fresh, rhs, decr)),
+                            ctx.take(slice(i, i + 1)), members[i], retries)
+                if got is not None:
+                    shed.append((i, *got))
+        start, corner = end, last
+    return solution, solved, shed
+
+
+def _shed(idx, fresh, rhs, decr, ctx: ProjectionContext, member: int,
+          retries: np.ndarray):
+    """Retry one member whose Gram was singular: shed its weakest fresh
+    pick and solve again, one retry per failure, until a system solves
+    (its (indices, solution)) or no fresh pick is left (None)."""
+    while True:
+        picks = fresh.nonzero()[0]
         if picks.size == 1:
-            continue
-        weakest = picks[np.argmin(decr[g, picks])]
-        log.debug("gram singular; shedding function %d", idx[g, weakest])
-        keep = np.arange(idx.shape[1]) != weakest
-        solved += _solve_group(members[g:g + 1],
-                               *(a[g:g + 1, keep]
-                                 for a in (idx, fresh, rhs, decr)),
-                               ctx.take(slice(g, g + 1)), retries)
-    return solved
+            return None
+        weakest = picks[np.argmin(decr[picks])]
+        log.debug("gram singular; shedding function %d", idx[weakest])
+        keep = np.arange(idx.size) != weakest
+        idx, fresh, rhs, decr = idx[keep], fresh[keep], rhs[keep], decr[keep]
+        if idx.size == 1:
+            return idx, rhs / ctx.lookup("norms", idx)
+        solution = _cholesky_solve(ctx.gram(idx), rhs)
+        if solution is not None:
+            return idx, solution
+        retries[member] += 1
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
+    """Solve ``gram @ x = rhs`` with LAPACK's Cholesky pair, ``dpotrf`` and
+    ``dpotrs``, on the lower triangle, the only place a system is
+    factored; None when ``gram`` is not positive definite."""
+    low, info = dpotrf(gram, lower=True)
+    return None if info else dpotrs(low, rhs, lower=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +358,18 @@ def step(state: EngineState, params: ExtrapolationParams,
     re-projects the *input* onto the span of every function selected so
     far and replaces all coefficients, undamped; because the span only
     grows, the weighted error cannot increase.  The live support is read
-    with one ``nonzero`` over the (L, count) mask; its entries, ordered by
-    (support size, member, index) when the sizes differ, give each size's
-    members as contiguous (G, K) arrays of indices, right-hand sides,
-    decrements and fresh flags.  Members with equally large systems share
-    one `_solve_group` call on those arrays, which factors each member's
-    Gram on its own; a member whose Gram is singular sheds fresh picks, one
-    retry each, until it solves.  A member converges when its best
-    decrement falls below `CONVERGENCE_FRACTION` of its initial error, when
-    nothing new is selected, or when the retries shed every fresh pick;
-    every other live member counts one iteration.
+    with one ``nonzero`` over the (L, count) mask, in member order, so
+    every member's support is a run of entries of any size, with no sort
+    and no grouping by size.  `_solve` takes them all at once: the closed
+    form for size-1 systems, one ragged Gram gather for the rest and
+    LAPACK's Cholesky pair per member; a member whose Gram is singular
+    sheds fresh picks, one retry each, until it solves.  The solutions go
+    into the coefficients in one scatter, and each member's model update
+    is rendered by one matrix product (`ProjectionContext.render`).  A
+    member converges when its best decrement falls below
+    `CONVERGENCE_FRACTION` of its initial error, when nothing new is
+    selected, or when the retries shed every fresh pick; every other live
+    member counts one iteration.
     """
     live = (~state.converged).nonzero()[0]
     if live.size == 0:
@@ -360,49 +391,41 @@ def step(state: EngineState, params: ExtrapolationParams,
     else:
         support = fresh
     # The live support, once, as flat entries of the (L, count) masks.
-    # When the sizes differ they are ordered by (size, member, index), so
-    # that each size's group is one contiguous (G, K) block of entries.
     count = support.shape[1]
     flat = support.reshape(-1).nonzero()[0]
-    sizes = support.sum(axis=1)
-    group_sizes = sorted(set(sizes.tolist()) - {0})
-    if len(group_sizes) > 1:
-        flat = flat[sizes[flat // count].argsort(kind="stable")]
-        by_size = sizes.argsort(kind="stable")
-        ends = np.bincount(sizes).cumsum()
-        groups = [by_size[ends[size - 1]:ends[size]] for size in group_sizes]
-    else:   # one size: the entries are in order already
-        groups = [sizes.nonzero()[0]] * len(group_sizes)
-    col = flat % count
+    sizes = support.sum(axis=1).tolist()
+    idx = flat % count
     rhs = (state.f_numerators[rows] if rba else num).take(flat)
-    decr, fresh = decr.take(flat), fresh.take(flat)
+    solution, solved, shed = _solve(idx, sizes, fresh.take(flat), rhs,
+                                    decr.take(flat), live_ctx, live,
+                                    state.gram_retries)
     # A live member converges unless it takes a solution.
     state.converged[live] = True
-    solved = []
-    start = 0
-    for size, group in zip(group_sizes, groups):
-        n = len(group)
-        block = slice(start, start + size * n)
-        start += size * n
-        group = _index(group, len(live))
-        for members, idx, solution in _solve_group(
-                live[group], *(a[block].reshape(n, size)
-                               for a in (col, fresh, rhs, decr)),
-                live_ctx.take(group), state.gram_retries):
-            values = solution if rba else params.gamma * solution
-            state.converged[members] = False
-            _apply(state, members, idx, values, ctx, rba)
-            solved.append((members, idx, values))
+    members = live
+    if not solved.all():
+        keep = solved.repeat(sizes)
+        members, idx, solution = live[solved], idx[keep], solution[keep]
+        sizes = [k for k, ok in zip(sizes, solved) if ok]
+    updates = [(members, idx, solution, sizes)]
+    updates += [(live[i:i + 1], used, values, [used.size])
+                for i, used, values in shed]
+    if not rba:
+        updates = [(members, used, params.gamma * values, used_sizes)
+                   for members, used, values, used_sizes in updates]
+    for members, used, values, used_sizes in updates:
+        state.converged[members] = False
+        _apply(state, members, used, values, used_sizes, ctx, rba)
     state.iterations += ~state.converged
     # The other members' residuals are recomputed unchanged, without
     # temporaries.
     np.subtract(state.f, state.rendering, out=state.residual)
     if state.selections is not None:
         weights = _member_weights(ctx, len(state.f))
-        for members, idx, values in solved:
-            for member, used, coefs in zip(members, idx, values):
+        for members, used, values, used_sizes in updates:
+            ends = np.cumsum(used_sizes)
+            for member, end, k in zip(members, ends, used_sizes):
                 state.selections[member].append(
-                    (used.copy(), coefs.copy(),
+                    (used[end - k:end].copy(), values[end - k:end].copy(),
                      _weighted_energy(state.residual[member],
                                       weights[member])))
     return state
@@ -415,20 +438,24 @@ def _index(rows: np.ndarray, total: int):
 
 
 def _apply(state: EngineState, members: np.ndarray, idx: np.ndarray,
-           values: np.ndarray, ctx: ProjectionContext, rba: bool) -> None:
-    """Put one group's solutions into the models: rba replaces the whole
-    model, fsa/msa add their damped ``values`` to it."""
-    flat = (members[:, None] * state.coefficients.shape[1] + idx).ravel()
+           values: np.ndarray, sizes: list, ctx: ProjectionContext,
+           rba: bool) -> None:
+    """Put solutions into the models of ``members`` (ascending state rows,
+    member j owning the next ``sizes[j]`` entries of ``idx`` and
+    ``values``) in one scatter: rba replaces the whole model, fsa/msa add
+    their damped ``values`` to it."""
+    flat = (members * state.coefficients.shape[1]).repeat(sizes) + idx
     rows = _index(members, len(state.converged))
+    rendered = ctx.render(idx, values, sizes)
     if rba:
         state.coefficients[rows] = 0.0
-        state.coefficients.reshape(-1)[flat] = values.ravel()
-        state.rendering[rows] = ctx.render(idx, values)
+        state.coefficients.reshape(-1)[flat] = values
+        state.rendering[rows] = rendered
         state.active[rows] = False
         state.active.reshape(-1)[flat] = True
     else:
-        state.coefficients.reshape(-1)[flat] += values.ravel()
-        state.rendering[rows] += ctx.render(idx, values)
+        state.coefficients.reshape(-1)[flat] += values
+        state.rendering[rows] += rendered
 
 
 def run_batch(windows, layouts, params: ExtrapolationParams, *,

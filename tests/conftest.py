@@ -19,7 +19,8 @@ class MatrixContext(ProjectionContext):
     The test oracle for the FFT route: norms are inherited (one closed-form
     definition), while numerators, Gram entries and renderings are plain
     matrix products with the materialised basis.  Like the FFT route, each
-    method takes any leading batch axes.
+    method takes any leading batch axes, and `gram` and `render` also take
+    flat supports with their per-member sizes.
     """
 
     def numerators(self, residual):
@@ -28,12 +29,19 @@ class MatrixContext(ProjectionContext):
             r = r.reshape(r.shape[:-2] + (-1,))
         return (r * self.w_flat) @ self.basis.matrix.T
 
-    def gram(self, indices):
+    def gram(self, indices, sizes=None):
+        if sizes is not None:
+            return np.concatenate([self.gram(part).ravel() for part in
+                                   np.split(indices, np.cumsum(sizes)[:-1])])
         sub = self.basis.matrix[np.asarray(indices, dtype=np.intp)]
         g = (sub * self.w_flat) @ np.swapaxes(sub, -1, -2)
         return (g + np.swapaxes(g, -1, -2)) * 0.5
 
-    def render(self, indices, coefficients):
+    def render(self, indices, coefficients, sizes=None):
+        if sizes is not None:
+            cuts = np.cumsum(sizes)[:-1]
+            return np.stack([self.render(i, c) for i, c in zip(
+                np.split(indices, cuts), np.split(coefficients, cuts))])
         idx = np.asarray(indices, dtype=np.intp)
         c = np.asarray(coefficients, dtype=np.float64)
         return (c[..., None, :] @ self.basis.matrix[idx])[..., 0, :]

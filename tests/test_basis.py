@@ -6,7 +6,8 @@ import scipy.fft
 
 from conftest import MatrixContext, reference_gram
 from mcrefine.basis import (_ATLAS_SLOTS, _ATLASES, ParameterError,
-                            ProjectionContext, ProjectionStack, build_basis,
+                            ProjectionContext, ProjectionStack,
+                            _enumerate_basis, build_basis,
                             build_weight_mask, excluded_mask,
                             precompute_norms, projection_context,
                             stack_contexts)
@@ -228,7 +229,7 @@ def _self_conjugate(b):
 def oracle48(layout16):
     """Oracle on a private 48x48 basis, so its dense matrix is freed with
     the module instead of pinning the shared cached basis."""
-    return MatrixContext(build_basis.__wrapped__(48, 48),
+    return MatrixContext(_enumerate_basis(48, 48),
                          build_weight_mask(layout16))
 
 
@@ -280,6 +281,26 @@ class TestProjectionStack:
             assert len(_ATLASES[(24, 24)].contexts) <= _ATLAS_SLOTS
             for j, ctx in enumerate(pair):
                 _bitwise_equal(gram[j], reference_gram(ctx, idx[j]))
+
+    def test_contexts_stack_after_their_basis_left_the_cache(self, rng):
+        # five area sizes in one process: the first one's basis leaves
+        # build_basis's cache of four while a cached context still holds
+        # it, and a context of that size built afterwards must share it
+        def context(size, availability):
+            # a weighting no other test caches, so both contexts are new
+            return projection_context(ProjectionLayout(
+                BlockRef(size, size, size), availability), rho=0.61)
+
+        first = context(2, (True, False, False, False))
+        for size in (1, 4, 8, 16):
+            context(size, (True, True, True, True))
+        later = context(2, (True, True, True, False))
+        assert later.basis is first.basis
+        stack = stack_contexts([first, later])
+        idx = np.sort(rng.choice(36, size=(2, 5), replace=False), axis=1)
+        gram = stack.gram(idx)
+        for j, ctx in enumerate((first, later)):
+            _bitwise_equal(gram[j], reference_gram(ctx, idx[j]))
 
     def test_one_basis(self, ctx8, ctx16):
         with pytest.raises(ValueError, match="one basis"):
@@ -353,7 +374,7 @@ class TestFactoredRoute:
         if area == 48:
             basis, wm = oracle48.basis, oracle48.weights
         else:  # left-edge block: a region pattern with padding
-            basis = build_basis.__wrapped__(24, 24)
+            basis = _enumerate_basis(24, 24)
             wm = build_weight_mask(
                 build_layout((96, 96), BlockRef(0, 48, size=8)))
         dense = (basis.matrix * basis.matrix) @ wm.ravel()

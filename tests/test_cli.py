@@ -319,9 +319,9 @@ class TestEncodeCommand:
                          "--count", "3", "--noise-sigma", "10",
                          "--texture", "field", "--out", str(seq)]) == 0
         texts = []
-        for schedule in (codec.wave_schedule,
-                         lambda nx, ny: [[i] for i in range(nx * ny)]):
-            monkeypatch.setattr(codec, "wave_schedule", schedule)
+        for schedule in (codec.dependency_levels,
+                         lambda nx, ny, needs: [[i] for i in sorted(needs)]):
+            monkeypatch.setattr(codec, "dependency_levels", schedule)
             out = tmp_path / f"rd{len(texts)}.csv"
             assert cli.main(["encode", "--input", str(seq), "--width", "96",
                              "--height", "64", "--block-size", block,

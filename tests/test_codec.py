@@ -10,10 +10,10 @@ from mcrefine import basis, codec
 from mcrefine.bd import BDInputError, bd_metrics
 from mcrefine.codec import (DEFAULT_QPS, BlockDecision, EncoderConfig,
                             RDCurve, RDPoint, _entropy_bits, _side_bits,
-                            assemble_window, decode_block, dct_8x8, idct_8x8,
-                            encode_pass, encode_sequence, predict_frame,
-                            qp_to_qstep, reconstruct_block, replay_trace,
-                            wave_schedule)
+                            assemble_window, decode_block, dct_8x8,
+                            dependency_levels, idct_8x8, encode_pass,
+                            encode_sequence, predict_frame, qp_to_qstep,
+                            reconstruct_block, replay_trace)
 from mcrefine.extrapolate import ExtrapolationParams
 from mcrefine.frame import REGION_B, REGION_PAD, REGION_R, BlockRef, \
     GeometryError, build_layout, mse, psnr
@@ -198,6 +198,31 @@ class TestBlockCoding:
         recon, _, _ = reconstruct_block(orig, pred, qstep=0.5)
         assert mse(orig, recon) < 1.0
 
+    @pytest.mark.parametrize("qp", [16, 43])
+    def test_stack_codes_each_block_as_alone(self, qp, rng):
+        # five 16x16 blocks, the last one constant against its predictor:
+        # one symbol, 0 bits; and a stack sharing one flat predictor
+        qstep = qp_to_qstep(qp)
+        orig = rng.integers(0, 256, size=(5, 16, 16)).astype(np.float64)
+        pred = np.clip(orig + rng.normal(0, 12, size=orig.shape), 0, 255)
+        orig[4], pred[4] = 77.0, 77.0
+        flat = np.full((16, 16), 128.0)
+        for predictor, alone in ((pred, list(pred)), (flat, [flat] * 5)):
+            recon, bits, levels = reconstruct_block(orig, predictor, qstep)
+            assert bits.shape == (5,) and levels.shape == (5, 4, 8, 8)
+            for i, p in enumerate(alone):
+                want = reconstruct_block(orig[i], p, qstep)
+                np.testing.assert_array_equal(recon[i], want[0])
+                assert bits[i] == want[1]
+                assert math.copysign(1.0, bits[i]) == 1.0
+                np.testing.assert_array_equal(levels[i], want[2])
+                np.testing.assert_array_equal(
+                    decode_block(p, levels[i], qstep), want[0])
+            np.testing.assert_array_equal(
+                decode_block(predictor, levels, qstep), recon)
+            if predictor is pred:
+                assert bits[4] == 0.0 and np.unique(levels[4]).size == 1
+
     def test_coarse_quantizer_costs_few_bits(self, rng):
         orig = rng.integers(0, 256, size=(16, 16)).astype(np.float64)
         pred = orig.copy()  # perfect prediction -> all-zero levels
@@ -293,12 +318,12 @@ class TestPredictFrame:
             == {(x, y) for x in range(4) for y in range(4)}
 
 
-def line_scan(nx, ny):
-    """One block per wave: the block-by-block line-scan schedule."""
-    return [[i] for i in range(nx * ny)]
+def line_scan(nx, ny, needs):
+    """One block per level: the block-by-block line-scan schedule."""
+    return [[i] for i in sorted(needs)]
 
 
-SCHEDULES = (wave_schedule, line_scan)
+SCHEDULES = (dependency_levels, line_scan)
 
 
 def encode_on(schedule, frames, cfg, qstep, qp):
@@ -306,14 +331,14 @@ def encode_on(schedule, frames, cfg, qstep, qp):
     predictor rasters."""
     sink = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codec, "wave_schedule", schedule)
+        patch.setattr(codec, "dependency_levels", schedule)
         return (*encode_pass(frames, cfg, qstep, qp, collect_trace=True,
                              predictor_sink=sink), sink)
 
 
 def replay_on(schedule, trace, cfg):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codec, "wave_schedule", schedule)
+        patch.setattr(codec, "dependency_levels", schedule)
         return replay_trace(trace, cfg)
 
 
@@ -334,11 +359,20 @@ def assert_same_pass(a, b):
             np.testing.assert_array_equal(bt_a.levels, bt_b.levels)
 
 
+def neighbours(i, nx, ny):
+    """Line-scan indices of block i's left, top-left, top and top-right
+    neighbours that lie in the grid."""
+    by, bx = divmod(i, nx)
+    return [(by + dy) * nx + bx + dx
+            for dx, dy in ((-1, 0), (-1, -1), (0, -1), (1, -1))
+            if 0 <= bx + dx < nx and 0 <= by + dy < ny]
+
+
 class TestWaveSchedule:
     @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 1), (4, 4),
                                         (22, 18)])
     def test_every_block_once_after_its_neighbours(self, nx, ny):
-        waves = wave_schedule(nx, ny)
+        waves = dependency_levels(nx, ny, range(nx * ny))
         assert all(waves)
         assert sorted(i for wave in waves for i in wave) \
             == list(range(nx * ny))
@@ -351,6 +385,34 @@ class TestWaveSchedule:
                     x, y = bx + dx, by + dy
                     if 0 <= x < nx and 0 <= y < ny:
                         assert wave_of[y * nx + x] < wave_of[i]
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (4, 4),
+                                        (11, 9)])
+    def test_every_block_gives_the_wavefront(self, nx, ny):
+        # level bx + 2 by, in line-scan order; a one-column grid leaves
+        # the odd waves empty, and empty waves are left out
+        waves = [[by * nx + bx for by in range(ny) for bx in range(nx)
+                  if bx + 2 * by == w] for w in range(nx + 2 * ny - 1)]
+        assert dependency_levels(nx, ny, range(nx * ny)) \
+            == [wave for wave in waves if wave]
+
+    @given(grid=st.tuples(st.integers(1, 7), st.integers(1, 6)),
+           data=st.data())
+    @settings(max_examples=60)
+    def test_subset_lies_just_above_its_needed_neighbours(self, grid, data):
+        nx, ny = grid
+        needs = data.draw(st.sets(st.integers(0, nx * ny - 1)))
+        levels = dependency_levels(nx, ny, needs)
+        assert all(levels)
+        assert sorted(i for level in levels for i in level) == sorted(needs)
+        level_of = {i: k for k, level in enumerate(levels) for i in level}
+        for k, level in enumerate(levels):
+            assert level == sorted(level)
+            for i in level:
+                above = [level_of[j] for j in neighbours(i, nx, ny)
+                         if j in needs]
+                # above every needed neighbour, and at the least such level
+                assert k == 1 + max(above, default=-1)
 
 
 class TestClosedLoop:
@@ -488,16 +550,22 @@ class TestClosedLoop:
                             counted(codec.extrapolate.run_batch, batches))
         _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
                                   collect_trace=True)
-        waves = wave_schedule(4, 4)
+        waves = dependency_levels(4, 4, range(16))
         assert len(waves) == 10
         assert members == batches == 2 * [len(w) for w in waves[1:]]
         members.clear()
         batches.clear()
         replay_trace(trace, cfg)
-        refined = [[i for i in wave if blocks[i].refined]
-                   for blocks in trace.frames for wave in waves]
+        # replay refines by depth among each frame's refined blocks: one
+        # batch per level, never more than the waves that hold them
+        refined = [[i for i, bt in enumerate(blocks) if bt.refined]
+                   for blocks in trace.frames]
         assert sum(map(len, refined)) > 0
-        assert members == batches == [len(r) for r in refined if r]
+        levels = [dependency_levels(4, 4, r) for r in refined]
+        assert members == batches \
+            == [len(level) for frame in levels for level in frame]
+        for r, frame in zip(refined, levels):
+            assert len(frame) <= sum(any(i in r for i in w) for w in waves)
 
     def test_intra_shared_across_ladder(self):
         frames = tiny_sequence(frames=4, sigma=4.0)
@@ -528,7 +596,7 @@ class TestClosedLoop:
 @pytest.fixture()
 def private_basis48(monkeypatch):
     """Route every context build through a private 48x48 basis."""
-    private = basis.build_basis.__wrapped__(48, 48)
+    private = basis._enumerate_basis(48, 48)
     monkeypatch.setattr(basis, "build_basis", lambda m, n: private)
     basis._cached_context.cache_clear()
     yield private
