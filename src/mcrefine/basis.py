@@ -129,14 +129,13 @@ def _unit_phases(size: int) -> np.ndarray:
 _LIVE_BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@lru_cache(maxsize=4)
 def build_basis(m: int, n: int) -> BasisSet:
     """The shared basis of an ``m`` x ``n`` area.
 
-    The four most recent are kept.  A basis that has left that cache but
-    is still held, by a cached context say, is handed out again rather
-    than rebuilt, so an area size never has two live bases and contexts
-    of one size always stack.
+    A basis still held somewhere (by a cached context, which keeps it as
+    long as the context stays cached) is handed out again rather than
+    rebuilt, so an area size never has two live bases and contexts of one
+    size always stack.  Nothing else keeps a basis alive.
     """
     basis = _LIVE_BASES.get((m, n))
     if basis is None:
@@ -335,9 +334,11 @@ class ProjectionContext:
     `BasisSet.matrix` is only the reference that tests check it against.
 
     `numerators` takes any leading batch axes.  `gram`, `render` and
-    `lookup` take either a (..., K) support per member or the members'
-    supports of different sizes as one flat array plus their sizes.  A
-    stacked call computes every member exactly as a call on that member
+    `lookup` take the members' supports, of any sizes, as one flat array
+    plus their sizes, which is how the engine calls them; called without
+    sizes they take a (..., K) support per member instead, a convenience
+    for direct calls that the engine does not use.  A stacked call
+    computes every member exactly as a call on that member
     alone would, so results never depend on what else is in the batch.
     A batch whose members need different weightings (different neighbour
     availability) is served by a `ProjectionStack` instead.
@@ -425,26 +426,20 @@ class ProjectionContext:
         (..., M*N); or they are flat with per-member ``sizes`` as in
         `gram`, and the result is (len(sizes), M*N).  Every function's
         factor rows are gathered and scaled in one call; each member is
-        then one (2K, M)^T @ (2K, N) product of its own rows, and members
-        of one size share one stacked call, which runs that same product
-        per member.
+        then one (2K, M)^T @ (2K, N) product of its own rows.
         """
         b = self.basis
         idx, sizes, shape = _ragged(indices, sizes)
         rows = b.left.take(idx, axis=0)
         rows *= np.asarray(coefficients, dtype=np.float64).reshape(-1, 1, 1)
         cols = b.right.take(b.l_freq.take(idx), axis=0)
-        if len(set(sizes)) == 1:
-            out = rows.reshape(len(sizes), -1, b.m).swapaxes(1, 2) \
-                @ cols.reshape(len(sizes), -1, b.n)
-        else:
-            out = np.empty((len(sizes), b.m, b.n))
-            start = 0
-            for member, k in enumerate(sizes):
-                end = start + k
-                np.matmul(rows[start:end].reshape(-1, b.m).T,
-                          cols[start:end].reshape(-1, b.n), out=out[member])
-                start = end
+        out = np.empty((len(sizes), b.m, b.n))
+        start = 0
+        for member, k in enumerate(sizes):
+            end = start + k
+            np.matmul(rows[start:end].reshape(-1, b.m).T,
+                      cols[start:end].reshape(-1, b.n), out=out[member])
+            start = end
         lead = (len(sizes),) if shape is None else shape[:-1]
         return out.reshape(lead + (b.m * b.n,))
 
@@ -507,7 +502,9 @@ class ProjectionStack(ProjectionContext):
     atlas rows when first read.  `gram` reads the flat atlas Gram table:
     each member's slot offset is added once to its row keys, so the (K, K)
     positions cost no more than a single context's.  `lookup` reads each
-    member's norms the same way.  Every method therefore computes member i
+    member's norms the same way.  Both therefore take exactly one support
+    per member, one row of (members, K) positions or one flat run each,
+    and reject any other shape.  Every method therefore computes member i
     bitwise as ``contexts[i]`` computes it alone.  `take` restricts the
     stack to some members without copying any table, and hands back the
     plain context when those members share one weighting.
@@ -541,7 +538,15 @@ class ProjectionStack(ProjectionContext):
 
     def _row_keys(self, idx: np.ndarray, sizes: list) -> np.ndarray:
         return self.basis.gram_keys[0].take(idx) \
-            + self._gram_offsets.repeat(sizes)
+            + self._per_entry(self._gram_offsets, sizes)
+
+    def _per_entry(self, offsets: np.ndarray, sizes: list) -> np.ndarray:
+        """Member i's ``offsets[i]`` once for each of its ``sizes[i]``
+        support entries."""
+        if len(sizes) != len(offsets):
+            raise ValueError(f"a stack of {len(offsets)} members takes one "
+                             f"support per member, got {len(sizes)}")
+        return offsets.repeat(sizes)
 
     def lookup(self, table: str, positions, sizes=None) -> np.ndarray:
         """Member i's entries of ``table`` at its positions: row i of
@@ -551,7 +556,7 @@ class ProjectionStack(ProjectionContext):
         # one flat gather: offsets into the stacked rows cost less to add
         # than a second index array costs to broadcast
         got = rows.reshape(-1).take(
-            idx + (self._slots * rows.shape[1]).repeat(sizes))
+            idx + self._per_entry(self._slots * rows.shape[1], sizes))
         return got if shape is None else got.reshape(shape)
 
     def take(self, rows) -> ProjectionContext:

@@ -328,9 +328,10 @@ def _shed(idx, fresh, rhs, decr, ctx: ProjectionContext, member: int,
         log.debug("gram singular; shedding function %d", idx[weakest])
         keep = np.arange(idx.size) != weakest
         idx, fresh, rhs, decr = idx[keep], fresh[keep], rhs[keep], decr[keep]
-        if idx.size == 1:
-            return idx, rhs / ctx.lookup("norms", idx)
-        solution = _cholesky_solve(ctx.gram(idx), rhs)
+        k = idx.size
+        if k == 1:
+            return idx, rhs / ctx.lookup("norms", idx, [k])
+        solution = _cholesky_solve(ctx.gram(idx, [k]).reshape(k, k), rhs)
         if solution is not None:
             return idx, solution
         retries[member] += 1

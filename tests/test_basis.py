@@ -270,6 +270,17 @@ class TestProjectionStack:
                 np.testing.assert_array_equal(view.excluded[j], ctx.excluded)
                 np.testing.assert_array_equal(view.w_flat[j], ctx.w_flat)
 
+    def test_one_support_per_member(self, contexts, rng):
+        stack = stack_contexts(contexts)
+        idx = np.sort(rng.choice(24 * 24, size=(len(contexts), 6)), axis=1)
+        for wrong in (idx[:3], idx[None].repeat(2, axis=0)):
+            with pytest.raises(ValueError, match="one support per member"):
+                stack.gram(wrong)
+            with pytest.raises(ValueError, match="one support per member"):
+                stack.lookup("norms", wrong)
+        with pytest.raises(ValueError, match="one support per member"):
+            stack.gram(idx.ravel(), [6] * (len(contexts) + 1))
+
     def test_atlas_is_bounded(self, rng):
         # more distinct weightings of one area size than an atlas holds
         layout = build_layout((48, 32), BlockRef(8, 8, 8))
@@ -283,9 +294,9 @@ class TestProjectionStack:
                 _bitwise_equal(gram[j], reference_gram(ctx, idx[j]))
 
     def test_contexts_stack_after_their_basis_left_the_cache(self, rng):
-        # five area sizes in one process: the first one's basis leaves
-        # build_basis's cache of four while a cached context still holds
-        # it, and a context of that size built afterwards must share it
+        # five area sizes in one process: a context of the first size
+        # built after the other four must share the basis that the first
+        # cached context holds
         def context(size, availability):
             # a weighting no other test caches, so both contexts are new
             return projection_context(ProjectionLayout(

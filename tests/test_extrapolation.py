@@ -134,8 +134,8 @@ class TestSolveSubspace:
 class SingularWith:
     """Wraps a context; its Gram matrix is singular whenever ``bad`` is in
     the requested support (that function's row and column are zeroed).
-    Takes leading batch axes, or flat supports with their sizes, like the
-    context it wraps, and counts its `gram` calls in ``calls``."""
+    Takes flat supports with their sizes, as the engine passes them, and
+    counts its `gram` calls in ``calls``."""
 
     def __init__(self, ctx, bad):
         self._ctx, self.bad, self.calls = ctx, bad, 0
@@ -143,13 +143,11 @@ class SingularWith:
     def __getattr__(self, name):
         return getattr(self._ctx, name)
 
-    def gram(self, indices, sizes=None):
+    def gram(self, indices, sizes):
         self.calls += 1
         g = self._ctx.gram(indices, sizes)
         keep = ~np.isin(indices, self.bad)
-        if sizes is None:
-            return g * (keep[..., :, None] & keep[..., None, :])
-        # flat supports: each member's flattened K x K matrix in turn
+        # each member's flattened K x K matrix in turn
         return g * np.concatenate(
             [np.outer(k, k).ravel()
              for k in np.split(keep, np.cumsum(sizes)[:-1])])
@@ -225,24 +223,19 @@ class SingularOnSupport:
     def __getattr__(self, name):
         return getattr(self._ctx, name)
 
-    def gram(self, indices, sizes=None):
+    def gram(self, indices, sizes):
         g = self._ctx.gram(indices, sizes)
         idx = np.asarray(indices)
         keep = self.support != self.bad
-        if sizes is not None:
-            # flat supports: zero the singular member's matrix in place
-            k = self.support.size
-            start = corner = 0
-            for size in sizes:
-                if size == k and np.array_equal(idx[start:start + k],
-                                                self.support):
-                    g[corner:corner + k * k] *= np.outer(keep, keep).ravel()
-                start, corner = start + size, corner + size * size
-            return g
-        if idx.shape[-1] != self.support.size:
-            return g
-        hit = np.all(idx == self.support, axis=-1)[..., None, None]
-        return np.where(hit, g * (keep[:, None] & keep[None, :]), g)
+        # zero the singular member's flattened matrix in place
+        k = self.support.size
+        start = corner = 0
+        for size in sizes:
+            if size == k and np.array_equal(idx[start:start + k],
+                                            self.support):
+                g[corner:corner + k * k] *= np.outer(keep, keep).ravel()
+            start, corner = start + size, corner + size * size
+        return g
 
     def take(self, rows):
         return self
