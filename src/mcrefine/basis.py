@@ -338,10 +338,10 @@ class ProjectionContext:
     plus their sizes, which is how the engine calls them; called without
     sizes they take a (..., K) support per member instead, a convenience
     for direct calls that the engine does not use.  A stacked call
-    computes every member exactly as a call on that member
-    alone would, so results never depend on what else is in the batch.
-    A batch whose members need different weightings (different neighbour
-    availability) is served by a `ProjectionStack` instead.
+    computes every member exactly as a call on that member alone would,
+    so results never depend on what else is in the batch.  A batch whose
+    members need different weightings (different neighbour availability)
+    is served by a `ProjectionStack` instead.
     """
 
     def __init__(self, basis: BasisSet, weights: np.ndarray):
