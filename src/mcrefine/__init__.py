@@ -11,8 +11,8 @@ hybrid-codec harness measures the effect on rate-distortion behaviour.
 """
 
 from .basis import (BasisSet, ParameterError, ProjectionContext,
-                    ProjectionStack, build_basis, build_weight_mask,
-                    projection_context, stack_contexts)
+                    build_basis, build_weight_mask, projection_context,
+                    stack_contexts)
 from .bd import BDInputError, BDResult, bd_metrics
 from .codec import (DEFAULT_QPS, EncoderConfig, RDCurve, RDPoint, encode_pass,
                     encode_sequence, predict_frame, qp_to_qstep, replay_trace)
@@ -32,7 +32,7 @@ __all__ = [
     "DEFAULT_QPS", "Diagnostics", "EncoderConfig", "ExtrapolationParams",
     "FormatError", "Frame", "GeometryError", "MotionVector",
     "ParameterError", "Plane", "ProjectionContext", "ProjectionLayout",
-    "ProjectionStack", "RDCurve", "RDPoint", "RefineResult", "SampleError",
+    "RDCurve", "RDPoint", "RefineResult", "SampleError",
     "SearchParams", "SequenceSource", "SparseModel", "UnusedOptionError",
     "bd_metrics", "build_basis", "build_layout", "build_weight_mask",
     "compensate", "encode_pass", "encode_sequence", "estimate",

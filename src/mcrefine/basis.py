@@ -38,6 +38,7 @@ check the fast route against.
 
 from __future__ import annotations
 
+import copy
 import math
 import weakref
 from dataclasses import dataclass
@@ -134,8 +135,8 @@ def build_basis(m: int, n: int) -> BasisSet:
 
     A basis still held somewhere (by a cached context, which keeps it as
     long as the context stays cached) is handed out again rather than
-    rebuilt, so an area size never has two live bases and contexts of one
-    size always stack.  Nothing else keeps a basis alive.
+    rebuilt, which only saves memory: contexts of one area size stack
+    whatever basis object they hold.  Nothing else keeps a basis alive.
     """
     basis = _LIVE_BASES.get((m, n))
     if basis is None:
@@ -324,24 +325,31 @@ def _flat_rasters(x, basis: BasisSet) -> np.ndarray:
 
 
 class ProjectionContext:
-    """A basis bound to one (M, N) weight array, with fast weighted
-    correlations.
+    """A basis bound to weightings, with fast weighted correlations.
 
     Numerators are read out of one stacked real FFT and Gram entries out of
-    the context's signed, doubled FFT2(w) table (`gram_table`), norms come
-    in closed form from FFT2(w) (see `precompute_norms`), and models are
-    rendered from the basis factor tables.  There is one route; the dense
+    the signed, doubled FFT2(w) table (`gram_table`), norms come in closed
+    form from FFT2(w) (see `precompute_norms`), and models are rendered
+    from the basis factor tables.  There is one route; the dense
     `BasisSet.matrix` is only the reference that tests check it against.
 
+    A context built from one (M, N) weight array serves a batch of any
+    size, every member weighted alike.  `stack_contexts` gives a batch
+    whose members need different weightings (different neighbour
+    availability) one context too: its weighting arrays (`weights`,
+    `w_flat`, `norms`, `excluded`, `_safe_norms`) and its Gram table hold
+    one row per distinct weighting, and ``_slots`` maps each member to its
+    row.  `take` narrows the slots without copying any table.
+
     `numerators` takes any leading batch axes.  `gram`, `render` and
-    `lookup` take the members' supports, of any sizes, as one flat array
+    `norms_at` take the members' supports, of any sizes, as one flat array
     plus their sizes, which is how the engine calls them; called without
     sizes they take a (..., K) support per member instead, a convenience
-    for direct calls that the engine does not use.  A stacked call
-    computes every member exactly as a call on that member alone would,
-    so results never depend on what else is in the batch.  A batch whose
-    members need different weightings (different neighbour availability)
-    is served by a `ProjectionStack` instead.
+    for direct calls that the engine does not use.  With several
+    weightings, `gram` and `norms_at` take exactly one support per member,
+    one row of (members, K) positions or one flat run each.  A stacked
+    call computes every member exactly as a call on that member alone
+    would, so results never depend on what else is in the batch.
     """
 
     def __init__(self, basis: BasisSet, weights: np.ndarray):
@@ -354,6 +362,35 @@ class ProjectionContext:
         self._safe_norms = np.where(self.excluded, np.inf, self.norms)
         self._gram_table = gram_table(weights)
         self._spec_pos, self._spec_sign = _half_spectrum_lookup(basis)
+        self._slots = None   # one weighting, whatever the batch size
+
+    def per_member(self, rows: np.ndarray) -> np.ndarray:
+        """``rows``, one of this context's weighting arrays, for each batch
+        member: as it is with one weighting, which broadcasts over any
+        batch, else gathered by member."""
+        return rows if self._slots is None else rows.take(self._slots, axis=0)
+
+    def _in_rows(self, positions: np.ndarray, stride: int, sizes: list):
+        """Flat support ``positions`` within one weighting row of
+        ``stride`` values, moved to each member's row of the stacked
+        table: member i's ``sizes[i]`` entries shift by its row times
+        ``stride``.  With one weighting they stay as they are."""
+        if self._slots is None:
+            return positions
+        if len(sizes) != len(self._slots):
+            raise ValueError(f"a stack of {len(self._slots)} members takes "
+                             f"one support per member, got {len(sizes)}")
+        return positions + (self._slots * stride).repeat(sizes)
+
+    def take(self, rows) -> "ProjectionContext":
+        """The context of the batch members ``rows`` (an index or a
+        slice): this one when every member shares its weighting, else a
+        view whose slots are those members' own, over the same tables."""
+        if self._slots is None:
+            return self
+        view = copy.copy(self)
+        view._slots = self._slots[rows]
+        return view
 
     # -- weighted correlations -------------------------------------------
 
@@ -368,7 +405,8 @@ class ProjectionContext:
         """
         b = self.basis
         r = _flat_rasters(residual, b)
-        spec = np.fft.rfft((r * self.w_flat).reshape(-1, b.m, b.n))
+        weighted = r * self.per_member(self.w_flat)
+        spec = np.fft.rfft(weighted.reshape(-1, b.m, b.n))
         np.fft.fft(spec, axis=-2, out=spec)
         half = spec.view(np.float64).reshape(len(spec), -1)
         num = half.take(self._spec_pos, axis=1)
@@ -389,35 +427,31 @@ class ProjectionContext:
         with C = Re W, S = -Im W and the row function first.  Both are
         read from the signed table, at the row key of a plus the
         difference or sum key of b (`BasisSet.gram_keys`), with no modulo
-        and no select.  Every entry is evaluated once, with the lower
-        position as the row, so the matrix is exactly symmetric; all
-        members' entries come from one gather per key.
+        and no select; a member's row offset into the stacked tables is
+        added once to its row keys.  Every entry is evaluated once, with
+        the lower position as the row, so the matrix is exactly symmetric;
+        all members' entries come from one gather per key.
         """
         idx, sizes, shape = _ragged(indices, sizes)
         lo, hi = _gram_pairs(sizes)
-        _, diff, total = self.basis.gram_keys
-        row = self._row_keys(idx, sizes).take(lo)
+        keys, diff, total = self.basis.gram_keys
+        stride = self._gram_table.shape[-1]
+        row = self._in_rows(keys.take(idx), stride, sizes).take(lo)
         col = idx.take(hi)
-        table = self._gram_table
+        table = self._gram_table.reshape(-1)
         g = table.take(row + diff.take(col))
         g += table.take(row + total.take(col))
         g *= 0.5
         return g if shape is None else g.reshape(shape + shape[-1:])
 
-    def _row_keys(self, idx: np.ndarray, sizes: list) -> np.ndarray:
-        """Gram row keys of the flat supports ``idx`` into `_gram_table`."""
-        return self.basis.gram_keys[0].take(idx)
-
-    def lookup(self, table: str, positions, sizes=None) -> np.ndarray:
-        """Entries of the weighting table ``table`` (such as ``"norms"``) at
-        ``positions``: (..., K), or flat with per-member ``sizes`` as in
-        `gram`."""
-        return getattr(self, table).take(positions)
-
-    def take(self, rows) -> "ProjectionContext":
-        """The context of the batch members ``rows``: this one, since every
-        member shares its weighting."""
-        return self
+    def norms_at(self, indices, sizes=None) -> np.ndarray:
+        """Each member's weighted norms at its support: (..., K), or flat
+        with per-member ``sizes`` as in `gram`."""
+        idx, sizes, shape = _ragged(indices, sizes)
+        norms = self.norms
+        got = norms.reshape(-1).take(
+            self._in_rows(idx, norms.shape[-1], sizes))
+        return got if shape is None else got.reshape(shape)
 
     def render(self, indices, coefficients, sizes=None) -> np.ndarray:
         """Spatial rasters (flattened) of sum_u c_u * phi_u.
@@ -444,145 +478,26 @@ class ProjectionContext:
         return out.reshape(lead + (b.m * b.n,))
 
 
-# The arrays that depend on a context's weighting, not only on its basis,
-# and that a stack gathers per member when first read.
-_WEIGHTING = ("w_flat", "norms", "excluded", "_safe_norms")
-# An atlas holds at most this many contexts, one per neighbour-availability
-# pattern of one weighting, which bounds its memory.
-_ATLAS_SLOTS = 16
-
-
-class _Atlas:
-    """The weighting arrays and Gram tables of the contexts stacked so far
-    at one area size, one row per context, built once so that a stack of
-    any of those contexts indexes rows instead of copying tables.
-
-    Each of those contexts then reads its own arrays from its atlas row,
-    which holds the same values, so a stacked context's Gram table is kept
-    once, not twice.
-    """
-
-    def __init__(self, contexts):
-        self.contexts = tuple(contexts)
-        self.slot = {id(c): i for i, c in enumerate(self.contexts)}
-        self.rows = {name: np.stack([getattr(c, name) for c in self.contexts])
-                     for name in _WEIGHTING + ("_gram_table",)}
-        for name, rows in self.rows.items():
-            rows.setflags(write=False)
-            for context, row in zip(self.contexts, rows):
-                setattr(context, name, row)
-
-
-_ATLASES: dict[tuple[int, int], _Atlas] = {}
-
-
-def _atlas(contexts) -> _Atlas:
-    """The atlas of the area size of ``contexts`` (distinct contexts of one
-    basis), extended by those it lacks.  A full atlas starts over with
-    ``contexts`` alone, which bounds its memory."""
-    shape = (contexts[0].basis.m, contexts[0].basis.n)
-    atlas = _ATLASES.get(shape)
-    known = atlas.contexts if atlas is not None else ()
-    missing = tuple(c for c in contexts if c not in known)
-    if missing:
-        if len(known) + len(missing) > _ATLAS_SLOTS:
-            known, missing = (), tuple(contexts)
-        atlas = _ATLASES[shape] = _Atlas(known + missing)
-    return atlas
-
-
-class ProjectionStack(ProjectionContext):
-    """One weighting per batch member, over one shared basis.
-
-    Member i is weighted like ``contexts[i]``, so one batch can mix
-    neighbour-availability classes of one block size.  The contexts' arrays
-    are rows of the atlas of their area size, stacked once and shared by
-    every later stack of those contexts.  The weighting arrays (`w_flat`,
-    `norms`, `excluded`, ...) gain a leading member axis, gathered from the
-    atlas rows when first read.  `gram` reads the flat atlas Gram table:
-    each member's slot offset is added once to its row keys, so the (K, K)
-    positions cost no more than a single context's.  `lookup` reads each
-    member's norms the same way.  Both therefore take exactly one support
-    per member, one row of (members, K) positions or one flat run each,
-    and reject any other shape.  Every method therefore computes member i
-    bitwise as ``contexts[i]`` computes it alone.  `take` restricts the
-    stack to some members without copying any table, and hands back the
-    plain context when those members share one weighting.
-    """
-
-    def __init__(self, contexts):
-        distinct = list({id(c): c for c in contexts}.values())
-        first = distinct[0]
-        if any(c.basis is not first.basis for c in distinct):
-            raise ValueError("stacked contexts must share one basis")
-        atlas = _atlas(distinct)
-        self.basis = first.basis
-        self._spec_pos, self._spec_sign = first._spec_pos, first._spec_sign
-        self._contexts = atlas.contexts
-        self._tables = atlas.rows
-        self._gram_table = atlas.rows["_gram_table"].reshape(-1)
-        self._bind(np.array([atlas.slot[id(c)] for c in contexts]))
-
-    def _bind(self, slots: np.ndarray) -> None:
-        """Make member i the atlas row ``slots[i]``."""
-        self._slots = slots
-        self._gram_offsets = slots * self._tables["_gram_table"].shape[1]
-
-    def __getattr__(self, name):
-        # Only reached while a weighting array has not been read yet.
-        if name not in _WEIGHTING:
-            raise AttributeError(name)
-        value = self._tables[name][self._slots]
-        setattr(self, name, value)
-        return value
-
-    def _row_keys(self, idx: np.ndarray, sizes: list) -> np.ndarray:
-        return self.basis.gram_keys[0].take(idx) \
-            + self._per_entry(self._gram_offsets, sizes)
-
-    def _per_entry(self, offsets: np.ndarray, sizes: list) -> np.ndarray:
-        """Member i's ``offsets[i]`` once for each of its ``sizes[i]``
-        support entries."""
-        if len(sizes) != len(offsets):
-            raise ValueError(f"a stack of {len(offsets)} members takes one "
-                             f"support per member, got {len(sizes)}")
-        return offsets.repeat(sizes)
-
-    def lookup(self, table: str, positions, sizes=None) -> np.ndarray:
-        """Member i's entries of ``table`` at its positions: row i of
-        (members, K) positions, or its ``sizes[i]`` flat ones."""
-        rows = self._tables[table]
-        idx, sizes, shape = _ragged(positions, sizes)
-        # one flat gather: offsets into the stacked rows cost less to add
-        # than a second index array costs to broadcast
-        got = rows.reshape(-1).take(
-            idx + self._per_entry(self._slots * rows.shape[1], sizes))
-        return got if shape is None else got.reshape(shape)
-
-    def take(self, rows) -> ProjectionContext:
-        """The context of the members ``rows`` (an index or a slice): the
-        members' own context when they all share one, else a stack."""
-        if isinstance(rows, slice) and rows == slice(None):
-            return self
-        slots = self._slots[rows]
-        shared = set(slots.tolist())
-        if len(shared) == 1:
-            return self._contexts[shared.pop()]
-        view = object.__new__(ProjectionStack)
-        view.__dict__.update((key, value) for key, value
-                             in self.__dict__.items() if key not in _WEIGHTING)
-        view._bind(slots)
-        return view
-
-
 def stack_contexts(contexts) -> ProjectionContext:
     """One context for a batch whose member i is weighted by
-    ``contexts[i]``: that context itself when every member shares it,
-    otherwise a `ProjectionStack`."""
+    ``contexts[i]``, all of one area size: that context itself when every
+    member shares it, otherwise a new one whose weighting rows are copies
+    of the distinct contexts' arrays, stacked once; the contexts
+    themselves are left as they are."""
     first = contexts[0]
     if all(c is first for c in contexts):
         return first
-    return ProjectionStack(contexts)
+    distinct = list({id(c): c for c in contexts}.values())
+    size = (first.basis.m, first.basis.n)
+    if any((c.basis.m, c.basis.n) != size for c in distinct):
+        raise ValueError("stacked contexts must share one area size")
+    row = {id(c): i for i, c in enumerate(distinct)}
+    stack = copy.copy(first)
+    for name in ("weights", "norms", "excluded", "_safe_norms", "_gram_table"):
+        setattr(stack, name, np.stack([getattr(c, name) for c in distinct]))
+    stack.w_flat = stack.weights.reshape(len(distinct), -1)
+    stack._slots = np.array([row[id(c)] for c in contexts])
+    return stack
 
 
 @lru_cache(maxsize=64)

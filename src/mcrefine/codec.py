@@ -93,7 +93,9 @@ class EncoderConfig:
             raise ValueError("quantizer ladder must be strictly increasing")
         # The engine's factor table takes 16*(3s)**3 bytes: 113 MB at 64,
         # 906 MB at 128.  Each projection context adds a Gram table of
-        # 128*(3s)**2 bytes: 295 KB at 16, 4.7 MB at 64.
+        # 128*(3s)**2 bytes: 295 KB at 16, 4.7 MB at 64.  A batch that
+        # mixes availability classes copies the tables of its (at most
+        # five) classes for the length of one call.
         s = self.block_size
         if s < 8 or s > 64 or s & (s - 1):
             raise ValueError(f"block size must be a power of two from 8 (the "

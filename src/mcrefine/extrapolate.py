@@ -23,8 +23,9 @@ for gamma in (0, 2) and lets later iterations re-select the same function.
 
 There is one engine loop, `run_batch`: it steps B working areas of one
 block size together.  Their neighbour availability may differ, so each
-member has its own weighting: one shared `ProjectionContext` when they all
-have the same, a `ProjectionStack` of per-member weightings otherwise.  Per
+member has its own weighting: one `ProjectionContext` weights them all,
+with one weighting row when they all have the same and otherwise a row per
+distinct weighting, copied once per batch (`stack_contexts`).  Per
 iteration it takes one stacked FFT for the numerators of every member and
 selects row-wise.  It then reads the live support once, in member order,
 as flat entries: each member's support is a run of them, of its own size,
@@ -159,8 +160,7 @@ def new_state(f, ctx: ProjectionContext, record: bool = False) -> EngineState:
     return EngineState(
         f=f, residual=f.copy(), coefficients=np.zeros((batch, b.count)),
         rendering=np.zeros_like(f),
-        energy0=np.array([_weighted_energy(row, w) for row, w
-                          in zip(f, _member_weights(ctx, batch))]),
+        energy0=np.array(_weighted_energies(f, ctx)),
         iterations=np.zeros(batch, dtype=int),
         converged=np.zeros(batch, dtype=bool),
         gram_retries=np.zeros(batch, dtype=int),
@@ -168,14 +168,10 @@ def new_state(f, ctx: ProjectionContext, record: bool = False) -> EngineState:
         selections=[[] for _ in range(batch)] if record else None)
 
 
-def _member_weights(ctx: ProjectionContext, batch: int):
-    """Every member's flattened weights, indexable by member."""
-    w = ctx.w_flat
-    return w if w.ndim == 2 else [w] * batch
-
-
-def _weighted_energy(residual_flat: np.ndarray, w_flat: np.ndarray) -> float:
-    return float((residual_flat * w_flat) @ residual_flat)
+def _weighted_energies(residuals: np.ndarray, ctx: ProjectionContext) -> list:
+    """Each member's weighted squared error, one (M*N,) row each."""
+    weighted = residuals * ctx.per_member(ctx.w_flat)
+    return [float(rw @ r) for rw, r in zip(weighted, residuals)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +184,10 @@ def decrement_energies(num: np.ndarray, ctx: ProjectionContext) -> np.ndarray:
     p_k = num_k / norm_k.  Excluded functions (zero weighted norm) get 0,
     so they can never be selected.  Leading batch axes are kept.
     """
-    decr = num / ctx._safe_norms    # projections p (0 if excluded), in place
+    # projections p (0 if excluded), in place
+    decr = num / ctx.per_member(ctx._safe_norms)
     decr *= decr
-    decr *= ctx.norms
+    decr *= ctx.per_member(ctx.norms)
     return decr
 
 
@@ -290,7 +287,7 @@ def _solve(idx: np.ndarray, sizes: list, fresh: np.ndarray, rhs: np.ndarray,
     and is solved again alone (`_shed`); once no fresh pick is left it
     takes no solution.
     """
-    solution = rhs / ctx.lookup("norms", idx, sizes)
+    solution = rhs / ctx.norms_at(idx, sizes)
     solved = np.array(sizes) > 0
     shed = []
     if max(sizes, default=0) < 2:
@@ -330,7 +327,7 @@ def _shed(idx, fresh, rhs, decr, ctx: ProjectionContext, member: int,
         idx, fresh, rhs, decr = idx[keep], fresh[keep], rhs[keep], decr[keep]
         k = idx.size
         if k == 1:
-            return idx, rhs / ctx.lookup("norms", idx, [k])
+            return idx, rhs / ctx.norms_at(idx, [k])
         solution = _cholesky_solve(ctx.gram(idx, [k]).reshape(k, k), rhs)
         if solution is not None:
             return idx, solution
@@ -421,14 +418,13 @@ def step(state: EngineState, params: ExtrapolationParams,
     # temporaries.
     np.subtract(state.f, state.rendering, out=state.residual)
     if state.selections is not None:
-        weights = _member_weights(ctx, len(state.f))
+        energies = _weighted_energies(state.residual, ctx)
         for members, used, values, used_sizes in updates:
             ends = np.cumsum(used_sizes)
             for member, end, k in zip(members, ends, used_sizes):
                 state.selections[member].append(
                     (used[end - k:end].copy(), values[end - k:end].copy(),
-                     _weighted_energy(state.residual[member],
-                                      weights[member])))
+                     energies[member]))
     return state
 
 
@@ -498,14 +494,14 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
             break
     sl = first.block_slices
     blocks = state.rendering.reshape(-1, first.m, first.n)[:, sl[0], sl[1]]
-    weights = _member_weights(ctx, len(windows))
+    energies = _weighted_energies(state.residual, ctx)
     results = []
     for i in range(len(windows)):
         diag = Diagnostics(
             iterations=int(state.iterations[i]),
             converged=bool(state.converged[i]),
             energy0=float(state.energy0[i]),
-            energy=_weighted_energy(state.residual[i], weights[i]),
+            energy=energies[i],
             coefficient_count=int(np.count_nonzero(state.coefficients[i])),
             gram_retries=int(state.gram_retries[i]),
             selections=None if state.selections is None

@@ -5,8 +5,7 @@ import pytest
 import scipy.fft
 
 from conftest import MatrixContext, reference_gram
-from mcrefine.basis import (_ATLAS_SLOTS, _ATLASES, ParameterError,
-                            ProjectionContext, ProjectionStack,
+from mcrefine.basis import (ParameterError, ProjectionContext,
                             _enumerate_basis, build_basis,
                             build_weight_mask, excluded_mask,
                             precompute_norms, projection_context,
@@ -248,27 +247,47 @@ class TestProjectionStack:
 
     def test_members_match_their_contexts(self, contexts, rng):
         stack = stack_contexts(contexts)
-        assert isinstance(stack, ProjectionStack)
         r = rng.normal(size=(len(contexts), 24 * 24))
         idx = np.sort(rng.choice(24 * 24, size=(len(contexts), 6)), axis=1)
-        # members 2 and 3 share one weighting, so their view is that context
-        assert stack.take(np.array([3, 2])) is contexts[2]
-        assert stack.take(np.array([3, 0])).take(slice(1, 2)) is contexts[0]
+        # members 2 and 3 share one weighting
         for view, rows in ((stack, range(5)),
+                           (stack.take(np.array([3, 2])), [3, 2]),
+                           (stack.take(np.array([3, 0])).take(
+                               slice(1, 2)), [0]),
                            (stack.take(np.array([4, 1, 2])), [4, 1, 2]),
                            (stack.take(np.array([3, 4, 0])).take(
                                slice(1, 3)), [4, 0])):
             rows = list(rows)
             num = view.numerators(r[rows])
             gram = view.gram(idx[rows])
-            norms = view.lookup("norms", idx[rows])
+            norms = view.norms_at(idx[rows])
+            excluded = view.per_member(view.excluded)
+            w_flat = view.per_member(view.w_flat)
             for j, i in enumerate(rows):
                 ctx = contexts[i]
                 np.testing.assert_array_equal(num[j], ctx.numerators(r[i]))
                 np.testing.assert_array_equal(gram[j], ctx.gram(idx[i]))
                 np.testing.assert_array_equal(norms[j], ctx.norms[idx[i]])
-                np.testing.assert_array_equal(view.excluded[j], ctx.excluded)
-                np.testing.assert_array_equal(view.w_flat[j], ctx.w_flat)
+                np.testing.assert_array_equal(excluded[j], ctx.excluded)
+                np.testing.assert_array_equal(w_flat[j], ctx.w_flat)
+
+    def test_stacking_leaves_the_contexts_untouched(self, rng):
+        # cached contexts that no other test stacks keep their own arrays,
+        # values and all
+        contexts = [projection_context(build_layout(
+            (48, 32), BlockRef(x, y, 8)), rho=0.67)
+            for x, y in ((8, 0), (0, 8), (8, 8), (16, 8), (40, 8))]
+        names = ("w_flat", "norms", "excluded", "_safe_norms", "_gram_table")
+        held = [{name: getattr(c, name) for name in names} for c in contexts]
+        values = [{name: a.copy() for name, a in h.items()} for h in held]
+        stack = stack_contexts(contexts)
+        idx = np.sort(rng.choice(24 * 24, size=(len(contexts), 6)), axis=1)
+        stack.gram(idx)
+        stack.take(np.array([4, 1])).numerators(rng.normal(size=(2, 576)))
+        for ctx, arrays, copies in zip(contexts, held, values):
+            for name in names:
+                assert getattr(ctx, name) is arrays[name]
+                np.testing.assert_array_equal(arrays[name], copies[name])
 
     def test_one_support_per_member(self, contexts, rng):
         stack = stack_contexts(contexts)
@@ -277,21 +296,9 @@ class TestProjectionStack:
             with pytest.raises(ValueError, match="one support per member"):
                 stack.gram(wrong)
             with pytest.raises(ValueError, match="one support per member"):
-                stack.lookup("norms", wrong)
+                stack.norms_at(wrong)
         with pytest.raises(ValueError, match="one support per member"):
             stack.gram(idx.ravel(), [6] * (len(contexts) + 1))
-
-    def test_atlas_is_bounded(self, rng):
-        # more distinct weightings of one area size than an atlas holds
-        layout = build_layout((48, 32), BlockRef(8, 8, 8))
-        contexts = [projection_context(layout, rho=0.5 + 0.02 * i)
-                    for i in range(_ATLAS_SLOTS + 4)]
-        idx = np.sort(rng.choice(24 * 24, size=(2, 6)), axis=1)
-        for pair in zip(contexts, contexts[1:]):
-            gram = stack_contexts(pair).gram(idx)
-            assert len(_ATLASES[(24, 24)].contexts) <= _ATLAS_SLOTS
-            for j, ctx in enumerate(pair):
-                _bitwise_equal(gram[j], reference_gram(ctx, idx[j]))
 
     def test_contexts_stack_after_their_basis_left_the_cache(self, rng):
         # five area sizes in one process: a context of the first size
@@ -313,8 +320,21 @@ class TestProjectionStack:
         for j, ctx in enumerate((first, later)):
             _bitwise_equal(gram[j], reference_gram(ctx, idx[j]))
 
+    def test_one_size_whatever_basis_object(self, ctx16, rng):
+        # a private basis of the cached context's size stacks with it
+        own = ProjectionContext(_enumerate_basis(48, 48), build_weight_mask(
+            build_layout((352, 288), BlockRef(0, 144, 16))))
+        members = [own, ctx16, own]
+        stack = stack_contexts(members)
+        r = rng.normal(size=(3, 48 * 48))
+        idx = np.sort(rng.choice(48 * 48, size=(3, 7)), axis=1)
+        num, gram = stack.numerators(r), stack.gram(idx)
+        for j, ctx in enumerate(members):
+            _bitwise_equal(num[j], ctx.numerators(r[j]))
+            _bitwise_equal(gram[j], ctx.gram(idx[j]))
+
     def test_one_basis(self, ctx8, ctx16):
-        with pytest.raises(ValueError, match="one basis"):
+        with pytest.raises(ValueError, match="one area size"):
             stack_contexts([ctx8, ctx16])
 
 
@@ -363,7 +383,6 @@ class TestGramTable:
             x, y, 16))) for x, y in ((16, 0), (0, 16), (16, 16), (48, 16),
                                      (32, 16), (0, 32))]
         stack = stack_contexts(contexts)
-        assert isinstance(stack, ProjectionStack)
         for k in (2, 5, 20, 80):
             idx = np.sort(rng.integers(0, stack.basis.count,
                                        size=(len(contexts), k)), axis=1)

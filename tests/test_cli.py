@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import mcrefine
 from mcrefine import basis, cli, codec
 from mcrefine.cli import ConfigError, RunConfig, load_config
 from mcrefine.codec import DEFAULT_QPS, EncoderConfig
@@ -19,6 +20,11 @@ def seq_path(tmp_path_factory):
                    "--seed", "0", "--out", str(path)])
     assert rc == 0
     return path
+
+
+def test_every_exported_name_resolves():
+    for name in mcrefine.__all__:
+        assert getattr(mcrefine, name) is not None, name
 
 
 class TestLoadConfig:
