@@ -1,0 +1,196 @@
+#!/usr/bin/env python3
+"""Interleaved in-process A/B of the refinement engine of two source trees.
+
+    python3 scripts/engine_ab.py TREE_A TREE_B [ROUNDS]
+
+TREE_A and TREE_B are checkouts of this repository.  Each tree's
+``src/mcrefine`` is imported under its own name (``mcrefine_a``,
+``mcrefine_b``), so both run side by side in one process and see the same
+machine at the same moments.  Every round times both trees, alternating
+which goes first, and prints:
+
+- per engine (fsa, rba, msa) and batch size B (1, 4, 16), the time ratio
+  B/A on the working areas of perfbench's engine_mix (QCIF translate/field,
+  sigma 8, seed 0: every block with a decoded neighbour, in raster order,
+  cut into batches of B), as the median and quartiles over the rounds;
+- criterion 8's fsa/msa and rba/msa (``tests/test_acceptance.py``: 100
+  noisy plaid windows on an interior block) for each tree, per round;
+- whether every engine output hash of B equals A's: blocks, coefficients,
+  renderings and diagnostics with recorded selections, for every engine
+  and batch size above.
+
+BLAS is pinned to one thread; ROUNDS defaults to 7.
+"""
+
+import os
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ENGINES = ("fsa", "rba", "msa")
+BATCHES = (1, 4, 16)
+BLOCK = 16
+
+
+def load_tree(root: Path, name: str):
+    """Import ``root/src/mcrefine`` as the package ``name``."""
+    pkg = root / "src" / "mcrefine"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    if spec is None:
+        raise SystemExit(f"engine_ab.py: no package source at {pkg}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def mix_windows(mc):
+    """engine_mix's working areas at seed 0: (windows, layouts)."""
+    frames = mc.synth_sequence("translate", width=176, height=144, frames=2,
+                               seed=0, velocity=(0.8, 0.3), noise_sigma=8.0,
+                               texture="field")
+    prev, cur = (f.y for f in frames)
+    windows, layouts = [], []
+    for by in range(144 // BLOCK):
+        for bx in range(176 // BLOCK):
+            block = mc.BlockRef(bx * BLOCK, by * BLOCK, BLOCK)
+            layout = mc.build_layout(cur, block)
+            if layout.r_empty:
+                continue
+            mv, _ = mc.estimate(cur, prev, block)
+            windows.append(mc.codec.assemble_window(
+                layout, cur.data, mc.compensate(prev, block, mv)))
+            layouts.append(layout)
+    return np.stack(windows), layouts
+
+
+def criterion8_windows(count=100, seed=31, area=48):
+    """The noisy single-plaid windows of criterion 8."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:area, 0:area].astype(np.float64)
+    out = []
+    for _ in range(count):
+        a, b = rng.integers(0, 7, size=2)
+        amp = rng.uniform(10.0, 40.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        sigma = rng.uniform(2.0, 20.0)
+        w = 128.0 + amp * np.cos(2.0 * np.pi * (a * yy + b * xx) / area
+                                 + phase)
+        out.append(w + rng.normal(0.0, sigma, size=(area, area)))
+    return out
+
+
+class Tree:
+    def __init__(self, root: Path, name: str):
+        self.mc = load_tree(root, name)
+        self.windows, self.layouts = mix_windows(self.mc)
+        interior = self.mc.build_layout((160, 160), self.mc.BlockRef(64, 64))
+        self.interior = interior, self.mc.projection_context(interior)
+        self.c8 = criterion8_windows()
+
+    def refine(self, engine: str, batch: int, record: bool = False) -> list:
+        params = self.mc.ExtrapolationParams.defaults(engine)
+        out = []
+        for lo in range(0, len(self.windows), batch):
+            out += self.mc.run_batch(self.windows[lo:lo + batch],
+                                     self.layouts[lo:lo + batch], params,
+                                     record=record)
+        return out
+
+    def criterion8(self, engine: str) -> float:
+        params = self.mc.ExtrapolationParams.defaults(engine)
+        layout, ctx = self.interior
+        t0 = time.perf_counter()
+        for window in self.c8:
+            self.mc.run(window, layout, params, context=ctx)
+        return time.perf_counter() - t0
+
+    def digest(self, engine: str, batch: int) -> str:
+        h = hashlib.sha256()
+        for r in self.refine(engine, batch, record=True):
+            d = r.diagnostics
+            for part in (r.block, r.model.coefficients, r.model.rendering):
+                h.update(np.ascontiguousarray(part).tobytes())
+            h.update(repr((d.iterations, d.converged, d.energy0, d.energy,
+                           d.coefficient_count, d.gram_retries)).encode())
+            for used, values, energy in d.selections:
+                h.update(used.astype(np.int64).tobytes())
+                h.update(values.tobytes())
+                h.update(repr(energy).encode())
+        return h.hexdigest()
+
+
+def timed(call) -> float:
+    t0 = time.perf_counter()
+    call()
+    return time.perf_counter() - t0
+
+
+def quartiles(values) -> tuple:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def main(argv) -> int:
+    if len(argv) not in (2, 3):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    rounds = int(argv[2]) if len(argv) == 3 else 7
+    if rounds < 2:
+        print("engine_ab.py: ROUNDS must be at least 2", file=sys.stderr)
+        return 2
+    trees = [Tree(Path(argv[0]).resolve(), "mcrefine_a"),
+             Tree(Path(argv[1]).resolve(), "mcrefine_b")]
+    for tree in trees:   # warm-up: bases, contexts, FFT plans
+        for engine in ENGINES:
+            tree.refine(engine, 16)
+
+    same = {(e, b): trees[0].digest(e, b) == trees[1].digest(e, b)
+            for e in ENGINES for b in BATCHES}
+    ratios = {(e, b): [] for e in ENGINES for b in BATCHES}
+    c8 = [[], []]
+    for r in range(rounds):
+        order = trees if r % 2 == 0 else trees[::-1]
+        for e in ENGINES:
+            for b in BATCHES:
+                spent = {id(t): timed(lambda t=t: t.refine(e, b))
+                         for t in order}
+                ratios[e, b].append(spent[id(trees[1])] / spent[id(trees[0])])
+        for t in order:
+            seconds = {e: t.criterion8(e) for e in ENGINES}
+            c8[trees.index(t)].append((seconds["fsa"] / seconds["msa"],
+                                       seconds["rba"] / seconds["msa"]))
+        print(f"round {r + 1}/{rounds}: criterion 8 fsa/msa, rba/msa  "
+              f"A {c8[0][-1][0]:.2f} {c8[0][-1][1]:.3f}  "
+              f"B {c8[1][-1][0]:.2f} {c8[1][-1][1]:.3f}", flush=True)
+
+    print(f"\nengine_mix windows ({len(trees[0].windows)}), time B/A over "
+          f"{rounds} rounds: median [q1, q3]")
+    for e in ENGINES:
+        cells = [f"B={b}: {m:.3f} [{q1:.3f}, {q3:.3f}]"
+                 for b in BATCHES for m, q1, q3 in [quartiles(ratios[e, b])]]
+        print(f"  {e}  " + "   ".join(cells))
+    for label, runs in zip("AB", c8):
+        fsa = [f for f, _ in runs]
+        rba = [r for _, r in runs]
+        print(f"criterion 8 {label}: fsa/msa median {statistics.median(fsa):.2f}"
+              f" (min {min(fsa):.2f}), rba/msa median "
+              f"{statistics.median(rba):.3f} (min {min(rba):.3f})")
+    mismatched = [f"{e}@B={b}" for (e, b), ok in same.items() if not ok]
+    print("engine outputs: " + ("every hash matches" if not mismatched
+                                else "MISMATCH " + ", ".join(mismatched)))
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

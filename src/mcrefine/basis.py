@@ -172,11 +172,16 @@ def _enumerate_basis(m: int, n: int) -> BasisSet:
     sin_arr = np.asarray(is_sin, dtype=bool)
     assert k_arr.size == m * n
 
-    a = _unit_phases(m)[k_arr]
+    # Cosine and sine of the (M, M) phase table once; `left` is filled in
+    # place, one factor row and member kind at a time, so the largest
+    # temporary is a quarter of it.
+    a = _unit_phases(m)
     cos_a, sin_a = np.cos(a), np.sin(a)
-    left = np.where(sin_arr[:, None, None],
-                    np.stack((sin_a, cos_a), axis=1),
-                    np.stack((cos_a, -sin_a), axis=1))
+    left = np.empty((k_arr.size, 2, m))
+    for kind, factors in ((False, (cos_a, -sin_a)), (True, (sin_a, cos_a))):
+        rows = (sin_arr == kind).nonzero()[0]
+        for j, factor in enumerate(factors):
+            left[rows, j] = factor[k_arr[rows]]
     b = _unit_phases(n)
     right = np.stack((np.cos(b), np.sin(b)), axis=1)
     for arr in (k_arr, l_arr, sin_arr, left, right):
@@ -288,15 +293,16 @@ def _gram_pairs(sizes: list) -> np.ndarray:
 
 
 def _ragged(indices, sizes):
-    """Flat supports, their per-member sizes as a list, and the shape of
-    the (..., K) form (None for the flat form).
+    """Flat supports, their per-member sizes, and the shape of the
+    (..., K) form (None for the flat form).
 
-    The flat form is ``indices`` (E,), member i owning the next
-    ``sizes[i]`` entries; the (..., K) form gives every member K.
+    The flat form is an integer array ``indices`` (E,), member i owning
+    the next ``sizes[i]`` entries, and is passed through as it is; the
+    (..., K) form gives every member K.
     """
-    idx = np.asarray(indices, dtype=np.intp)
     if sizes is not None:
-        return idx, list(sizes), None
+        return indices, sizes, None
+    idx = np.asarray(indices, dtype=np.intp)
     shape = idx.shape
     return idx.reshape(-1), [shape[-1]] * math.prod(shape[:-1]), shape
 
@@ -339,7 +345,11 @@ class ProjectionContext:
     availability) one context too: its weighting arrays (`weights`,
     `w_flat`, `norms`, `excluded`, `_safe_norms`) and its Gram table hold
     one row per distinct weighting, and ``_slots`` maps each member to its
-    row.  `take` narrows the slots without copying any table.
+    row.  Such a stack can cover every block of a frame.  `take` gives
+    the context of some of its members: a view over the same Gram table,
+    with its members' slots and their own rows of the weighting arrays,
+    gathered once (``_by_member``), so that a batch reads them without a
+    gather per call.
 
     `numerators` takes any leading batch axes.  `gram`, `render` and
     `norms_at` take the members' supports, of any sizes, as one flat array
@@ -363,33 +373,41 @@ class ProjectionContext:
         self._gram_table = gram_table(weights)
         self._spec_pos, self._spec_sign = _half_spectrum_lookup(basis)
         self._slots = None   # one weighting, whatever the batch size
+        self._by_member = False   # weighting arrays: one row per weighting
 
     def per_member(self, rows: np.ndarray) -> np.ndarray:
         """``rows``, one of this context's weighting arrays, for each batch
         member: as it is with one weighting, which broadcasts over any
-        batch, else gathered by member."""
-        return rows if self._slots is None else rows.take(self._slots, axis=0)
+        batch, or in a view that holds its members' own rows; else
+        gathered by member."""
+        if self._slots is None or self._by_member:
+            return rows
+        return rows.take(self._slots, axis=0)
 
-    def _in_rows(self, positions: np.ndarray, stride: int, sizes: list):
-        """Flat support ``positions`` within one weighting row of
-        ``stride`` values, moved to each member's row of the stacked
-        table: member i's ``sizes[i]`` entries shift by its row times
-        ``stride``.  With one weighting they stay as they are."""
-        if self._slots is None:
-            return positions
-        if len(sizes) != len(self._slots):
-            raise ValueError(f"a stack of {len(self._slots)} members takes "
+    def _in_rows(self, positions: np.ndarray, rows: np.ndarray, stride: int,
+                 sizes) -> np.ndarray:
+        """Flat support ``positions`` within one row of ``stride`` values,
+        moved to each member's row of a stacked array: member i's
+        ``sizes[i]`` entries shift by ``rows[i]`` times ``stride``."""
+        if len(sizes) != len(rows):
+            raise ValueError(f"a stack of {len(rows)} members takes "
                              f"one support per member, got {len(sizes)}")
-        return positions + (self._slots * stride).repeat(sizes)
+        return positions + (rows * stride).repeat(sizes)
 
     def take(self, rows) -> "ProjectionContext":
         """The context of the batch members ``rows`` (an index or a
         slice): this one when every member shares its weighting, else a
-        view whose slots are those members' own, over the same tables."""
+        view over the same Gram table whose slots and weighting rows are
+        those members' own.  A slice of a view copies nothing."""
         if self._slots is None:
             return self
         view = copy.copy(self)
         view._slots = self._slots[rows]
+        by = rows if self._by_member else view._slots
+        for name in ("w_flat", "norms", "excluded", "_safe_norms"):
+            setattr(view, name, getattr(self, name)[by])
+        view.weights = view.w_flat.reshape(-1, self.basis.m, self.basis.n)
+        view._by_member = True
         return view
 
     # -- weighted correlations -------------------------------------------
@@ -435,8 +453,11 @@ class ProjectionContext:
         idx, sizes, shape = _ragged(indices, sizes)
         lo, hi = _gram_pairs(sizes)
         keys, diff, total = self.basis.gram_keys
-        stride = self._gram_table.shape[-1]
-        row = self._in_rows(keys.take(idx), stride, sizes).take(lo)
+        row = keys.take(idx)
+        if self._slots is not None:
+            row = self._in_rows(row, self._slots,
+                                self._gram_table.shape[-1], sizes)
+        row = row.take(lo)
         col = idx.take(hi)
         table = self._gram_table.reshape(-1)
         g = table.take(row + diff.take(col))
@@ -449,8 +470,12 @@ class ProjectionContext:
         with per-member ``sizes`` as in `gram`."""
         idx, sizes, shape = _ragged(indices, sizes)
         norms = self.norms
-        got = norms.reshape(-1).take(
-            self._in_rows(idx, norms.shape[-1], sizes))
+        if self._slots is not None:
+            rows = np.arange(len(self._slots)) if self._by_member \
+                else self._slots
+            idx = self._in_rows(idx, rows, norms.shape[-1], sizes)
+            norms = norms.reshape(-1)
+        got = norms.take(idx)
         return got if shape is None else got.reshape(shape)
 
     def render(self, indices, coefficients, sizes=None) -> np.ndarray:
@@ -466,13 +491,13 @@ class ProjectionContext:
         idx, sizes, shape = _ragged(indices, sizes)
         rows = b.left.take(idx, axis=0)
         rows *= np.asarray(coefficients, dtype=np.float64).reshape(-1, 1, 1)
-        cols = b.right.take(b.l_freq.take(idx), axis=0)
+        rows = rows.reshape(-1, b.m)
+        cols = b.right.take(b.l_freq.take(idx), axis=0).reshape(-1, b.n)
         out = np.empty((len(sizes), b.m, b.n))
-        start = 0
+        start = 0   # two factor rows per function
         for member, k in enumerate(sizes):
-            end = start + k
-            np.matmul(rows[start:end].reshape(-1, b.m).T,
-                      cols[start:end].reshape(-1, b.n), out=out[member])
+            end = start + 2 * k
+            np.matmul(rows[start:end].T, cols[start:end], out=out[member])
             start = end
         lead = (len(sizes),) if shape is None else shape[:-1]
         return out.reshape(lead + (b.m * b.n,))
@@ -497,6 +522,7 @@ def stack_contexts(contexts) -> ProjectionContext:
         setattr(stack, name, np.stack([getattr(c, name) for c in distinct]))
     stack.w_flat = stack.weights.reshape(len(distinct), -1)
     stack._slots = np.array([row[id(c)] for c in contexts])
+    stack._by_member = False
     return stack
 
 

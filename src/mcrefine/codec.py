@@ -93,9 +93,11 @@ class EncoderConfig:
             raise ValueError("quantizer ladder must be strictly increasing")
         # The engine's factor table takes 16*(3s)**3 bytes: 113 MB at 64,
         # 906 MB at 128.  Each projection context adds a Gram table of
-        # 128*(3s)**2 bytes: 295 KB at 16, 4.7 MB at 64.  A batch that
-        # mixes availability classes copies the tables of its (at most
-        # five) classes for the length of one call.
+        # 128*(3s)**2 bytes: 295 KB at 16, 4.7 MB at 64.  A frame's blocks
+        # share one stack of the tables of their (at most five) classes,
+        # copied once per frame, pass or trace; each engine call gathers
+        # its members' weighting rows, 25*(3s)**2 bytes per member: 56 KB
+        # at 16, 0.9 MB at 64.
         s = self.block_size
         if s < 8 or s > 64 or s & (s - 1):
             raise ValueError(f"block size must be a power of two from 8 (the "
@@ -172,8 +174,12 @@ def assemble_window(layout, neighbor_samples: np.ndarray,
 def frame_blocks(width: int, height: int, size: int) -> list:
     """Every macroblock of a frame, in line-scan order.
 
-    Raises `GeometryError` unless the block grid tiles the frame exactly.
+    Raises `GeometryError` unless the frame has positive dimensions and
+    the block grid tiles it exactly.
     """
+    if width < 1 or height < 1:
+        raise GeometryError(f"frame dimensions must be positive, got "
+                            f"{width}x{height}")
     if width % size or height % size:
         raise GeometryError(f"frame {width}x{height} is not a multiple of "
                             f"the block size {size}")
@@ -219,21 +225,36 @@ def dependency_levels(nx: int, ny: int, needs) -> list:
     return levels
 
 
+def _frame_context(layouts, config: EncoderConfig):
+    """One projection context over the blocks ``layouts``, each weighted
+    by its layout's reference weighting under ``config``'s mu and rho.
+
+    Layouts depend only on the frame geometry, so `predict_frame` builds
+    this once per frame, `encode_pass` once per pass and `replay_trace`
+    once per trace; each engine batch then takes its blocks' members with
+    `ProjectionContext.take`, which copies no table.
+    """
+    return stack_contexts([projection_context(layout, mu=config.mu,
+                                              rho=config.rho)
+                           for layout in layouts])
+
+
 def refine_blocks(layouts, neighbor_samples: np.ndarray, mc_blocks,
-                  config: EncoderConfig) -> list:
+                  config: EncoderConfig, context=None) -> list:
     """Spatially refine motion-compensated blocks as one engine batch.
 
     The one refinement call of `predict_frame`, `encode_pass` and
     `replay_trace`, so all three build working areas and weightings alike.
     The blocks share one size but may differ in neighbour availability;
     each result is bitwise equal to what a batch of that block alone gives.
+    ``context`` weights the blocks, one member each, as `_frame_context`
+    of ``layouts`` does, which is the default.
     """
     windows = np.empty((len(layouts), layouts[0].m, layouts[0].n))
     for window, layout, mc in zip(windows, layouts, mc_blocks):
         window[...] = assemble_window(layout, neighbor_samples, mc)
-    context = stack_contexts([projection_context(layout, mu=config.mu,
-                                                 rho=config.rho)
-                              for layout in layouts])
+    if context is None:
+        context = _frame_context(layouts, config)
     return extrapolate.run_batch(windows, layouts, config.extrapolation,
                                  context=context)
 
@@ -296,12 +317,14 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
     refined = [None] * len(blocks)
     if config.refinement != "none":
         layouts = [build_layout(current, block) for block in blocks]
+        context = _frame_context(layouts, config)
         todo = [i for i, layout in enumerate(layouts) if not layout.r_empty]
         for lo in range(0, len(todo), REFINE_CHUNK):
             chunk = todo[lo:lo + REFINE_CHUNK]
             for i, result in zip(chunk, refine_blocks(
                     [layouts[i] for i in chunk], current.data,
-                    [_cut(mc_raster, blocks[i]) for i in chunk], config)):
+                    [_cut(mc_raster, blocks[i]) for i in chunk], config,
+                    context=context.take(np.array(chunk)))):
                 refined[i] = result.block
     predictor = np.empty_like(mc_raster)
     decisions = []
@@ -528,6 +551,10 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
 
     nx, ny = first.width // s, first.height // s
     schedule = dependency_levels(nx, ny, range(nx * ny))
+    refine = config.refinement != "none"
+    if refine:
+        layouts = [build_layout(first, block) for block in blocks]
+        context = _frame_context(layouts, config)
     total_bits = 0.0
     stats = []
     trace_frames = []
@@ -546,16 +573,15 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
             mc = {i: compensate(prev_frame.y, blocks[i], motion[i][0])
                   for i in wave}
             refined = dict.fromkeys(wave)
-            if config.refinement != "none":
-                layouts = {i: build_layout(cur, blocks[i]) for i in wave}
-                todo = [i for i in wave if not layouts[i].r_empty]
-                if todo:
-                    t0 = time.perf_counter()
-                    for i, result in zip(todo, refine_blocks(
-                            [layouts[i] for i in todo], recon_y,
-                            [mc[i] for i in todo], config)):
-                        refined[i] = result.block
-                    refine_total += time.perf_counter() - t0
+            todo = [i for i in wave if refine and not layouts[i].r_empty]
+            if todo:
+                t0 = time.perf_counter()
+                for i, result in zip(todo, refine_blocks(
+                        [layouts[i] for i in todo], recon_y,
+                        [mc[i] for i in todo], config,
+                        context=context.take(np.array(todo)))):
+                    refined[i] = result.block
+                refine_total += time.perf_counter() - t0
             chosen = np.empty((len(wave), s, s))
             for j, i in enumerate(wave):
                 block = blocks[i]
@@ -576,7 +602,7 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         frame_bits = 0.0
         for bits in coeff_bits:
             frame_bits += bits
-        frame_bits += _side_bits(decisions, nx, config.refinement != "none")
+        frame_bits += _side_bits(decisions, nx, refine)
         total_bits += frame_bits
         refined_n = sum(d.refined for d in decisions)
         stats.append(FrameStats(
@@ -650,6 +676,8 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     s = trace.block_size
     blocks = frame_blocks(width, height, s)
     nx, ny = width // s, height // s
+    layouts = [build_layout(trace.dims, block) for block in blocks]
+    context = _frame_context(layouts, config)
     recon = np.empty((height, width), np.uint8)
     grid = _grid(recon, s)
     grid[...] = decode_block(np.full((s, s), 128.0), trace.intra_levels,
@@ -675,8 +703,9 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
             decode(plain)
         for level in dependency_levels(nx, ny, refined):
             for i, result in zip(level, refine_blocks(
-                    [build_layout(prev, blocks[i]) for i in level], recon_y,
-                    [pred_grid[divmod(i, nx)] for i in level], config)):
+                    [layouts[i] for i in level], recon_y,
+                    [pred_grid[divmod(i, nx)] for i in level], config,
+                    context=context.take(np.array(level)))):
                 pred_grid[divmod(i, nx)] = result.block
             decode(level)
         predictors.append(predictor)

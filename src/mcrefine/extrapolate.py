@@ -22,19 +22,26 @@ functions.  Taking only a gamma-fraction keeps the weighted error monotone
 for gamma in (0, 2) and lets later iterations re-select the same function.
 
 There is one engine loop, `run_batch`: it steps B working areas of one
-block size together.  Their neighbour availability may differ, so each
-member has its own weighting: one `ProjectionContext` weights them all,
-with one weighting row when they all have the same and otherwise a row per
-distinct weighting, copied once per batch (`stack_contexts`).  Per
+block size together, and `run` is its B = 1 call.  Their neighbour
+availability may differ, so each member has its own weighting: one
+`ProjectionContext` weights them all, with one weighting row when they all
+have the same and otherwise a row per distinct weighting (`stack_contexts`,
+which a caller can build once for every block of a frame); the call
+gathers its members' own rows once (`ProjectionContext.take`).  Per
 iteration it takes one stacked FFT for the numerators of every member and
-selects row-wise.  It then reads the live support once, in member order,
-as flat entries: each member's support is a run of them, of its own size,
-with no sort and no grouping by size.  Size-1 systems take the closed
-form; every larger member's Gram matrix comes from one ragged gather over
-all of them, two table reads per entry from the signed FFT2(w) table; the
-solutions go into the coefficients in one scatter; and each member's model
-update is rendered by one matrix product.  Members that have converged
-drop out of the batch.  `run` is its B = 1 call.  The solve, `_solve`, is
+selects row-wise, which hands back the live support once, in member
+order, as flat entries: each member's support is a run of them, of its own
+size, with no sort and no grouping by size.  Size-1 systems take the
+closed form; every larger member's Gram matrix comes from one ragged
+gather over all of them, two table reads per entry from the signed
+FFT2(w) table; the solutions go into the coefficients in one scatter; and
+each member's model update is rendered by one matrix product.  Members
+that have converged drop out of the batch.  The loop runs at batches of a
+few members in the closed loop and of one in `run`, so its fixed cost per
+iteration is kept to the arithmetic: while every member is live nothing is
+gathered, each member's convergence floor is computed once per call, and
+the bookkeeping of members that converge or shed runs only in an
+iteration where one does.  The solve, `_solve`, is
 the only solver, and `solve_subspace` is its one-member call: it factors
 and solves each member's Gram on its own with LAPACK's Cholesky pair
 (``dpotrf``, ``dpotrs``), so a member whose Gram is singular fails alone
@@ -126,8 +133,10 @@ class EngineState:
     coefficients: np.ndarray      # (B, count) model coefficients
     rendering: np.ndarray         # (B, M*N) model rasters, kept in sync
     energy0: np.ndarray           # (B,) weighted error of the zero model
+    floor: np.ndarray             # (B,) CONVERGENCE_FRACTION * energy0
     iterations: np.ndarray        # (B,) completed iterations
     converged: np.ndarray         # (B,) bool
+    live: np.ndarray              # ascending rows not converged
     gram_retries: np.ndarray      # (B,) singular-Gram retries
     active: np.ndarray            # (B, count) bool: rba's selected span
     f_numerators: np.ndarray | None = None   # rba: projections of f, cached
@@ -157,12 +166,13 @@ def new_state(f, ctx: ProjectionContext, record: bool = False) -> EngineState:
     b = ctx.basis
     f = np.asarray(f, dtype=np.float64).reshape(-1, b.m * b.n)
     batch = f.shape[0]
+    energy0 = np.array(_weighted_energies(f, ctx))
     return EngineState(
         f=f, residual=f.copy(), coefficients=np.zeros((batch, b.count)),
-        rendering=np.zeros_like(f),
-        energy0=np.array(_weighted_energies(f, ctx)),
+        rendering=np.zeros_like(f), energy0=energy0,
+        floor=CONVERGENCE_FRACTION * energy0,
         iterations=np.zeros(batch, dtype=int),
-        converged=np.zeros(batch, dtype=bool),
+        converged=np.zeros(batch, dtype=bool), live=np.arange(batch),
         gram_retries=np.zeros(batch, dtype=int),
         active=np.zeros((batch, b.count), dtype=bool),
         selections=[[] for _ in range(batch)] if record else None)
@@ -192,38 +202,47 @@ def decrement_energies(num: np.ndarray, ctx: ProjectionContext) -> np.ndarray:
 
 
 def select_batch(decrements: np.ndarray, tau: float, n_bf: int,
-                 floor: float | np.ndarray = 0.0) -> np.ndarray:
-    """Row-wise `select_candidates` over (B, count) decrements, as a mask.
+                 floor: float | np.ndarray = 0.0) -> tuple[np.ndarray, list]:
+    """Row-wise `select_candidates` over (L, count) decrements.
 
     A row keeps every decrement above ``tau`` times its best one plus the
     best one itself.  Rows over the ``n_bf`` cap keep their ``n_bf``
     largest candidates, ties going to the lower index; only the candidates
     are sorted, never a whole row.  A row whose best decrement is not
     positive, or lies below ``floor`` (a scalar or one value per row),
-    selects nothing.
+    selects nothing.  Returns the picks as ascending positions into the
+    flattened rows, so each row's picks are one run in index order, and
+    each row's count as a list.  A cap of one needs no mask: the picks are
+    the positions of the valid rows' bests.
     """
-    rows = np.arange(len(decrements))
+    count = decrements.shape[1]
     best = decrements.argmax(axis=1)      # the first best of each row
-    d_max = decrements[rows, best]
+    best += np.arange(0, decrements.size, count)
+    flat = decrements.reshape(-1)
+    d_max = flat.take(best)
     valid = (d_max > 0.0) & (d_max >= floor)
-    if n_bf == 1:   # a cap of one keeps only the best
-        picked = np.zeros(decrements.shape, dtype=bool)
-        picked[rows, best] = valid
-        return picked
-    picked = decrements > tau * d_max[:, None]
+    if n_bf == 1:
+        return best[valid], valid.astype(np.intp).tolist()
+    picked = decrements > (tau * d_max)[:, None]
     picked &= valid[:, None]
-    picked[rows, best] = valid
-    counts = picked.sum(axis=1)
-    over = (counts > n_bf).nonzero()[0]
-    if over.size:
-        r, c = np.nonzero(picked[over])
-        order = np.lexsort((c, -decrements[over[r], c], r))
-        r, c = r[order], c[order]
-        first = np.cumsum(counts[over]) - counts[over]
-        keep = np.arange(r.size) - first[r] < n_bf
-        picked[over] = False
-        picked[over[r[keep]], c[keep]] = True
-    return picked
+    picked.reshape(-1)[best] = valid
+    flat = picked.reshape(-1).nonzero()[0]
+    if flat.size > n_bf:   # a row may be over the cap
+        counts = picked.sum(axis=1)
+        over = (counts > n_bf).nonzero()[0]
+        if over.size:
+            r, c = np.nonzero(picked[over])
+            order = np.lexsort((c, -decrements[over[r], c], r))
+            r, c = r[order], c[order]
+            first = np.cumsum(counts[over]) - counts[over]
+            keep = np.arange(r.size) - first[r] < n_bf
+            picked[over] = False
+            picked[over[r[keep]], c[keep]] = True
+            flat = picked.reshape(-1).nonzero()[0]
+    # each row's picks end where the next row starts
+    ends = flat.searchsorted(np.arange(count, decrements.size + 1, count))
+    ends = ends.tolist()
+    return flat, [end - start for start, end in zip([0] + ends, ends)]
 
 
 def select_candidates(decrements: np.ndarray, tau: float, n_bf: int) -> np.ndarray:
@@ -234,8 +253,7 @@ def select_candidates(decrements: np.ndarray, tau: float, n_bf: int) -> np.ndarr
     lower basis index so results are reproducible across platforms.  An empty
     result means no positive decrement remains (convergence).
     """
-    return np.flatnonzero(select_batch(np.asarray(decrements)[None], tau,
-                                       n_bf)[0])
+    return select_batch(np.asarray(decrements)[None], tau, n_bf)[0]
 
 
 def solve_subspace(residual, indices, ctx: ProjectionContext
@@ -253,10 +271,10 @@ def solve_subspace(residual, indices, ctx: ProjectionContext
     num = ctx.numerators(np.asarray(residual, dtype=np.float64))
     idx = np.unique(np.asarray(indices, dtype=np.intp))
     decr = decrement_energies(num, ctx)
-    solution, solved, shed = _solve(
-        idx, [idx.size], np.ones(idx.size, bool), num[idx], decr[idx], ctx,
-        np.zeros(1, int), np.zeros(1, int))
-    if solved[0]:
+    solution, failed, shed = _solve(idx, [idx.size], None, num[idx],
+                                    decr[idx], ctx, np.zeros(1, int),
+                                    np.zeros(1, int))
+    if not failed:
         return solution, idx
     if shed:
         _, used, solution = shed[0]
@@ -264,52 +282,61 @@ def solve_subspace(residual, indices, ctx: ProjectionContext
     return np.empty(0), np.empty(0, dtype=np.intp)
 
 
-def _solve(idx: np.ndarray, sizes: list, fresh: np.ndarray, rhs: np.ndarray,
-           decr: np.ndarray, ctx: ProjectionContext, members: np.ndarray,
-           retries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+def _solve(idx: np.ndarray, sizes: list, fresh: np.ndarray | None,
+           rhs: np.ndarray, decr: np.ndarray, ctx: ProjectionContext,
+           members: np.ndarray, retries: np.ndarray
+           ) -> tuple[np.ndarray, list, list]:
     """Solve every member's system, one support of its own size each.
 
     The flat arrays hold the members' supports one after another, member
     i owning the next ``sizes[i]`` entries: ``idx`` its functions in
-    ascending order, ``fresh`` the picks of this iteration, ``rhs`` and
-    ``decr`` the right-hand sides and decrements there.  ``ctx`` weights
-    the members row by row; ``members[i]`` is member i's row in
-    ``retries``.  Returns the solutions, flat like ``idx``, a mask of the
-    members solved on their whole support, and (i, indices, solution)
-    for each member solved only after shedding picks.
+    ascending order, ``fresh`` the picks of this iteration (None: every
+    entry), ``rhs`` and ``decr`` the right-hand sides and decrements
+    there.  ``ctx`` weights the members row by row; ``members[i]`` is
+    member i's row in ``retries``.  Returns the solutions, flat like
+    ``idx``, the members not solved on their whole support (an empty
+    support or a singular Gram), and (i, indices, solution) for each
+    member solved only after shedding picks.
 
-    A size-1 system is the closed form ``rhs / norm``.  The larger ones'
-    Gram matrices come from one ragged `ProjectionContext.gram` call;
-    each member's own is then factored and solved alone
-    (`_cholesky_solve`).  So each member succeeds or fails on its own: a
-    member whose Gram is not positive definite sheds its lowest-decrement
-    fresh pick (rba's established span is never fresh), counts one retry
-    and is solved again alone (`_shed`); once no fresh pick is left it
-    takes no solution.
+    A size-1 system, and only that, takes the closed form ``rhs / norm``.
+    The larger ones' Gram matrices come from one ragged
+    `ProjectionContext.gram` call; each member's own is then factored and
+    solved alone (`_cholesky_solve`).  So each member succeeds or fails on
+    its own: a member whose Gram is not positive definite sheds its
+    lowest-decrement fresh pick (rba's established span is never fresh),
+    counts one retry and is solved again alone (`_shed`); once no fresh
+    pick is left it takes no solution.
     """
-    solution = rhs / ctx.norms_at(idx, sizes)
-    solved = np.array(sizes) > 0
-    shed = []
+    failed = [i for i, k in enumerate(sizes) if not k]
     if max(sizes, default=0) < 2:
-        return solution, solved, shed
+        return rhs / ctx.norms_at(idx, sizes), failed, []
+    solution = np.zeros(len(rhs))
     grams = ctx.gram(idx, sizes)
+    single, shed = [], []
     start = corner = 0
     for i, k in enumerate(sizes):
         end, last = start + k, corner + k * k
-        if k > 1:
+        if k == 1:
+            single.append(start)
+        elif k > 1:
             got = _cholesky_solve(grams[corner:last].reshape(k, k),
                                   rhs[start:end])
             if got is not None:
                 solution[start:end] = got
             else:
-                solved[i] = False
+                failed.append(i)
                 retries[members[i]] += 1
-                got = _shed(*(a[start:end] for a in (idx, fresh, rhs, decr)),
-                            ctx.take(slice(i, i + 1)), members[i], retries)
+                picks = np.ones(k, bool) if fresh is None else fresh[start:end]
+                got = _shed(idx[start:end], picks, rhs[start:end],
+                            decr[start:end], ctx.take(slice(i, i + 1)),
+                            members[i], retries)
                 if got is not None:
                     shed.append((i, *got))
         start, corner = end, last
-    return solution, solved, shed
+    if single:
+        solution[single] = rhs[single] / ctx.norms_at(
+            idx[single], [int(k == 1) for k in sizes])
+    return solution, failed, shed
 
 
 def _shed(idx, fresh, rhs, decr, ctx: ProjectionContext, member: int,
@@ -355,65 +382,72 @@ def step(state: EngineState, params: ExtrapolationParams,
     msa with ``n_bf`` 1).  rba selects against the residual, then
     re-projects the *input* onto the span of every function selected so
     far and replaces all coefficients, undamped; because the span only
-    grows, the weighted error cannot increase.  The live support is read
-    with one ``nonzero`` over the (L, count) mask, in member order, so
-    every member's support is a run of entries of any size, with no sort
-    and no grouping by size.  `_solve` takes them all at once: the closed
-    form for size-1 systems, one ragged Gram gather for the rest and
-    LAPACK's Cholesky pair per member; a member whose Gram is singular
-    sheds fresh picks, one retry each, until it solves.  The solutions go
-    into the coefficients in one scatter, and each member's model update
-    is rendered by one matrix product (`ProjectionContext.render`).  A
-    member converges when its best decrement falls below
-    `CONVERGENCE_FRACTION` of its initial error, when nothing new is
-    selected, or when the retries shed every fresh pick; every other live
-    member counts one iteration.
+    grows, the weighted error cannot increase.  Its first step reuses the
+    residual's numerators as those of the input, which the residual still
+    equals.  Selection hands back the live support once, as flat entries
+    in member order, so every member's support is a run of entries of any
+    size, with no sort and no grouping by size.  `_solve` takes them all
+    at once: the closed form for size-1 systems, one ragged Gram gather
+    for the rest and LAPACK's Cholesky pair per member; a member whose
+    Gram is singular sheds fresh picks, one retry each, until it solves.
+    The solutions go into the coefficients in one scatter, and each
+    member's model update is rendered by one matrix product
+    (`ProjectionContext.render`).  A member converges when its best
+    decrement falls below its floor, `CONVERGENCE_FRACTION` of its initial
+    error, when nothing new is selected, or when the retries shed every
+    fresh pick; every other live member counts one iteration.  While
+    every member is live, the state and the context are read whole, with
+    no gather.
     """
-    live = (~state.converged).nonzero()[0]
+    live = state.live
     if live.size == 0:
         return state
     rba = params.algorithm == "rba"
-    if rba and state.f_numerators is None:
-        state.f_numerators = ctx.numerators(state.f)
-    rows = _index(live, len(state.converged))
-    live_ctx = ctx.take(rows)
+    every = live.size == len(state.converged)
+    rows = slice(None) if every else live
+    live_ctx = ctx if every else ctx.take(live)
     num = live_ctx.numerators(state.residual[rows])
+    if rba and state.f_numerators is None:
+        state.f_numerators = num   # the first step: the residual is f
     decr = decrement_energies(num, live_ctx)
     n_bf = 1 if params.algorithm == "fsa" else params.n_bf
-    fresh = select_batch(decr, params.tau, n_bf,
-                         floor=CONVERGENCE_FRACTION * state.energy0[rows])
+    flat, sizes = select_batch(decr, params.tau, n_bf,
+                               floor=state.floor[rows])
+    fresh = None
     if rba:
-        fresh &= ~state.active[rows]
-        support = fresh | state.active[rows]
-        support[~fresh.any(axis=1)] = False   # nothing new: no system
-    else:
-        support = fresh
-    # The live support, once, as flat entries of the (L, count) masks.
-    count = support.shape[1]
-    flat = support.reshape(-1).nonzero()[0]
-    sizes = support.sum(axis=1).tolist()
+        flat, sizes, fresh = _grow_span(flat, state.active[rows])
+    count = decr.shape[1]
     idx = flat % count
     rhs = (state.f_numerators[rows] if rba else num).take(flat)
-    solution, solved, shed = _solve(idx, sizes, fresh.take(flat), rhs,
-                                    decr.take(flat), live_ctx, live,
-                                    state.gram_retries)
-    # A live member converges unless it takes a solution.
-    state.converged[live] = True
-    members = live
-    if not solved.all():
-        keep = solved.repeat(sizes)
-        members, idx, solution = live[solved], idx[keep], solution[keep]
-        sizes = [k for k, ok in zip(sizes, solved) if ok]
-    updates = [(members, idx, solution, sizes)]
-    updates += [(live[i:i + 1], used, values, [used.size])
-                for i, used, values in shed]
+    solution, failed, shed = _solve(idx, sizes, fresh, rhs, decr.take(flat),
+                                    live_ctx, live, state.gram_retries)
     if not rba:
-        updates = [(members, used, params.gamma * values, used_sizes)
-                   for members, used, values, used_sizes in updates]
-    for members, used, values, used_sizes in updates:
-        state.converged[members] = False
-        _apply(state, members, used, values, used_sizes, ctx, rba)
-    state.iterations += ~state.converged
+        solution *= params.gamma
+    updates = [(live, idx, solution, sizes)]
+    if not failed:
+        # every live member takes its solution; ``flat`` already holds
+        # the coefficient positions when every member is live
+        pos = flat if every else (live * count).repeat(sizes) + idx
+        _apply(state, rows, pos, idx, solution, sizes, ctx, rba)
+        state.iterations[rows] += 1
+    else:
+        # A member without a solution converges, unless it shed picks.
+        keep = np.ones(live.size, bool)
+        keep[failed] = False
+        entries = keep.repeat(sizes)
+        updates = [(live[keep], idx[entries], solution[entries],
+                    [k for k, ok in zip(sizes, keep) if ok])]
+        updates += [(live[i:i + 1], used,
+                     values if rba else params.gamma * values, [used.size])
+                    for i, used, values in shed]
+        state.converged[live[failed]] = True
+        state.converged[[live[i] for i, _, _ in shed]] = False
+        for members, used, values, used_sizes in updates:
+            _apply(state, _index(members, len(state.converged)),
+                   (members * count).repeat(used_sizes) + used, used, values,
+                   used_sizes, ctx, rba)
+        state.iterations += ~state.converged
+        state.live = (~state.converged).nonzero()[0]
     # The other members' residuals are recomputed unchanged, without
     # temporaries.
     np.subtract(state.f, state.rendering, out=state.residual)
@@ -428,30 +462,44 @@ def step(state: EngineState, params: ExtrapolationParams,
     return state
 
 
+def _grow_span(flat: np.ndarray, active: np.ndarray):
+    """rba's supports: each member's picks ``flat`` (positions into its
+    (L, count) rows) not yet in its span ``active`` are fresh, and its
+    support is the span plus them, or nothing when none is fresh.
+    Returns the supports as flat positions, their sizes and the fresh
+    flags of their entries."""
+    fresh = np.zeros(active.shape, dtype=bool)
+    fresh.reshape(-1)[flat] = True
+    fresh &= ~active
+    support = fresh | active
+    support[~fresh.any(axis=1)] = False   # nothing new: no system
+    flat = support.reshape(-1).nonzero()[0]
+    return flat, support.sum(axis=1).tolist(), fresh.reshape(-1).take(flat)
+
+
 def _index(rows: np.ndarray, total: int):
     """Ascending ``rows`` of a ``total``-row array as an index: a basic
     slice when they are all rows, which indexes without copying."""
     return slice(None) if rows.size == total else rows
 
 
-def _apply(state: EngineState, members: np.ndarray, idx: np.ndarray,
+def _apply(state: EngineState, rows, pos: np.ndarray, idx: np.ndarray,
            values: np.ndarray, sizes: list, ctx: ProjectionContext,
            rba: bool) -> None:
-    """Put solutions into the models of ``members`` (ascending state rows,
-    member j owning the next ``sizes[j]`` entries of ``idx`` and
-    ``values``) in one scatter: rba replaces the whole model, fsa/msa add
-    their damped ``values`` to it."""
-    flat = (members * state.coefficients.shape[1]).repeat(sizes) + idx
-    rows = _index(members, len(state.converged))
+    """Put solutions into the models of the state rows ``rows`` (a slice
+    or ascending rows, member j owning the next ``sizes[j]`` entries of
+    ``idx`` and ``values``, at the positions ``pos`` of the flattened
+    coefficients) in one scatter: rba replaces the whole model, fsa/msa
+    add their damped ``values`` to it."""
     rendered = ctx.render(idx, values, sizes)
     if rba:
         state.coefficients[rows] = 0.0
-        state.coefficients.reshape(-1)[flat] = values
+        state.coefficients.reshape(-1)[pos] = values
         state.rendering[rows] = rendered
         state.active[rows] = False
-        state.active.reshape(-1)[flat] = True
+        state.active.reshape(-1)[pos] = True
     else:
-        state.coefficients.reshape(-1)[flat] += values
+        state.coefficients.reshape(-1)[pos] += values
         state.rendering[rows] += rendered
 
 
@@ -463,8 +511,10 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
     ``windows`` is a (B, M, N) stack of signals and ``layouts`` their B
     working areas, all of one block size; their neighbour availability may
     differ.  ``context`` weights the batch, member by member (see
-    `stack_contexts`); by default every member takes its layout's reference
-    weighting, ``projection_context(layout)``.  Each signal holds
+    `stack_contexts`; a view that `ProjectionContext.take` gave is read
+    as it is, and a stack has its members' rows gathered once); by
+    default every member takes its layout's reference weighting,
+    ``projection_context(layout)``.  Each signal holds
     reconstructed samples on R, the temporal predictor on the centre block
     and arbitrary values on padding; padding carries zero weight and
     provably never changes the result.  Returns one `RefineResult` per
@@ -485,8 +535,11 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
         raise ValueError("a batch takes one block size")
     if not np.isfinite(windows).all():
         raise SampleError("working-area signals must be finite")
-    ctx = context if context is not None else stack_contexts(
-        [projection_context(layout) for layout in layouts])
+    if context is None:
+        context = stack_contexts([projection_context(layout)
+                                  for layout in layouts])
+    # each member's own weighting rows, gathered once for the whole call
+    ctx = context.take(slice(None))
     state = new_state(windows, ctx, record=record)
     for _ in range(params.iterations):
         step(state, params, ctx)

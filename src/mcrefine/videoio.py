@@ -25,6 +25,11 @@ class UnusedOptionError(ValueError):
 
 
 def frame_bytes(width: int, height: int) -> int:
+    """Bytes of one 4:2:0 frame; raises `FormatError` unless both
+    dimensions are positive and even."""
+    if width < 1 or height < 1:
+        raise FormatError(f"frame dimensions must be positive, got "
+                          f"{width}x{height}")
     if width % 2 or height % 2:
         raise FormatError(f"4:2:0 needs even dimensions, got {width}x{height}")
     return width * height * 3 // 2
@@ -196,10 +201,7 @@ def synth_sequence(kind: str, *, width: int = 352, height: int = 288,
     options = {**SYNTH_OPTIONS[kind], **options}
     if frames < 1:
         raise ValueError("need at least one frame")
-    if width < 1 or height < 1:
-        raise ValueError(f"frame dimensions must be positive, got "
-                         f"{width}x{height}")
-    frame_bytes(width, height)  # 4:2:0 needs even dimensions
+    frame_bytes(width, height)  # positive, even dimensions
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     out = []
     chroma = _gray_chroma(width, height)

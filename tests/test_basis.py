@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.fft
 
 from conftest import MatrixContext, reference_gram
 from mcrefine.basis import (ParameterError, ProjectionContext,
-                            _enumerate_basis, build_basis,
+                            _enumerate_basis, _unit_phases, build_basis,
                             build_weight_mask, excluded_mask,
                             precompute_norms, projection_context,
                             stack_contexts)
@@ -95,6 +96,28 @@ class TestBuildBasis:
 
     def test_cached(self):
         assert build_basis(8, 8) is build_basis(8, 8)
+
+    @pytest.mark.parametrize("size", [24, 48])
+    def test_left_factors_equal_the_stacked_expression(self, size):
+        b = _enumerate_basis(size, size)
+        # the reference: `left` as a select over two stacked full-size
+        # tables of the gathered phases
+        a = _unit_phases(size)[b.k_freq]
+        cos_a, sin_a = np.cos(a), np.sin(a)
+        want = np.where(b.is_sin[:, None, None],
+                        np.stack((sin_a, cos_a), axis=1),
+                        np.stack((cos_a, -sin_a), axis=1))
+        _bitwise_equal(b.left, want)
+
+    def test_left_factors_need_no_full_size_temporary(self):
+        # the reference expression peaks at about 4.5 times the table
+        tracemalloc.start()
+        try:
+            b = _enumerate_basis(96, 96)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * b.left.nbytes
 
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):

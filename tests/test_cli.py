@@ -163,6 +163,18 @@ class TestExitCodes:
         assert rc == 2
         assert "mu must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (-16, 32)])
+    def test_nonpositive_frame_size(self, width, height, tmp_path, capsys):
+        # refused by the config check, before the input is opened: the
+        # input does not even exist
+        rc = cli.main(["encode", "--input", str(tmp_path / "any.yuv"),
+                       "--width", str(width), "--height", str(height)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"frame dimensions must be positive, got {width}x{height}" \
+            in err
+        assert "Traceback" not in err
+
     def test_no_input_given(self, capsys):
         rc = cli.main(["encode", "--width", "64", "--height", "64"])
         assert rc == 2

@@ -457,6 +457,12 @@ class TestClosedLoop:
                         qp=28)
         assert coded == []
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (-16, 32), (32, 0)])
+    def test_frame_blocks_rejects_nonpositive_sizes(self, width, height):
+        # a frame of no blocks used to pass, and a negative width too
+        with pytest.raises(GeometryError, match="must be positive"):
+            codec.frame_blocks(width, height, 16)
+
     @pytest.mark.parametrize("size", [8, 16])
     @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
     def test_replay_bit_exact_for_every_engine(self, algo, size):

@@ -6,7 +6,8 @@ from scipy.linalg import lapack
 
 from conftest import MatrixContext
 from mcrefine import extrapolate
-from mcrefine.basis import build_basis, projection_context, stack_contexts
+from mcrefine.basis import (ProjectionContext, build_basis,
+                            projection_context, stack_contexts)
 from mcrefine.extrapolate import (ExtrapolationParams, decrement_energies,
                                   new_state, run, run_batch, select_batch,
                                   select_candidates, solve_subspace, step)
@@ -97,11 +98,14 @@ class TestSelectCandidates:
         decr = rng.integers(0, 6, size=(rows, 25)).astype(float)
         decr[0] = 0.0
         floor = rng.uniform(0, 6, size=rows)
-        got = select_batch(decr, 0.6, n_bf, floor=floor)
-        for row, lowest, mask in zip(decr, floor, got):
+        flat, sizes = select_batch(decr, 0.6, n_bf, floor=floor)
+        assert len(sizes) == rows and sum(sizes) == flat.size
+        got = np.split(flat, np.cumsum(sizes)[:-1])
+        for i, (row, lowest, picks) in enumerate(zip(decr, floor, got)):
             want = select_candidates(row, 0.6, n_bf) \
                 if row.max() >= lowest else []
-            np.testing.assert_array_equal(np.flatnonzero(mask), want)
+            np.testing.assert_array_equal(picks, i * 25 + np.asarray(
+                want, dtype=np.intp))
 
 
 class TestSolveSubspace:
@@ -448,6 +452,37 @@ class TestBatchIndependence:
         joint = [used.size > 1 for r in got
                  for used, _, _ in r.diagnostics.selections]
         assert any(joint) == (algo != "fsa")
+
+
+class TestNumeratorCalls:
+    @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
+    def test_one_call_per_iteration(self, algo, monkeypatch):
+        # every step with a live member reads the numerators once, in one
+        # stacked call: one per iteration, plus the step that finds a
+        # member converged; rba's first step reuses them for its input
+        calls = []
+        numerators = ProjectionContext.numerators
+
+        def spy(self, residual):
+            calls.append(len(residual))
+            return numerators(self, residual)
+
+        monkeypatch.setattr(ProjectionContext, "numerators", spy)
+        rng = np.random.default_rng(21)
+        layouts = BATCH_LAYOUTS[16]
+        windows = plaid_windows(rng, len(layouts), 48)
+        windows[3] = 0.0   # converges on its first step
+        params = ExtrapolationParams(
+            algorithm=algo, iterations=30 if algo == "fsa" else None)
+        steps = []
+        for window, layout in zip(windows, layouts):
+            calls.clear()
+            d = run(window, layout, params).diagnostics
+            steps.append(d.iterations + d.converged)
+            assert calls == [1] * steps[-1]
+        calls.clear()
+        run_batch(windows, layouts, params)
+        assert len(calls) == max(steps)
 
 
 class TestParams:

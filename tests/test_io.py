@@ -27,6 +27,11 @@ class TestLayout420:
         with pytest.raises(FormatError):
             frame_bytes(352, 287)
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 32), (-32, 24)])
+    def test_nonpositive_dimensions_rejected(self, width, height):
+        with pytest.raises(FormatError, match="must be positive"):
+            frame_bytes(width, height)
+
 
 class TestRoundTrip:
     def test_write_then_read(self, tmp_path, rng):
@@ -91,6 +96,14 @@ class TestProbeErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             SequenceSource.probe(tmp_path / "nope.yuv", 32, 24)
+
+    def test_nonpositive_dimensions(self, tmp_path):
+        # 0 x 0 frames hold 0 bytes, which used to end in a division by 0
+        path = tmp_path / "any.yuv"
+        path.write_bytes(b"\x00" * 96)
+        for width, height in ((0, 0), (-8, 8)):
+            with pytest.raises(FormatError, match="must be positive"):
+                SequenceSource.probe(path, width, height)
 
     def test_range_validation(self, tmp_path, rng):
         path = tmp_path / "seq.yuv"
