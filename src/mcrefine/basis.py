@@ -522,7 +522,6 @@ def stack_contexts(contexts) -> ProjectionContext:
         setattr(stack, name, np.stack([getattr(c, name) for c in distinct]))
     stack.w_flat = stack.weights.reshape(len(distinct), -1)
     stack._slots = np.array([row[id(c)] for c in contexts])
-    stack._by_member = False
     return stack
 
 

@@ -294,6 +294,16 @@ class TestProjectionStack:
                 np.testing.assert_array_equal(excluded[j], ctx.excluded)
                 np.testing.assert_array_equal(w_flat[j], ctx.w_flat)
 
+    def test_views_share_the_table_and_slices_copy_nothing(self, contexts):
+        stack = stack_contexts(contexts)
+        view = stack.take(np.array([4, 1, 2]))
+        part = view.take(slice(1, 3))
+        assert view._gram_table is part._gram_table is stack._gram_table
+        for name in ("w_flat", "norms", "excluded", "_safe_norms"):
+            assert np.shares_memory(getattr(part, name), getattr(view, name))
+        np.testing.assert_array_equal(part.w_flat,
+                                      stack.per_member(stack.w_flat)[1:3])
+
     def test_stacking_leaves_the_contexts_untouched(self, rng):
         # cached contexts that no other test stacks keep their own arrays,
         # values and all

@@ -573,6 +573,25 @@ class TestClosedLoop:
         for r, frame in zip(refined, levels):
             assert len(frame) <= sum(any(i in r for i in w) for w in waves)
 
+    def test_one_weighting_stack_per_frame_pass_and_trace(self, monkeypatch):
+        # waves, levels and chunks take their members from one stack, so
+        # no engine batch copies a table
+        frames = tiny_sequence(frames=3, sigma=4.0)
+        cfg = fast_config(qps=(28,))
+        stacks = []
+
+        def counted(contexts):
+            stacks.append(len(contexts))
+            return basis.stack_contexts(contexts)
+
+        monkeypatch.setattr(codec, "stack_contexts", counted)
+        _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
+                                  collect_trace=True)
+        assert stacks == [16]
+        replay_trace(trace, cfg)
+        predict_frame(frames[1].y, frames[0].y, cfg)
+        assert stacks == [16, 16, 16]
+
     def test_intra_shared_across_ladder(self):
         frames = tiny_sequence(frames=4, sigma=4.0)
         curve, stats = encode_sequence(frames, fast_config())
