@@ -17,7 +17,10 @@ which goes first, and prints:
   noisy plaid windows on an interior block) for each tree, per round;
 - whether every engine output hash of B equals A's: blocks, coefficients,
   renderings and diagnostics with recorded selections, for every engine
-  and batch size above.
+  and batch size above;
+- per tree and engine, the total singular-Gram retries and early
+  convergences of the runs hashed at each batch size, so that a reader
+  sees whether the hashes reached the engine's shed path at all.
 
 BLAS is pinned to one thread; ROUNDS defaults to 7.
 """
@@ -115,19 +118,24 @@ class Tree:
             self.mc.run(window, layout, params, context=ctx)
         return time.perf_counter() - t0
 
-    def digest(self, engine: str, batch: int) -> str:
+    def digest(self, engine: str, batch: int) -> tuple[str, int, int]:
+        """Hash of every output of the runs, their total singular-Gram
+        retries and how many of them converged early."""
         h = hashlib.sha256()
+        retries = converged = 0
         for r in self.refine(engine, batch, record=True):
             d = r.diagnostics
             for part in (r.block, r.model.coefficients, r.model.rendering):
                 h.update(np.ascontiguousarray(part).tobytes())
             h.update(repr((d.iterations, d.converged, d.energy0, d.energy,
                            d.coefficient_count, d.gram_retries)).encode())
+            retries += d.gram_retries
+            converged += d.converged
             for used, values, energy in d.selections:
                 h.update(used.astype(np.int64).tobytes())
                 h.update(values.tobytes())
                 h.update(repr(energy).encode())
-        return h.hexdigest()
+        return h.hexdigest(), retries, converged
 
 
 def timed(call) -> float:
@@ -155,8 +163,8 @@ def main(argv) -> int:
         for engine in ENGINES:
             tree.refine(engine, 16)
 
-    same = {(e, b): trees[0].digest(e, b) == trees[1].digest(e, b)
-            for e in ENGINES for b in BATCHES}
+    digests = [{(e, b): t.digest(e, b) for e in ENGINES for b in BATCHES}
+               for t in trees]
     ratios = {(e, b): [] for e in ENGINES for b in BATCHES}
     c8 = [[], []]
     for r in range(rounds):
@@ -186,7 +194,14 @@ def main(argv) -> int:
         print(f"criterion 8 {label}: fsa/msa median {statistics.median(fsa):.2f}"
               f" (min {min(fsa):.2f}), rba/msa median "
               f"{statistics.median(rba):.3f} (min {min(rba):.3f})")
-    mismatched = [f"{e}@B={b}" for (e, b), ok in same.items() if not ok]
+    print("runs hashed: singular-Gram retries / early convergences at "
+          + ", ".join(f"B={b}" for b in BATCHES))
+    for label, runs in zip("AB", digests):
+        print(f"  {label}  " + "   ".join(
+            f"{e} " + " ".join(f"{runs[e, b][1]}/{runs[e, b][2]}"
+                               for b in BATCHES) for e in ENGINES))
+    mismatched = [f"{e}@B={b}" for e in ENGINES for b in BATCHES
+                  if digests[0][e, b] != digests[1][e, b]]
     print("engine outputs: " + ("every hash matches" if not mismatched
                                 else "MISMATCH " + ", ".join(mismatched)))
     return 1 if mismatched else 0

@@ -342,14 +342,13 @@ class ProjectionContext:
     A context built from one (M, N) weight array serves a batch of any
     size, every member weighted alike.  `stack_contexts` gives a batch
     whose members need different weightings (different neighbour
-    availability) one context too: its weighting arrays (`weights`,
-    `w_flat`, `norms`, `excluded`, `_safe_norms`) and its Gram table hold
-    one row per distinct weighting, and ``_slots`` maps each member to its
-    row.  Such a stack can cover every block of a frame.  `take` gives
-    the context of some of its members: a view over the same Gram table,
-    with its members' slots and their own rows of the weighting arrays,
-    gathered once (``_by_member``), so that a batch reads them without a
-    gather per call.
+    availability) one context too: its weighting arrays (`w_flat`,
+    `norms`, `_safe_norms`) and its Gram table hold one row per distinct
+    weighting, and ``_slots`` maps each member to its row.  Such a stack
+    can cover every block of a frame.  `take` gives the context of some of
+    its members: a view over the same Gram table, with its members' slots
+    and their own rows of the weighting arrays, gathered once
+    (``_by_member``), so that a batch reads them without a gather per call.
 
     `numerators` takes any leading batch axes.  `gram`, `render` and
     `norms_at` take the members' supports, of any sizes, as one flat array
@@ -364,12 +363,11 @@ class ProjectionContext:
 
     def __init__(self, basis: BasisSet, weights: np.ndarray):
         self.basis = basis
-        self.weights = weights
         self.w_flat = weights.ravel()
         self.norms = precompute_norms(basis, weights)
-        self.excluded = excluded_mask(self.norms)
         # an excluded function's projection is num / inf = 0
-        self._safe_norms = np.where(self.excluded, np.inf, self.norms)
+        self._safe_norms = np.where(excluded_mask(self.norms), np.inf,
+                                    self.norms)
         self._gram_table = gram_table(weights)
         self._spec_pos, self._spec_sign = _half_spectrum_lookup(basis)
         self._slots = None   # one weighting, whatever the batch size
@@ -404,9 +402,8 @@ class ProjectionContext:
         view = copy.copy(self)
         view._slots = self._slots[rows]
         by = rows if self._by_member else view._slots
-        for name in ("w_flat", "norms", "excluded", "_safe_norms"):
+        for name in ("w_flat", "norms", "_safe_norms"):
             setattr(view, name, getattr(self, name)[by])
-        view.weights = view.w_flat.reshape(-1, self.basis.m, self.basis.n)
         view._by_member = True
         return view
 
@@ -518,9 +515,8 @@ def stack_contexts(contexts) -> ProjectionContext:
         raise ValueError("stacked contexts must share one area size")
     row = {id(c): i for i, c in enumerate(distinct)}
     stack = copy.copy(first)
-    for name in ("weights", "norms", "excluded", "_safe_norms", "_gram_table"):
+    for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
         setattr(stack, name, np.stack([getattr(c, name) for c in distinct]))
-    stack.w_flat = stack.weights.reshape(len(distinct), -1)
     stack._slots = np.array([row[id(c)] for c in contexts])
     return stack
 

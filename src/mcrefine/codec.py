@@ -240,21 +240,20 @@ def _frame_context(layouts, config: EncoderConfig):
 
 
 def refine_blocks(layouts, neighbor_samples: np.ndarray, mc_blocks,
-                  config: EncoderConfig, context=None) -> list:
+                  config: EncoderConfig, context) -> list:
     """Spatially refine motion-compensated blocks as one engine batch.
 
     The one refinement call of `predict_frame`, `encode_pass` and
     `replay_trace`, so all three build working areas and weightings alike.
     The blocks share one size but may differ in neighbour availability;
     each result is bitwise equal to what a batch of that block alone gives.
-    ``context`` weights the blocks, one member each, as `_frame_context`
-    of ``layouts`` does, which is the default.
+    ``context`` weights the blocks, one member each: the frame's
+    `_frame_context`, narrowed to these blocks with
+    `ProjectionContext.take`.
     """
     windows = np.empty((len(layouts), layouts[0].m, layouts[0].n))
     for window, layout, mc in zip(windows, layouts, mc_blocks):
         window[...] = assemble_window(layout, neighbor_samples, mc)
-    if context is None:
-        context = _frame_context(layouts, config)
     return extrapolate.run_batch(windows, layouts, config.extrapolation,
                                  context=context)
 

@@ -40,17 +40,14 @@ that have converged drop out of the batch.  The loop runs at batches of a
 few members in the closed loop and of one in `run`, so its fixed cost per
 iteration is kept to the arithmetic: while every member is live nothing is
 gathered, each member's convergence floor is computed once per call, and
-the bookkeeping of members that converge or shed runs only in an
-iteration where one does.  The solve, `_solve`, is
-the only solver, and `solve_subspace` is its one-member call: it factors
-and solves each member's Gram on its own with LAPACK's Cholesky pair
-(``dpotrf``, ``dpotrs``), so a member whose Gram is singular fails alone
-and sheds its weakest fresh pick, one retry at a time, until its system is
-solvable or no fresh pick is left, while its batch-mates are factored
-once.  Every member's block, coefficients and diagnostics are bitwise
-independent of the batch size and of its batch-mates: every stacked
-operation computes each member exactly as it would compute it alone, and
-the solve never pads a system to a size that depends on the batch.
+the bookkeeping of members that converge or retry runs only in an
+iteration where one does.  The solve, `_solve`, is the only solver and
+the one place a singular Gram matrix is handled; `solve_subspace` is its
+one-member call.  Every member's block, coefficients and diagnostics are
+bitwise independent of the batch size and of its batch-mates: every
+stacked operation computes each member exactly as it would compute it
+alone, and the solve never pads a system to a size that depends on the
+batch.
 """
 
 from __future__ import annotations
@@ -263,56 +260,49 @@ def solve_subspace(residual, indices, ctx: ProjectionContext
     Solves the weighted normal equations ``G p = b`` with G the symmetric
     Gram matrix of the selected functions and b their weighted correlations
     with the residual.  A single selected function degenerates to the plain
-    projection coefficient.  Numerically singular systems shed their
-    lowest-decrement member and are retried, so the returned (sorted) index
-    array may be a subset of the input.  This is the engine's own solve,
-    `_solve`, for one member.
+    projection coefficient.  This is the engine's own solve, `_solve`, for
+    one member, so a singular system sheds picks as `_solve` describes and
+    the returned (sorted) index array may be a subset of the input.
     """
     num = ctx.numerators(np.asarray(residual, dtype=np.float64))
     idx = np.unique(np.asarray(indices, dtype=np.intp))
     decr = decrement_energies(num, ctx)
-    solution, failed, shed = _solve(idx, [idx.size], None, num[idx],
-                                    decr[idx], ctx, np.zeros(1, int),
-                                    np.zeros(1, int))
-    if not failed:
-        return solution, idx
-    if shed:
-        _, used, solution = shed[0]
-        return solution, used
-    return np.empty(0), np.empty(0, dtype=np.intp)
+    used, _, solution, _ = _solve(idx, [idx.size], None, num[idx], decr[idx],
+                                  ctx)
+    return solution, used
 
 
 def _solve(idx: np.ndarray, sizes: list, fresh: np.ndarray | None,
-           rhs: np.ndarray, decr: np.ndarray, ctx: ProjectionContext,
-           members: np.ndarray, retries: np.ndarray
-           ) -> tuple[np.ndarray, list, list]:
+           rhs: np.ndarray, decr: np.ndarray, ctx: ProjectionContext
+           ) -> tuple[np.ndarray, list, np.ndarray, list]:
     """Solve every member's system, one support of its own size each.
 
     The flat arrays hold the members' supports one after another, member
     i owning the next ``sizes[i]`` entries: ``idx`` its functions in
     ascending order, ``fresh`` the picks of this iteration (None: every
     entry), ``rhs`` and ``decr`` the right-hand sides and decrements
-    there.  ``ctx`` weights the members row by row; ``members[i]`` is
-    member i's row in ``retries``.  Returns the solutions, flat like
-    ``idx``, the members not solved on their whole support (an empty
-    support or a singular Gram), and (i, indices, solution) for each
-    member solved only after shedding picks.
+    there; ``ctx`` weights the members row by row.  Returns the supports
+    the members were solved on, flat like ``idx``, and their sizes (0 for
+    a member left with no solution), the solutions there, and the
+    position of the member for each singular Gram met.  Without a
+    singular Gram, ``idx`` and ``sizes`` come back as they are.
 
     A size-1 system, and only that, takes the closed form ``rhs / norm``.
     The larger ones' Gram matrices come from one ragged
     `ProjectionContext.gram` call; each member's own is then factored and
-    solved alone (`_cholesky_solve`).  So each member succeeds or fails on
-    its own: a member whose Gram is not positive definite sheds its
-    lowest-decrement fresh pick (rba's established span is never fresh),
-    counts one retry and is solved again alone (`_shed`); once no fresh
-    pick is left it takes no solution.
+    solved alone (`_cholesky_solve`), so each member succeeds or fails on
+    its own.  This is the one place a singular Gram is handled: a member
+    whose Gram is not positive definite counts one retry, sheds its
+    lowest-decrement fresh pick (rba's established span is never fresh)
+    and is solved again alone, on its one-member view of ``ctx``, which
+    sheds and counts again until its system solves.  A member whose last
+    fresh pick is all that is left to shed takes no solution.
     """
-    failed = [i for i, k in enumerate(sizes) if not k]
     if max(sizes, default=0) < 2:
-        return rhs / ctx.norms_at(idx, sizes), failed, []
+        return idx, sizes, rhs / ctx.norms_at(idx, sizes), []
     solution = np.zeros(len(rhs))
     grams = ctx.gram(idx, sizes)
-    single, shed = [], []
+    single, retried, redone = [], [], {}
     start = corner = 0
     for i, k in enumerate(sizes):
         end, last = start + k, corner + k * k
@@ -324,41 +314,34 @@ def _solve(idx: np.ndarray, sizes: list, fresh: np.ndarray | None,
             if got is not None:
                 solution[start:end] = got
             else:
-                failed.append(i)
-                retries[members[i]] += 1
-                picks = np.ones(k, bool) if fresh is None else fresh[start:end]
-                got = _shed(idx[start:end], picks, rhs[start:end],
-                            decr[start:end], ctx.take(slice(i, i + 1)),
-                            members[i], retries)
-                if got is not None:
-                    shed.append((i, *got))
+                part = slice(start, end)
+                picks = (np.arange(k) if fresh is None
+                         else fresh[part].nonzero()[0])
+                keep = np.full(k, picks.size > 1)
+                if picks.size > 1:
+                    weakest = picks[np.argmin(decr[part][picks])]
+                    log.debug("gram singular; shedding function %d",
+                              idx[start + weakest])
+                    keep[weakest] = False
+                used, _, got, again = _solve(
+                    idx[part][keep], [int(keep.sum())],
+                    None if fresh is None else fresh[part][keep],
+                    rhs[part][keep], decr[part][keep],
+                    ctx.take(slice(i, i + 1)))
+                retried += [i] * (1 + len(again))
+                redone[i] = used, got
         start, corner = end, last
     if single:
         solution[single] = rhs[single] / ctx.norms_at(
             idx[single], [int(k == 1) for k in sizes])
-    return solution, failed, shed
-
-
-def _shed(idx, fresh, rhs, decr, ctx: ProjectionContext, member: int,
-          retries: np.ndarray):
-    """Retry one member whose Gram was singular: shed its weakest fresh
-    pick and solve again, one retry per failure, until a system solves
-    (its (indices, solution)) or no fresh pick is left (None)."""
-    while True:
-        picks = fresh.nonzero()[0]
-        if picks.size == 1:
-            return None
-        weakest = picks[np.argmin(decr[picks])]
-        log.debug("gram singular; shedding function %d", idx[weakest])
-        keep = np.arange(idx.size) != weakest
-        idx, fresh, rhs, decr = idx[keep], fresh[keep], rhs[keep], decr[keep]
-        k = idx.size
-        if k == 1:
-            return idx, rhs / ctx.norms_at(idx, [k])
-        solution = _cholesky_solve(ctx.gram(idx, [k]).reshape(k, k), rhs)
-        if solution is not None:
-            return idx, solution
-        retries[member] += 1
+    if redone:
+        ends = np.cumsum(sizes).tolist()
+        parts = [redone.get(i, (idx[end - k:end], solution[end - k:end]))
+                 for i, (k, end) in enumerate(zip(sizes, ends))]
+        idx = np.concatenate([used for used, _ in parts])
+        solution = np.concatenate([got for _, got in parts])
+        sizes = [used.size for used, _ in parts]
+    return idx, sizes, solution, retried
 
 
 def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
@@ -386,18 +369,16 @@ def step(state: EngineState, params: ExtrapolationParams,
     residual's numerators as those of the input, which the residual still
     equals.  Selection hands back the live support once, as flat entries
     in member order, so every member's support is a run of entries of any
-    size, with no sort and no grouping by size.  `_solve` takes them all
-    at once: the closed form for size-1 systems, one ragged Gram gather
-    for the rest and LAPACK's Cholesky pair per member; a member whose
-    Gram is singular sheds fresh picks, one retry each, until it solves.
-    The solutions go into the coefficients in one scatter, and each
-    member's model update is rendered by one matrix product
+    size, with no sort and no grouping by size.  `_solve` solves them all
+    at once and gives back the supports solved on, with the retries to
+    count.  The solutions go into the coefficients in one scatter, and
+    each member's model update is rendered by one matrix product
     (`ProjectionContext.render`).  A member converges when its best
     decrement falls below its floor, `CONVERGENCE_FRACTION` of its initial
-    error, when nothing new is selected, or when the retries shed every
-    fresh pick; every other live member counts one iteration.  While
-    every member is live, the state and the context are read whole, with
-    no gather.
+    error, when nothing new is selected, or when `_solve` leaves it no
+    solution; every other live member counts one iteration.  While every
+    member is live, the state and the context are read whole, with no
+    gather.
     """
     live = state.live
     if live.size == 0:
@@ -417,35 +398,27 @@ def step(state: EngineState, params: ExtrapolationParams,
     if rba:
         flat, sizes, fresh = _grow_span(flat, state.active[rows])
     count = decr.shape[1]
-    idx = flat % count
     rhs = (state.f_numerators[rows] if rba else num).take(flat)
-    solution, failed, shed = _solve(idx, sizes, fresh, rhs, decr.take(flat),
-                                    live_ctx, live, state.gram_retries)
+    idx, sizes, solution, retried = _solve(flat % count, sizes, fresh, rhs,
+                                           decr.take(flat), live_ctx)
     if not rba:
         solution *= params.gamma
-    updates = [(live, idx, solution, sizes)]
-    if not failed:
+    members = live
+    if not retried and 0 not in sizes:
         # every live member takes its solution; ``flat`` already holds
         # the coefficient positions when every member is live
         pos = flat if every else (live * count).repeat(sizes) + idx
         _apply(state, rows, pos, idx, solution, sizes, ctx, rba)
         state.iterations[rows] += 1
     else:
-        # A member without a solution converges, unless it shed picks.
-        keep = np.ones(live.size, bool)
-        keep[failed] = False
-        entries = keep.repeat(sizes)
-        updates = [(live[keep], idx[entries], solution[entries],
-                    [k for k, ok in zip(sizes, keep) if ok])]
-        updates += [(live[i:i + 1], used,
-                     values if rba else params.gamma * values, [used.size])
-                    for i, used, values in shed]
-        state.converged[live[failed]] = True
-        state.converged[[live[i] for i, _, _ in shed]] = False
-        for members, used, values, used_sizes in updates:
-            _apply(state, _index(members, len(state.converged)),
-                   (members * count).repeat(used_sizes) + used, used, values,
-                   used_sizes, ctx, rba)
+        # a member left without a solution converges
+        np.add.at(state.gram_retries, live[retried], 1)
+        solved = np.array(sizes) > 0
+        state.converged[live[~solved]] = True
+        members, sizes = live[solved], [k for k in sizes if k]
+        _apply(state, _index(members, len(state.converged)),
+               (members * count).repeat(sizes) + idx, idx, solution, sizes,
+               ctx, rba)
         state.iterations += ~state.converged
         state.live = (~state.converged).nonzero()[0]
     # The other members' residuals are recomputed unchanged, without
@@ -453,12 +426,10 @@ def step(state: EngineState, params: ExtrapolationParams,
     np.subtract(state.f, state.rendering, out=state.residual)
     if state.selections is not None:
         energies = _weighted_energies(state.residual, ctx)
-        for members, used, values, used_sizes in updates:
-            ends = np.cumsum(used_sizes)
-            for member, end, k in zip(members, ends, used_sizes):
-                state.selections[member].append(
-                    (used[end - k:end].copy(), values[end - k:end].copy(),
-                     energies[member]))
+        for member, end, k in zip(members, np.cumsum(sizes), sizes):
+            state.selections[member].append(
+                (idx[end - k:end].copy(), solution[end - k:end].copy(),
+                 energies[member]))
     return state
 
 

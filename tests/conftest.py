@@ -57,7 +57,7 @@ def reference_gram(ctx, indices):
     row.
     """
     b = ctx.basis
-    what = np.fft.fft2(ctx.weights)
+    what = np.fft.fft2(ctx.w_flat.reshape(b.m, b.n))
     # the cos-type table Re W, then the sin-type -Im W
     table = np.concatenate((what.real.ravel(), -what.imag.ravel()))
     idx = np.asarray(indices, dtype=np.intp)
@@ -91,7 +91,8 @@ def ctx8(layout8):
 
 @pytest.fixture(scope="session")
 def ctx8_matrix(ctx8):
-    return MatrixContext(ctx8.basis, ctx8.weights)
+    b = ctx8.basis
+    return MatrixContext(b, ctx8.w_flat.reshape(b.m, b.n))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,8 @@ import pytest
 
 from mcrefine import cli
 from mcrefine.bd import bd_metrics
-from mcrefine.basis import ProjectionContext, build_basis, projection_context
+from mcrefine.basis import (ProjectionContext, build_basis, excluded_mask,
+                            projection_context)
 from mcrefine.codec import EncoderConfig, encode_pass, predict_frame, \
     replay_trace
 from mcrefine.extrapolate import ExtrapolationParams, run, solve_subspace
@@ -88,7 +89,7 @@ def test_criterion_01(capsys, interior_ctx):
     worst = 0.0
     for trial in range(500):
         ctx = contexts[trial % len(contexts)]
-        pool = np.flatnonzero(~ctx.excluded)
+        pool = np.flatnonzero(~excluded_mask(ctx.norms))
         k = int(rng.integers(1, 21))
         support = np.sort(rng.choice(pool, size=k, replace=False))
         residual = rng.normal(0.0, 30.0, size=(AREA, AREA))

@@ -196,7 +196,8 @@ class TestProjectionContextModes:
     def test_numerators_keep_the_rfft2_bits(self, ctx16, rng):
         # the row pass and the in-place column pass give scipy's rfft2 bits
         r = rng.normal(size=(3, 48, 48))
-        half = scipy.fft.rfft2(r * ctx16.weights).view(np.float64)
+        w = ctx16.w_flat.reshape(48, 48)
+        half = scipy.fft.rfft2(r * w).view(np.float64)
         want = half.reshape(3, -1)[:, ctx16._spec_pos] * ctx16._spec_sign
         np.testing.assert_array_equal(ctx16.numerators(r), want)
 
@@ -284,14 +285,14 @@ class TestProjectionStack:
             num = view.numerators(r[rows])
             gram = view.gram(idx[rows])
             norms = view.norms_at(idx[rows])
-            excluded = view.per_member(view.excluded)
+            safe = view.per_member(view._safe_norms)
             w_flat = view.per_member(view.w_flat)
             for j, i in enumerate(rows):
                 ctx = contexts[i]
                 np.testing.assert_array_equal(num[j], ctx.numerators(r[i]))
                 np.testing.assert_array_equal(gram[j], ctx.gram(idx[i]))
                 np.testing.assert_array_equal(norms[j], ctx.norms[idx[i]])
-                np.testing.assert_array_equal(excluded[j], ctx.excluded)
+                np.testing.assert_array_equal(safe[j], ctx._safe_norms)
                 np.testing.assert_array_equal(w_flat[j], ctx.w_flat)
 
     def test_views_share_the_table_and_slices_copy_nothing(self, contexts):
@@ -299,7 +300,7 @@ class TestProjectionStack:
         view = stack.take(np.array([4, 1, 2]))
         part = view.take(slice(1, 3))
         assert view._gram_table is part._gram_table is stack._gram_table
-        for name in ("w_flat", "norms", "excluded", "_safe_norms"):
+        for name in ("w_flat", "norms", "_safe_norms"):
             assert np.shares_memory(getattr(part, name), getattr(view, name))
         np.testing.assert_array_equal(part.w_flat,
                                       stack.per_member(stack.w_flat)[1:3])
@@ -310,7 +311,7 @@ class TestProjectionStack:
         contexts = [projection_context(build_layout(
             (48, 32), BlockRef(x, y, 8)), rho=0.67)
             for x, y in ((8, 0), (0, 8), (8, 8), (16, 8), (40, 8))]
-        names = ("w_flat", "norms", "excluded", "_safe_norms", "_gram_table")
+        names = ("w_flat", "norms", "_safe_norms", "_gram_table")
         held = [{name: getattr(c, name) for name in names} for c in contexts]
         values = [{name: a.copy() for name, a in h.items()} for h in held]
         stack = stack_contexts(contexts)
@@ -435,7 +436,7 @@ class TestFactoredRoute:
     @pytest.mark.parametrize("area", [24, 48])
     def test_norms_match_dense_oracle(self, area, oracle48):
         if area == 48:
-            basis, wm = oracle48.basis, oracle48.weights
+            basis, wm = oracle48.basis, oracle48.w_flat.reshape(48, 48)
         else:  # left-edge block: a region pattern with padding
             basis = _enumerate_basis(24, 24)
             wm = build_weight_mask(
@@ -450,7 +451,8 @@ class TestFactoredRoute:
     @pytest.mark.parametrize("count", [1, 20, 80])
     def test_render_matches_dense_oracle(self, count, oracle48, ctx8,
                                          ctx8_matrix, rng):
-        fast48 = ProjectionContext(oracle48.basis, oracle48.weights)
+        fast48 = ProjectionContext(oracle48.basis,
+                                   oracle48.w_flat.reshape(48, 48))
         for fast, oracle in ((ctx8, ctx8_matrix), (fast48, oracle48)):
             b = fast.basis
             conj = _self_conjugate(b)

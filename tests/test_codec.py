@@ -303,7 +303,9 @@ class TestPredictFrame:
                 assert math.isnan(d.refined_mse)
                 np.testing.assert_array_equal(got, mc)
                 continue
-            alone = codec.refine_blocks([layout], cur.data, [mc], cfg)[0].block
+            alone = codec.refine_blocks(
+                [layout], cur.data, [mc], cfg,
+                codec._frame_context([layout], cfg))[0].block
             assert d.refined_mse == mse(cur.block(block), alone)
             np.testing.assert_array_equal(got, alone if d.refined else mc)
             refined += d.refined

@@ -400,6 +400,36 @@ class TestBatchIndependence:
             assert_same_run(got[i], run(windows[i], layout16, msa,
                                         context=ctx16, record=True))
 
+    def test_rba_member_out_of_fresh_picks_converges_alone(self, layout16,
+                                                           ctx16):
+        # tau 1 takes one function per iteration, so rba's second step
+        # adds one fresh pick to a span of one; when that pick makes the
+        # Gram singular, nothing is left to shed and no solution is left
+        windows = self.four_function_windows(ctx16)[:2]
+        rba = ExtrapolationParams(algorithm="rba", tau=1.0)
+        plain = run(windows[0], layout16, rba, context=ctx16, record=True)
+        (first, _, _), (second, _, _) = plain.diagnostics.selections[:2]
+        bad = np.setdiff1d(second, first)
+        assert first.size == bad.size == 1
+        stub = SingularWith(ctx16, bad)
+        state = new_state(windows, ctx16)
+        step(state, rba, stub)
+        coefficients, active = state.coefficients.copy(), state.active.copy()
+        step(state, rba, stub)
+        assert state.converged.tolist() == [True, False]
+        assert state.gram_retries.tolist() == [1, 0]
+        assert state.iterations.tolist() == [1, 2]
+        np.testing.assert_array_equal(state.coefficients[0], coefficients[0])
+        np.testing.assert_array_equal(state.active[0], active[0])
+        np.testing.assert_array_equal(np.flatnonzero(active[0]), first)
+        # the stuck member and its regular mate each match their B = 1 run
+        got = run_batch(windows, [layout16] * 2, rba, context=stub,
+                        record=True)
+        assert [r.diagnostics.gram_retries for r in got] == [1, 0]
+        for window, result in zip(windows, got):
+            assert_same_run(result, run(window, layout16, rba, context=stub,
+                                        record=True))
+
     def test_shape_validation(self, layout8, layout16):
         msa = ExtrapolationParams.defaults("msa")
         with pytest.raises(ValueError, match="shape"):
