@@ -18,6 +18,12 @@ which goes first, and prints:
 - whether every engine output hash of B equals A's: blocks, coefficients,
   renderings and diagnostics with recorded selections, for every engine
   and batch size above;
+- the same hashes for shed-path runs, which reach the engine's
+  singular-Gram and convergence bookkeeping: every third window is black
+  (all zero, so it converges in its first iteration beside live
+  batch-mates), and each batch is weighted through `RefusingContext`,
+  which makes singular every Gram that holds one of a window's strongest
+  functions, so the engine sheds picks, retries and (rba) gives up;
 - per tree and engine, the total singular-Gram retries and early
   convergences of the runs hashed at each batch size, so that a reader
   sees whether the hashes reached the engine's shed path at all.
@@ -42,6 +48,7 @@ import numpy as np  # noqa: E402
 ENGINES = ("fsa", "rba", "msa")
 BATCHES = (1, 4, 16)
 BLOCK = 16
+STRONGEST = 3   # functions per window whose Gram systems are refused
 
 
 def load_tree(root: Path, name: str):
@@ -93,6 +100,32 @@ def criterion8_windows(count=100, seed=31, area=48):
     return out
 
 
+class RefusingContext:
+    """A projection context whose Gram matrices are singular wherever a
+    member's system holds one of that member's ``strong`` functions (one
+    row of function indices per member): their rows and columns are
+    zeroed, so the Cholesky factorisation fails."""
+
+    def __init__(self, ctx, strong: np.ndarray):
+        self._ctx, self._strong = ctx, strong
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def take(self, rows):
+        return RefusingContext(self._ctx.take(rows), self._strong[rows])
+
+    def gram(self, indices, sizes):
+        g = self._ctx.gram(indices, sizes)
+        start = corner = 0
+        for strong, k in zip(self._strong, sizes):
+            keep = ~np.isin(indices[start:start + k], strong)
+            if not keep.all():
+                g[corner:corner + k * k] *= np.outer(keep, keep).ravel()
+            start, corner = start + k, corner + k * k
+        return g
+
+
 class Tree:
     def __init__(self, root: Path, name: str):
         self.mc = load_tree(root, name)
@@ -100,14 +133,34 @@ class Tree:
         interior = self.mc.build_layout((160, 160), self.mc.BlockRef(64, 64))
         self.interior = interior, self.mc.projection_context(interior)
         self.c8 = criterion8_windows()
+        self.shed_windows = self.windows.copy()
+        self.shed_windows[::3] = 0.0
+        self.strong = np.stack([self.strongest(w, layout) for w, layout
+                                in zip(self.shed_windows, self.layouts)])
 
-    def refine(self, engine: str, batch: int, record: bool = False) -> list:
+    def strongest(self, window, layout) -> np.ndarray:
+        """The functions of the largest first decrements of ``window``."""
+        ctx = self.mc.projection_context(layout)
+        decr = self.mc.extrapolate.decrement_energies(
+            ctx.numerators(window), ctx)
+        return np.argsort(-decr, kind="stable")[:STRONGEST]
+
+    def refine(self, engine: str, batch: int, record: bool = False,
+               shed: bool = False) -> list:
+        """The engine's runs on the windows in batches of ``batch``; with
+        ``shed``, on the shed-path windows through `RefusingContext`."""
         params = self.mc.ExtrapolationParams.defaults(engine)
+        windows = self.shed_windows if shed else self.windows
         out = []
-        for lo in range(0, len(self.windows), batch):
-            out += self.mc.run_batch(self.windows[lo:lo + batch],
-                                     self.layouts[lo:lo + batch], params,
-                                     record=record)
+        for lo in range(0, len(windows), batch):
+            part = slice(lo, lo + batch)
+            context = None
+            if shed:
+                context = RefusingContext(self.mc.stack_contexts(
+                    [self.mc.projection_context(layout)
+                     for layout in self.layouts[part]]), self.strong[part])
+            out += self.mc.run_batch(windows[part], self.layouts[part],
+                                     params, context=context, record=record)
         return out
 
     def criterion8(self, engine: str) -> float:
@@ -118,12 +171,13 @@ class Tree:
             self.mc.run(window, layout, params, context=ctx)
         return time.perf_counter() - t0
 
-    def digest(self, engine: str, batch: int) -> tuple[str, int, int]:
+    def digest(self, engine: str, batch: int,
+               shed: bool = False) -> tuple[str, int, int]:
         """Hash of every output of the runs, their total singular-Gram
         retries and how many of them converged early."""
         h = hashlib.sha256()
         retries = converged = 0
-        for r in self.refine(engine, batch, record=True):
+        for r in self.refine(engine, batch, record=True, shed=shed):
             d = r.diagnostics
             for part in (r.block, r.model.coefficients, r.model.rendering):
                 h.update(np.ascontiguousarray(part).tobytes())
@@ -163,8 +217,9 @@ def main(argv) -> int:
         for engine in ENGINES:
             tree.refine(engine, 16)
 
-    digests = [{(e, b): t.digest(e, b) for e in ENGINES for b in BATCHES}
-               for t in trees]
+    cases = [(e, b, shed) for shed in (False, True) for e in ENGINES
+             for b in BATCHES]
+    digests = [{case: t.digest(*case) for case in cases} for t in trees]
     ratios = {(e, b): [] for e in ENGINES for b in BATCHES}
     c8 = [[], []]
     for r in range(rounds):
@@ -194,14 +249,17 @@ def main(argv) -> int:
         print(f"criterion 8 {label}: fsa/msa median {statistics.median(fsa):.2f}"
               f" (min {min(fsa):.2f}), rba/msa median "
               f"{statistics.median(rba):.3f} (min {min(rba):.3f})")
-    print("runs hashed: singular-Gram retries / early convergences at "
-          + ", ".join(f"B={b}" for b in BATCHES))
-    for label, runs in zip("AB", digests):
-        print(f"  {label}  " + "   ".join(
-            f"{e} " + " ".join(f"{runs[e, b][1]}/{runs[e, b][2]}"
-                               for b in BATCHES) for e in ENGINES))
-    mismatched = [f"{e}@B={b}" for e in ENGINES for b in BATCHES
-                  if digests[0][e, b] != digests[1][e, b]]
+    for shed, runs_of in ((False, "runs"), (True, "shed-path runs")):
+        print(f"{runs_of} hashed: singular-Gram retries / early "
+              "convergences at " + ", ".join(f"B={b}" for b in BATCHES))
+        for label, runs in zip("AB", digests):
+            print(f"  {label}  " + "   ".join(
+                f"{e} " + " ".join(f"{runs[e, b, shed][1]}/"
+                                   f"{runs[e, b, shed][2]}" for b in BATCHES)
+                for e in ENGINES))
+    mismatched = [f"{e}@B={b}{' shed' if shed else ''}"
+                  for e, b, shed in cases
+                  if digests[0][e, b, shed] != digests[1][e, b, shed]]
     print("engine outputs: " + ("every hash matches" if not mismatched
                                 else "MISMATCH " + ", ".join(mismatched)))
     return 1 if mismatched else 0

@@ -26,10 +26,10 @@ flat table: the four quarters -S, C, S and -C, with C = Re W and S = -Im W,
 each tiled to 2M x 2N so that a difference or a sum of two frequencies is
 in range without a modulo.  Every basis function carries three integer
 keys (`BasisSet.gram_keys`), so a Gram entry is two gathers at a row key
-plus a column key.  The weighted norms are the diagonal of that rule in
-closed form, (W[0, 0] +/- Re W[2k, 2l]) / 2, plus for the cosine member and
-minus for the sine member.  Models are rendered from small per-frequency
-factor tables, never from a dense basis matrix.
+plus a column key.  The weighted norms are read off the diagonal of that
+table, so a context takes one FFT2 of its weighting.  Models are rendered
+from per-frequency factor tables, never from a dense basis matrix: a row
+factor per row frequency and kind, a column factor per column frequency.
 
 `BasisSet.matrix`, one raster per function, is built lazily on first access
 and is not used by the projection route; it is the reference that the tests
@@ -59,10 +59,12 @@ class BasisSet:
 
     Index 0 is the DC function.  ``k_freq``/``l_freq``/``is_sin`` describe
     each function's frequency pair and whether it is the sine or cosine
-    member.  Function u is ``left[u].T @ right[l_freq[u]]``: ``left[u]`` is
-    [cos a, -sin a] for a cosine member and [sin a, cos a] for a sine member,
-    ``right[l]`` is [cos b, sin b], with a = 2*pi*k*m/M down the rows and
-    b = 2*pi*l*n/N along the columns.
+    member.  Function u is ``left[row_key[u]].T @ right[l_freq[u]]``:
+    ``left[k]`` is [cos a, -sin a], the row factor of a cosine member of
+    row frequency k, and ``left[M + k]`` is [sin a, cos a], that of a sine
+    member, so ``row_key`` is ``is_sin * M + k``; ``right[l]`` is [cos b,
+    sin b], with a = 2*pi*k*m/M down the rows and b = 2*pi*l*n/N along the
+    columns.
     """
 
     m: int
@@ -70,7 +72,8 @@ class BasisSet:
     k_freq: np.ndarray
     l_freq: np.ndarray
     is_sin: np.ndarray
-    left: np.ndarray    # (M*N, 2, M) row factors per function
+    row_key: np.ndarray  # (M*N,) each function's row in `left`
+    left: np.ndarray    # (2M, 2, M) row factors per row frequency and kind
     right: np.ndarray   # (N, 2, N) column factors per column frequency
 
     @property
@@ -78,7 +81,7 @@ class BasisSet:
         return self.k_freq.size
 
     def function(self, k: int) -> np.ndarray:
-        return self.left[k].T @ self.right[self.l_freq[k]]
+        return self.left[self.row_key[k]].T @ self.right[self.l_freq[k]]
 
     @cached_property
     def gram_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,6 +101,28 @@ class BasisSet:
         sin = self.is_sin * quarter
         keys = (pos + sin, (self.m * 2 * self.n + self.n + quarter) - pos - sin,
                 pos + quarter + sin)
+        for key in keys:
+            key.setflags(write=False)
+        return keys
+
+    @cached_property
+    def spectrum_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each function's numerator sits in a half spectrum, and its
+        sign.
+
+        ``rfft2`` keeps the columns l <= N/2 of the spectrum X.  Positions
+        index the float64 view of that half spectrum (real and imaginary
+        parts interleaved).  A cosine member reads Re X[k, l] and a sine
+        member -Im X[k, l]; a pair with l > N/2 reads its conjugate image
+        instead, X[k, l] = conj X[-k, -l], which flips the sign of the
+        imaginary part.
+        """
+        half = self.n // 2 + 1
+        mirrored = self.l_freq >= half
+        k = np.where(mirrored, (-self.k_freq) % self.m, self.k_freq)
+        l = np.where(mirrored, (-self.l_freq) % self.n, self.l_freq)
+        keys = (2 * (k * half + l) + self.is_sin,
+                np.where(self.is_sin & ~mirrored, -1.0, 1.0))
         for key in keys:
             key.setflags(write=False)
         return keys
@@ -172,22 +197,17 @@ def _enumerate_basis(m: int, n: int) -> BasisSet:
     sin_arr = np.asarray(is_sin, dtype=bool)
     assert k_arr.size == m * n
 
-    # Cosine and sine of the (M, M) phase table once; `left` is filled in
-    # place, one factor row and member kind at a time, so the largest
-    # temporary is a quarter of it.
     a = _unit_phases(m)
     cos_a, sin_a = np.cos(a), np.sin(a)
-    left = np.empty((k_arr.size, 2, m))
-    for kind, factors in ((False, (cos_a, -sin_a)), (True, (sin_a, cos_a))):
-        rows = (sin_arr == kind).nonzero()[0]
-        for j, factor in enumerate(factors):
-            left[rows, j] = factor[k_arr[rows]]
+    left = np.concatenate((np.stack((cos_a, -sin_a), axis=1),
+                           np.stack((sin_a, cos_a), axis=1)))
+    row_key = sin_arr * m + k_arr
     b = _unit_phases(n)
     right = np.stack((np.cos(b), np.sin(b)), axis=1)
-    for arr in (k_arr, l_arr, sin_arr, left, right):
+    for arr in (k_arr, l_arr, sin_arr, row_key, left, right):
         arr.setflags(write=False)
     return BasisSet(m=m, n=n, k_freq=k_arr, l_freq=l_arr, is_sin=sin_arr,
-                    left=left, right=right)
+                    row_key=row_key, left=left, right=right)
 
 
 # Reference weighting: centre-block weight and radial decay on R.
@@ -225,48 +245,10 @@ def build_weight_mask(layout: ProjectionLayout, mu: float = DEFAULT_MU,
     return w
 
 
-def precompute_norms(basis: BasisSet, w: np.ndarray) -> np.ndarray:
-    """Weighted squared norm of every basis function under ``w``.
-
-    Closed form: cos^2 = (1 + cos 2phi) / 2 and sin^2 = (1 - cos 2phi) / 2,
-    so the norm of the (k, l) member is (W[0, 0] +/- Re W[2k, 2l]) / 2 with
-    W = FFT2(w), the same product-to-sum rule as the Gram diagonal.
-    Functions whose weighted norm (numerically) vanishes cannot take part in
-    any projection; callers detect them via `excluded_mask`.
-    """
-    if w.shape != (basis.m, basis.n):
-        raise ValueError(f"weights {w.shape} do not match basis "
-                         f"{(basis.m, basis.n)}")
-    wc = np.fft.fft2(w).real
-    doubled = wc[(2 * basis.k_freq) % basis.m, (2 * basis.l_freq) % basis.n]
-    norms = 0.5 * (wc[0, 0] + np.where(basis.is_sin, -doubled, doubled))
-    norms.setflags(write=False)
-    return norms
-
-
 def excluded_mask(norms: np.ndarray) -> np.ndarray:
     """Flag basis functions whose weighted norm is numerically zero."""
     top = norms.max(initial=0.0)
     return norms <= 1e-12 * top
-
-
-def _half_spectrum_lookup(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
-    """Where each function's numerator sits in a half spectrum, and its sign.
-
-    ``rfft2`` keeps the columns l <= N/2 of the spectrum X.  Positions index
-    the float64 view of that half spectrum (real and imaginary parts
-    interleaved).  A cosine member reads Re X[k, l] and a sine member
-    -Im X[k, l]; a pair with l > N/2 reads its conjugate image instead,
-    X[k, l] = conj X[-k, -l], which flips the sign of the imaginary part.
-    """
-    m, n = basis.m, basis.n
-    half = n // 2 + 1
-    mirrored = basis.l_freq >= half
-    k = np.where(mirrored, (-basis.k_freq) % m, basis.k_freq)
-    l = np.where(mirrored, (-basis.l_freq) % n, basis.l_freq)
-    positions = 2 * (k * half + l) + basis.is_sin
-    signs = np.where(basis.is_sin & ~mirrored, -1.0, 1.0)
-    return positions, signs
 
 
 @lru_cache(maxsize=128)
@@ -333,11 +315,15 @@ def _flat_rasters(x, basis: BasisSet) -> np.ndarray:
 class ProjectionContext:
     """A basis bound to weightings, with fast weighted correlations.
 
-    Numerators are read out of one stacked real FFT and Gram entries out of
-    the signed, doubled FFT2(w) table (`gram_table`), norms come in closed
-    form from FFT2(w) (see `precompute_norms`), and models are rendered
-    from the basis factor tables.  There is one route; the dense
-    `BasisSet.matrix` is only the reference that tests check it against.
+    Numerators are read out of one stacked real FFT at the basis's
+    `BasisSet.spectrum_keys` and Gram entries out of the signed, doubled
+    FFT2(w) table (`gram_table`), the one FFT2 a context takes of its
+    weighting; the norms are read off that table's diagonal once, at
+    construction, and models are rendered from the basis factor tables.
+    There is one route; the dense `BasisSet.matrix` is only the reference
+    that tests check it against.  Functions whose weighted norm
+    (numerically) vanishes cannot take part in any projection
+    (`excluded_mask`).
 
     A context built from one (M, N) weight array serves a batch of any
     size, every member weighted alike.  `stack_contexts` gives a batch
@@ -362,14 +348,21 @@ class ProjectionContext:
     """
 
     def __init__(self, basis: BasisSet, weights: np.ndarray):
+        if weights.shape != (basis.m, basis.n):
+            raise ValueError(f"weights {weights.shape} do not match basis "
+                             f"{(basis.m, basis.n)}")
         self.basis = basis
         self.w_flat = weights.ravel()
-        self.norms = precompute_norms(basis, weights)
+        self._gram_table = gram_table(weights)
+        # each function's diagonal Gram entry, as `gram` evaluates it
+        keys, diff, total = basis.gram_keys
+        self.norms = self._gram_table.take(keys + diff)
+        self.norms += self._gram_table.take(keys + total)
+        self.norms *= 0.5
+        self.norms.setflags(write=False)
         # an excluded function's projection is num / inf = 0
         self._safe_norms = np.where(excluded_mask(self.norms), np.inf,
                                     self.norms)
-        self._gram_table = gram_table(weights)
-        self._spec_pos, self._spec_sign = _half_spectrum_lookup(basis)
         self._slots = None   # one weighting, whatever the batch size
         self._by_member = False   # weighting arrays: one row per weighting
 
@@ -424,8 +417,9 @@ class ProjectionContext:
         spec = np.fft.rfft(weighted.reshape(-1, b.m, b.n))
         np.fft.fft(spec, axis=-2, out=spec)
         half = spec.view(np.float64).reshape(len(spec), -1)
-        num = half.take(self._spec_pos, axis=1)
-        num *= self._spec_sign
+        positions, signs = b.spectrum_keys
+        num = half.take(positions, axis=1)
+        num *= signs
         return num.reshape(r.shape[:-1] + (b.count,))
 
     def gram(self, indices, sizes=None) -> np.ndarray:
@@ -486,7 +480,7 @@ class ProjectionContext:
         """
         b = self.basis
         idx, sizes, shape = _ragged(indices, sizes)
-        rows = b.left.take(idx, axis=0)
+        rows = b.left.take(b.row_key.take(idx), axis=0)
         rows *= np.asarray(coefficients, dtype=np.float64).reshape(-1, 1, 1)
         rows = rows.reshape(-1, b.m)
         cols = b.right.take(b.l_freq.take(idx), axis=0).reshape(-1, b.n)

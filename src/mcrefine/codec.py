@@ -91,13 +91,13 @@ class EncoderConfig:
                              f"the extrapolation engine {params.algorithm!r}")
         if len(self.qps) < 1 or any(b <= a for a, b in zip(self.qps, self.qps[1:])):
             raise ValueError("quantizer ladder must be strictly increasing")
-        # The engine's factor table takes 16*(3s)**3 bytes: 113 MB at 64,
-        # 906 MB at 128.  Each projection context adds a Gram table of
-        # 128*(3s)**2 bytes: 295 KB at 16, 4.7 MB at 64.  A frame's blocks
+        # Each projection context keeps a Gram table of 128*(3s)**2 bytes:
+        # 295 KB at 16, 4.7 MB at 64, 18.9 MB at 128.  A frame's blocks
         # share one stack of the tables of their (at most five) classes,
-        # copied once per frame, pass or trace; each engine call gathers
-        # its members' weighting rows, 25*(3s)**2 bytes per member: 56 KB
-        # at 16, 0.9 MB at 64.
+        # copied once per frame, pass or trace, so at 128 the cached
+        # contexts and one stack would hold 189 MB of tables; each engine
+        # call gathers its members' weighting rows, 25*(3s)**2 bytes per
+        # member: 56 KB at 16, 0.9 MB at 64.
         s = self.block_size
         if s < 8 or s > 64 or s & (s - 1):
             raise ValueError(f"block size must be a power of two from 8 (the "

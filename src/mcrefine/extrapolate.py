@@ -56,7 +56,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .basis import ProjectionContext, projection_context, stack_contexts
 from .frame import ProjectionLayout, SampleError
@@ -347,9 +346,11 @@ def _solve(idx: np.ndarray, sizes: list, fresh: np.ndarray | None,
 def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
     """Solve ``gram @ x = rhs`` with LAPACK's Cholesky pair, ``dpotrf`` and
     ``dpotrs``, on the lower triangle, the only place a system is
-    factored; None when ``gram`` is not positive definite."""
-    low, info = dpotrf(gram, lower=True)
-    return None if info else dpotrs(low, rhs, lower=True)[0]
+    factored; None when ``gram`` is not positive definite.  LAPACK is
+    imported on the first solve, not with the module."""
+    from scipy.linalg import lapack
+    low, info = lapack.dpotrf(gram, lower=True)
+    return None if info else lapack.dpotrs(low, rhs, lower=True)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ from conftest import MatrixContext, reference_gram
 from mcrefine.basis import (ParameterError, ProjectionContext,
                             _enumerate_basis, _unit_phases, build_basis,
                             build_weight_mask, excluded_mask,
-                            precompute_norms, projection_context,
-                            stack_contexts)
+                            projection_context, stack_contexts)
 from mcrefine.frame import (REGION_B, REGION_PAD, REGION_R, BlockRef,
                             ProjectionLayout, build_layout)
 
@@ -100,24 +99,26 @@ class TestBuildBasis:
     @pytest.mark.parametrize("size", [24, 48])
     def test_left_factors_equal_the_stacked_expression(self, size):
         b = _enumerate_basis(size, size)
-        # the reference: `left` as a select over two stacked full-size
-        # tables of the gathered phases
+        assert b.left.shape == (2 * size, 2, size)
+        # the reference: every function's row factors as a select over two
+        # stacked full-size tables of the gathered phases
         a = _unit_phases(size)[b.k_freq]
         cos_a, sin_a = np.cos(a), np.sin(a)
         want = np.where(b.is_sin[:, None, None],
                         np.stack((sin_a, cos_a), axis=1),
                         np.stack((cos_a, -sin_a), axis=1))
-        _bitwise_equal(b.left, want)
+        _bitwise_equal(b.left.take(b.row_key, axis=0), want)
 
     def test_left_factors_need_no_full_size_temporary(self):
-        # the reference expression peaks at about 4.5 times the table
+        # a (M*N, 2, M) table of row factors per function would take
+        # 14.2 MB at 96 x 96; the build stays well under it
         tracemalloc.start()
         try:
             b = _enumerate_basis(96, 96)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * b.left.nbytes
+        assert peak < 0.2 * b.count * b.left[0].nbytes
 
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
@@ -162,7 +163,7 @@ class TestNorms:
     def test_norms_match_inner(self, layout8):
         wm = build_weight_mask(layout8)
         b = build_basis(layout8.m, layout8.n)
-        norms = precompute_norms(b, wm)
+        norms = ProjectionContext(b, wm).norms
         for k in (0, 3, 17, b.count - 1):
             want = weighted_inner_oracle(b.function(k), b.function(k), wm)
             assert norms[k] == pytest.approx(want, rel=1e-12)
@@ -174,7 +175,7 @@ class TestNorms:
 
     def test_norm_positive_under_uniform(self):
         b = build_basis(8, 8)
-        norms = precompute_norms(b, np.ones((8, 8)))
+        norms = ProjectionContext(b, np.ones((8, 8))).norms
         assert np.all(norms > 0)
         assert not excluded_mask(norms).any()
 
@@ -198,7 +199,8 @@ class TestProjectionContextModes:
         r = rng.normal(size=(3, 48, 48))
         w = ctx16.w_flat.reshape(48, 48)
         half = scipy.fft.rfft2(r * w).view(np.float64)
-        want = half.reshape(3, -1)[:, ctx16._spec_pos] * ctx16._spec_sign
+        positions, signs = ctx16.basis.spectrum_keys
+        want = half.reshape(3, -1)[:, positions] * signs
         np.testing.assert_array_equal(ctx16.numerators(r), want)
 
     def test_gram_matches_oracle(self, ctx8, ctx8_matrix, rng):
@@ -407,6 +409,13 @@ class TestGramTable:
             idx[0, 0, :4] = (0, count - 1, count - 2, 1)
             _bitwise_equal(ctx.gram(idx), reference_gram(ctx, idx))
 
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_norms_are_the_gram_diagonal(self, size):
+        for availability in PATTERNS:
+            ctx = _pattern_context(size, availability)
+            every = np.arange(ctx.basis.count)[:, None]
+            _bitwise_equal(ctx.norms, ctx.gram(every).reshape(-1))
+
     def test_every_size_up_to_80(self, ctx16, rng):
         for k in range(1, 81):
             idx = np.sort(rng.choice(ctx16.basis.count, size=(2, k)), axis=1)
@@ -442,9 +451,9 @@ class TestFactoredRoute:
             wm = build_weight_mask(
                 build_layout((96, 96), BlockRef(0, 48, size=8)))
         dense = (basis.matrix * basis.matrix) @ wm.ravel()
-        np.testing.assert_allclose(precompute_norms(basis, wm), dense,
-                                   rtol=1e-12, atol=0)
-        gram = ProjectionContext(basis, wm).gram(np.arange(64))
+        ctx = ProjectionContext(basis, wm)
+        np.testing.assert_allclose(ctx.norms, dense, rtol=1e-12, atol=0)
+        gram = ctx.gram(np.arange(64))
         np.testing.assert_allclose(np.diagonal(gram), dense[:64],
                                    rtol=1e-12, atol=0)
 

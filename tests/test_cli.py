@@ -1,4 +1,7 @@
+import os
 import runpy
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -25,6 +28,19 @@ def seq_path(tmp_path_factory):
 def test_every_exported_name_resolves():
     for name in mcrefine.__all__:
         assert getattr(mcrefine, name) is not None, name
+
+
+def test_import_leaves_scipy_to_first_use():
+    # scipy's transforms and LAPACK are most of a cold start; `synth` and
+    # `bd` never use them, so the first transform or solve imports them
+    code = ("import sys, mcrefine; print([m for m in ('scipy.fft', "
+            "'scipy.linalg') if m in sys.modules])")
+    src = str(Path(mcrefine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 class TestLoadConfig:

@@ -367,16 +367,17 @@ class TestBatchIndependence:
         bad = support[np.argmin(decr[support])]
         stub = SingularOnSupport(ctx16, support, bad)
         factored = []
+        factor = lapack.dpotrf
 
         def dpotrf(gram, **kwargs):
             factored.append(np.array(gram))
-            return lapack.dpotrf(gram, **kwargs)
+            return factor(gram, **kwargs)
 
         # one iteration: exactly one retry, only for that member, which
         # sheds its weakest pick; every batch-mate is factored once
         once = ExtrapolationParams(algorithm="msa", iterations=1)
         with monkeypatch.context() as patch:
-            patch.setattr(extrapolate, "dpotrf", dpotrf)
+            patch.setattr(lapack, "dpotrf", dpotrf)
             got = run_batch(windows, [layout16] * 5, once, context=stub,
                             record=True)
         assert [r.diagnostics.gram_retries for r in got] == [0, 0, 1, 0, 0]
