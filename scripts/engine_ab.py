@@ -142,7 +142,7 @@ class Tree:
         """The functions of the largest first decrements of ``window``."""
         ctx = self.mc.projection_context(layout)
         decr = self.mc.extrapolate.decrement_energies(
-            ctx.numerators(window), ctx)
+            ctx.numerators(window.reshape(-1)), ctx)
         return np.argsort(-decr, kind="stable")[:STRONGEST]
 
     def refine(self, engine: str, batch: int, record: bool = False,

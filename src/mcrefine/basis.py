@@ -274,21 +274,6 @@ def _gram_pairs(sizes: list) -> np.ndarray:
     return pairs
 
 
-def _ragged(indices, sizes):
-    """Flat supports, their per-member sizes, and the shape of the
-    (..., K) form (None for the flat form).
-
-    The flat form is an integer array ``indices`` (E,), member i owning
-    the next ``sizes[i]`` entries, and is passed through as it is; the
-    (..., K) form gives every member K.
-    """
-    if sizes is not None:
-        return indices, sizes, None
-    idx = np.asarray(indices, dtype=np.intp)
-    shape = idx.shape
-    return idx.reshape(-1), [shape[-1]] * math.prod(shape[:-1]), shape
-
-
 def gram_table(weights: np.ndarray) -> np.ndarray:
     """The signed, doubled FFT2(w) table that `ProjectionContext.gram` reads.
 
@@ -302,14 +287,6 @@ def gram_table(weights: np.ndarray) -> np.ndarray:
     table = np.tile(np.stack((-sin, cos, sin, -cos)), (1, 2, 2)).ravel()
     table.setflags(write=False)
     return table
-
-
-def _flat_rasters(x, basis: BasisSet) -> np.ndarray:
-    """``x`` as (..., M*N) float64 rasters; accepts (..., M, N) too."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-2:] == (basis.m, basis.n):
-        return x.reshape(x.shape[:-2] + (basis.m * basis.n,))
-    return x
 
 
 class ProjectionContext:
@@ -336,15 +313,14 @@ class ProjectionContext:
     and their own rows of the weighting arrays, gathered once
     (``_by_member``), so that a batch reads them without a gather per call.
 
-    `numerators` takes any leading batch axes.  `gram`, `render` and
-    `norms_at` take the members' supports, of any sizes, as one flat array
-    plus their sizes, which is how the engine calls them; called without
-    sizes they take a (..., K) support per member instead, a convenience
-    for direct calls that the engine does not use.  With several
-    weightings, `gram` and `norms_at` take exactly one support per member,
-    one row of (members, K) positions or one flat run each.  A stacked
-    call computes every member exactly as a call on that member alone
-    would, so results never depend on what else is in the batch.
+    Every method takes the engine's one batch form.  `numerators` takes
+    flattened rasters, (..., M*N), with any leading batch axes.  `gram`,
+    `render` and `norms_at` take the members' supports, of any sizes, as
+    one flat array plus their sizes, member i owning the next ``sizes[i]``
+    entries.  With several weightings, `gram` and `norms_at` take exactly
+    one support per member.  A stacked call computes every member exactly
+    as a call on that member alone would, so results never depend on what
+    else is in the batch.
     """
 
     def __init__(self, basis: BasisSet, weights: np.ndarray):
@@ -402,96 +378,88 @@ class ProjectionContext:
 
     # -- weighted correlations -------------------------------------------
 
-    def numerators(self, residual) -> np.ndarray:
+    def numerators(self, residual: np.ndarray) -> np.ndarray:
         """sum(residual * phi_k * w) for every k at once.
 
-        ``residual`` holds (..., M, N) or (..., M*N) rasters; the result
-        is (..., count).  One stacked real FFT serves the whole batch: a
-        real FFT along the rows, then a complex one down the columns in
-        place, which gives the bits of ``scipy.fft.rfft2`` (the same
-        pocketfft passes in the same order) for less call overhead.
+        ``residual`` holds (..., M*N) float64 rasters; the result is
+        (..., count).  One stacked real FFT serves the whole batch: a real
+        FFT along the rows, then a complex one down the columns in place,
+        which gives the bits of ``scipy.fft.rfft2`` (the same pocketfft
+        passes in the same order) for less call overhead.
         """
         b = self.basis
-        r = _flat_rasters(residual, b)
-        weighted = r * self.per_member(self.w_flat)
+        weighted = residual * self.per_member(self.w_flat)
         spec = np.fft.rfft(weighted.reshape(-1, b.m, b.n))
         np.fft.fft(spec, axis=-2, out=spec)
         half = spec.view(np.float64).reshape(len(spec), -1)
         positions, signs = b.spectrum_keys
         num = half.take(positions, axis=1)
         num *= signs
-        return num.reshape(r.shape[:-1] + (b.count,))
+        return num.reshape(residual.shape[:-1] + (b.count,))
 
-    def gram(self, indices, sizes=None) -> np.ndarray:
+    def gram(self, indices: np.ndarray, sizes: list) -> np.ndarray:
         """Symmetric matrices of weighted products phi_a * phi_b over P.
 
-        ``indices`` is (..., K) and the result (..., K, K); or ``indices``
-        holds the members' supports one after another, member i owning
-        ``sizes[i]`` of them, and the result is their K_i x K_i matrices,
-        each flattened, one after another.  Product-to-sum identities make
-        entry (a, b) half the sum of two signed FFT2(w) entries, at the
-        difference and at the sum of the two frequencies: cos*cos =
-        (C[diff] + C[sum]) / 2, sin*sin = (C[diff] - C[sum]) / 2, sin*cos
-        = (S[sum] + S[diff]) / 2 and cos*sin = (S[sum] - S[diff]) / 2,
-        with C = Re W, S = -Im W and the row function first.  Both are
-        read from the signed table, at the row key of a plus the
+        ``indices`` holds the members' supports one after another, member
+        i owning ``sizes[i]`` of them, and the result is their K_i x K_i
+        matrices, each flattened, one after another.  Product-to-sum
+        identities make entry (a, b) half the sum of two signed FFT2(w)
+        entries, at the difference and at the sum of the two frequencies:
+        cos*cos = (C[diff] + C[sum]) / 2, sin*sin = (C[diff] - C[sum]) /
+        2, sin*cos = (S[sum] + S[diff]) / 2 and cos*sin = (S[sum] -
+        S[diff]) / 2, with C = Re W, S = -Im W and the row function first.
+        Both are read from the signed table, at the row key of a plus the
         difference or sum key of b (`BasisSet.gram_keys`), with no modulo
         and no select; a member's row offset into the stacked tables is
         added once to its row keys.  Every entry is evaluated once, with
         the lower position as the row, so the matrix is exactly symmetric;
         all members' entries come from one gather per key.
         """
-        idx, sizes, shape = _ragged(indices, sizes)
         lo, hi = _gram_pairs(sizes)
         keys, diff, total = self.basis.gram_keys
-        row = keys.take(idx)
+        row = keys.take(indices)
         if self._slots is not None:
             row = self._in_rows(row, self._slots,
                                 self._gram_table.shape[-1], sizes)
         row = row.take(lo)
-        col = idx.take(hi)
+        col = indices.take(hi)
         table = self._gram_table.reshape(-1)
         g = table.take(row + diff.take(col))
         g += table.take(row + total.take(col))
         g *= 0.5
-        return g if shape is None else g.reshape(shape + shape[-1:])
+        return g
 
-    def norms_at(self, indices, sizes=None) -> np.ndarray:
-        """Each member's weighted norms at its support: (..., K), or flat
-        with per-member ``sizes`` as in `gram`."""
-        idx, sizes, shape = _ragged(indices, sizes)
+    def norms_at(self, indices: np.ndarray, sizes: list) -> np.ndarray:
+        """Each member's weighted norms at its support, flat as in `gram`."""
         norms = self.norms
         if self._slots is not None:
             rows = np.arange(len(self._slots)) if self._by_member \
                 else self._slots
-            idx = self._in_rows(idx, rows, norms.shape[-1], sizes)
+            indices = self._in_rows(indices, rows, norms.shape[-1], sizes)
             norms = norms.reshape(-1)
-        got = norms.take(idx)
-        return got if shape is None else got.reshape(shape)
+        return norms.take(indices)
 
-    def render(self, indices, coefficients, sizes=None) -> np.ndarray:
-        """Spatial rasters (flattened) of sum_u c_u * phi_u.
+    def render(self, indices: np.ndarray, coefficients: np.ndarray,
+               sizes: list) -> np.ndarray:
+        """Spatial rasters (flattened) of sum_u c_u * phi_u, one per member.
 
-        ``indices`` and ``coefficients`` are (..., K) and the result is
-        (..., M*N); or they are flat with per-member ``sizes`` as in
-        `gram`, and the result is (len(sizes), M*N).  Every function's
-        factor rows are gathered and scaled in one call; each member is
-        then one (2K, M)^T @ (2K, N) product of its own rows.
+        ``indices`` and ``coefficients`` are flat as in `gram`, and the
+        result is (len(sizes), M*N).  Every function's factor rows are
+        gathered and scaled in one call; each member is then one
+        (2K, M)^T @ (2K, N) product of its own rows.
         """
         b = self.basis
-        idx, sizes, shape = _ragged(indices, sizes)
-        rows = b.left.take(b.row_key.take(idx), axis=0)
-        rows *= np.asarray(coefficients, dtype=np.float64).reshape(-1, 1, 1)
+        rows = b.left.take(b.row_key.take(indices), axis=0)
+        rows *= coefficients.reshape(-1, 1, 1)
         rows = rows.reshape(-1, b.m)
-        cols = b.right.take(b.l_freq.take(idx), axis=0).reshape(-1, b.n)
+        cols = b.right.take(b.l_freq.take(indices), axis=0).reshape(-1, b.n)
         out = np.empty((len(sizes), b.m, b.n))
         start = 0   # two factor rows per function
         for member, k in enumerate(sizes):
             end = start + 2 * k
             np.matmul(rows[start:end].T, cols[start:end], out=out[member])
             start = end
-        lead = (len(sizes),) if shape is None else shape[:-1]
-        return out.reshape(lead + (b.m * b.n,))
+        return out.reshape(len(sizes), b.m * b.n)
 
 
 def stack_contexts(contexts) -> ProjectionContext:

@@ -12,17 +12,21 @@ only data a decoder would also have: the previous reconstructed frame (via
 the displaced block) and already-reconstructed neighbour blocks of the
 current frame.  `replay_trace` exercises exactly that property.
 
-Every path reaches the engine through one call, `refine_blocks`, which
-refines a batch of blocks of one size, of any neighbour-availability
-classes, and returns for each block exactly what refining it alone would.
-Open-loop prediction (`predict_frame`) reads no reconstruction, so it
-batches a frame's blocks in raster-order chunks.  The closed loop and its
-replay share one scheduler, `dependency_levels`: a block reads only its
-left, top-left, top and top-right neighbours, so the blocks of one level
-need only blocks of earlier levels.  `encode_pass` schedules every block,
-which gives the wavefront (block (bx, by) on level bx + 2 by), and refines
-and transform-codes each wave in one call each.  `replay_trace` decodes
-every unrefined block first, from its MC block and levels alone, and then
+Open-loop prediction, the closed loop and its replay each compensate a
+whole frame in one loop, since compensation reads only the reference, and
+address its blocks through the frame's block grid (`_grid`).  Every path
+reaches the engine through one call, `refine_blocks`, which refines
+blocks of a frame by line-scan index, in engine batches of at most
+`REFINE_CHUNK` blocks of any neighbour-availability classes, and yields
+for each block exactly what refining it alone would.  Open-loop
+prediction (`predict_frame`) reads no reconstruction, so it refines every
+block of a frame in one call.  The closed loop and its replay share one
+scheduler, `dependency_levels`: a block reads only its left, top-left,
+top and top-right neighbours, so the blocks of one level need only blocks
+of earlier levels.  `encode_pass` schedules every block, which gives the
+wavefront (block (bx, by) on level bx + 2 by), and refines and
+transform-codes each wave in one call each.  `replay_trace` decodes every
+unrefined block first, from its MC block and levels alone, and then
 schedules only the refined blocks, by their depth among themselves.
 
 Transform coding takes stacks: `reconstruct_block` and `decode_block` code
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +56,11 @@ from .frame import (NEIGHBOUR_TILES, BlockRef, Frame, GeometryError, Plane,
                     build_layout, mse, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
 
-# Blocks per engine call in `predict_frame`.  A chunk's engine state (about
-# 0.27 MB per member at block size 16) stays in cache, and the stacked
-# kernels already amortise their per-call cost at this size.
+# Blocks per engine call: `refine_blocks` cuts the blocks of every path
+# (prediction, encoding and replay) into batches of at most this many.  A
+# batch's engine state (about 0.27 MB per member at block size 16) stays in
+# cache, and the stacked kernels already amortise their per-call cost at
+# this size.
 REFINE_CHUNK = 16
 
 # Quantizer ladder mirroring ten fixed QPs from 16 to 43 in steps of 3,
@@ -187,6 +194,32 @@ def frame_blocks(width: int, height: int, size: int) -> list:
             for y0 in range(0, height, size) for x0 in range(0, width, size)]
 
 
+def _shared_blocks(planes, size: int) -> list:
+    """The block grid of ``planes``, a reference and the frames predicted
+    from it, checked before any coding.
+
+    Raises `ValueError` for fewer than two planes, and `GeometryError`
+    unless every plane has the first one's size and `frame_blocks` tiles
+    it.
+    """
+    check_frame_count(len(planes))
+    sizes = sorted({(plane.width, plane.height) for plane in planes})
+    if len(sizes) > 1:
+        raise GeometryError("frame sizes differ: " + " and ".join(
+            f"{width}x{height}" for width, height in sizes))
+    return frame_blocks(*sizes[0], size)
+
+
+def _compensate_frame(reference: Plane, blocks, vectors) -> np.ndarray:
+    """The motion-compensated raster of a frame: each of ``blocks``, in
+    line-scan order, displaced by its vector of ``vectors``."""
+    raster = np.empty((reference.height, reference.width))
+    grid = _grid(raster, blocks[0].size)
+    for i, (block, mv) in enumerate(zip(blocks, vectors)):
+        grid[divmod(i, grid.shape[1])] = compensate(reference, block, mv)
+    return raster
+
+
 def search_frame(current: Plane, reference: Plane, blocks,
                  params: SearchParams) -> list:
     """Motion pre-pass: ``(mv, sad)`` of every block against ``reference``.
@@ -239,41 +272,63 @@ def _frame_context(layouts, config: EncoderConfig):
                            for layout in layouts])
 
 
-def refine_blocks(layouts, neighbor_samples: np.ndarray, mc_blocks,
-                  config: EncoderConfig, context) -> list:
-    """Spatially refine motion-compensated blocks as one engine batch.
+def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
+                  mc_grid: np.ndarray, config: EncoderConfig,
+                  context) -> Iterator[extrapolate.RefineResult]:
+    """Spatially refine the motion-compensated blocks ``indices`` of a
+    frame.
 
     The one refinement call of `predict_frame`, `encode_pass` and
     `replay_trace`, so all three build working areas and weightings alike.
-    The blocks share one size but may differ in neighbour availability;
-    each result is bitwise equal to what a batch of that block alone gives.
-    ``context`` weights the blocks, one member each: the frame's
-    `_frame_context`, narrowed to these blocks with
-    `ProjectionContext.take`.
+    ``indices`` are line-scan indices into the frame's ``layouts`` and
+    into ``context``, the frame's `_frame_context`; ``mc_grid`` is the
+    frame's (rows, columns, s, s) `_grid` of motion-compensated blocks.
+    The blocks are refined in order, in engine batches of at most
+    `REFINE_CHUNK`, whatever availability classes a batch mixes.  Yields
+    one `RefineResult` per index, in the order of ``indices``, each
+    bitwise equal to what a batch of that block alone gives.
+
+    Each result's model is a view of its batch's engine state, so results
+    come one batch at a time: a caller that keeps only the blocks holds
+    one batch's state at once, not a frame's.  A batch reads its
+    neighbour samples and MC blocks when it is reached, so the caller
+    writes to neither until every result is taken.
     """
-    windows = np.empty((len(layouts), layouts[0].m, layouts[0].n))
-    for window, layout, mc in zip(windows, layouts, mc_blocks):
-        window[...] = assemble_window(layout, neighbor_samples, mc)
-    return extrapolate.run_batch(windows, layouts, config.extrapolation,
-                                 context=context)
+    for lo in range(0, len(indices), REFINE_CHUNK):
+        chunk = indices[lo:lo + REFINE_CHUNK]
+        part = [layouts[i] for i in chunk]
+        windows = np.stack([assemble_window(
+            layout, neighbor_samples, mc_grid[divmod(i, mc_grid.shape[1])])
+            for i, layout in zip(chunk, part)])
+        yield from extrapolate.run_batch(
+            windows, part, config.extrapolation,
+            context=context.take(np.array(chunk)))
 
 
-def _switch(block: BlockRef, mv: MotionVector, original: np.ndarray,
-            mc: np.ndarray, refined: np.ndarray | None
-            ) -> tuple[np.ndarray, BlockDecision]:
-    """The per-block MSE switch: keep ``refined`` only where it beats MC.
+def _switch(indices, motion, originals: np.ndarray, mc: np.ndarray,
+            refined: dict, decisions: list) -> np.ndarray:
+    """The per-block MSE switch over the blocks ``indices`` of a frame:
+    keep a block's refinement only where it beats MC.
 
-    ``refined`` is None where refinement was not attempted.  Returns the
-    chosen predictor and the decision.
+    ``originals`` and ``mc`` are the frame's `_grid`s of original and
+    motion-compensated blocks, and ``refined`` maps the index of each
+    block whose refinement was attempted to its refined block.  Records
+    each block's decision in ``decisions`` and returns the chosen
+    predictors, stacked in the order of ``indices``.
     """
-    mc_err = mse(original, mc)
-    refined_err = float("nan") if refined is None else mse(original, refined)
-    use = refined_err < mc_err
-    decision = BlockDecision(bx=block.x0 // block.size,
-                             by=block.y0 // block.size, mv=mv,
-                             refined=use, mc_mse=mc_err,
-                             refined_mse=refined_err)
-    return (refined if use else mc), decision
+    chosen = np.empty((len(indices),) + mc.shape[2:])
+    for j, i in enumerate(indices):
+        by, bx = at = divmod(i, mc.shape[1])
+        block = refined.get(i)
+        mc_err = mse(originals[at], mc[at])
+        refined_err = float("nan") if block is None \
+            else mse(originals[at], block)
+        use = refined_err < mc_err
+        decisions[i] = BlockDecision(bx=bx, by=by, mv=motion[i][0],
+                                     refined=use, mc_mse=mc_err,
+                                     refined_mse=refined_err)
+        chosen[j] = block if use else mc[at]
+    return chosen
 
 
 def _side_bits(decisions, n_blocks_x: int, flag_per_block: bool) -> int:
@@ -294,54 +349,40 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
     current originals, so blocks are independent of each other's results.
 
     Motion search runs first, as one `search_frame` pre-pass over every
-    block, then motion compensation of every block.  The blocks that have
-    a decoded neighbour are refined by `refine_blocks` in raster-order
-    chunks of `REFINE_CHUNK`, a fixed size that keeps a chunk's engine
-    state in cache, whatever availability classes a chunk mixes; the
-    per-block MSE switch comes last.  Because the engine computes each
-    batch member exactly as it would alone, the result equals refining
-    block by block.  The closed-loop path in `encode_pass` interleaves
-    prediction with reconstruction instead.
+    block, then motion compensation of every block.  Every block that has
+    a decoded neighbour is refined in one `refine_blocks` call, in engine
+    batches of at most `REFINE_CHUNK` whatever availability classes they
+    mix; the per-block MSE switch comes last.
+    Because the engine computes each batch member exactly as it would
+    alone, the result equals refining block by block.  The closed-loop
+    path in `encode_pass` interleaves prediction with reconstruction
+    instead.  A reference whose size differs from the current frame's
+    raises `GeometryError` before any block is predicted.
     """
     # Kept for callers that pass jobs=1; there is no parallel path.
     if jobs != 1:
         raise ValueError(f"predict_frame runs serially; jobs must be 1, "
                          f"got {jobs}")
     s = config.block_size
-    blocks = frame_blocks(current.width, current.height, s)
+    blocks = _shared_blocks([current, reference], s)
     motion = search_frame(current, reference, blocks, config.search)
-    mc_raster = np.empty((current.height, current.width))
-    for block, (mv, _) in zip(blocks, motion):
-        _cut(mc_raster, block)[...] = compensate(reference, block, mv)
-    refined = [None] * len(blocks)
+    mc_raster = _compensate_frame(reference, blocks, [mv for mv, _ in motion])
+    mc = _grid(mc_raster, s)
+    refined = {}
     if config.refinement != "none":
         layouts = [build_layout(current, block) for block in blocks]
-        context = _frame_context(layouts, config)
         todo = [i for i, layout in enumerate(layouts) if not layout.r_empty]
-        for lo in range(0, len(todo), REFINE_CHUNK):
-            chunk = todo[lo:lo + REFINE_CHUNK]
-            for i, result in zip(chunk, refine_blocks(
-                    [layouts[i] for i in chunk], current.data,
-                    [_cut(mc_raster, blocks[i]) for i in chunk], config,
-                    context=context.take(np.array(chunk)))):
-                refined[i] = result.block
+        refined = {i: result.block for i, result in zip(todo, refine_blocks(
+            todo, layouts, current.data, mc, config,
+            _frame_context(layouts, config)))}
+    decisions = [None] * len(blocks)
+    chosen = _switch(range(len(blocks)), motion, _grid(current.data, s), mc,
+                     refined, decisions)
     predictor = np.empty_like(mc_raster)
-    decisions = []
-    for block, (mv, _), block_refined in zip(blocks, motion, refined):
-        chosen, decision = _switch(block, mv, current.block(block),
-                                   _cut(mc_raster, block), block_refined)
-        _cut(predictor, block)[...] = chosen
-        decisions.append(decision)
-    side = _side_bits(decisions, current.width // s,
-                      config.refinement != "none")
+    _grid(predictor, s)[...] = chosen.reshape(mc.shape)
+    side = _side_bits(decisions, mc.shape[1], config.refinement != "none")
     return FramePrediction(predictor=predictor, mc_predictor=mc_raster,
                            decisions=decisions, side_bits=side)
-
-
-def _cut(raster: np.ndarray, block: BlockRef) -> np.ndarray:
-    """The view of ``raster`` that ``block`` covers."""
-    return raster[block.y0:block.y0 + block.size,
-                  block.x0:block.x0 + block.size]
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +517,6 @@ def check_frame_count(count: int) -> None:
                          f"frame to predict), got {count}")
 
 
-def _sequence_blocks(frames, block_size: int) -> list:
-    """The block grid of an IPPP sequence, checked before any coding."""
-    check_frame_count(len(frames))
-    return frame_blocks(frames[0].y.width, frames[0].y.height, block_size)
-
-
 def _encode_intra(frame: Plane, qstep: float, blocks: list):
     """Store the first frame against a flat mid-grey predictor, in one
     transform call."""
@@ -503,16 +538,11 @@ def _mc_chroma(prev: Frame, decisions, block_size: int) -> tuple:
     """
     if prev.u is None or prev.v is None:
         return None, None
-    cs = block_size // 2
-    out = []
-    for comp in (prev.u, prev.v):
-        rec = np.empty((comp.height, comp.width), np.uint8)
-        for d in decisions:
-            blk = BlockRef(x0=d.bx * cs, y0=d.by * cs, size=cs)
-            pred = compensate(comp, blk, d.mv.for_chroma())
-            _cut(rec, blk)[...] = np.rint(pred).clip(0, 255).astype(np.uint8)
-        out.append(Plane(rec))
-    return tuple(out)
+    blocks = frame_blocks(prev.u.width, prev.u.height, block_size // 2)
+    vectors = [d.mv.for_chroma() for d in decisions]
+    return tuple(Plane(np.rint(_compensate_frame(comp, blocks, vectors))
+                       .clip(0, 255).astype(np.uint8))
+                 for comp in (prev.u, prev.v))
 
 
 def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
@@ -528,19 +558,20 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     a decoder-side replay has to reproduce.
 
     Each P-frame starts with a `search_frame` pre-pass against the previous
-    reconstruction.  The blocks are then coded wave by wave
-    (`dependency_levels` of every block): every block of a wave is motion
-    compensated, the ones with a reconstructed neighbour are refined in
-    one `refine_blocks` call, each block is switched, and the wave is
+    reconstruction, and every block is motion compensated from it.  The
+    blocks are then coded wave by wave (`dependency_levels` of every
+    block): the ones of a wave with a reconstructed neighbour are refined
+    in one `refine_blocks` call, each block is switched, and the wave is
     transform-coded in one `reconstruct_block` call.  Per-block bits are
     summed in line-scan order after the frame, so the result equals coding
     block by block in line-scan order.  ``FrameStats.refine_seconds`` times
     the per-wave refinement calls.  Fewer than two frames raise
-    `ValueError` and a frame the block grid does not tile raises
-    `GeometryError`, both before any block is coded.
+    `ValueError`, and a frame the block grid does not tile or whose size
+    differs from the first frame's raises `GeometryError`, both before
+    any block is coded.
     """
     s = config.block_size
-    blocks = _sequence_blocks(frames, s)
+    blocks = _shared_blocks([frame.y for frame in frames], s)
     first = frames[0].y
     intra_qstep = min(config.qsteps)
     if intra is None:
@@ -566,27 +597,20 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         decisions = [None] * len(blocks)
         coeff_bits = [0.0] * len(blocks)
         levels = [None] * len(blocks)
+        refined = {}
         refine_total = 0.0
         motion = search_frame(cur, prev_frame.y, blocks, config.search)
+        mc = _grid(_compensate_frame(prev_frame.y, blocks,
+                                     [mv for mv, _ in motion]), s)
         for wave in schedule:
-            mc = {i: compensate(prev_frame.y, blocks[i], motion[i][0])
-                  for i in wave}
-            refined = dict.fromkeys(wave)
             todo = [i for i in wave if refine and not layouts[i].r_empty]
             if todo:
                 t0 = time.perf_counter()
-                for i, result in zip(todo, refine_blocks(
-                        [layouts[i] for i in todo], recon_y,
-                        [mc[i] for i in todo], config,
-                        context=context.take(np.array(todo)))):
-                    refined[i] = result.block
+                refined.update((i, result.block) for i, result in zip(
+                    todo, refine_blocks(todo, layouts, recon_y, mc, config,
+                                        context)))
                 refine_total += time.perf_counter() - t0
-            chosen = np.empty((len(wave), s, s))
-            for j, i in enumerate(wave):
-                block = blocks[i]
-                chosen[j], decisions[i] = _switch(block, motion[i][0],
-                                                  cur.block(block), mc[i],
-                                                  refined[i])
+            chosen = _switch(wave, motion, originals, mc, refined, decisions)
             at = np.divmod(wave, nx)
             rec, bits, wave_levels = reconstruct_block(originals[at], chosen,
                                                        qstep)
@@ -640,7 +664,7 @@ def encode_sequence(frames, config: EncoderConfig):
     Returns (RDCurve sorted by rate, per-(qp, frame) stats list).  Needs at
     least two frames (IPPP); `encode_pass` gives the trace of one pass.
     """
-    blocks = _sequence_blocks(frames, config.block_size)
+    blocks = _shared_blocks([frame.y for frame in frames], config.block_size)
     intra = _encode_intra(frames[0].y, min(config.qsteps), blocks)
     points = []
     all_stats = []
@@ -669,8 +693,13 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     of those blocks), each level in one `refine_blocks` call and one
     `decode_block` call.  The intra frame is decoded in one call too.
     Returns the list of per-frame predictor rasters and reconstructed
-    planes.
+    planes.  A trace with refined blocks and a ``config`` without
+    refinement raise `ValueError` before anything is decoded.
     """
+    if config.refinement == "none" and any(
+            bt.refined for frame_trace in trace.frames for bt in frame_trace):
+        raise ValueError("the trace has refined blocks, which refinement "
+                         "'none' cannot replay")
     width, height = trace.dims
     s = trace.block_size
     blocks = frame_blocks(width, height, s)
@@ -685,10 +714,9 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     predictors, recons = [], []
     for frame_trace in trace.frames:
         recon_y = np.zeros((height, width), np.uint8)
-        predictor = np.empty((height, width))
+        predictor = _compensate_frame(prev, blocks,
+                                      [bt.mv for bt in frame_trace])
         pred_grid, recon_grid = _grid(predictor, s), _grid(recon_y, s)
-        for i, (block, bt) in enumerate(zip(blocks, frame_trace)):
-            pred_grid[divmod(i, nx)] = compensate(prev, block, bt.mv)
 
         def decode(part):
             at = np.divmod(part, nx)
@@ -701,11 +729,8 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
         if plain:
             decode(plain)
         for level in dependency_levels(nx, ny, refined):
-            for i, result in zip(level, refine_blocks(
-                    [layouts[i] for i in level], recon_y,
-                    [pred_grid[divmod(i, nx)] for i in level], config,
-                    context=context.take(np.array(level)))):
-                pred_grid[divmod(i, nx)] = result.block
+            pred_grid[np.divmod(level, nx)] = [r.block for r in refine_blocks(
+                level, layouts, recon_y, pred_grid, config, context)]
             decode(level)
         predictors.append(predictor)
         recons.append(Plane(recon_y))

@@ -90,7 +90,7 @@ class ExtrapolationParams:
     def __post_init__(self):
         if self.algorithm not in self.DEFAULT_ITERATIONS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
-                             f"choose from {ALGORITHMS}")
+                             f"choose from {tuple(self.DEFAULT_ITERATIONS)}")
         if self.iterations is None:
             object.__setattr__(self, "iterations",
                                self.DEFAULT_ITERATIONS[self.algorithm])
@@ -254,7 +254,8 @@ def select_candidates(decrements: np.ndarray, tau: float, n_bf: int) -> np.ndarr
 
 def solve_subspace(residual, indices, ctx: ProjectionContext
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint projection of the residual onto the selected subspace.
+    """Joint projection of the residual, one (M, N) or flattened raster,
+    onto the selected subspace.
 
     Solves the weighted normal equations ``G p = b`` with G the symmetric
     Gram matrix of the selected functions and b their weighted correlations
@@ -263,7 +264,7 @@ def solve_subspace(residual, indices, ctx: ProjectionContext
     one member, so a singular system sheds picks as `_solve` describes and
     the returned (sorted) index array may be a subset of the input.
     """
-    num = ctx.numerators(np.asarray(residual, dtype=np.float64))
+    num = ctx.numerators(np.asarray(residual, dtype=np.float64).reshape(-1))
     idx = np.unique(np.asarray(indices, dtype=np.intp))
     decr = decrement_energies(num, ctx)
     used, _, solution, _ = _solve(idx, [idx.size], None, num[idx], decr[idx],

@@ -18,33 +18,35 @@ class MatrixContext(ProjectionContext):
 
     The test oracle for the FFT route: norms are inherited (one closed-form
     definition), while numerators, Gram entries and renderings are plain
-    matrix products with the materialised basis.  Like the FFT route, each
-    method takes any leading batch axes, and `gram` and `render` also take
-    flat supports with their per-member sizes.
+    matrix products with the materialised basis.  Like the FFT route, it
+    takes flattened rasters with any leading batch axes, and flat supports
+    with their per-member sizes.
     """
 
     def numerators(self, residual):
-        r = np.asarray(residual, dtype=np.float64)
-        if r.shape[-2:] == (self.basis.m, self.basis.n):
-            r = r.reshape(r.shape[:-2] + (-1,))
-        return (r * self.w_flat) @ self.basis.matrix.T
+        return (residual * self.w_flat) @ self.basis.matrix.T
 
-    def gram(self, indices, sizes=None):
-        if sizes is not None:
-            return np.concatenate([self.gram(part).ravel() for part in
-                                   np.split(indices, np.cumsum(sizes)[:-1])])
-        sub = self.basis.matrix[np.asarray(indices, dtype=np.intp)]
-        g = (sub * self.w_flat) @ np.swapaxes(sub, -1, -2)
-        return (g + np.swapaxes(g, -1, -2)) * 0.5
+    def gram(self, indices, sizes):
+        grams = []
+        for part in np.split(indices, np.cumsum(sizes)[:-1]):
+            sub = self.basis.matrix[part]
+            g = (sub * self.w_flat) @ sub.T
+            grams.append(((g + g.T) * 0.5).ravel())
+        return np.concatenate(grams)
 
-    def render(self, indices, coefficients, sizes=None):
-        if sizes is not None:
-            cuts = np.cumsum(sizes)[:-1]
-            return np.stack([self.render(i, c) for i, c in zip(
-                np.split(indices, cuts), np.split(coefficients, cuts))])
-        idx = np.asarray(indices, dtype=np.intp)
-        c = np.asarray(coefficients, dtype=np.float64)
-        return (c[..., None, :] @ self.basis.matrix[idx])[..., 0, :]
+    def render(self, indices, coefficients, sizes):
+        cuts = np.cumsum(sizes)[:-1]
+        return np.stack([c @ self.basis.matrix[i] for i, c in zip(
+            np.split(indices, cuts), np.split(coefficients, cuts))])
+
+
+def square_grams(ctx, indices):
+    """``ctx.gram`` of a (..., K) support per member, as (..., K, K)
+    matrices."""
+    idx = np.asarray(indices, dtype=np.intp)
+    k = idx.shape[-1]
+    flat = ctx.gram(idx.reshape(-1), [k] * (idx.size // k))
+    return flat.reshape(idx.shape + (k,))
 
 
 def reference_gram(ctx, indices):

@@ -95,9 +95,10 @@ def test_criterion_01(capsys, interior_ctx):
         residual = rng.normal(0.0, 30.0, size=(AREA, AREA))
         solution, used = solve_subspace(residual, support, ctx)
         assert np.array_equal(used, support), "solver shed a regular system"
-        expect = gauss_solve(ctx.gram(support),
-                             ctx.numerators(residual)[support]) \
-            if k > 1 else np.array([ctx.numerators(residual)[support[0]]
+        num = ctx.numerators(residual.ravel())
+        expect = gauss_solve(ctx.gram(support, [k]).reshape(k, k),
+                             num[support]) \
+            if k > 1 else np.array([num[support[0]]
                                     / ctx.norms[support[0]]])
         scale = max(np.abs(expect).max(), 1e-30)
         worst = max(worst, np.abs(solution - expect).max() / scale)
@@ -169,7 +170,7 @@ def test_criterion_04(capsys):
         k = int(rng.integers(1, 6))
         support = rng.choice(basis.count, size=k, replace=False)
         coefs = rng.uniform(0.5, 2.0, size=k) * rng.choice([-1.0, 1.0], size=k)
-        signal = ctx.render(support, coefs).reshape(AREA, AREA)
+        signal = ctx.render(support, coefs, [k]).reshape(AREA, AREA)
         result = run(signal, layout, params, context=ctx)
         truth = np.zeros(basis.count)
         truth[support] = coefs
@@ -187,7 +188,7 @@ def test_criterion_05(capsys, interior_ctx):
     layout, ctx = interior_ctx
     support = np.array([48, 0, 144])       # two collinear frequencies + DC
     coefs = np.array([2.0, -0.5, 0.2])
-    signal = ctx.render(support, coefs).reshape(AREA, AREA)
+    signal = ctx.render(support, coefs, [3]).reshape(AREA, AREA)
     truth = np.zeros(ctx.basis.count)
     truth[support] = coefs
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import MatrixContext, reference_gram
+from conftest import MatrixContext, reference_gram, square_grams
 from mcrefine.basis import (ParameterError, ProjectionContext,
                             _enumerate_basis, _unit_phases, build_basis,
                             build_weight_mask, excluded_mask,
@@ -186,8 +186,8 @@ class TestProjectionContextModes:
     def test_numerators_match_oracle(self, ctx8, ctx8_matrix, rng):
         b = ctx8.basis
         r = rng.normal(size=(b.m, b.n))
-        fast = ctx8.numerators(r)
-        ref = ctx8_matrix.numerators(r)
+        fast = ctx8.numerators(r.ravel())
+        ref = ctx8_matrix.numerators(r.ravel())
         np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-9)
         w = ctx8.w_flat.reshape(b.m, b.n)
         for k in (0, 1, 40, 111):
@@ -201,12 +201,13 @@ class TestProjectionContextModes:
         half = scipy.fft.rfft2(r * w).view(np.float64)
         positions, signs = ctx16.basis.spectrum_keys
         want = half.reshape(3, -1)[:, positions] * signs
-        np.testing.assert_array_equal(ctx16.numerators(r), want)
+        np.testing.assert_array_equal(ctx16.numerators(r.reshape(3, -1)),
+                                      want)
 
     def test_gram_matches_oracle(self, ctx8, ctx8_matrix, rng):
         idx = np.sort(rng.choice(ctx8.basis.count, size=12, replace=False))
-        g_fast = ctx8.gram(idx)
-        g_ref = ctx8_matrix.gram(idx)
+        g_fast = square_grams(ctx8, idx)
+        g_ref = square_grams(ctx8_matrix, idx)
         np.testing.assert_allclose(g_fast, g_ref, rtol=1e-9, atol=1e-9)
         w = ctx8.w_flat.reshape(ctx8.basis.m, ctx8.basis.n)
         for a in range(0, 12, 5):
@@ -218,7 +219,7 @@ class TestProjectionContextModes:
     def test_gram_exactly_symmetric(self, ctx8, ctx8_matrix, rng):
         idx = rng.choice(ctx8.basis.count, size=20, replace=False)
         for ctx in (ctx8, ctx8_matrix):
-            g = ctx.gram(idx)
+            g = square_grams(ctx, idx)
             np.testing.assert_array_equal(g, g.T)
 
     def test_norms_shared_between_modes(self, ctx8, ctx8_matrix):
@@ -228,7 +229,8 @@ class TestProjectionContextModes:
         idx = np.array([0, 5, 9])
         coefs = rng.normal(size=3)
         want = sum(c * ctx8.basis.matrix[i] for c, i in zip(coefs, idx))
-        np.testing.assert_allclose(ctx8.render(idx, coefs), want, atol=1e-12)
+        np.testing.assert_allclose(ctx8.render(idx, coefs, [3])[0], want,
+                                   atol=1e-12)
 
     def test_context_cached_per_pattern(self, layout8):
         a = projection_context(layout8)
@@ -285,14 +287,16 @@ class TestProjectionStack:
                                slice(1, 3)), [4, 0])):
             rows = list(rows)
             num = view.numerators(r[rows])
-            gram = view.gram(idx[rows])
-            norms = view.norms_at(idx[rows])
+            gram = square_grams(view, idx[rows])
+            norms = view.norms_at(idx[rows].ravel(),
+                                  [6] * len(rows)).reshape(-1, 6)
             safe = view.per_member(view._safe_norms)
             w_flat = view.per_member(view.w_flat)
             for j, i in enumerate(rows):
                 ctx = contexts[i]
                 np.testing.assert_array_equal(num[j], ctx.numerators(r[i]))
-                np.testing.assert_array_equal(gram[j], ctx.gram(idx[i]))
+                np.testing.assert_array_equal(gram[j],
+                                              square_grams(ctx, idx[i]))
                 np.testing.assert_array_equal(norms[j], ctx.norms[idx[i]])
                 np.testing.assert_array_equal(safe[j], ctx._safe_norms)
                 np.testing.assert_array_equal(w_flat[j], ctx.w_flat)
@@ -318,7 +322,7 @@ class TestProjectionStack:
         values = [{name: a.copy() for name, a in h.items()} for h in held]
         stack = stack_contexts(contexts)
         idx = np.sort(rng.choice(24 * 24, size=(len(contexts), 6)), axis=1)
-        stack.gram(idx)
+        square_grams(stack, idx)
         stack.take(np.array([4, 1])).numerators(rng.normal(size=(2, 576)))
         for ctx, arrays, copies in zip(contexts, held, values):
             for name in names:
@@ -330,9 +334,9 @@ class TestProjectionStack:
         idx = np.sort(rng.choice(24 * 24, size=(len(contexts), 6)), axis=1)
         for wrong in (idx[:3], idx[None].repeat(2, axis=0)):
             with pytest.raises(ValueError, match="one support per member"):
-                stack.gram(wrong)
+                square_grams(stack, wrong)
             with pytest.raises(ValueError, match="one support per member"):
-                stack.norms_at(wrong)
+                stack.norms_at(wrong.ravel(), [6] * (wrong.size // 6))
         with pytest.raises(ValueError, match="one support per member"):
             stack.gram(idx.ravel(), [6] * (len(contexts) + 1))
 
@@ -352,7 +356,7 @@ class TestProjectionStack:
         assert later.basis is first.basis
         stack = stack_contexts([first, later])
         idx = np.sort(rng.choice(36, size=(2, 5), replace=False), axis=1)
-        gram = stack.gram(idx)
+        gram = square_grams(stack, idx)
         for j, ctx in enumerate((first, later)):
             _bitwise_equal(gram[j], reference_gram(ctx, idx[j]))
 
@@ -364,10 +368,10 @@ class TestProjectionStack:
         stack = stack_contexts(members)
         r = rng.normal(size=(3, 48 * 48))
         idx = np.sort(rng.choice(48 * 48, size=(3, 7)), axis=1)
-        num, gram = stack.numerators(r), stack.gram(idx)
+        num, gram = stack.numerators(r), square_grams(stack, idx)
         for j, ctx in enumerate(members):
             _bitwise_equal(num[j], ctx.numerators(r[j]))
-            _bitwise_equal(gram[j], ctx.gram(idx[j]))
+            _bitwise_equal(gram[j], square_grams(ctx, idx[j]))
 
     def test_one_basis(self, ctx8, ctx16):
         with pytest.raises(ValueError, match="one area size"):
@@ -403,23 +407,25 @@ class TestGramTable:
                 # unsorted, with repeats and an explicit duplicate
                 idx = rng.integers(0, count, size=k)
                 idx[-1] = idx[0]
-                _bitwise_equal(ctx.gram(idx), reference_gram(ctx, idx))
+                _bitwise_equal(square_grams(ctx, idx),
+                               reference_gram(ctx, idx))
             # leading batch axes, and the extreme frequencies
             idx = rng.integers(0, count, size=(2, 3, 9))
             idx[0, 0, :4] = (0, count - 1, count - 2, 1)
-            _bitwise_equal(ctx.gram(idx), reference_gram(ctx, idx))
+            _bitwise_equal(square_grams(ctx, idx), reference_gram(ctx, idx))
 
     @pytest.mark.parametrize("size", [8, 16])
     def test_norms_are_the_gram_diagonal(self, size):
         for availability in PATTERNS:
             ctx = _pattern_context(size, availability)
             every = np.arange(ctx.basis.count)[:, None]
-            _bitwise_equal(ctx.norms, ctx.gram(every).reshape(-1))
+            _bitwise_equal(ctx.norms, square_grams(ctx, every).reshape(-1))
 
     def test_every_size_up_to_80(self, ctx16, rng):
         for k in range(1, 81):
             idx = np.sort(rng.choice(ctx16.basis.count, size=(2, k)), axis=1)
-            _bitwise_equal(ctx16.gram(idx), reference_gram(ctx16, idx))
+            _bitwise_equal(square_grams(ctx16, idx),
+                           reference_gram(ctx16, idx))
 
     def test_mixed_stack_members_equal_their_contexts(self, rng):
         contexts = [projection_context(build_layout((64, 48), BlockRef(
@@ -433,10 +439,10 @@ class TestGramTable:
             for view, rows in ((stack, range(len(contexts))),
                                (stack.take(np.array([5, 0, 3])), [5, 0, 3])):
                 rows = list(rows)
-                gram = view.gram(idx[rows])
+                gram = square_grams(view, idx[rows])
                 for j, i in enumerate(rows):
                     _bitwise_equal(gram[j], reference_gram(contexts[i], idx[i]))
-                    _bitwise_equal(gram[j], contexts[i].gram(idx[i]))
+                    _bitwise_equal(gram[j], square_grams(contexts[i], idx[i]))
 
 
 class TestFactoredRoute:
@@ -453,7 +459,7 @@ class TestFactoredRoute:
         dense = (basis.matrix * basis.matrix) @ wm.ravel()
         ctx = ProjectionContext(basis, wm)
         np.testing.assert_allclose(ctx.norms, dense, rtol=1e-12, atol=0)
-        gram = ctx.gram(np.arange(64))
+        gram = square_grams(ctx, np.arange(64))
         np.testing.assert_allclose(np.diagonal(gram), dense[:64],
                                    rtol=1e-12, atol=0)
 
@@ -471,8 +477,8 @@ class TestFactoredRoute:
             if count > 1:
                 assert b.is_sin[idx].any() and not b.is_sin[idx].all()
             coefs = rng.normal(size=count)
-            np.testing.assert_allclose(fast.render(idx, coefs),
-                                       oracle.render(idx, coefs),
+            np.testing.assert_allclose(fast.render(idx, coefs, [count]),
+                                       oracle.render(idx, coefs, [count]),
                                        rtol=0, atol=1e-12 * count)
 
     def test_block32_context_without_dense_matrix(self):
@@ -484,7 +490,7 @@ class TestFactoredRoute:
         assert np.all(ctx.norms > 0)
         idx = np.array([0, 1, 2, 9215])
         coefs = np.array([1.0, 0.5, -0.25, 2.0])
-        got = ctx.render(idx, coefs).reshape(96, 96)
+        got = ctx.render(idx, coefs, [4]).reshape(96, 96)
         y, x = np.mgrid[0:96, 0:96] / 96.0
         want = np.zeros((96, 96))
         for i, c in zip(idx, coefs):

@@ -303,9 +303,9 @@ class TestPredictFrame:
                 assert math.isnan(d.refined_mse)
                 np.testing.assert_array_equal(got, mc)
                 continue
-            alone = codec.refine_blocks(
-                [layout], cur.data, [mc], cfg,
-                codec._frame_context([layout], cfg))[0].block
+            alone = next(codec.refine_blocks(
+                [0], [layout], cur.data, mc[None, None], cfg,
+                codec._frame_context([layout], cfg))).block
             assert d.refined_mse == mse(cur.block(block), alone)
             np.testing.assert_array_equal(got, alone if d.refined else mc)
             refined += d.refined
@@ -458,6 +458,73 @@ class TestClosedLoop:
             encode_pass(tiny_sequence(frames=1), fast_config(), qstep=16.0,
                         qp=28)
         assert coded == []
+
+    def test_frames_of_another_size_are_refused_up_front(self, monkeypatch):
+        searched, coded = [], []
+        monkeypatch.setattr(codec, "search_frame",
+                            lambda *a: searched.append(a))
+        monkeypatch.setattr(codec, "reconstruct_block",
+                            lambda *a: coded.append(a))
+        small, large = (synth_sequence("translate", width=w, height=h,
+                                       frames=1, seed=0)[0]
+                        for w, h in ((64, 48), (96, 64)))
+        for frames in ([small, large], [large, small], [small, small, large]):
+            with pytest.raises(GeometryError, match="frame sizes differ"):
+                encode_pass(frames, fast_config(), qstep=16.0, qp=28)
+            with pytest.raises(GeometryError, match="frame sizes differ"):
+                encode_sequence(frames, fast_config())
+        for current, reference in ((small, large), (large, small)):
+            with pytest.raises(GeometryError, match="frame sizes differ"):
+                predict_frame(current.y, reference.y, fast_config())
+        assert searched == coded == []
+
+    def test_replay_refuses_a_config_without_refinement(self, monkeypatch):
+        frames = tiny_sequence(frames=3, sigma=4.0)
+        cfg = fast_config(qps=(28,))
+        _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
+                                  collect_trace=True)
+        assert any(bt.refined for blocks in trace.frames for bt in blocks)
+        decoded = []
+        monkeypatch.setattr(codec, "decode_block",
+                            lambda *a: decoded.append(a))
+        with pytest.raises(ValueError, match="refinement 'none'"):
+            replay_trace(trace, EncoderConfig(refinement="none"))
+        assert decoded == []
+
+    def test_every_engine_batch_obeys_the_cap(self, monkeypatch):
+        # 64x48 in blocks of 8: waves of up to four blocks, so a cap of 2
+        # cuts waves and replay levels into several engine batches, which
+        # must change nothing
+        frames = synth_sequence("translate", width=64, height=48, frames=3,
+                                seed=9, velocity=(0.7, -0.4),
+                                noise_sigma=24.0, texture="field")
+        cfg = fast_config(block_size=8, qps=(28,))
+        batches, run_batch = [], codec.extrapolate.run_batch
+
+        def counted(windows, *args, **kwargs):
+            batches.append(len(windows))
+            return run_batch(windows, *args, **kwargs)
+
+        monkeypatch.setattr(codec.extrapolate, "run_batch", counted)
+        runs = []
+        for chunk in (codec.REFINE_CHUNK, 2):
+            monkeypatch.setattr(codec, "REFINE_CHUNK", chunk)
+            encoded = encode_on(dependency_levels, frames, cfg, 16.0, 28)
+            encode_batches = batches[:]
+            batches.clear()
+            replayed = replay_trace(encoded[2], cfg)
+            runs.append((encoded, replayed, encode_batches, batches[:]))
+            batches.clear()
+        (default, replay_a, encode_a, replay_batches_a), \
+            (capped, replay_b, encode_b, replay_batches_b) = runs
+        assert max(encode_a) > 2 and max(replay_batches_a) > 2
+        assert max(encode_b) <= 2 and max(replay_batches_b) <= 2
+        assert_same_pass(default, capped)
+        (predictors_a, recons_a), (predictors_b, recons_b) = replay_a, replay_b
+        for a, b in zip(predictors_a, predictors_b, strict=True):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(recons_a, recons_b, strict=True):
+            np.testing.assert_array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("width, height", [(0, 0), (-16, 32), (32, 0)])
     def test_frame_blocks_rejects_nonpositive_sizes(self, width, height):

@@ -117,7 +117,7 @@ class TestSolveSubspace:
             r = rng.normal(size=ctx8.basis.m * ctx8.basis.n)
             got, used = solve_subspace(r, idx, ctx8)
             np.testing.assert_array_equal(used, idx)
-            gram = ctx8.gram(idx)
+            gram = ctx8.gram(idx, [size]).reshape(size, size)
             rhs = ctx8.numerators(r)[idx]
             np.testing.assert_allclose(got, gauss_solve_oracle(gram, rhs),
                                        rtol=1e-8, atol=1e-10)
@@ -169,8 +169,8 @@ class TestSingularRetry:
         # the ``shed`` weakest make the Gram singular, so the retries shed
         # exactly those, weakest first, one retry each
         support = TestBatchIndependence.SUPPORTS[2]
-        window = ctx16.render(support, np.full(4, 30.0)).reshape(48, 48)
-        decr = decrement_energies(ctx16.numerators(window), ctx16)
+        window = ctx16.render(support, np.full(4, 30.0), [4]).reshape(48, 48)
+        decr = decrement_energies(ctx16.numerators(window.ravel()), ctx16)
         bad = support[np.argsort(decr[support], kind="stable")[:shed]]
         once = ExtrapolationParams(algorithm="msa", iterations=1)
         stub = SingularWith(ctx16, bad)
@@ -312,7 +312,7 @@ class TestBatchIndependence:
             # any Gram that holds a named function is singular, so rba/msa
             # members retry and shed
             top = np.stack([np.argsort(decrement_energies(
-                ctx.numerators(w), ctx))[-4:]
+                ctx.numerators(w.ravel()), ctx))[-4:]
                 for w, ctx in zip(windows, contexts)])
             bad = top[np.arange(batch), rng.integers(0, 4, size=batch)]
 
@@ -344,7 +344,7 @@ class TestBatchIndependence:
                          [110, 215, 325, 435]])
 
     def four_function_windows(self, ctx):
-        return np.stack([ctx.render(s, np.full(4, 30.0)).reshape(48, 48)
+        return np.stack([ctx.render(s, np.full(4, 30.0), [4]).reshape(48, 48)
                          for s in self.SUPPORTS])
 
     def test_equal_sizes_solve_together(self, layout16, ctx16):
@@ -363,7 +363,8 @@ class TestBatchIndependence:
         supports = self.SUPPORTS
         windows = self.four_function_windows(ctx16)
         support = supports[2]
-        decr = decrement_energies(ctx16.numerators(windows[2]), ctx16)
+        decr = decrement_energies(ctx16.numerators(windows[2].ravel()),
+                                  ctx16)
         bad = support[np.argmin(decr[support])]
         stub = SingularOnSupport(ctx16, support, bad)
         factored = []
@@ -382,7 +383,7 @@ class TestBatchIndependence:
                             record=True)
         assert [r.diagnostics.gram_retries for r in got] == [0, 0, 1, 0, 0]
         for i in (0, 1, 3, 4):
-            mate = ctx16.gram(supports[i])
+            mate = ctx16.gram(supports[i], [4]).reshape(4, 4)
             assert sum(np.array_equal(g, mate) for g in factored) == 1
         assert len(factored) == 6   # five members, then the shed retry
         for i, (r, s) in enumerate(zip(got, supports)):
@@ -534,6 +535,13 @@ class TestParams:
             ExtrapolationParams(iterations=0)
         with pytest.raises(ValueError):
             ExtrapolationParams(n_bf=0)
+
+    def test_unknown_engine_lists_only_engines(self):
+        # 'none' is a codec setting, not an engine, so it is not offered
+        with pytest.raises(ValueError) as err:
+            ExtrapolationParams(algorithm="none")
+        assert str(err.value) == ("unknown algorithm 'none'; choose from "
+                                  "('fsa', 'rba', 'msa')")
 
 
 class TestEngines:
