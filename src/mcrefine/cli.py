@@ -79,10 +79,11 @@ class RunConfig:
 
     def encoder_config(self, algorithm: str) -> EncoderConfig:
         extrapolation = None
-        if algorithm != "none":
+        # an unknown name reaches `EncoderConfig`, whose message lists 'none'
+        if algorithm in ExtrapolationParams.DEFAULT_ITERATIONS:
             iterations = {"fsa": self.fsa_iterations,
                           "rba": self.rba_iterations,
-                          "msa": self.msa_iterations}.get(algorithm)
+                          "msa": self.msa_iterations}[algorithm]
             extrapolation = ExtrapolationParams(
                 algorithm=algorithm, iterations=iterations, tau=self.tau,
                 n_bf=self.n_bf, gamma=self.gamma)

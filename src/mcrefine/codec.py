@@ -3,6 +3,9 @@
 The harness encodes IPPP: the first frame is stored through the transform
 path against a flat mid-grey predictor at the finest quantizer of the
 ladder, every later frame is predicted from the previous reconstruction.
+`encode_pass` codes one quantizer step, intra frame included, so every
+pass of a ladder codes the same intra frame, and `encode_sequence` is one
+`encode_pass` per step.
 
 Per macroblock the encoder forms the motion-compensated predictor and, when
 enabled and any reconstructed neighbour exists, the spatially refined
@@ -25,7 +28,9 @@ scheduler, `dependency_levels`: a block reads only its left, top-left,
 top and top-right neighbours, so the blocks of one level need only blocks
 of earlier levels.  `encode_pass` schedules every block, which gives the
 wavefront (block (bx, by) on level bx + 2 by), and refines and
-transform-codes each wave in one call each.  `replay_trace` decodes every
+transform-codes each wave in one call each; `_switch` writes each chosen
+block into the frame's predictor raster, and the wave's bits and levels
+land in per-frame arrays.  `replay_trace` decodes every
 unrefined block first, from its MC block and levels alone, and then
 schedules only the refined blocks, by their depth among themselves.
 
@@ -68,8 +73,33 @@ REFINE_CHUNK = 16
 DEFAULT_QPS = tuple(range(16, 44, 3))
 
 
+# The largest coefficient magnitude of an 8-bit residual: the orthonormal
+# 8x8 DCT-II's DC term of 64 samples of 255 is 64 * 255 / 8.
+PEAK_COEFFICIENT = 8 * 255
+
+
 def qp_to_qstep(qp: float) -> float:
-    return float(2.0 ** ((qp - 4.0) / 6.0))
+    try:
+        return float(2.0 ** ((qp - 4.0) / 6.0))
+    except OverflowError:  # past 1.8e308, which `check_qstep` refuses
+        return math.inf
+
+
+def check_qstep(qstep: float, peak: float = PEAK_COEFFICIENT) -> None:
+    """Raise `ValueError` unless ``qstep`` is finite and positive and a
+    coefficient of magnitude ``peak`` quantizes to a level that fits
+    int32.
+
+    The one quantizer rule: `EncoderConfig` applies it to its ladder and
+    `encode_pass` to its step at `PEAK_COEFFICIENT`, before any coding,
+    and `reconstruct_block` to the largest coefficient it quantizes.
+    """
+    if not 0.0 < qstep < math.inf:
+        raise ValueError(f"quantizer step must be finite and positive, "
+                         f"got {qstep}")
+    if peak / qstep > np.iinfo(np.int32).max:
+        raise ValueError(f"quantizer step {qstep:g} gives a level of "
+                         f"{peak / qstep:.3g}, beyond int32")
 
 
 @dataclass(frozen=True)
@@ -84,6 +114,9 @@ class EncoderConfig:
     fps: float = 30.0
 
     def __post_init__(self):
+        if self.refinement not in extrapolate.ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.refinement!r}; "
+                             f"choose from {extrapolate.ALGORITHMS}")
         params = self.extrapolation
         if self.refinement == "none":
             if params is not None:
@@ -98,6 +131,8 @@ class EncoderConfig:
                              f"the extrapolation engine {params.algorithm!r}")
         if len(self.qps) < 1 or any(b <= a for a, b in zip(self.qps, self.qps[1:])):
             raise ValueError("quantizer ladder must be strictly increasing")
+        for qstep in self.qsteps:
+            check_qstep(qstep)
         # Each projection context keeps a Gram table of 128*(3s)**2 bytes:
         # 295 KB at 16, 4.7 MB at 64, 18.9 MB at 128.  A frame's blocks
         # share one stack of the tables of their (at most five) classes,
@@ -306,18 +341,17 @@ def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
 
 
 def _switch(indices, motion, originals: np.ndarray, mc: np.ndarray,
-            refined: dict, decisions: list) -> np.ndarray:
+            refined: dict, decisions: list, predictor: np.ndarray) -> None:
     """The per-block MSE switch over the blocks ``indices`` of a frame:
     keep a block's refinement only where it beats MC.
 
-    ``originals`` and ``mc`` are the frame's `_grid`s of original and
-    motion-compensated blocks, and ``refined`` maps the index of each
-    block whose refinement was attempted to its refined block.  Records
-    each block's decision in ``decisions`` and returns the chosen
-    predictors, stacked in the order of ``indices``.
+    ``originals``, ``mc`` and ``predictor`` are the frame's `_grid`s of
+    original, motion-compensated and predictor blocks, and ``refined``
+    maps the index of each block whose refinement was attempted to its
+    refined block.  Records each block's decision in ``decisions`` and
+    writes its chosen block into ``predictor``.
     """
-    chosen = np.empty((len(indices),) + mc.shape[2:])
-    for j, i in enumerate(indices):
+    for i in indices:
         by, bx = at = divmod(i, mc.shape[1])
         block = refined.get(i)
         mc_err = mse(originals[at], mc[at])
@@ -327,8 +361,7 @@ def _switch(indices, motion, originals: np.ndarray, mc: np.ndarray,
         decisions[i] = BlockDecision(bx=bx, by=by, mv=motion[i][0],
                                      refined=use, mc_mse=mc_err,
                                      refined_mse=refined_err)
-        chosen[j] = block if use else mc[at]
-    return chosen
+        predictor[at] = block if use else mc[at]
 
 
 def _side_bits(decisions, n_blocks_x: int, flag_per_block: bool) -> int:
@@ -376,10 +409,9 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
             todo, layouts, current.data, mc, config,
             _frame_context(layouts, config)))}
     decisions = [None] * len(blocks)
-    chosen = _switch(range(len(blocks)), motion, _grid(current.data, s), mc,
-                     refined, decisions)
     predictor = np.empty_like(mc_raster)
-    _grid(predictor, s)[...] = chosen.reshape(mc.shape)
+    _switch(range(len(blocks)), motion, _grid(current.data, s), mc, refined,
+            decisions, _grid(predictor, s))
     side = _side_bits(decisions, mc.shape[1], config.refinement != "none")
     return FramePrediction(predictor=predictor, mc_predictor=mc_raster,
                            decisions=decisions, side_bits=side)
@@ -452,12 +484,12 @@ def reconstruct_block(original: np.ndarray, predictor: np.ndarray,
     against it; a stack is coded in one transform call, each block as it
     would be alone.  Returns (reconstructed blocks uint8, coefficient bits
     per block, quantized levels (..., tiles, 8, 8)); the bits are a float
-    for one block, and the levels make the path replayable.
+    for one block, and the levels make the path replayable.  A step or a
+    coefficient that `check_qstep` refuses raises `ValueError`.
     """
-    if qstep <= 0:
-        raise ValueError("qstep must be positive")
     residual = np.asarray(original, dtype=np.float64) - predictor
     coeffs = dct_8x8(_tile_8x8(residual))
+    check_qstep(qstep, np.abs(coeffs).max(initial=0.0))
     levels = np.asarray(np.rint(coeffs / qstep), dtype=np.int32)
     recon = decode_block(predictor, levels, qstep)
     bits = _entropy_bits(levels.reshape(levels.shape[:-3] + (-1,)))
@@ -546,37 +578,38 @@ def _mc_chroma(prev: Frame, decisions, block_size: int) -> tuple:
 
 
 def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
-                intra: tuple | None = None, collect_trace: bool = False,
+                collect_trace: bool = False,
                 predictor_sink: list | None = None):
     """One closed-loop encode of the sequence at a single quantizer step.
 
     Returns (RDPoint, per-frame stats, EncodeTrace | None).  Rate covers
-    P-frames only (coefficient + motion + flag bits); the intra frame is
-    fixed per sequence, shared by every ladder point, and excluded from both
+    P-frames only (coefficient + motion + flag bits).  The pass codes the
+    intra frame itself, at the finest step of ``config``'s ladder, so
+    every pass of a ladder codes the same one; it is excluded from both
     the rate and the PSNR mean.  When ``predictor_sink`` is a list, the
-    encoder's per-frame predictor rasters are appended to it — the reference
-    a decoder-side replay has to reproduce.
+    encoder's per-frame predictor rasters are appended to it — the
+    reference a decoder-side replay has to reproduce.
 
     Each P-frame starts with a `search_frame` pre-pass against the previous
     reconstruction, and every block is motion compensated from it.  The
     blocks are then coded wave by wave (`dependency_levels` of every
     block): the ones of a wave with a reconstructed neighbour are refined
-    in one `refine_blocks` call, each block is switched, and the wave is
-    transform-coded in one `reconstruct_block` call.  Per-block bits are
-    summed in line-scan order after the frame, so the result equals coding
-    block by block in line-scan order.  ``FrameStats.refine_seconds`` times
-    the per-wave refinement calls.  Fewer than two frames raise
-    `ValueError`, and a frame the block grid does not tile or whose size
-    differs from the first frame's raises `GeometryError`, both before
-    any block is coded.
+    in one `refine_blocks` call, `_switch` writes each block's predictor
+    into the frame's predictor raster, and the wave is transform-coded in
+    one `reconstruct_block` call.  Per-block bits are summed in line-scan
+    order after the frame, so the result equals coding block by block in
+    line-scan order.  ``FrameStats.refine_seconds`` times the per-wave
+    refinement calls.  A quantizer step `check_qstep` refuses and fewer
+    than two frames raise `ValueError`, and a frame the block grid does
+    not tile or whose size differs from the first frame's raises
+    `GeometryError`, all before any block is searched or coded.
     """
+    check_qstep(qstep)
     s = config.block_size
     blocks = _shared_blocks([frame.y for frame in frames], s)
     first = frames[0].y
     intra_qstep = min(config.qsteps)
-    if intra is None:
-        intra = _encode_intra(first, intra_qstep, blocks)
-    recon_prev_y, intra_levels = intra
+    recon_prev_y, intra_levels = _encode_intra(first, intra_qstep, blocks)
     prev_frame = Frame(y=recon_prev_y, u=frames[0].u, v=frames[0].v)
 
     nx, ny = first.width // s, first.height // s
@@ -591,12 +624,12 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     for t in range(1, len(frames)):
         cur = frames[t].y
         recon_y = np.zeros((cur.height, cur.width), np.uint8)
-        pred_y = np.empty((cur.height, cur.width)) \
-            if predictor_sink is not None else None
+        pred_y = np.empty((cur.height, cur.width))
         originals, recon_grid = _grid(cur.data, s), _grid(recon_y, s)
+        pred_grid = _grid(pred_y, s)
         decisions = [None] * len(blocks)
-        coeff_bits = [0.0] * len(blocks)
-        levels = [None] * len(blocks)
+        coeff_bits = np.empty(len(blocks))
+        levels = np.empty((len(blocks), (s // 8) ** 2, 8, 8), np.int32)
         refined = {}
         refine_total = 0.0
         motion = search_frame(cur, prev_frame.y, blocks, config.search)
@@ -610,20 +643,15 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
                     todo, refine_blocks(todo, layouts, recon_y, mc, config,
                                         context)))
                 refine_total += time.perf_counter() - t0
-            chosen = _switch(wave, motion, originals, mc, refined, decisions)
+            _switch(wave, motion, originals, mc, refined, decisions,
+                    pred_grid)
             at = np.divmod(wave, nx)
-            rec, bits, wave_levels = reconstruct_block(originals[at], chosen,
-                                                       qstep)
-            recon_grid[at] = rec
-            if pred_y is not None:
-                _grid(pred_y, s)[at] = chosen
-            for i, block_bits, block_levels in zip(wave, bits.tolist(),
-                                                   wave_levels):
-                coeff_bits[i], levels[i] = block_bits, block_levels
+            recon_grid[at], coeff_bits[wave], levels[wave] = \
+                reconstruct_block(originals[at], pred_grid[at], qstep)
         # Added one by one in line-scan order, so the float sum does not
         # depend on the schedule.
         frame_bits = 0.0
-        for bits in coeff_bits:
+        for bits in coeff_bits.tolist():
             frame_bits += bits
         frame_bits += _side_bits(decisions, nx, refine)
         total_bits += frame_bits
@@ -639,7 +667,7 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
             trace_frames.append(tuple(
                 BlockTrace(mv=d.mv, refined=d.refined, levels=block_levels)
                 for d, block_levels in zip(decisions, levels)))
-        if pred_y is not None:
+        if predictor_sink is not None:
             predictor_sink.append(pred_y)
 
     n_p = len(frames) - 1
@@ -661,15 +689,15 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
 def encode_sequence(frames, config: EncoderConfig):
     """Closed-loop encode over the whole quantizer ladder.
 
-    Returns (RDCurve sorted by rate, per-(qp, frame) stats list).  Needs at
-    least two frames (IPPP); `encode_pass` gives the trace of one pass.
+    One `encode_pass` per QP of ``config``'s ladder, each coding the same
+    intra frame itself.  Returns (RDCurve sorted by rate, per-(qp, frame)
+    stats list).  Needs at least two frames (IPPP); `encode_pass` gives
+    the trace of one pass.
     """
-    blocks = _shared_blocks([frame.y for frame in frames], config.block_size)
-    intra = _encode_intra(frames[0].y, min(config.qsteps), blocks)
     points = []
     all_stats = []
     for qp, qstep in zip(config.qps, config.qsteps):
-        point, stats, _ = encode_pass(frames, config, qstep, qp, intra=intra)
+        point, stats, _ = encode_pass(frames, config, qstep, qp)
         points.append(point)
         all_stats.append((qp, stats))
     points.sort(key=lambda p: p.rate_kbps)

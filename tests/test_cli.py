@@ -173,6 +173,22 @@ class TestExitCodes:
         assert rc == 2
         assert "unknown algorithm" in capsys.readouterr().err
 
+    def test_unknown_algorithm_offers_none(self, seq_path, capsys):
+        rc = cli.main(["predict", "--input", str(seq_path), "--width", "64",
+                       "--height", "64", "--algorithms", "none,quantum"])
+        assert rc == 2
+        assert "choose from ('none', 'fsa', 'rba', 'msa')" \
+            in capsys.readouterr().err
+
+    def test_unusable_quantizer_steps(self, seq_path, tmp_path, capsys):
+        out = tmp_path / "rd.csv"
+        rc = cli.main(["encode", "--input", str(seq_path), "--width", "64",
+                       "--height", "64", "--qps=-300,-200,-150,-120",
+                       "--out-csv", str(out)])
+        assert rc == 2
+        assert "quantizer step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_weight(self, seq_path, capsys):
         rc = cli.main(["predict", "--input", str(seq_path), "--width", "64",
                        "--height", "64", "--mu", "nan"])

@@ -122,6 +122,13 @@ class TestEncoderConfig:
         cfg = EncoderConfig(refinement="none")
         assert cfg.extrapolation is None
 
+    def test_unknown_refinement_lists_every_choice(self):
+        # 'none' is a refinement too, so the message offers it
+        with pytest.raises(ValueError) as err:
+            EncoderConfig(refinement="quantum")
+        assert str(err.value) == ("unknown algorithm 'quantum'; choose from "
+                                  "('none', 'fsa', 'rba', 'msa')")
+
 
 class TestAssembleWindow:
     def test_regions_filled_correctly(self, rng):
@@ -222,6 +229,29 @@ class TestBlockCoding:
                 decode_block(predictor, levels, qstep), recon)
             if predictor is pred:
                 assert bits[4] == 0.0 and np.unique(levels[4]).size == 1
+
+    def test_unusable_quantizer_steps_are_refused(self, rng, monkeypatch):
+        # a step that is not finite and positive, or whose levels overflow
+        # int32, used to code silently (NaN levels cast to int32, or wrapped)
+        orig = rng.uniform(0, 255, (16, 16))
+        searched = []
+        monkeypatch.setattr(codec, "search_frame",
+                            lambda *a: searched.append(a))
+        frames = tiny_sequence(frames=2)
+        for qstep in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0,
+                      1e-12):
+            with pytest.raises(ValueError, match="quantizer step"):
+                reconstruct_block(orig, np.full((16, 16), 128.0), qstep)
+            with pytest.raises(ValueError, match="quantizer step"):
+                encode_pass(frames, EncoderConfig(refinement="none"), qstep,
+                            28)
+        assert searched == []
+        with pytest.raises(ValueError, match="beyond int32"):
+            reconstruct_block(np.full((8, 8), 1e12), np.zeros((8, 8)), 1.0)
+        for qps in ((-300, -200, -150, -120), (-120, 28), (28, 10000)):
+            with pytest.raises(ValueError, match="quantizer step"):
+                EncoderConfig(qps=qps)
+        assert EncoderConfig(qps=(-100, 28)).qps == (-100, 28)
 
     def test_coarse_quantizer_costs_few_bits(self, rng):
         orig = rng.integers(0, 256, size=(16, 16)).astype(np.float64)
@@ -661,7 +691,37 @@ class TestClosedLoop:
         predict_frame(frames[1].y, frames[0].y, cfg)
         assert stacks == [16, 16, 16]
 
-    def test_intra_shared_across_ladder(self):
+    def test_sequence_is_one_pass_per_qp(self):
+        # the equality a ladder that shares work between passes must keep
+        frames = tiny_sequence(frames=3, sigma=4.0)
+        cfg = fast_config()
+        curve, stats = encode_sequence(frames, cfg)
+        passes = [encode_pass(frames, cfg, qstep, qp)
+                  for qp, qstep in zip(cfg.qps, cfg.qsteps)]
+
+        def untimed(frame_stats):
+            return [dataclasses.replace(fs, refine_seconds=0.0)
+                    for fs in frame_stats]
+
+        assert sorted(curve.points, key=lambda p: p.qp) \
+            == [point for point, _, _ in passes]
+        assert [(qp, untimed(frame_stats)) for qp, frame_stats in stats] \
+            == [(qp, untimed(frame_stats))
+                for qp, (_, frame_stats, _) in zip(cfg.qps, passes)]
+
+    def test_pass_does_not_depend_on_the_predictor_sink(self):
+        frames = tiny_sequence(frames=3, sigma=4.0)
+        cfg = fast_config(qps=(28,))
+        sink = []
+        with_sink = encode_pass(frames, cfg, 16.0, 28, collect_trace=True,
+                                predictor_sink=sink)
+        without = encode_pass(frames, cfg, 16.0, 28, collect_trace=True)
+        assert len(sink) == len(frames) - 1
+        assert_same_pass((*with_sink, []), (*without, []))
+        np.testing.assert_array_equal(with_sink[2].intra_levels,
+                                      without[2].intra_levels)
+
+    def test_every_pass_reports_only_p_frames(self):
         frames = tiny_sequence(frames=4, sigma=4.0)
         curve, stats = encode_sequence(frames, fast_config())
         # every ladder pass reports only P-frames
