@@ -11,8 +11,8 @@ hybrid-codec harness measures the effect on rate-distortion behaviour.
 """
 
 from .basis import (BasisSet, ParameterError, ProjectionContext,
-                    build_basis, build_weight_mask, projection_context,
-                    stack_contexts)
+                    batch_context, build_basis, build_weight_mask,
+                    projection_context, stack_contexts)
 from .bd import BDInputError, BDResult, bd_metrics
 from .codec import (DEFAULT_QPS, EncoderConfig, RDCurve, RDPoint, encode_pass,
                     encode_sequence, predict_frame, qp_to_qstep, replay_trace)
@@ -34,8 +34,9 @@ __all__ = [
     "ParameterError", "Plane", "ProjectionContext", "ProjectionLayout",
     "RDCurve", "RDPoint", "RefineResult", "SampleError",
     "SearchParams", "SequenceSource", "SparseModel", "UnusedOptionError",
-    "bd_metrics", "build_basis", "build_layout", "build_weight_mask",
-    "compensate", "encode_pass", "encode_sequence", "estimate",
+    "batch_context", "bd_metrics", "build_basis", "build_layout",
+    "build_weight_mask", "compensate", "encode_pass", "encode_sequence",
+    "estimate",
     "frame_bytes", "mse", "mv_bits", "predict_frame", "projection_context",
     "psnr", "qp_to_qstep", "read_frames", "replay_trace", "run",
     "run_batch", "solve_subspace", "stack_contexts", "synth_sequence",

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import copy
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -246,8 +247,9 @@ def build_weight_mask(layout: ProjectionLayout, mu: float = DEFAULT_MU,
 
 
 def excluded_mask(norms: np.ndarray) -> np.ndarray:
-    """Flag basis functions whose weighted norm is numerically zero."""
-    top = norms.max(initial=0.0)
+    """Flag basis functions whose weighted norm is numerically zero, in
+    each weighting's row of ``norms`` on its own."""
+    top = norms.max(axis=-1, keepdims=True, initial=0.0)
     return norms <= 1e-12 * top
 
 
@@ -275,16 +277,25 @@ def _gram_pairs(sizes: list) -> np.ndarray:
 
 
 def gram_table(weights: np.ndarray) -> np.ndarray:
-    """The signed, doubled FFT2(w) table that `ProjectionContext.gram` reads.
+    """The signed, doubled FFT2(w) tables that `ProjectionContext.gram`
+    reads, one per (M, N) weighting of ``weights`` (..., M, N).
 
     Four quarters, -S, C, S and -C, with C = Re W, S = -Im W and W =
     FFT2(w), each tiled to 2M x 2N and flattened: 16*M*N float64 values,
-    295 KB at a 48 x 48 area.  The negated quarters are exact negations,
-    so a lookup into them equals subtracting the unsigned entry.
+    295 KB at a 48 x 48 area, shape ``weights.shape[:-2] + (16*M*N,)``.
+    Each weighting takes its own FFT2 and its quarters are written into
+    the result in place.  The negated quarters are exact negations, so a
+    lookup into them equals subtracting the unsigned entry.
     """
-    what = np.fft.fft2(weights)
-    cos, sin = what.real, -what.imag
-    table = np.tile(np.stack((-sin, cos, sin, -cos)), (1, 2, 2)).ravel()
+    m, n = weights.shape[-2:]
+    rows = weights.reshape(-1, m, n)
+    table = np.empty((len(rows), 4, 2, m, 2, n))
+    for w, quarters in zip(rows, table):
+        what = np.fft.fft2(w)
+        cos, sin = what.real, -what.imag
+        for quarter, part in zip(quarters, (-sin, cos, sin, -cos)):
+            quarter[...] = part[None, :, None, :]
+    table = table.reshape(weights.shape[:-2] + (16 * m * n,))
     table.setflags(write=False)
     return table
 
@@ -303,15 +314,22 @@ class ProjectionContext:
     (`excluded_mask`).
 
     A context built from one (M, N) weight array serves a batch of any
-    size, every member weighted alike.  `stack_contexts` gives a batch
-    whose members need different weightings (different neighbour
-    availability) one context too: its weighting arrays (`w_flat`,
-    `norms`, `_safe_norms`) and its Gram table hold one row per distinct
-    weighting, and ``_slots`` maps each member to its row.  Such a stack
-    can cover every block of a frame.  `take` gives the context of some of
-    its members: a view over the same Gram table, with its members' slots
-    and their own rows of the weighting arrays, gathered once
-    (``_by_member``), so that a batch reads them without a gather per call.
+    size, every member weighted alike.  A batch whose members need
+    different weightings (different neighbour availability) gets one
+    context too: its weighting arrays (`w_flat`, `norms`, `_safe_norms`)
+    and its Gram table hold one row per weighting, and ``_slots`` maps
+    each member to its row.  Built from a (W, M, N) stack of weights, a
+    context holds such rows and serves batches through copies with their
+    ``_slots`` set.  The reference weightings of each block size, mu and
+    rho are held once, as the rows of one such stack, added as patterns
+    are first asked for: `projection_context` hands out a row as a
+    single-weighting context of views, and `batch_context` the stack
+    with a batch's slots, which can cover every block of a frame.
+    `stack_contexts` stacks any other contexts, copying their rows.
+    `take` gives the context of some of a stack's members: a view over
+    the same Gram table, with its members' slots and their own rows of the
+    weighting arrays, gathered once (``_by_member``), so that a batch
+    reads them without a gather per call.
 
     Every method takes the engine's one batch form.  `numerators` takes
     flattened rasters, (..., M*N), with any leading batch axes.  `gram`,
@@ -324,16 +342,16 @@ class ProjectionContext:
     """
 
     def __init__(self, basis: BasisSet, weights: np.ndarray):
-        if weights.shape != (basis.m, basis.n):
+        if weights.shape[-2:] != (basis.m, basis.n) or weights.ndim > 3:
             raise ValueError(f"weights {weights.shape} do not match basis "
                              f"{(basis.m, basis.n)}")
         self.basis = basis
-        self.w_flat = weights.ravel()
+        self.w_flat = weights.reshape(weights.shape[:-2] + (-1,))
         self._gram_table = gram_table(weights)
         # each function's diagonal Gram entry, as `gram` evaluates it
         keys, diff, total = basis.gram_keys
-        self.norms = self._gram_table.take(keys + diff)
-        self.norms += self._gram_table.take(keys + total)
+        self.norms = self._gram_table.take(keys + diff, axis=-1)
+        self.norms += self._gram_table.take(keys + total, axis=-1)
         self.norms *= 0.5
         self.norms.setflags(write=False)
         # an excluded function's projection is num / inf = 0
@@ -467,7 +485,8 @@ def stack_contexts(contexts) -> ProjectionContext:
     ``contexts[i]``, all of one area size: that context itself when every
     member shares it, otherwise a new one whose weighting rows are copies
     of the distinct contexts' arrays, stacked once; the contexts
-    themselves are left as they are."""
+    themselves are left as they are.  For the reference weightings of
+    layouts, `batch_context` gives the same batch without a copy."""
     first = contexts[0]
     if all(c is first for c in contexts):
         return first
@@ -483,12 +502,60 @@ def stack_contexts(contexts) -> ProjectionContext:
     return stack
 
 
-@lru_cache(maxsize=64)
-def _cached_context(size: int, availability: tuple[bool, bool, bool, bool],
-                    mu: float, rho: float) -> ProjectionContext:
-    layout = ProjectionLayout(BlockRef(size, size, size), availability)
-    return ProjectionContext(build_basis(layout.m, layout.n),
-                             build_weight_mask(layout, mu, rho))
+class _Weightings:
+    """The reference weightings of one block size, mu and rho, held once.
+
+    Their tables are the rows of one stacked context, ``stack``: a row is
+    added the first time an availability pattern is asked for, so only
+    the patterns in use hold rows.  ``contexts`` maps each pattern to its
+    single-weighting context, made of views of its row, and `context`
+    gives a batch of several patterns the stack itself with its
+    ``_slots`` set, so no table is copied.  Adding rows builds a new
+    stack and points every context handed out at its row of it, so the
+    old stack is freed.  Rows are only ever appended, so a stack handed
+    out earlier stays valid.
+    """
+
+    def __init__(self, size: int, mu: float, rho: float):
+        self.size, self.mu, self.rho = size, mu, rho
+        self.stack = None
+        self.contexts = {}   # availability -> its row's context
+        self.rows = {}       # availability -> its row of ``stack``
+        self._lock = threading.Lock()
+
+    def _add(self, patterns) -> None:
+        with self._lock:
+            new = [p for p in dict.fromkeys(patterns) if p not in self.rows]
+            if not new:
+                return
+            for p in new:
+                self.rows[p] = len(self.rows)
+            s = self.size
+            weights = np.stack([build_weight_mask(ProjectionLayout(
+                BlockRef(s, s, s), p), self.mu, self.rho) for p in self.rows])
+            stack = ProjectionContext(build_basis(3 * s, 3 * s), weights)
+            for p, row in self.rows.items():
+                ctx = self.contexts.setdefault(p, copy.copy(stack))
+                ctx.basis = stack.basis
+                for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
+                    setattr(ctx, name, getattr(stack, name)[row])
+            self.stack = stack
+
+    def context(self, patterns: list) -> ProjectionContext:
+        """The context of a batch whose member i has availability
+        ``patterns[i]``: a pattern's own context when every member shares
+        it, else the stack with the members' rows as slots."""
+        self._add(patterns)
+        if all(p == patterns[0] for p in patterns):
+            return self.contexts[patterns[0]]
+        stack = copy.copy(self.stack)
+        stack._slots = np.array([self.rows[p] for p in patterns])
+        return stack
+
+
+@lru_cache(maxsize=16)
+def _weightings(size: int, mu: float, rho: float) -> _Weightings:
+    return _Weightings(size, mu, rho)
 
 
 def projection_context(layout: ProjectionLayout, mu: float = DEFAULT_MU,
@@ -497,8 +564,24 @@ def projection_context(layout: ProjectionLayout, mu: float = DEFAULT_MU,
 
     A layout is its block plus its neighbour availability, and the weights
     depend only on the block size, the availability, ``mu`` and ``rho``, so
-    contexts are cached on those four.  The basis itself is shared across
-    all contexts of one size.
+    contexts are cached on those four.  The context is a view of its
+    pattern's row in the one stacked table of its block size, ``mu`` and
+    ``rho`` (`batch_context` hands out that stack), and the basis is
+    shared across all contexts of one size.
     """
-    return _cached_context(layout.block.size, layout.availability,
-                           float(mu), float(rho))
+    return _weightings(layout.block.size, float(mu),
+                       float(rho)).context([layout.availability])
+
+
+def batch_context(layouts, mu: float = DEFAULT_MU,
+                  rho: float = DEFAULT_RHO) -> ProjectionContext:
+    """One context for a batch whose member i is the working area
+    ``layouts[i]``, all of one block size, each weighted by its reference
+    weighting: the cached stack of their block size, ``mu`` and ``rho``
+    with its ``_slots`` set (the one context of `projection_context` when
+    every member shares a pattern).  Every table is read in place, from
+    the rows that `projection_context` hands out too; a pattern asked for
+    the first time gets its row here, all of a batch's new patterns at
+    once."""
+    return _weightings(layouts[0].block.size, float(mu), float(rho)).context(
+        [layout.availability for layout in layouts])

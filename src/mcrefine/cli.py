@@ -292,16 +292,24 @@ def cmd_encode(args) -> int:
 
 def _read_curve_csv(path, algorithm=None):
     rows = Path(path).read_text().strip().splitlines()
+    if not rows:
+        raise ConfigError(f"{path}: empty file, no header row")
     head = rows[0].split(",")
     try:
         ridx, pidx = head.index("rate_kbps"), head.index("psnr_db")
-        aidx = head.index("algorithm") if "algorithm" in head else None
     except ValueError as exc:
         raise ConfigError(f"{path}: missing column: {exc}") from None
+    aidx = head.index("algorithm") if "algorithm" in head else None
+    if algorithm and aidx is None:
+        raise ConfigError(f"{path}: no algorithm column to select "
+                          f"{algorithm!r} from")
     rates, psnrs = [], []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         parts = row.split(",")
-        if aidx is not None and algorithm and parts[aidx] != algorithm:
+        if len(parts) < len(head):
+            raise ConfigError(f"{path}: line {line} has {len(parts)} "
+                              f"fields, the header {len(head)}")
+        if algorithm and parts[aidx] != algorithm:
             continue
         rates.append(float(parts[ridx]))
         psnrs.append(float(parts[pidx]))

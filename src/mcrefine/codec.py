@@ -55,8 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extrapolate
-from .basis import (DEFAULT_MU, DEFAULT_RHO, check_weighting,
-                    projection_context, stack_contexts)
+from .basis import DEFAULT_MU, DEFAULT_RHO, batch_context, check_weighting
 from .frame import (NEIGHBOUR_TILES, BlockRef, Frame, GeometryError, Plane,
                     build_layout, mse, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
@@ -133,13 +132,13 @@ class EncoderConfig:
             raise ValueError("quantizer ladder must be strictly increasing")
         for qstep in self.qsteps:
             check_qstep(qstep)
-        # Each projection context keeps a Gram table of 128*(3s)**2 bytes:
-        # 295 KB at 16, 4.7 MB at 64, 18.9 MB at 128.  A frame's blocks
-        # share one stack of the tables of their (at most five) classes,
-        # copied once per frame, pass or trace, so at 128 the cached
-        # contexts and one stack would hold 189 MB of tables; each engine
-        # call gathers its members' weighting rows, 25*(3s)**2 bytes per
-        # member: 56 KB at 16, 0.9 MB at 64.
+        # Each weighting keeps a Gram table of 128*(3s)**2 bytes: 295 KB
+        # at 16, 4.7 MB at 64, 18.9 MB at 128.  The tables of a frame's
+        # (at most five) classes are held once, as the rows of one cached
+        # stack that every frame, pass and trace reads in place, so at 128
+        # they would hold 94.5 MB; each engine call gathers its members'
+        # weighting rows, 25*(3s)**2 bytes per member: 56 KB at 16, 0.9 MB
+        # at 64.
         s = self.block_size
         if s < 8 or s > 64 or s & (s - 1):
             raise ValueError(f"block size must be a power of two from 8 (the "
@@ -297,14 +296,14 @@ def _frame_context(layouts, config: EncoderConfig):
     """One projection context over the blocks ``layouts``, each weighted
     by its layout's reference weighting under ``config``'s mu and rho.
 
-    Layouts depend only on the frame geometry, so `predict_frame` builds
+    It is the cached stack of those weightings with its slots set
+    (`batch_context`), so no frame, pass or trace copies a table.
+    Layouts depend only on the frame geometry, so `predict_frame` takes
     this once per frame, `encode_pass` once per pass and `replay_trace`
     once per trace; each engine batch then takes its blocks' members with
-    `ProjectionContext.take`, which copies no table.
+    `ProjectionContext.take`, which copies no table either.
     """
-    return stack_contexts([projection_context(layout, mu=config.mu,
-                                              rho=config.rho)
-                           for layout in layouts])
+    return batch_context(layouts, mu=config.mu, rho=config.rho)
 
 
 def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,

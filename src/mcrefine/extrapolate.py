@@ -25,8 +25,8 @@ There is one engine loop, `run_batch`: it steps B working areas of one
 block size together, and `run` is its B = 1 call.  Their neighbour
 availability may differ, so each member has its own weighting: one
 `ProjectionContext` weights them all, with one weighting row when they all
-have the same and otherwise a row per distinct weighting (`stack_contexts`,
-which a caller can build once for every block of a frame); the call
+have the same and otherwise a row per weighting (`batch_context`,
+which a caller can take once for every block of a frame); the call
 gathers its members' own rows once (`ProjectionContext.take`).  Per
 iteration it takes one stacked FFT for the numerators of every member and
 selects row-wise, which hands back the live support once, in member
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProjectionContext, projection_context, stack_contexts
+from .basis import ProjectionContext, batch_context
 from .frame import ProjectionLayout, SampleError
 
 log = logging.getLogger(__name__)
@@ -344,14 +344,20 @@ def _solve(idx: np.ndarray, sizes: list, fresh: np.ndarray | None,
     return idx, sizes, solution, retried
 
 
+_lapack = None   # scipy.linalg.lapack, looked up on the first solve
+
+
 def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
     """Solve ``gram @ x = rhs`` with LAPACK's Cholesky pair, ``dpotrf`` and
     ``dpotrs``, on the lower triangle, the only place a system is
     factored; None when ``gram`` is not positive definite.  LAPACK is
-    imported on the first solve, not with the module."""
-    from scipy.linalg import lapack
-    low, info = lapack.dpotrf(gram, lower=True)
-    return None if info else lapack.dpotrs(low, rhs, lower=True)[0]
+    imported on the first solve, not with the module, and kept in
+    `_lapack` for the solves that follow."""
+    global _lapack
+    if _lapack is None:
+        from scipy.linalg import lapack as _lapack
+    low, info = _lapack.dpotrf(gram, lower=True)
+    return None if info else _lapack.dpotrs(low, rhs, lower=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +490,15 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
     ``windows`` is a (B, M, N) stack of signals and ``layouts`` their B
     working areas, all of one block size; their neighbour availability may
     differ.  ``context`` weights the batch, member by member (see
-    `stack_contexts`; a view that `ProjectionContext.take` gave is read
-    as it is, and a stack has its members' rows gathered once); by
-    default every member takes its layout's reference weighting,
-    ``projection_context(layout)``.  Each signal holds
-    reconstructed samples on R, the temporal predictor on the centre block
-    and arbitrary values on padding; padding carries zero weight and
-    provably never changes the result.  Returns one `RefineResult` per
-    window, each bitwise equal to what `run` gives for that window alone.
+    `batch_context` and `stack_contexts`; a view that
+    `ProjectionContext.take` gave is read as it is, and a stack has its
+    members' rows gathered once); by default every member takes its
+    layout's reference weighting, ``batch_context(layouts)``.  Each
+    signal holds reconstructed samples on R, the temporal predictor on
+    the centre block and arbitrary values on padding; padding carries zero
+    weight and provably never changes the result.  Returns one
+    `RefineResult` per window, each bitwise equal to what `run` gives for
+    that window alone.
     Raises `ValueError` before any work for an empty batch, mismatched
     shapes or block sizes, and `SampleError` for a non-finite sample.
     """
@@ -509,8 +516,7 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
     if not np.isfinite(windows).all():
         raise SampleError("working-area signals must be finite")
     if context is None:
-        context = stack_contexts([projection_context(layout)
-                                  for layout in layouts])
+        context = batch_context(layouts)
     # each member's own weighting rows, gathered once for the whole call
     ctx = context.take(slice(None))
     state = new_state(windows, ctx, record=record)

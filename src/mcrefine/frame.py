@@ -39,11 +39,14 @@ class Plane:
     """Immutable 8-bit sample raster (one colour component of a frame).
 
     Stores samples row-major as ``uint8``; every computation promotes to
-    a wider type.  Interpolated versions of the raster are derived lazily
-    and cached, which is safe because the sample data is read-only.
+    a wider type.  A plane keeps nothing but its samples: derived rasters
+    such as `quarter_grid` are computed on each call, and motion search
+    keeps the quarter grid of the reference it last read
+    (`motion._quarter_grid`), so a plane held for later costs no more
+    than its samples.
     """
 
-    __slots__ = ("data", "_quarter")
+    __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -61,7 +64,6 @@ class Plane:
             arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "_quarter", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Plane is immutable")
@@ -87,23 +89,19 @@ class Plane:
         values lie in [0, 1020].  At ``subpel`` 2 the bottom and right
         borders are edge-replicated, so the grid has shape
         ``(2*height, 2*width)`` and every half-pel position is defined.
+        A new array on every call: the plane keeps no copy.
         """
-        grid = self._quarter.get(subpel)
-        if grid is None:
-            a = self.data.astype(np.int16)
-            if subpel == 1:
-                grid = 4 * a
-            else:
-                a = np.pad(a, ((0, 1), (0, 1)), mode="edge")
-                here, right = a[:-1, :-1], a[:-1, 1:]
-                below, diagonal = a[1:, :-1], a[1:, 1:]
-                grid = np.empty((2 * self.height, 2 * self.width), np.int16)
-                grid[0::2, 0::2] = 4 * here
-                grid[0::2, 1::2] = 2 * (here + right)
-                grid[1::2, 0::2] = 2 * (here + below)
-                grid[1::2, 1::2] = here + right + below + diagonal
-            grid.setflags(write=False)
-            self._quarter[subpel] = grid
+        a = self.data.astype(np.int16)
+        if subpel == 1:
+            return 4 * a
+        a = np.pad(a, ((0, 1), (0, 1)), mode="edge")
+        here, right = a[:-1, :-1], a[:-1, 1:]
+        below, diagonal = a[1:, :-1], a[1:, 1:]
+        grid = np.empty((2 * self.height, 2 * self.width), np.int16)
+        grid[0::2, 0::2] = 4 * here
+        grid[0::2, 1::2] = 2 * (here + right)
+        grid[1::2, 0::2] = 2 * (here + below)
+        grid[1::2, 1::2] = here + right + below + diagonal
         return grid
 
     def __repr__(self):

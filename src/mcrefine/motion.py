@@ -9,13 +9,13 @@ resolution and returns the exhaustive minimum, but scores only the
 candidates that a lower bound cannot rule out.
 
 All arithmetic is exact integer arithmetic.  The reference is read through
-`Plane.quarter_grid`, which holds 4x every (interpolated) sample as int16:
-bilinear half-pel values are multiples of 1/4, so the scaled values are
-integers in [0, 1020].  A difference of two such values lies in
-[-1020, 1020] and its absolute value fits int16 exactly; a candidate's SAD
-is their sum in int32 (at most 4096 * 1020 for a 64x64 block).  The
-reported SAD is that integer / 4, the same dyadic rational a float32
-search gives, so comparisons and ties are exact.
+its quarter grid (`Plane.quarter_grid`), which holds 4x every
+(interpolated) sample as int16: bilinear half-pel values are multiples of
+1/4, so the scaled values are integers in [0, 1020].  A difference of two
+such values lies in [-1020, 1020] and its absolute value fits int16
+exactly; a candidate's SAD is their sum in int32 (at most 4096 * 1020 for
+a 64x64 block).  The reported SAD is that integer / 4, the same dyadic
+rational a float32 search gives, so comparisons and ties are exact.
 
 Pruning is the successive elimination algorithm (Li & Salari, IEEE TIP
 1995) at the 4x4 level of its multilevel form (Gao, Duanmu & Zou, IEEE TIP
@@ -26,9 +26,15 @@ candidate's SAD.  `_subblock_sums` tabulates the sub-block sum at every
 grid position of the reference; the sums lie in [0, 16320], their
 differences and a pair of |differences| fit int16, and a bound is summed in
 int32.  One strided view of that table gives the bound of every candidate
-of a block at once.  The table of the reference last searched is kept per
-thread, so the blocks of a frame share one table and no plane keeps one
-after its search.
+of a block at once.
+
+Both derived tables are kept per thread for one reference only, the one
+last read: `_quarter_grid` keeps its quarter grid and `_subblock_sums`
+its sub-block sums beside it.  `search_frame` searches every block of a
+frame against one reference and `compensate` then reads the same one, so
+`estimate`, `compensate` and `_subblock_sums` share one grid per frame,
+and moving to the next reference frees the last one's tables; no plane
+keeps a grid, however many planes a caller holds.
 
 The zero vector and the candidate of smallest bound are scored first; their
 best SAD is the threshold.  Only candidates whose bound is at most the
@@ -145,6 +151,20 @@ def _sad_table(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.abs(candidates - target).sum(axis=(1, 2), dtype=np.int32)
 
 
+def _quarter_grid(reference: Plane, scale: int) -> np.ndarray:
+    """``reference.quarter_grid(scale)``, kept read-only for the calls that
+    follow until another reference or resolution is read."""
+    kept = getattr(_scratch, "grid", None)
+    if kept is not None and kept[0] is reference and kept[1] == scale:
+        return kept[2]
+    # free the old tables before building the new ones
+    _scratch.grid = _scratch.sums = None
+    grid = reference.quarter_grid(scale)
+    grid.setflags(write=False)
+    _scratch.grid = (reference, scale, grid)
+    return grid
+
+
 def _subblock_sums(reference: Plane, scale: int) -> np.ndarray:
     """Sums of 4x4 sub-blocks of the reference's quarter grid, everywhere.
 
@@ -153,14 +173,14 @@ def _subblock_sums(reference: Plane, scale: int) -> np.ndarray:
     block displaced to grid position (y, x) covers.  The sums lie in
     [0, 16 * 1020] = [0, 16320], so the table is int16.  It has
     ``3*scale`` fewer rows and columns than the grid (none when the grid is
-    smaller) and is built from separable strided box sums.  The table of
-    the last reference is kept, read-only, for the calls that follow.
+    smaller) and is built from separable strided box sums of the kept
+    grid (`_quarter_grid`).  The table is kept, read-only, beside that
+    grid.
     """
     kept = getattr(_scratch, "sums", None)
     if kept is not None and kept[0] is reference and kept[1] == scale:
         return kept[2]
-    _scratch.sums = None  # free the old table before building the new one
-    grid = reference.quarter_grid(scale)
+    grid = _quarter_grid(reference, scale)
     h, w = (max(0, n - (_SUB - 1) * scale) for n in grid.shape)
     taps = [scale * k for k in range(1, _SUB)]
     rows = grid[:, :w].copy()
@@ -232,7 +252,7 @@ def estimate(current: Plane, reference: Plane, block: BlockRef,
     winning vector and its SAD.
     """
     scale = params.subpel
-    grid = reference.quarter_grid(scale)
+    grid = _quarter_grid(reference, scale)
     target = 4 * current.block(block).astype(np.int16)
     dy_lo, dy_hi, dx_lo, dx_hi = _window(reference, block, params)
     s = block.size
@@ -286,7 +306,7 @@ def compensate(reference: Plane, block: BlockRef, mv: MotionVector) -> np.ndarra
         raise GeometryError(
             f"displacement ({mv.dx}, {mv.dy})/{scale} moves block "
             f"({block.x0}, {block.y0}) outside the reference")
-    grid = reference.quarter_grid(scale)
+    grid = _quarter_grid(reference, scale)
     return grid[y:y + scale * s:scale, x:x + scale * s:scale] * 0.25
 
 

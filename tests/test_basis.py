@@ -6,10 +6,11 @@ import pytest
 import scipy.fft
 
 from conftest import MatrixContext, reference_gram, square_grams
-from mcrefine.basis import (ParameterError, ProjectionContext,
-                            _enumerate_basis, _unit_phases, build_basis,
-                            build_weight_mask, excluded_mask,
-                            projection_context, stack_contexts)
+from mcrefine import basis as basis_module
+from mcrefine.basis import (DEFAULT_MU, DEFAULT_RHO, ParameterError,
+                            ProjectionContext, _enumerate_basis, _unit_phases,
+                            batch_context, build_basis, build_weight_mask,
+                            excluded_mask, projection_context, stack_contexts)
 from mcrefine.frame import (REGION_B, REGION_PAD, REGION_R, BlockRef,
                             ProjectionLayout, build_layout)
 
@@ -388,11 +389,48 @@ def _bitwise_equal(a, b):
 PATTERNS = [tuple(bool(bits >> i & 1) for i in range(4)) for bits in range(16)]
 
 
-def _pattern_context(size, availability):
+def _pattern_context(size, availability, rho=DEFAULT_RHO):
     """An uncached context, so block-32 tables are freed with the test."""
     layout = ProjectionLayout(BlockRef(size, size, size), availability)
     return ProjectionContext(build_basis(layout.m, layout.n),
-                             build_weight_mask(layout))
+                             build_weight_mask(layout, rho=rho))
+
+
+class TestWeightingRows:
+    """Each block size, mu and rho holds its weightings once, as the rows
+    of one stack, added as patterns are first asked for."""
+
+    NAMES = ("w_flat", "norms", "_safe_norms", "_gram_table")
+
+    def test_rows_are_added_on_first_use_and_read_in_place(self):
+        rho = 0.63   # a weighting no other test caches
+        layouts = [ProjectionLayout(BlockRef(8, 8, 8), p)
+                   for p in PATTERNS[1:5]]
+        first = projection_context(layouts[0], rho=rho)
+        held = basis_module._weightings(8, DEFAULT_MU, rho)
+        assert held.stack._gram_table.shape[0] == 1
+        batch = [layouts[2], layouts[0], layouts[1], layouts[2]]
+        stack = batch_context(batch, rho=rho)
+        assert held.stack._gram_table.shape[0] == 3
+        assert batch_context(batch, rho=rho)._gram_table \
+            is stack._gram_table
+        # the first context now reads its row of the grown stack
+        assert projection_context(layouts[0], rho=rho) is first
+        for layout, slot in zip(batch, stack._slots):
+            own = projection_context(layout, rho=rho)
+            fresh = _pattern_context(8, layout.availability, rho=rho)
+            assert own._slots is None
+            for name in self.NAMES:
+                assert np.shares_memory(getattr(stack, name)[slot],
+                                        getattr(own, name))
+                _bitwise_equal(getattr(own, name), getattr(fresh, name))
+        # one pattern needs no slots, and a new pattern gets its own row
+        assert batch_context(layouts[:1] * 3, rho=rho) is first
+        projection_context(layouts[3], rho=rho)
+        assert held.stack._gram_table.shape[0] == 4
+        for name in self.NAMES:
+            assert np.shares_memory(getattr(first, name),
+                                    getattr(held.stack, name))
 
 
 class TestGramTable:

@@ -225,6 +225,38 @@ class TestExitCodes:
         rc = cli.main(["bd", "--anchor", str(bad), "--test", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("\n  \n", "empty file"),
+        ("algorithm,rate_kbps,psnr_db\nnone,100,30\nnone,200\n",
+         "line 3 has 2 fields, the header 3"),
+    ])
+    def test_bd_refuses_unreadable_csv(self, tmp_path, capsys, text,
+                                       message):
+        # an empty file used to fail on ``rows[0]`` and a short row on
+        # ``parts[pidx]``, both with a traceback and exit 1
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        rc = cli.main(["bd", "--anchor", str(bad), "--test", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--anchor-algorithm",
+                                      "--test-algorithm"])
+    def test_bd_algorithm_needs_its_column(self, tmp_path, capsys, flag):
+        # a selection used to be ignored, so every row counted
+        curve = tmp_path / "curve.csv"
+        curve.write_text("rate_kbps,psnr_db\n100,30\n200,33\n400,36\n"
+                         "800,39\n")
+        argv = ["bd", "--anchor", str(curve), "--test", str(curve)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(argv + [flag, "msa"]) == 2
+        assert "no algorithm column to select 'msa'" \
+            in capsys.readouterr().err
+
 
 class TestPredictCommand:
     def test_csv_schema_and_determinism(self, seq_path, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -672,24 +673,50 @@ class TestClosedLoop:
         for r, frame in zip(refined, levels):
             assert len(frame) <= sum(any(i in r for i in w) for w in waves)
 
-    def test_one_weighting_stack_per_frame_pass_and_trace(self, monkeypatch):
-        # waves, levels and chunks take their members from one stack, so
-        # no engine batch copies a table
+    def test_frame_pass_and_trace_read_the_cached_tables_in_place(
+            self, monkeypatch):
+        # every member of a frame's, pass's or trace's context reads the
+        # rows that `projection_context` hands out, so none copies a table
         frames = tiny_sequence(frames=3, sigma=4.0)
         cfg = fast_config(qps=(28,))
-        stacks = []
+        frame_context = codec._frame_context
+        seen = []
 
-        def counted(contexts):
-            stacks.append(len(contexts))
-            return basis.stack_contexts(contexts)
+        def recorded(layouts, config):
+            context = frame_context(layouts, config)
+            seen.append((layouts, context))
+            return context
 
-        monkeypatch.setattr(codec, "stack_contexts", counted)
+        monkeypatch.setattr(codec, "_frame_context", recorded)
         _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
                                   collect_trace=True)
-        assert stacks == [16]
         replay_trace(trace, cfg)
         predict_frame(frames[1].y, frames[0].y, cfg)
-        assert stacks == [16, 16, 16]
+        assert len(seen) == 3
+        for layouts, context in seen:
+            assert len(context._slots) == len(layouts) == 16
+            for layout, slot in zip(layouts, context._slots):
+                own = basis.projection_context(layout, mu=cfg.mu, rho=cfg.rho)
+                for name in ("_gram_table", "w_flat", "norms", "_safe_norms"):
+                    assert np.shares_memory(getattr(context, name)[slot],
+                                            getattr(own, name))
+
+    def test_held_references_keep_no_grids(self):
+        # only the last reference's quarter grid and sub-block sums are
+        # kept, so predicting over held planes does not grow with their
+        # number; each of these planes' grids is 128 KB
+        planes = [f.y for f in tiny_sequence(frames=7, size=128, sigma=4.0)]
+        cfg = fast_config(refinement="none", extrapolation=None)
+        tracemalloc.start()
+        try:
+            predict_frame(planes[1], planes[0], cfg)
+            before = tracemalloc.get_traced_memory()[0]
+            for prev, cur in zip(planes[1:], planes[2:]):
+                predict_frame(cur, prev, cfg)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < planes[0].quarter_grid(2).nbytes
 
     def test_sequence_is_one_pass_per_qp(self):
         # the equality a ladder that shares work between passes must keep
@@ -752,9 +779,9 @@ def private_basis48(monkeypatch):
     """Route every context build through a private 48x48 basis."""
     private = basis._enumerate_basis(48, 48)
     monkeypatch.setattr(basis, "build_basis", lambda m, n: private)
-    basis._cached_context.cache_clear()
+    basis._weightings.cache_clear()
     yield private
-    basis._cached_context.cache_clear()
+    basis._weightings.cache_clear()
 
 
 class TestDenseBasisOffPath:
@@ -768,7 +795,7 @@ class TestDenseBasisOffPath:
         _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
                                   collect_trace=True)
         replay_trace(trace, cfg)
-        assert basis._cached_context.cache_info().currsize > 0
+        assert basis._weightings.cache_info().currsize > 0
         assert "matrix" not in private_basis48.__dict__
 
 

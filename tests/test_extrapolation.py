@@ -453,7 +453,7 @@ class TestBatchIndependence:
             raise AssertionError("the engine started")
 
         monkeypatch.setattr(extrapolate, "new_state", no_work)
-        monkeypatch.setattr(extrapolate, "stack_contexts", no_work)
+        monkeypatch.setattr(extrapolate, "batch_context", no_work)
         msa = ExtrapolationParams.defaults("msa")
         with pytest.raises(ValueError, match="at least one"):
             run_batch(np.zeros((0, 24, 24)), [], msa)

@@ -7,8 +7,9 @@ from mcrefine import motion
 from mcrefine.codec import frame_blocks, search_frame
 from mcrefine.frame import BlockRef, GeometryError, Plane
 from mcrefine.motion import (MotionVector, SearchParams, _lower_bounds,
-                             _sad_table, _subblock_sums, _window, compensate,
-                             estimate, mv_bits, signed_golomb_bits)
+                             _quarter_grid, _sad_table, _subblock_sums,
+                             _window, compensate, estimate, mv_bits,
+                             signed_golomb_bits)
 
 
 def sad_oracle(current, reference, block, mv):
@@ -421,6 +422,25 @@ class TestSubblockSums:
         assert (_subblock_sums(other, 2) == 0).all()
         assert (_subblock_sums(p, 2) == 16 * 1020).all()
         assert _subblock_sums(p, 1).shape == (9, 17)
+
+    def test_one_grid_kept_for_the_last_reference(self, rng):
+        # estimate, compensate and the sub-block sums of one reference
+        # read one grid; the next reference replaces it
+        p = Plane(rng.integers(0, 256, size=(12, 20), dtype=np.uint8))
+        grid = _quarter_grid(p, 2)
+        assert grid is _quarter_grid(p, 2)
+        np.testing.assert_array_equal(grid, p.quarter_grid(2))
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0
+        sums = _subblock_sums(p, 2)
+        block = BlockRef(4, 4, 4)
+        mv, _ = estimate(p, p, block, SearchParams(search_range=2))
+        compensate(p, block, mv)
+        assert _quarter_grid(p, 2) is grid and _subblock_sums(p, 2) is sums
+        other = Plane(p.data[::-1])
+        assert _quarter_grid(other, 2) is not grid
+        assert _quarter_grid(p, 1) is _quarter_grid(p, 1)
+        assert _quarter_grid(p, 2) is not grid
 
     def test_plane_narrower_than_a_sub_block(self):
         assert _subblock_sums(Plane(np.zeros((3, 8), np.uint8)), 1).shape \
