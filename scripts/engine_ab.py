@@ -36,6 +36,7 @@ import os
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
+import copy  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import statistics  # noqa: E402
@@ -100,6 +101,24 @@ def criterion8_windows(count=100, seed=31, area=48):
     return out
 
 
+def stack_contexts(contexts):
+    """One context for a batch whose member i is weighted by
+    ``contexts[i]``, of either tree: the first context itself when every
+    member shares it, else a copy of it whose weighting arrays (`w_flat`,
+    `norms`, `_safe_norms` and the Gram table) stack the distinct
+    contexts' own, with ``_slots`` mapping each member to its row."""
+    first = contexts[0]
+    if all(c is first for c in contexts):
+        return first
+    distinct = list({id(c): c for c in contexts}.values())
+    row = {id(c): i for i, c in enumerate(distinct)}
+    stack = copy.copy(first)
+    for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
+        setattr(stack, name, np.stack([getattr(c, name) for c in distinct]))
+    stack._slots = np.array([row[id(c)] for c in contexts])
+    return stack
+
+
 class RefusingContext:
     """A projection context whose Gram matrices are singular wherever a
     member's system holds one of that member's ``strong`` functions (one
@@ -156,7 +175,7 @@ class Tree:
             part = slice(lo, lo + batch)
             context = None
             if shed:
-                context = RefusingContext(self.mc.stack_contexts(
+                context = RefusingContext(stack_contexts(
                     [self.mc.projection_context(layout)
                      for layout in self.layouts[part]]), self.strong[part])
             out += self.mc.run_batch(windows[part], self.layouts[part],

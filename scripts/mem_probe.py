@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Memory of two source trees: a block-64 encode peak and held-frame growth.
+"""Memory of two source trees: a block-64 encode peak, held-frame growth and
+held engine results.
 
     python3 scripts/mem_probe.py TREE_A TREE_B
 
@@ -18,9 +19,16 @@ figure comes from a fresh Python process that imports the tree's own
   before it.  One prediction of frame 1 before the first reading builds
   what the library sets up once (imports, basis, weightings), so the
   growth is what the held frames cost.
+- ``held_results_mb``: how much the resident set grows while the results
+  of unrecorded B = 1 engine runs (`run`) are held, as perfbench's
+  engine_mix keeps its first outputs: fsa, rba and msa at their defaults
+  on each of the 98 working areas of a QCIF translate/field frame (sigma
+  8, seed 0; every 16x16 block with a decoded neighbour), 294 results.
+  One unheld pass of every engine before the first reading builds what
+  the library sets up once.
 
-Both figures are in MB (2**20 bytes); each tree's lines are printed as
-``TREE figure value``.  Linux only: the growth is read from
+Every figure is in MB (2**20 bytes); each tree's lines are printed as
+``TREE figure value``.  Linux only: the growths are read from
 ``/proc/self/statm``.
 """
 
@@ -59,6 +67,41 @@ print("growth", rss_mb() - before)
 """
 
 
+HELD_RESULTS = """
+import os
+from mcrefine import (BlockRef, ExtrapolationParams, build_layout, compensate,
+                      estimate, projection_context, run, synth_sequence)
+from mcrefine.codec import assemble_window
+
+def rss_mb():
+    with open("/proc/self/statm") as statm:
+        pages = int(statm.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
+
+prev, cur = (f.y for f in synth_sequence(
+    "translate", width=176, height=144, frames=2, seed=0,
+    velocity=(0.8, 0.3), noise_sigma=8.0, texture="field"))
+windows = []
+for by in range(144 // 16):
+    for bx in range(176 // 16):
+        block = BlockRef(bx * 16, by * 16, 16)
+        layout = build_layout(cur, block)
+        if not layout.r_empty:
+            mv, _ = estimate(cur, prev, block)
+            windows.append((assemble_window(layout, cur.data,
+                                            compensate(prev, block, mv)),
+                            layout, projection_context(layout)))
+engines = [ExtrapolationParams.defaults(e) for e in ("fsa", "rba", "msa")]
+for params in engines:
+    for window, layout, ctx in windows:
+        run(window, layout, params, context=ctx)
+before = rss_mb()
+held = [run(window, layout, params, context=ctx)
+        for params in engines for window, layout, ctx in windows]
+print("growth", rss_mb() - before)
+"""
+
+
 def run(tree: Path, args: list) -> str:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -78,7 +121,9 @@ def probe(tree: Path, scratch: Path) -> dict:
                       "64", "--algorithms", "msa", "--qps", "28",
                       "--out-csv", str(scratch / f"{tree.name}-rd.csv")])
     growth = run(tree, ["-c", HELD])
-    return {"encode_peak_mb": float(peak), "held_growth_mb": float(growth)}
+    results = run(tree, ["-c", HELD_RESULTS])
+    return {"encode_peak_mb": float(peak), "held_growth_mb": float(growth),
+            "held_results_mb": float(results)}
 
 
 def main(argv: list) -> int:

@@ -12,7 +12,7 @@ hybrid-codec harness measures the effect on rate-distortion behaviour.
 
 from .basis import (BasisSet, ParameterError, ProjectionContext,
                     batch_context, build_basis, build_weight_mask,
-                    projection_context, stack_contexts)
+                    projection_context)
 from .bd import BDInputError, BDResult, bd_metrics
 from .codec import (DEFAULT_QPS, EncoderConfig, RDCurve, RDPoint, encode_pass,
                     encode_sequence, predict_frame, qp_to_qstep, replay_trace)
@@ -39,6 +39,6 @@ __all__ = [
     "estimate",
     "frame_bytes", "mse", "mv_bits", "predict_frame", "projection_context",
     "psnr", "qp_to_qstep", "read_frames", "replay_trace", "run",
-    "run_batch", "solve_subspace", "stack_contexts", "synth_sequence",
+    "run_batch", "solve_subspace", "synth_sequence",
     "write_frames",
 ]

@@ -30,10 +30,8 @@ plus a column key.  The weighted norms are read off the diagonal of that
 table, so a context takes one FFT2 of its weighting.  Models are rendered
 from per-frequency factor tables, never from a dense basis matrix: a row
 factor per row frequency and kind, a column factor per column frequency.
-
-`BasisSet.matrix`, one raster per function, is built lazily on first access
-and is not used by the projection route; it is the reference that the tests
-check the fast route against.
+No dense basis matrix is ever built; the tests build one of their own as
+the reference for this route.
 """
 
 from __future__ import annotations
@@ -81,9 +79,6 @@ class BasisSet:
     def count(self) -> int:
         return self.k_freq.size
 
-    def function(self, k: int) -> np.ndarray:
-        return self.left[self.row_key[k]].T @ self.right[self.l_freq[k]]
-
     @cached_property
     def gram_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, difference, sum) keys of every function into a Gram table.
@@ -127,22 +122,6 @@ class BasisSet:
         for key in keys:
             key.setflags(write=False)
         return keys
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense (M*N, M*N) matrix, one flattened raster per row (C-order).
-
-        The reference for the tests; 40.5 MB at 48 x 48, so nothing on the
-        projection route reads it.
-        """
-        rows = np.arange(self.m)[:, None].astype(np.float64)
-        cols = np.arange(self.n)[None, :].astype(np.float64)
-        grid = (rows / self.m)[None, :, :] * self.k_freq[:, None, None] \
-            + (cols / self.n)[None, :, :] * self.l_freq[:, None, None]
-        phase = (2.0 * np.pi) * grid.reshape(self.count, self.m * self.n)
-        matrix = np.where(self.is_sin[:, None], np.sin(phase), np.cos(phase))
-        matrix.setflags(write=False)
-        return matrix
 
 
 def _unit_phases(size: int) -> np.ndarray:
@@ -308,10 +287,9 @@ class ProjectionContext:
     FFT2(w) table (`gram_table`), the one FFT2 a context takes of its
     weighting; the norms are read off that table's diagonal once, at
     construction, and models are rendered from the basis factor tables.
-    There is one route; the dense `BasisSet.matrix` is only the reference
-    that tests check it against.  Functions whose weighted norm
-    (numerically) vanishes cannot take part in any projection
-    (`excluded_mask`).
+    There is one route, with no dense basis matrix.  Functions whose
+    weighted norm (numerically) vanishes cannot take part in any
+    projection (`excluded_mask`).
 
     A context built from one (M, N) weight array serves a batch of any
     size, every member weighted alike.  A batch whose members need
@@ -325,7 +303,6 @@ class ProjectionContext:
     are first asked for: `projection_context` hands out a row as a
     single-weighting context of views, and `batch_context` the stack
     with a batch's slots, which can cover every block of a frame.
-    `stack_contexts` stacks any other contexts, copying their rows.
     `take` gives the context of some of a stack's members: a view over
     the same Gram table, with its members' slots and their own rows of the
     weighting arrays, gathered once (``_by_member``), so that a batch
@@ -359,6 +336,7 @@ class ProjectionContext:
                                     self.norms)
         self._slots = None   # one weighting, whatever the batch size
         self._by_member = False   # weighting arrays: one row per weighting
+        self._owner = None   # keeps the `_Weightings` that handed it out
 
     def per_member(self, rows: np.ndarray) -> np.ndarray:
         """``rows``, one of this context's weighting arrays, for each batch
@@ -480,82 +458,80 @@ class ProjectionContext:
         return out.reshape(len(sizes), b.m * b.n)
 
 
-def stack_contexts(contexts) -> ProjectionContext:
-    """One context for a batch whose member i is weighted by
-    ``contexts[i]``, all of one area size: that context itself when every
-    member shares it, otherwise a new one whose weighting rows are copies
-    of the distinct contexts' arrays, stacked once; the contexts
-    themselves are left as they are.  For the reference weightings of
-    layouts, `batch_context` gives the same batch without a copy."""
-    first = contexts[0]
-    if all(c is first for c in contexts):
-        return first
-    distinct = list({id(c): c for c in contexts}.values())
-    size = (first.basis.m, first.basis.n)
-    if any((c.basis.m, c.basis.n) != size for c in distinct):
-        raise ValueError("stacked contexts must share one area size")
-    row = {id(c): i for i, c in enumerate(distinct)}
-    stack = copy.copy(first)
-    for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
-        setattr(stack, name, np.stack([getattr(c, name) for c in distinct]))
-    stack._slots = np.array([row[id(c)] for c in contexts])
-    return stack
-
-
 class _Weightings:
     """The reference weightings of one block size, mu and rho, held once.
 
     Their tables are the rows of one stacked context, ``stack``: a row is
     added the first time an availability pattern is asked for, so only
-    the patterns in use hold rows.  ``contexts`` maps each pattern to its
-    single-weighting context, made of views of its row, and `context`
-    gives a batch of several patterns the stack itself with its
-    ``_slots`` set, so no table is copied.  Adding rows builds a new
-    stack and points every context handed out at its row of it, so the
-    old stack is freed.  Rows are only ever appended, so a stack handed
-    out earlier stays valid.
+    the patterns in use hold rows.  `context` hands out a pattern's
+    single-weighting context, made of views of its row, or for a batch of
+    several patterns the stack itself with its ``_slots`` set, so no table
+    is copied.  Every context handed out holds this owner (``_owner``), so
+    `_weightings` finds it again while any is held, and the owner holds
+    its pattern contexts weakly (``contexts``), so the two form no cycle.
+    Adding rows builds a new stack and points every pattern context still
+    held at its row of it, so the old stack is freed.  Rows are only ever
+    appended, so a stack handed out earlier stays valid.
     """
 
     def __init__(self, size: int, mu: float, rho: float):
         self.size, self.mu, self.rho = size, mu, rho
         self.stack = None
-        self.contexts = {}   # availability -> its row's context
+        self.contexts = weakref.WeakValueDictionary()   # pattern -> context
         self.rows = {}       # availability -> its row of ``stack``
         self._lock = threading.Lock()
 
+    def _point(self, ctx: ProjectionContext, pattern) -> None:
+        """Make ``ctx`` the single-weighting context of ``pattern``'s row."""
+        row = self.rows[pattern]
+        ctx.basis = self.stack.basis
+        for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
+            setattr(ctx, name, getattr(self.stack, name)[row])
+
     def _add(self, patterns) -> None:
-        with self._lock:
-            new = [p for p in dict.fromkeys(patterns) if p not in self.rows]
-            if not new:
-                return
-            for p in new:
-                self.rows[p] = len(self.rows)
-            s = self.size
-            weights = np.stack([build_weight_mask(ProjectionLayout(
-                BlockRef(s, s, s), p), self.mu, self.rho) for p in self.rows])
-            stack = ProjectionContext(build_basis(3 * s, 3 * s), weights)
-            for p, row in self.rows.items():
-                ctx = self.contexts.setdefault(p, copy.copy(stack))
-                ctx.basis = stack.basis
-                for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
-                    setattr(ctx, name, getattr(stack, name)[row])
-            self.stack = stack
+        new = [p for p in dict.fromkeys(patterns) if p not in self.rows]
+        if not new:
+            return
+        for p in new:
+            self.rows[p] = len(self.rows)
+        s = self.size
+        weights = np.stack([build_weight_mask(ProjectionLayout(
+            BlockRef(s, s, s), p), self.mu, self.rho) for p in self.rows])
+        self.stack = ProjectionContext(build_basis(3 * s, 3 * s), weights)
+        for p, ctx in self.contexts.items():
+            self._point(ctx, p)
 
     def context(self, patterns: list) -> ProjectionContext:
         """The context of a batch whose member i has availability
         ``patterns[i]``: a pattern's own context when every member shares
         it, else the stack with the members' rows as slots."""
-        self._add(patterns)
-        if all(p == patterns[0] for p in patterns):
-            return self.contexts[patterns[0]]
-        stack = copy.copy(self.stack)
-        stack._slots = np.array([self.rows[p] for p in patterns])
-        return stack
+        with self._lock:
+            self._add(patterns)
+            if any(p != patterns[0] for p in patterns):
+                ctx = copy.copy(self.stack)
+                ctx._slots = np.array([self.rows[p] for p in patterns])
+            else:
+                ctx = self.contexts.get(patterns[0])
+                if ctx is not None:
+                    return ctx
+                ctx = self.contexts[patterns[0]] = copy.copy(self.stack)
+                self._point(ctx, patterns[0])
+            ctx._owner = self
+            return ctx
+
+
+# Every `_Weightings` still held somewhere, by key, weakly: the LRU keeps
+# the last 16 keys asked for, and every context one handed out keeps it,
+# so a key is never held twice.
+_LIVE_WEIGHTINGS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=16)
 def _weightings(size: int, mu: float, rho: float) -> _Weightings:
-    return _Weightings(size, mu, rho)
+    owner = _LIVE_WEIGHTINGS.get((size, mu, rho))
+    if owner is None:
+        owner = _LIVE_WEIGHTINGS[size, mu, rho] = _Weightings(size, mu, rho)
+    return owner
 
 
 def projection_context(layout: ProjectionLayout, mu: float = DEFAULT_MU,

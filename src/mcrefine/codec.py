@@ -322,11 +322,11 @@ def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
     one `RefineResult` per index, in the order of ``indices``, each
     bitwise equal to what a batch of that block alone gives.
 
-    Each result's model is a view of its batch's engine state, so results
-    come one batch at a time: a caller that keeps only the blocks holds
-    one batch's state at once, not a frame's.  A batch reads its
-    neighbour samples and MC blocks when it is reached, so the caller
-    writes to neither until every result is taken.
+    A result holds only its own block and its diagnostics (no engine
+    state: the runs are not recorded), and results come one batch at a
+    time.  A batch reads its neighbour samples and MC blocks when it is
+    reached, so the caller writes to neither until every result is
+    taken.
     """
     for lo in range(0, len(indices), REFINE_CHUNK):
         chunk = indices[lo:lo + REFINE_CHUNK]

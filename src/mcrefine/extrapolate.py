@@ -110,7 +110,8 @@ class ExtrapolationParams:
 
 @dataclass(frozen=True)
 class SparseModel:
-    """One member's final model: dense coefficients and their rendering."""
+    """One member's final model, dense coefficients and their rendering:
+    its own copies, kept only by a recorded run."""
 
     coefficients: np.ndarray
     rendering: np.ndarray  # flattened raster of the model
@@ -153,7 +154,7 @@ class Diagnostics:
 @dataclass(frozen=True)
 class RefineResult:
     block: np.ndarray             # centre-block cut of the final model
-    model: SparseModel
+    model: SparseModel | None     # recorded runs only, else None
     diagnostics: Diagnostics
 
 
@@ -490,15 +491,18 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
     ``windows`` is a (B, M, N) stack of signals and ``layouts`` their B
     working areas, all of one block size; their neighbour availability may
     differ.  ``context`` weights the batch, member by member (see
-    `batch_context` and `stack_contexts`; a view that
-    `ProjectionContext.take` gave is read as it is, and a stack has its
-    members' rows gathered once); by default every member takes its
-    layout's reference weighting, ``batch_context(layouts)``.  Each
-    signal holds reconstructed samples on R, the temporal predictor on
-    the centre block and arbitrary values on padding; padding carries zero
-    weight and provably never changes the result.  Returns one
-    `RefineResult` per window, each bitwise equal to what `run` gives for
-    that window alone.
+    `batch_context`; a view that `ProjectionContext.take` gave is read as
+    it is, and a stack has its members' rows gathered once); by default
+    every member takes its layout's reference weighting,
+    ``batch_context(layouts)``.  Each signal holds reconstructed samples
+    on R, the temporal predictor on the centre block and arbitrary values
+    on padding; padding carries zero weight and provably never changes
+    the result.  Returns one `RefineResult` per window, each bitwise equal
+    to what `run` gives for that window alone.  A result holds its own
+    copy of its block and its diagnostics, and nothing of the batch's
+    engine state; only with ``record`` does it also keep the engine's
+    internals: its selections, and its final model as copies of its
+    coefficients and rendering.
     Raises `ValueError` before any work for an empty batch, mismatched
     shapes or block sizes, and `SampleError` for a non-finite sample.
     """
@@ -538,8 +542,9 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
             gram_retries=int(state.gram_retries[i]),
             selections=None if state.selections is None
             else state.selections[i])
-        model = SparseModel(coefficients=state.coefficients[i],
-                            rendering=state.rendering[i])
+        model = SparseModel(coefficients=state.coefficients[i].copy(),
+                            rendering=state.rendering[i].copy()) \
+            if record else None
         results.append(RefineResult(block=blocks[i].copy(), model=model,
                                     diagnostics=diag))
     return results
@@ -550,6 +555,6 @@ def run(f, layout: ProjectionLayout, params: ExtrapolationParams, *,
         record: bool = False) -> RefineResult:
     """Run the configured engine on one working-area signal: `run_batch`
     with B = 1.  Returns the centre block of the final model plus run
-    diagnostics."""
+    diagnostics, and with ``record`` the model itself."""
     return run_batch(np.asarray(f)[None], [layout], params, context=context,
                      record=record)[0]

@@ -171,7 +171,7 @@ def test_criterion_04(capsys):
         support = rng.choice(basis.count, size=k, replace=False)
         coefs = rng.uniform(0.5, 2.0, size=k) * rng.choice([-1.0, 1.0], size=k)
         signal = ctx.render(support, coefs, [k]).reshape(AREA, AREA)
-        result = run(signal, layout, params, context=ctx)
+        result = run(signal, layout, params, context=ctx, record=True)
         truth = np.zeros(basis.count)
         truth[support] = coefs
         worst = max(worst, np.abs(result.model.coefficients - truth).max())
@@ -204,7 +204,7 @@ def test_criterion_05(capsys, interior_ctx):
 
     fsa = run(signal, layout,
               ExtrapolationParams(algorithm="fsa", iterations=2, gamma=1.0),
-              context=ctx)
+              context=ctx, record=True)
     err_fsa = float(np.linalg.norm(fsa.model.coefficients - truth))
     err_rba = float(np.linalg.norm(rba.model.coefficients - truth))
 

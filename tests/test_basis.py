@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import MatrixContext, reference_gram, square_grams
+from conftest import (MatrixContext, basis_function, basis_matrix,
+                      reference_gram, square_grams, stack_contexts)
 from mcrefine import basis as basis_module
 from mcrefine.basis import (DEFAULT_MU, DEFAULT_RHO, ParameterError,
                             ProjectionContext, _enumerate_basis, _unit_phases,
                             batch_context, build_basis, build_weight_mask,
-                            excluded_mask, projection_context, stack_contexts)
+                            excluded_mask, projection_context)
 from mcrefine.frame import (REGION_B, REGION_PAD, REGION_R, BlockRef,
                             ProjectionLayout, build_layout)
 
@@ -51,10 +52,10 @@ class TestBuildBasis:
     def test_counts_and_dc(self):
         b = build_basis(8, 8)
         assert b.count == 64
-        assert b.matrix.shape == (64, 64)
+        assert basis_matrix(b).shape == (64, 64)
         # DC first: k=l=0 cosine, identically one
         assert b.k_freq[0] == b.l_freq[0] == 0 and not b.is_sin[0]
-        np.testing.assert_allclose(b.matrix[0], 1.0)
+        np.testing.assert_allclose(basis_matrix(b)[0], 1.0)
 
     def test_sin_cos_split(self):
         # Self-conjugate frequency pairs carry no sine member.  For even
@@ -68,7 +69,7 @@ class TestBuildBasis:
     def test_values_match_pointwise_formula(self):
         b = build_basis(6, 4)
         for idx in (0, 1, 5, 11, 17, 23):
-            fn = b.function(idx)
+            fn = basis_function(b, idx)
             for y in (0, 2, 5):
                 for x in (0, 1, 3):
                     want = basis_value_oracle(6, 4, int(b.k_freq[idx]),
@@ -78,7 +79,7 @@ class TestBuildBasis:
 
     def test_orthogonal_under_uniform_weight(self):
         b = build_basis(8, 8)
-        g = b.matrix @ b.matrix.T
+        g = basis_matrix(b) @ basis_matrix(b).T
         off = g - np.diag(np.diag(g))
         assert np.abs(off).max() < 1e-9 * np.diag(g).max()
         assert np.diag(g).min() > 0  # spans the full raster space
@@ -166,7 +167,8 @@ class TestNorms:
         b = build_basis(layout8.m, layout8.n)
         norms = ProjectionContext(b, wm).norms
         for k in (0, 3, 17, b.count - 1):
-            want = weighted_inner_oracle(b.function(k), b.function(k), wm)
+            fn = basis_function(b, k)
+            want = weighted_inner_oracle(fn, fn, wm)
             assert norms[k] == pytest.approx(want, rel=1e-12)
 
     def test_excluded_mask(self):
@@ -192,7 +194,7 @@ class TestProjectionContextModes:
         np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-9)
         w = ctx8.w_flat.reshape(b.m, b.n)
         for k in (0, 1, 40, 111):
-            want = weighted_inner_oracle(r, b.function(k), w)
+            want = weighted_inner_oracle(r, basis_function(b, k), w)
             assert ref[k] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_numerators_keep_the_rfft2_bits(self, ctx16, rng):
@@ -213,8 +215,9 @@ class TestProjectionContextModes:
         w = ctx8.w_flat.reshape(ctx8.basis.m, ctx8.basis.n)
         for a in range(0, 12, 5):
             for b_ in range(0, 12, 7):
-                want = weighted_inner_oracle(ctx8.basis.function(idx[a]),
-                                             ctx8.basis.function(idx[b_]), w)
+                want = weighted_inner_oracle(
+                    basis_function(ctx8.basis, idx[a]),
+                    basis_function(ctx8.basis, idx[b_]), w)
                 assert g_ref[a, b_] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_gram_exactly_symmetric(self, ctx8, ctx8_matrix, rng):
@@ -229,7 +232,8 @@ class TestProjectionContextModes:
     def test_render(self, ctx8, rng):
         idx = np.array([0, 5, 9])
         coefs = rng.normal(size=3)
-        want = sum(c * ctx8.basis.matrix[i] for c, i in zip(coefs, idx))
+        dense = basis_matrix(ctx8.basis)
+        want = sum(c * dense[i] for c, i in zip(coefs, idx))
         np.testing.assert_allclose(ctx8.render(idx, coefs, [3])[0], want,
                                    atol=1e-12)
 
@@ -432,6 +436,20 @@ class TestWeightingRows:
             assert np.shares_memory(getattr(first, name),
                                     getattr(held.stack, name))
 
+    def test_a_held_weighting_outlives_its_cache_entry(self):
+        # 16 other weightings push rho = 0.5 out of the cache; asked for
+        # again, it is the stack that the held context still reads, while
+        # an unheld weighting is freed with its cache entry
+        layout = ProjectionLayout(BlockRef(8, 8, 8), PATTERNS[15])
+        held = projection_context(layout, rho=0.5)
+        projection_context(layout, rho=0.49)
+        for rho in np.linspace(0.05, 0.45, 16):
+            projection_context(layout, rho=float(rho))
+        again = projection_context(layout, rho=0.5)
+        assert np.shares_memory(again._gram_table, held._gram_table)
+        assert again is held
+        assert (8, DEFAULT_MU, 0.49) not in basis_module._LIVE_WEIGHTINGS
+
 
 class TestGramTable:
     """The signed, doubled table route equals the modulo reference bitwise."""
@@ -494,7 +512,7 @@ class TestFactoredRoute:
             basis = _enumerate_basis(24, 24)
             wm = build_weight_mask(
                 build_layout((96, 96), BlockRef(0, 48, size=8)))
-        dense = (basis.matrix * basis.matrix) @ wm.ravel()
+        dense = basis_matrix(basis) ** 2 @ wm.ravel()
         ctx = ProjectionContext(basis, wm)
         np.testing.assert_allclose(ctx.norms, dense, rtol=1e-12, atol=0)
         gram = square_grams(ctx, np.arange(64))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -563,14 +564,20 @@ class TestClosedLoop:
         with pytest.raises(GeometryError, match="must be positive"):
             codec.frame_blocks(width, height, 16)
 
-    @pytest.mark.parametrize("size", [8, 16])
-    @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
+    # every engine at every block size but 64, where fsa and rba would
+    # add about 3 s to the suite
+    @pytest.mark.parametrize("algo, size", [
+        (algo, size) for size in (8, 16, 32)
+        for algo in ("fsa", "rba", "msa")] + [("msa", 64)])
     def test_replay_bit_exact_for_every_engine(self, algo, size):
-        # 48x32: the right-edge blocks of every row below the first have
-        # no top-right neighbour.  The encoder runs wave by wave and the
-        # replay block by block in line-scan order.
-        frames = synth_sequence("translate", width=48, height=32, frames=3,
-                                seed=4, velocity=(0.7, 0.4), noise_sigma=6.0)
+        # 48x32 up to block 16, else 3x2 blocks (96x64, 192x128): the
+        # right-edge blocks of every row below the first have no top-right
+        # neighbour.  The encoder runs wave by wave and the replay block by
+        # block in line-scan order.
+        side = max(size, 16)
+        frames = synth_sequence("translate", width=3 * side,
+                                height=2 * side, frames=3, seed=4,
+                                velocity=(0.7, 0.4), noise_sigma=6.0)
         iterations = 40 if algo == "fsa" else None
         cfg = fast_config(refinement=algo, block_size=size,
                           extrapolation=ExtrapolationParams(
@@ -776,9 +783,12 @@ class TestClosedLoop:
 
 @pytest.fixture()
 def private_basis48(monkeypatch):
-    """Route every context build through a private 48x48 basis."""
+    """Route every context build through a private 48x48 basis, with no
+    weighting of an earlier test still live."""
     private = basis._enumerate_basis(48, 48)
     monkeypatch.setattr(basis, "build_basis", lambda m, n: private)
+    monkeypatch.setattr(basis, "_LIVE_WEIGHTINGS",
+                        weakref.WeakValueDictionary())
     basis._weightings.cache_clear()
     yield private
     basis._weightings.cache_clear()
@@ -796,7 +806,10 @@ class TestDenseBasisOffPath:
                                   collect_trace=True)
         replay_trace(trace, cfg)
         assert basis._weightings.cache_info().currsize > 0
-        assert "matrix" not in private_basis48.__dict__
+        # every run weighted on the private basis, which has no dense form
+        owner = basis._weightings(cfg.block_size, cfg.mu, cfg.rho)
+        assert owner.stack.basis is private_basis48
+        assert not hasattr(private_basis48, "matrix")
 
 
 class TestBD:

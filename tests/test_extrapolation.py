@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from conftest import MatrixContext
+from conftest import (MatrixContext, basis_function, basis_matrix,
+                      stack_contexts)
 from mcrefine import extrapolate
-from mcrefine.basis import (ProjectionContext, build_basis,
-                            projection_context, stack_contexts)
+from mcrefine.basis import ProjectionContext, build_basis, projection_context
 from mcrefine.extrapolate import (ExtrapolationParams, decrement_energies,
                                   new_state, run, run_batch, select_batch,
                                   select_candidates, solve_subspace, step)
@@ -304,8 +304,8 @@ class TestBatchIndependence:
         # basis function
         kinds = rng.integers(0, 4, size=batch)
         windows[kinds == 0] = 0.0
-        windows[kinds == 1] = contexts[0].basis.function(
-            int(rng.integers(1, contexts[0].basis.count)))
+        windows[kinds == 1] = basis_function(
+            contexts[0].basis, int(rng.integers(1, contexts[0].basis.count)))
         bad = None
         if singular:
             # each window names one of its four strongest functions, and
@@ -485,6 +485,23 @@ class TestBatchIndependence:
                  for used, _, _ in r.diagnostics.selections]
         assert any(joint) == (algo != "fsa")
 
+    def test_results_keep_only_their_own_block(self, rng):
+        # an unrecorded result pins nothing of its batch's engine state,
+        # and a recorded member's model is its own
+        windows = plaid_windows(rng, 4, 24)
+        params = ExtrapolationParams.defaults("msa")
+        plain = run_batch(windows, BATCH_LAYOUTS[8], params)
+        for result in plain:
+            assert result.model is None
+            assert result.block.flags.owndata
+        recorded = run_batch(windows, BATCH_LAYOUTS[8], params, record=True)
+        arrays = [a for r in recorded
+                  for a in (r.block, r.model.coefficients, r.model.rendering)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        for a, b in zip(plain, recorded):
+            np.testing.assert_array_equal(a.block, b.block)
+
 
 class TestNumeratorCalls:
     @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
@@ -552,9 +569,10 @@ class TestEngines:
         idx = rng.choice(ctx.basis.count, size=3, replace=False)
         truth = np.zeros(ctx.basis.count)
         truth[idx] = rng.uniform(0.5, 2.0, size=3)
-        f = (truth @ ctx.basis.matrix).reshape(12, 12)
+        f = (truth @ basis_matrix(ctx.basis)).reshape(12, 12)
         res = run(f, lay, ExtrapolationParams(algorithm="msa", iterations=5,
-                                              gamma=1.0), context=ctx)
+                                              gamma=1.0), context=ctx,
+                  record=True)
         np.testing.assert_allclose(res.model.coefficients, truth, atol=1e-6)
         assert res.diagnostics.converged
 
@@ -578,8 +596,8 @@ class TestEngines:
         assert pad.any()
         f2[pad] = rng.normal(0, 1000, size=int(pad.sum()))
         params = ExtrapolationParams.defaults(algo)
-        r1 = run(f1, lay, params)
-        r2 = run(f2, lay, params)
+        r1 = run(f1, lay, params, record=True)
+        r2 = run(f2, lay, params, record=True)
         np.testing.assert_array_equal(r1.block, r2.block)
         np.testing.assert_array_equal(r1.model.coefficients,
                                       r2.model.coefficients)
@@ -618,7 +636,7 @@ class TestEngines:
 
     def test_convergence_on_exact_signal(self, ctx8, layout8):
         # a signal that IS one basis function converges immediately
-        f = ctx8.basis.function(4).copy()
+        f = basis_function(ctx8.basis, 4).copy()
         res = run(f, layout8, ExtrapolationParams(algorithm="msa",
                                                   iterations=12, gamma=1.0),
                   context=ctx8)
@@ -637,8 +655,8 @@ class TestEngines:
                                         rng):
         f = rng.normal(128, 40, size=(layout8.m, layout8.n))
         params = ExtrapolationParams.defaults("msa")
-        a = run(f, layout8, params, context=ctx8)
-        b = run(f, layout8, params, context=ctx8_matrix)
+        a = run(f, layout8, params, context=ctx8, record=True)
+        b = run(f, layout8, params, context=ctx8_matrix, record=True)
         # identical selections, near-identical numerics
         np.testing.assert_allclose(a.model.coefficients, b.model.coefficients,
                                    rtol=1e-6, atol=1e-9)
@@ -652,7 +670,7 @@ class TestEngines:
     def test_block_cut_is_centre(self, layout8, ctx8, rng):
         f = rng.normal(128, 40, size=(layout8.m, layout8.n))
         res = run(f, layout8, ExtrapolationParams.defaults("msa"),
-                  context=ctx8)
+                  context=ctx8, record=True)
         full = res.model.rendering.reshape(layout8.m, layout8.n)
         np.testing.assert_array_equal(res.block, full[8:16, 8:16])
 
@@ -686,7 +704,7 @@ class TestStepFunctions:
         # and subtracting p_k*phi_k really lowers the energy by ~d[k]
         w = ctx8.w_flat
         e0 = float((r * w) @ r)
-        r2 = r - p[k] * ctx8.basis.matrix[k]
+        r2 = r - p[k] * basis_matrix(ctx8.basis)[k]
         e1 = float((r2 * w) @ r2)
         assert e0 - e1 == pytest.approx(d[k], rel=1e-9)
 
@@ -722,11 +740,11 @@ class TestStepFunctions:
             state = new_state(f, ctx8)
             for _ in range(3):
                 step(state, params, ctx8)
-            want = state.coefficients @ ctx8.basis.matrix
+            want = state.coefficients @ basis_matrix(ctx8.basis)
             np.testing.assert_allclose(state.rendering, want, atol=1e-12)
             np.testing.assert_array_equal(
                 state.residual, state.f - state.rendering)
         res = run(f[0], layout8, ExtrapolationParams.defaults("msa"),
-                  context=ctx8)
+                  context=ctx8, record=True)
         np.testing.assert_array_equal(res.model.support,
                                       np.flatnonzero(res.model.coefficients))
