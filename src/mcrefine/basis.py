@@ -45,7 +45,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .frame import REGION_B, REGION_R, BlockRef, ProjectionLayout
+from .frame import (CAUSAL_PATTERNS, REGION_B, REGION_R, BlockRef,
+                    ProjectionLayout, batch_block_size)
 
 
 class ParameterError(ValueError):
@@ -299,14 +300,14 @@ class ProjectionContext:
     each member to its row.  Built from a (W, M, N) stack of weights, a
     context holds such rows and serves batches through copies with their
     ``_slots`` set.  The reference weightings of each block size, mu and
-    rho are held once, as the rows of one such stack, added as patterns
-    are first asked for: `projection_context` hands out a row as a
-    single-weighting context of views, and `batch_context` the stack
-    with a batch's slots, which can cover every block of a frame.
-    `take` gives the context of some of a stack's members: a view over
-    the same Gram table, with its members' slots and their own rows of the
-    weighting arrays, gathered once (``_by_member``), so that a batch
-    reads them without a gather per call.
+    rho are held once, as the five rows of one such stack, one per
+    pattern of `CAUSAL_PATTERNS`: `batch_context` hands out a row as a
+    single-weighting context of views when a batch has one pattern, and
+    otherwise the stack with the batch's slots.  `take` gives the context
+    of some of a stack's members: a view over the same Gram table, with
+    its members' slots and their own rows of the weighting arrays,
+    gathered once (``_by_member``), so that a batch reads them without a
+    gather per call.
 
     Every method takes the engine's one batch form.  `numerators` takes
     flattened rasters, (..., M*N), with any leading batch axes.  `gram`,
@@ -461,62 +462,41 @@ class ProjectionContext:
 class _Weightings:
     """The reference weightings of one block size, mu and rho, held once.
 
-    Their tables are the rows of one stacked context, ``stack``: a row is
-    added the first time an availability pattern is asked for, so only
-    the patterns in use hold rows.  `context` hands out a pattern's
-    single-weighting context, made of views of its row, or for a batch of
-    several patterns the stack itself with its ``_slots`` set, so no table
-    is copied.  Every context handed out holds this owner (``_owner``), so
+    Their tables are the rows of one stacked context, ``stack``, built at
+    construction with one row per pattern of `CAUSAL_PATTERNS`; nothing
+    changes the stack after that.  `context` hands out a row's
+    single-weighting context, made of views of the row, or for a batch of
+    several rows the stack itself with its ``_slots`` set, so no table is
+    copied.  Every context handed out holds this owner (``_owner``), so
     `_weightings` finds it again while any is held, and the owner holds
-    its pattern contexts weakly (``contexts``), so the two form no cycle.
-    Adding rows builds a new stack and points every pattern context still
-    held at its row of it, so the old stack is freed.  Rows are only ever
-    appended, so a stack handed out earlier stays valid.
+    its row contexts weakly (``contexts``), so the two form no cycle.
+    That cache is the one state that changes, and the lock guards it.
     """
 
     def __init__(self, size: int, mu: float, rho: float):
-        self.size, self.mu, self.rho = size, mu, rho
-        self.stack = None
-        self.contexts = weakref.WeakValueDictionary()   # pattern -> context
-        self.rows = {}       # availability -> its row of ``stack``
+        weights = np.stack([build_weight_mask(ProjectionLayout(
+            BlockRef(size, size, size), p), mu, rho) for p in CAUSAL_PATTERNS])
+        self.stack = ProjectionContext(build_basis(3 * size, 3 * size),
+                                       weights)
+        self.contexts = weakref.WeakValueDictionary()   # row -> context
         self._lock = threading.Lock()
 
-    def _point(self, ctx: ProjectionContext, pattern) -> None:
-        """Make ``ctx`` the single-weighting context of ``pattern``'s row."""
-        row = self.rows[pattern]
-        ctx.basis = self.stack.basis
-        for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
-            setattr(ctx, name, getattr(self.stack, name)[row])
-
-    def _add(self, patterns) -> None:
-        new = [p for p in dict.fromkeys(patterns) if p not in self.rows]
-        if not new:
-            return
-        for p in new:
-            self.rows[p] = len(self.rows)
-        s = self.size
-        weights = np.stack([build_weight_mask(ProjectionLayout(
-            BlockRef(s, s, s), p), self.mu, self.rho) for p in self.rows])
-        self.stack = ProjectionContext(build_basis(3 * s, 3 * s), weights)
-        for p, ctx in self.contexts.items():
-            self._point(ctx, p)
-
-    def context(self, patterns: list) -> ProjectionContext:
-        """The context of a batch whose member i has availability
-        ``patterns[i]``: a pattern's own context when every member shares
-        it, else the stack with the members' rows as slots."""
-        with self._lock:
-            self._add(patterns)
-            if any(p != patterns[0] for p in patterns):
-                ctx = copy.copy(self.stack)
-                ctx._slots = np.array([self.rows[p] for p in patterns])
-            else:
-                ctx = self.contexts.get(patterns[0])
-                if ctx is not None:
-                    return ctx
-                ctx = self.contexts[patterns[0]] = copy.copy(self.stack)
-                self._point(ctx, patterns[0])
+    def context(self, rows: list) -> ProjectionContext:
+        """The context of a batch whose member i is weighted by row
+        ``rows[i]``: that row's own context when every member shares it,
+        else the stack with ``rows`` as slots."""
+        if any(row != rows[0] for row in rows):
+            ctx = copy.copy(self.stack)
+            ctx._slots = np.array(rows)
             ctx._owner = self
+            return ctx
+        with self._lock:
+            ctx = self.contexts.get(rows[0])
+            if ctx is None:
+                ctx = self.contexts[rows[0]] = copy.copy(self.stack)
+                for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
+                    setattr(ctx, name, getattr(self.stack, name)[rows[0]])
+                ctx._owner = self
             return ctx
 
 
@@ -536,28 +516,36 @@ def _weightings(size: int, mu: float, rho: float) -> _Weightings:
 
 def projection_context(layout: ProjectionLayout, mu: float = DEFAULT_MU,
                        rho: float = DEFAULT_RHO) -> ProjectionContext:
-    """Shared, cached context for a layout's region pattern.
+    """The shared, cached context of one working area's reference
+    weighting: `batch_context` of the one layout."""
+    return batch_context([layout], mu, rho)
 
-    A layout is its block plus its neighbour availability, and the weights
-    depend only on the block size, the availability, ``mu`` and ``rho``, so
-    contexts are cached on those four.  The context is a view of its
-    pattern's row in the one stacked table of its block size, ``mu`` and
-    ``rho`` (`batch_context` hands out that stack), and the basis is
-    shared across all contexts of one size.
-    """
-    return _weightings(layout.block.size, float(mu),
-                       float(rho)).context([layout.availability])
+
+# Each pattern's row in the stack of `_Weightings`.
+_ROWS = {pattern: row for row, pattern in enumerate(CAUSAL_PATTERNS)}
 
 
 def batch_context(layouts, mu: float = DEFAULT_MU,
                   rho: float = DEFAULT_RHO) -> ProjectionContext:
     """One context for a batch whose member i is the working area
-    ``layouts[i]``, all of one block size, each weighted by its reference
-    weighting: the cached stack of their block size, ``mu`` and ``rho``
-    with its ``_slots`` set (the one context of `projection_context` when
-    every member shares a pattern).  Every table is read in place, from
-    the rows that `projection_context` hands out too; a pattern asked for
-    the first time gets its row here, all of a batch's new patterns at
-    once."""
-    return _weightings(layouts[0].block.size, float(mu), float(rho)).context(
-        [layout.availability for layout in layouts])
+    ``layouts[i]``, each weighted by its reference weighting.
+
+    A layout is its block plus its neighbour availability, and the weights
+    depend only on the block size, the availability, ``mu`` and ``rho``.
+    The weightings of one block size, ``mu`` and ``rho`` are the five rows
+    of one cached stack, one per pattern of `CAUSAL_PATTERNS`, built on
+    first use and read in place: a batch of one pattern gets that row's
+    own context, the same object every time, and a mixed batch the stack
+    with its members' rows as ``_slots``.  The basis is shared by every
+    context of one size.  Raises `ValueError` for no layouts or more than
+    one block size, and `ParameterError` for an availability outside
+    `CAUSAL_PATTERNS` (a block with no decoded neighbour has nothing to
+    weight), both before any table is built.
+    """
+    size = batch_block_size(layouts)
+    try:
+        rows = [_ROWS[layout.availability] for layout in layouts]
+    except KeyError as err:
+        raise ParameterError(f"neighbour availability {err.args[0]} has "
+                             f"no reference weighting") from None
+    return _weightings(size, float(mu), float(rho)).context(rows)

@@ -16,23 +16,25 @@ the displaced block) and already-reconstructed neighbour blocks of the
 current frame.  `replay_trace` exercises exactly that property.
 
 Open-loop prediction, the closed loop and its replay each compensate a
-whole frame in one loop, since compensation reads only the reference, and
-address its blocks through the frame's block grid (`_grid`).  Every path
-reaches the engine through one call, `refine_blocks`, which refines
+whole frame in one loop, since compensation reads only the reference,
+and address its blocks through the frame's block grid (`_grid`).  Every
+path reaches the engine through one call, `refine_blocks`, which refines
 blocks of a frame by line-scan index, in engine batches of at most
 `REFINE_CHUNK` blocks of any neighbour-availability classes, and yields
-for each block exactly what refining it alone would.  Open-loop
-prediction (`predict_frame`) reads no reconstruction, so it refines every
-block of a frame in one call.  The closed loop and its replay share one
-scheduler, `dependency_levels`: a block reads only its left, top-left,
-top and top-right neighbours, so the blocks of one level need only blocks
-of earlier levels.  `encode_pass` schedules every block, which gives the
-wavefront (block (bx, by) on level bx + 2 by), and refines and
-transform-codes each wave in one call each; `_switch` writes each chosen
-block into the frame's predictor raster, and the wave's bits and levels
-land in per-frame arrays.  `replay_trace` decodes every
-unrefined block first, from its MC block and levels alone, and then
-schedules only the refined blocks, by their depth among themselves.
+for each block exactly what refining it alone would.  Each batch takes
+its own weighting context (`batch_context`), which reads the cached
+reference weightings in place; no frame, pass or trace holds one of its
+own.  Open-loop prediction (`predict_frame`) reads no reconstruction, so
+it refines every block of a frame in one call.  The closed loop and its
+replay share one scheduler, `dependency_levels`: a block reads only its
+left, top-left, top and top-right neighbours, so the blocks of one level
+need only blocks of earlier levels.  `encode_pass` schedules every
+block, which gives the wavefront (block (bx, by) on level bx + 2 by),
+and refines and transform-codes each wave in one call each; `_switch`
+writes each chosen block into the frame's predictor raster, and the
+wave's bits and levels land in per-frame arrays.  `replay_trace` decodes
+every unrefined block first, from its MC block and levels alone, and
+then schedules only the refined blocks, by their depth among themselves.
 
 Transform coding takes stacks: `reconstruct_block` and `decode_block` code
 any number of blocks in one transform call, each exactly as alone, and the
@@ -48,6 +50,7 @@ coder's output.  PSNR is luma-only.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -133,16 +136,15 @@ class EncoderConfig:
         for qstep in self.qsteps:
             check_qstep(qstep)
         # Each weighting keeps a Gram table of 128*(3s)**2 bytes: 295 KB
-        # at 16, 4.7 MB at 64, 18.9 MB at 128.  The tables of a frame's
-        # (at most five) classes are held once, as the rows of one cached
-        # stack that every frame, pass and trace reads in place, so at 128
-        # they would hold 94.5 MB; each engine call gathers its members'
-        # weighting rows, 25*(3s)**2 bytes per member: 56 KB at 16, 0.9 MB
-        # at 64.
+        # at 16, 4.7 MB at 64, 18.9 MB at 128.  The five causal patterns'
+        # tables are held once, as the rows of one cached stack that every
+        # engine batch reads in place, so at 128 they would hold 94.5 MB;
+        # a batch of mixed classes gathers its members' weighting rows,
+        # 25*(3s)**2 bytes per member: 56 KB at 16, 0.9 MB at 64.
         s = self.block_size
-        if s < 8 or s > 64 or s & (s - 1):
-            raise ValueError(f"block size must be a power of two from 8 (the "
-                             f"8x8 transform tiles it) to 64, got {s}")
+        if not isinstance(s, numbers.Integral) or s not in (8, 16, 32, 64):
+            raise ValueError(f"block size must be an integer power of two "
+                             f"from 8 (8x8 transform tiles) to 64, got {s!r}")
         check_weighting(self.mu, self.rho)
         if not 0.0 < self.fps < math.inf:
             raise ValueError(f"frame rate must be finite and positive, "
@@ -292,33 +294,22 @@ def dependency_levels(nx: int, ny: int, needs) -> list:
     return levels
 
 
-def _frame_context(layouts, config: EncoderConfig):
-    """One projection context over the blocks ``layouts``, each weighted
-    by its layout's reference weighting under ``config``'s mu and rho.
-
-    It is the cached stack of those weightings with its slots set
-    (`batch_context`), so no frame, pass or trace copies a table.
-    Layouts depend only on the frame geometry, so `predict_frame` takes
-    this once per frame, `encode_pass` once per pass and `replay_trace`
-    once per trace; each engine batch then takes its blocks' members with
-    `ProjectionContext.take`, which copies no table either.
-    """
-    return batch_context(layouts, mu=config.mu, rho=config.rho)
-
-
 def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
-                  mc_grid: np.ndarray, config: EncoderConfig,
-                  context) -> Iterator[extrapolate.RefineResult]:
+                  mc_grid: np.ndarray, config: EncoderConfig
+                  ) -> Iterator[extrapolate.RefineResult]:
     """Spatially refine the motion-compensated blocks ``indices`` of a
     frame.
 
     The one refinement call of `predict_frame`, `encode_pass` and
     `replay_trace`, so all three build working areas and weightings alike.
-    ``indices`` are line-scan indices into the frame's ``layouts`` and
-    into ``context``, the frame's `_frame_context`; ``mc_grid`` is the
-    frame's (rows, columns, s, s) `_grid` of motion-compensated blocks.
-    The blocks are refined in order, in engine batches of at most
-    `REFINE_CHUNK`, whatever availability classes a batch mixes.  Yields
+    ``indices`` are line-scan indices into the frame's ``layouts``;
+    ``mc_grid`` is the frame's (rows, columns, s, s) `_grid` of
+    motion-compensated blocks.  The blocks are refined in order, in engine
+    batches of at most `REFINE_CHUNK`, whatever availability classes a
+    batch mixes.  Each batch is weighted by ``config``'s reference
+    weightings through `batch_context`, which reads them in place from
+    its cached rows: a batch of one class gets that class's own context
+    and a mixed one the stacked rows with its members' slots.  Yields
     one `RefineResult` per index, in the order of ``indices``, each
     bitwise equal to what a batch of that block alone gives.
 
@@ -336,7 +327,7 @@ def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
             for i, layout in zip(chunk, part)])
         yield from extrapolate.run_batch(
             windows, part, config.extrapolation,
-            context=context.take(np.array(chunk)))
+            context=batch_context(part, mu=config.mu, rho=config.rho))
 
 
 def _switch(indices, motion, originals: np.ndarray, mc: np.ndarray,
@@ -405,8 +396,7 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
         layouts = [build_layout(current, block) for block in blocks]
         todo = [i for i, layout in enumerate(layouts) if not layout.r_empty]
         refined = {i: result.block for i, result in zip(todo, refine_blocks(
-            todo, layouts, current.data, mc, config,
-            _frame_context(layouts, config)))}
+            todo, layouts, current.data, mc, config))}
     decisions = [None] * len(blocks)
     predictor = np.empty_like(mc_raster)
     _switch(range(len(blocks)), motion, _grid(current.data, s), mc, refined,
@@ -616,7 +606,6 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     refine = config.refinement != "none"
     if refine:
         layouts = [build_layout(first, block) for block in blocks]
-        context = _frame_context(layouts, config)
     total_bits = 0.0
     stats = []
     trace_frames = []
@@ -639,8 +628,7 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
             if todo:
                 t0 = time.perf_counter()
                 refined.update((i, result.block) for i, result in zip(
-                    todo, refine_blocks(todo, layouts, recon_y, mc, config,
-                                        context)))
+                    todo, refine_blocks(todo, layouts, recon_y, mc, config)))
                 refine_total += time.perf_counter() - t0
             _switch(wave, motion, originals, mc, refined, decisions,
                     pred_grid)
@@ -732,7 +720,6 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     blocks = frame_blocks(width, height, s)
     nx, ny = width // s, height // s
     layouts = [build_layout(trace.dims, block) for block in blocks]
-    context = _frame_context(layouts, config)
     recon = np.empty((height, width), np.uint8)
     grid = _grid(recon, s)
     grid[...] = decode_block(np.full((s, s), 128.0), trace.intra_levels,
@@ -757,7 +744,7 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
             decode(plain)
         for level in dependency_levels(nx, ny, refined):
             pred_grid[np.divmod(level, nx)] = [r.block for r in refine_blocks(
-                level, layouts, recon_y, pred_grid, config, context)]
+                level, layouts, recon_y, pred_grid, config)]
             decode(level)
         predictors.append(predictor)
         recons.append(Plane(recon_y))

@@ -25,9 +25,8 @@ There is one engine loop, `run_batch`: it steps B working areas of one
 block size together, and `run` is its B = 1 call.  Their neighbour
 availability may differ, so each member has its own weighting: one
 `ProjectionContext` weights them all, with one weighting row when they all
-have the same and otherwise a row per weighting (`batch_context`,
-which a caller can take once for every block of a frame); the call
-gathers its members' own rows once (`ProjectionContext.take`).  Per
+have the same and otherwise a row per weighting (`batch_context`); the
+call gathers its members' own rows once (`ProjectionContext.take`).  Per
 iteration it takes one stacked FFT for the numerators of every member and
 selects row-wise, which hands back the live support once, in member
 order, as flat entries: each member's support is a run of them, of its own
@@ -58,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ProjectionContext, batch_context
-from .frame import ProjectionLayout, SampleError
+from .frame import (ProjectionLayout, SampleError, batch_block_size,
+                    check_count)
 
 log = logging.getLogger(__name__)
 
@@ -94,12 +94,10 @@ class ExtrapolationParams:
         if self.iterations is None:
             object.__setattr__(self, "iterations",
                                self.DEFAULT_ITERATIONS[self.algorithm])
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        check_count("iterations", self.iterations)
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.n_bf < 1:
-            raise ValueError("n_bf must be >= 1")
+        check_count("n_bf", self.n_bf)
         if not 0.0 < self.gamma < 2.0:
             raise ValueError(f"gamma must lie in (0, 2), got {self.gamma}")
 
@@ -494,7 +492,8 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
     `batch_context`; a view that `ProjectionContext.take` gave is read as
     it is, and a stack has its members' rows gathered once); by default
     every member takes its layout's reference weighting,
-    ``batch_context(layouts)``.  Each signal holds reconstructed samples
+    ``batch_context(layouts)``, which a block with no decoded neighbour
+    does not have.  Each signal holds reconstructed samples
     on R, the temporal predictor on the centre block and arbitrary values
     on padding; padding carries zero weight and provably never changes
     the result.  Returns one `RefineResult` per window, each bitwise equal
@@ -507,16 +506,13 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
     shapes or block sizes, and `SampleError` for a non-finite sample.
     """
     layouts = list(layouts)
-    if not layouts:
-        raise ValueError("a batch needs at least one working area")
+    batch_block_size(layouts)
     first = layouts[0]
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[1:] != (first.m, first.n) \
             or len(windows) != len(layouts):
         raise ValueError(f"signal shape {windows.shape} does not match "
                          f"{len(layouts)} layouts of {(first.m, first.n)}")
-    if any(layout.block.size != first.block.size for layout in layouts):
-        raise ValueError("a batch takes one block size")
     if not np.isfinite(windows).all():
         raise SampleError("working-area signals must be finite")
     if context is None:

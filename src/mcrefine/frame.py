@@ -12,6 +12,7 @@ region labels are derived from those two fields.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,13 @@ REGION_B = 2    # the block being predicted
 # of `ProjectionLayout.availability` occupies: left, top-left, top, top-right.
 NEIGHBOUR_TILES = ((1, 0), (0, 0), (0, 1), (0, 2))
 
+# The availabilities that `build_layout` gives a block with a decoded
+# neighbour: left only (top row), top only (a frame one block wide), top and
+# top-right (left column), all but top-right (right column) and all four.
+CAUSAL_PATTERNS = ((True, False, False, False), (False, False, True, False),
+                   (False, False, True, True), (True, True, True, False),
+                   (True, True, True, True))
+
 
 class GeometryError(ValueError):
     """Block placement inconsistent with the frame geometry."""
@@ -33,6 +41,14 @@ class GeometryError(ValueError):
 
 class SampleError(ValueError):
     """Sample values that cannot be stored as 8-bit samples."""
+
+
+def check_count(name: str, value) -> None:
+    """Raise `ValueError` unless ``value`` is a positive integer (a bool is
+    not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class Plane:
@@ -215,10 +231,8 @@ def build_layout(frame_dims, block: BlockRef) -> ProjectionLayout:
         width, height = frame_dims.width, frame_dims.height
     else:
         width, height = frame_dims
+    check_inside(block, width, height)
     s = block.size
-    if block.x0 + s > width or block.y0 + s > height:
-        raise GeometryError(
-            f"block ({block.x0}, {block.y0}) size {s} exceeds frame {width}x{height}")
     left = block.x0 >= s
     top = block.y0 >= s
     return ProjectionLayout(block, (
@@ -227,6 +241,25 @@ def build_layout(frame_dims, block: BlockRef) -> ProjectionLayout:
         top,
         top and block.x0 + 2 * s <= width,
     ))
+
+
+def check_inside(block: BlockRef, width: int, height: int) -> None:
+    """Raise `GeometryError` unless ``block`` lies inside a ``width`` x
+    ``height`` frame."""
+    if block.x0 + block.size > width or block.y0 + block.size > height:
+        raise GeometryError(f"block ({block.x0}, {block.y0}) size "
+                            f"{block.size} exceeds frame {width}x{height}")
+
+
+def batch_block_size(layouts) -> int:
+    """The one block size of the working areas ``layouts``; `ValueError`
+    for none, or for more than one size."""
+    sizes = {layout.block.size for layout in layouts}
+    if not sizes:
+        raise ValueError("a batch needs at least one working area")
+    if len(sizes) > 1:
+        raise ValueError("a batch takes one block size")
+    return sizes.pop()
 
 
 def mse(a, b) -> float:

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .frame import BlockRef, GeometryError, Plane
+from .frame import BlockRef, GeometryError, Plane, check_count, check_inside
 
 
 def check_subpel(subpel: int) -> None:
@@ -80,8 +80,7 @@ class SearchParams:
     subpel: int = 2  # 1 = integer-pel, 2 = half-pel
 
     def __post_init__(self):
-        if self.search_range < 1:
-            raise ValueError("search range must be >= 1")
+        check_count("search range", self.search_range)
         check_subpel(self.subpel)
 
 
@@ -249,8 +248,11 @@ def estimate(current: Plane, reference: Plane, block: BlockRef,
     the minimum and is kept (``<=``, not ``<``), so all ties are scored
     and broken as before: by smallest |dx|+|dy|, then dy, then dx.  A
     static scene therefore always yields the zero vector.  Returns the
-    winning vector and its SAD.
+    winning vector and its SAD.  A block outside the current frame or the
+    reference raises `GeometryError` before any search.
     """
+    for plane in (current, reference):
+        check_inside(block, plane.width, plane.height)
     scale = params.subpel
     grid = _quarter_grid(reference, scale)
     target = 4 * current.block(block).astype(np.int16)

@@ -12,8 +12,8 @@ from mcrefine.basis import (DEFAULT_MU, DEFAULT_RHO, ParameterError,
                             ProjectionContext, _enumerate_basis, _unit_phases,
                             batch_context, build_basis, build_weight_mask,
                             excluded_mask, projection_context)
-from mcrefine.frame import (REGION_B, REGION_PAD, REGION_R, BlockRef,
-                            ProjectionLayout, build_layout)
+from mcrefine.frame import (CAUSAL_PATTERNS, REGION_B, REGION_PAD, REGION_R,
+                            BlockRef, ProjectionLayout, build_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +401,24 @@ def _pattern_context(size, availability, rho=DEFAULT_RHO):
 
 
 class TestWeightingRows:
-    """Each block size, mu and rho holds its weightings once, as the rows
-    of one stack, added as patterns are first asked for."""
+    """Each block size, mu and rho holds its weightings once, as the five
+    fixed rows of one stack, one per causal pattern."""
 
     NAMES = ("w_flat", "norms", "_safe_norms", "_gram_table")
 
-    def test_rows_are_added_on_first_use_and_read_in_place(self):
+    def test_five_fixed_rows_are_read_in_place(self):
         rho = 0.63   # a weighting no other test caches
         layouts = [ProjectionLayout(BlockRef(8, 8, 8), p)
-                   for p in PATTERNS[1:5]]
+                   for p in CAUSAL_PATTERNS]
         first = projection_context(layouts[0], rho=rho)
         held = basis_module._weightings(8, DEFAULT_MU, rho)
-        assert held.stack._gram_table.shape[0] == 1
-        batch = [layouts[2], layouts[0], layouts[1], layouts[2]]
+        table = held.stack._gram_table
+        assert table.shape[0] == len(CAUSAL_PATTERNS) == 5
+        batch = [layouts[2], layouts[0], layouts[4], layouts[2], layouts[1],
+                 layouts[3]]
         stack = batch_context(batch, rho=rho)
-        assert held.stack._gram_table.shape[0] == 3
-        assert batch_context(batch, rho=rho)._gram_table \
-            is stack._gram_table
-        # the first context now reads its row of the grown stack
+        assert stack._gram_table is table
+        assert batch_context(batch, rho=rho)._gram_table is table
         assert projection_context(layouts[0], rho=rho) is first
         for layout, slot in zip(batch, stack._slots):
             own = projection_context(layout, rho=rho)
@@ -428,13 +428,34 @@ class TestWeightingRows:
                 assert np.shares_memory(getattr(stack, name)[slot],
                                         getattr(own, name))
                 _bitwise_equal(getattr(own, name), getattr(fresh, name))
-        # one pattern needs no slots, and a new pattern gets its own row
+        # one pattern needs no slots, and nothing changes the stack
         assert batch_context(layouts[:1] * 3, rho=rho) is first
-        projection_context(layouts[3], rho=rho)
-        assert held.stack._gram_table.shape[0] == 4
+        assert held.stack._gram_table is table
         for name in self.NAMES:
             assert np.shares_memory(getattr(first, name),
                                     getattr(held.stack, name))
+
+    def test_other_batches_are_refused_before_any_table(self, monkeypatch):
+        # no neighbour, patterns no frame gives, mixed block sizes in
+        # either order, and no layout
+        def no_work(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(basis_module, "_weightings", no_work)
+        for pattern in (PATTERNS[0], PATTERNS[2], PATTERNS[8]):
+            assert pattern not in CAUSAL_PATTERNS
+            layout = ProjectionLayout(BlockRef(8, 8, 8), pattern)
+            with pytest.raises(ParameterError, match="no reference"):
+                projection_context(layout)
+            with pytest.raises(ParameterError, match="no reference"):
+                batch_context([layout, layout])
+        full8 = ProjectionLayout(BlockRef(8, 8, 8), PATTERNS[15])
+        full16 = ProjectionLayout(BlockRef(16, 16, 16), PATTERNS[15])
+        for mixed in ([full16, full8], [full8, full16]):
+            with pytest.raises(ValueError, match="one block size"):
+                batch_context(mixed)
+        with pytest.raises(ValueError, match="at least one"):
+            batch_context([])
 
     def test_a_held_weighting_outlives_its_cache_entry(self):
         # 16 other weightings push rho = 0.5 out of the cache; asked for

@@ -86,8 +86,9 @@ class TestEncoderConfig:
             EncoderConfig(refinement="bogus")
         with pytest.raises(ValueError):
             EncoderConfig(qps=(28, 22))
-        with pytest.raises(ValueError):
-            EncoderConfig(block_size=12)
+        for size in (12, 16.0, "16"):
+            with pytest.raises(ValueError, match="integer power of two"):
+                EncoderConfig(block_size=size)
         for weighting in ({"rho": 1.0}, {"rho": 0.0}, {"mu": 0.0},
                           {"mu": float("nan")}, {"mu": float("inf")}):
             with pytest.raises(basis.ParameterError):
@@ -336,8 +337,7 @@ class TestPredictFrame:
                 np.testing.assert_array_equal(got, mc)
                 continue
             alone = next(codec.refine_blocks(
-                [0], [layout], cur.data, mc[None, None], cfg,
-                codec._frame_context([layout], cfg))).block
+                [0], [layout], cur.data, mc[None, None], cfg)).block
             assert d.refined_mse == mse(cur.block(block), alone)
             np.testing.assert_array_equal(got, alone if d.refined else mc)
             refined += d.refined
@@ -682,27 +682,33 @@ class TestClosedLoop:
 
     def test_frame_pass_and_trace_read_the_cached_tables_in_place(
             self, monkeypatch):
-        # every member of a frame's, pass's or trace's context reads the
-        # rows that `projection_context` hands out, so none copies a table
+        # every engine batch of a frame, pass or trace reads the rows that
+        # `projection_context` hands out, so none copies a table
         frames = tiny_sequence(frames=3, sigma=4.0)
         cfg = fast_config(qps=(28,))
-        frame_context = codec._frame_context
+        run_batch = codec.extrapolate.run_batch
         seen = []
 
-        def recorded(layouts, config):
-            context = frame_context(layouts, config)
+        def recorded(windows, layouts, params, *, context):
             seen.append((layouts, context))
-            return context
+            return run_batch(windows, layouts, params, context=context)
 
-        monkeypatch.setattr(codec, "_frame_context", recorded)
+        monkeypatch.setattr(codec.extrapolate, "run_batch", recorded)
         _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
                                   collect_trace=True)
         replay_trace(trace, cfg)
         predict_frame(frames[1].y, frames[0].y, cfg)
-        assert len(seen) == 3
+        mixed = [len({layout.availability for layout in layouts}) > 1
+                 for layouts, _ in seen]
+        assert any(mixed) and not all(mixed)
         for layouts, context in seen:
-            assert len(context._slots) == len(layouts) == 16
-            for layout, slot in zip(layouts, context._slots):
+            slots = context._slots
+            if slots is None:   # one class: its own context
+                assert context is basis.projection_context(
+                    layouts[0], mu=cfg.mu, rho=cfg.rho)
+                continue
+            assert len(slots) == len(layouts)
+            for layout, slot in zip(layouts, slots):
                 own = basis.projection_context(layout, mu=cfg.mu, rho=cfg.rho)
                 for name in ("_gram_table", "w_flat", "norms", "_safe_norms"):
                     assert np.shares_memory(getattr(context, name)[slot],

@@ -7,7 +7,8 @@ from scipy.linalg import lapack
 from conftest import (MatrixContext, basis_function, basis_matrix,
                       stack_contexts)
 from mcrefine import extrapolate
-from mcrefine.basis import ProjectionContext, build_basis, projection_context
+from mcrefine.basis import (ProjectionContext, build_basis, build_weight_mask,
+                            projection_context)
 from mcrefine.extrapolate import (ExtrapolationParams, decrement_energies,
                                   new_state, run, run_batch, select_batch,
                                   select_candidates, solve_subspace, step)
@@ -548,10 +549,11 @@ class TestParams:
             ExtrapolationParams(tau=0.0)
         with pytest.raises(ValueError):
             ExtrapolationParams(gamma=2.0)
-        with pytest.raises(ValueError):
-            ExtrapolationParams(iterations=0)
-        with pytest.raises(ValueError):
-            ExtrapolationParams(n_bf=0)
+        for count in (0, 2.5, True, "3"):
+            for name in ("iterations", "n_bf"):
+                with pytest.raises(ValueError, match=f"{name} must be a "
+                                                     "positive integer"):
+                    ExtrapolationParams(**{name: count})
 
     def test_unknown_engine_lists_only_engines(self):
         # 'none' is a codec setting, not an engine, so it is not offered
@@ -680,7 +682,9 @@ class TestEngines:
         assert lay.r_empty
         rng = np.random.default_rng(3)
         f = rng.normal(128, 30, size=(lay.m, lay.n))
-        res = run(f, lay, ExtrapolationParams.defaults("msa"))
+        ctx = ProjectionContext(build_basis(lay.m, lay.n),
+                                build_weight_mask(lay))
+        res = run(f, lay, ExtrapolationParams.defaults("msa"), context=ctx)
         assert np.isfinite(res.block).all()
         assert res.diagnostics.energy <= res.diagnostics.energy0
 

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mcrefine.frame import (REGION_B, REGION_PAD, REGION_R, BlockRef, Frame,
-                            GeometryError, Plane, SampleError, build_layout,
-                            mse, psnr)
+from mcrefine.frame import (CAUSAL_PATTERNS, REGION_B, REGION_PAD, REGION_R,
+                            BlockRef, Frame, GeometryError, Plane,
+                            SampleError, build_layout, mse, psnr)
 
 
 def half_pel_oracle(data):
@@ -165,6 +165,18 @@ class TestLayout:
     def test_block_outside_frame(self):
         with pytest.raises(GeometryError):
             build_layout((64, 48), BlockRef(64, 0, size=16))
+
+    def test_causal_patterns_are_every_decoded_neighbourhood(self):
+        # a frame one block wide gives top only, a wider one the other four
+        seen = set()
+        for width, height in ((16, 48), (64, 48), (32, 16)):
+            for y0 in range(0, height, 16):
+                for x0 in range(0, width, 16):
+                    lay = build_layout((width, height), BlockRef(x0, y0))
+                    if not lay.r_empty:
+                        seen.add(lay.availability)
+        assert seen == set(CAUSAL_PATTERNS)
+        assert len(CAUSAL_PATTERNS) == 5
 
     def test_r_empty_only_at_first_block(self):
         assert build_layout((64, 48), BlockRef(0, 0)).r_empty

@@ -67,6 +67,12 @@ class TestMotionVector:
             == "subpel must be 1 or 2, got 3"
         assert MotionVector(0, 0).scale == SearchParams().subpel
 
+    @pytest.mark.parametrize("search_range", [0, 2.5, True, "3"])
+    def test_search_range_is_a_positive_integer(self, search_range):
+        with pytest.raises(ValueError, match="search range must be a "
+                                             "positive integer"):
+            SearchParams(search_range=search_range)
+
 
 class TestCompensate:
     def test_integer_vector_is_a_shift(self, rng):
@@ -127,6 +133,18 @@ class TestCompensate:
 
 
 class TestEstimate:
+    def test_block_outside_either_frame_is_refused_up_front(
+            self, rng, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(motion, "_quarter_grid", no_work)
+        big, small = (Plane(rng.integers(0, 256, size=(n, n), dtype=np.uint8))
+                      for n in (48, 32))
+        for cur, ref in ((small, big), (big, small), (small, small)):
+            with pytest.raises(GeometryError, match="exceeds frame 32x32"):
+                estimate(cur, ref, BlockRef(32, 16, size=16))
+
     def test_recovers_integer_shift(self, rng):
         base = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
         ref = Plane(base)
