@@ -21,8 +21,8 @@ which goes first, and prints:
 - the same hashes for shed-path runs, which reach the engine's
   singular-Gram and convergence bookkeeping: every third window is black
   (all zero, so it converges in its first iteration beside live
-  batch-mates), and each batch is weighted through `RefusingContext`,
-  which makes singular every Gram that holds one of a window's strongest
+  batch-mates), and each batch's own `batch_context` is wrapped in
+  `RefusingContext`, which makes singular every Gram that holds one of a window's strongest
   functions, so the engine sheds picks, retries and (rba) gives up;
 - per tree and engine, the total singular-Gram retries and early
   convergences of the runs hashed at each batch size, so that a reader
@@ -36,7 +36,6 @@ import os
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-import copy  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import statistics  # noqa: E402
@@ -101,24 +100,6 @@ def criterion8_windows(count=100, seed=31, area=48):
     return out
 
 
-def stack_contexts(contexts):
-    """One context for a batch whose member i is weighted by
-    ``contexts[i]``, of either tree: the first context itself when every
-    member shares it, else a copy of it whose weighting arrays (`w_flat`,
-    `norms`, `_safe_norms` and the Gram table) stack the distinct
-    contexts' own, with ``_slots`` mapping each member to its row."""
-    first = contexts[0]
-    if all(c is first for c in contexts):
-        return first
-    distinct = list({id(c): c for c in contexts}.values())
-    row = {id(c): i for i, c in enumerate(distinct)}
-    stack = copy.copy(first)
-    for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
-        setattr(stack, name, np.stack([getattr(c, name) for c in distinct]))
-    stack._slots = np.array([row[id(c)] for c in contexts])
-    return stack
-
-
 class RefusingContext:
     """A projection context whose Gram matrices are singular wherever a
     member's system holds one of that member's ``strong`` functions (one
@@ -175,9 +156,8 @@ class Tree:
             part = slice(lo, lo + batch)
             context = None
             if shed:
-                context = RefusingContext(stack_contexts(
-                    [self.mc.projection_context(layout)
-                     for layout in self.layouts[part]]), self.strong[part])
+                context = RefusingContext(self.mc.basis.batch_context(
+                    self.layouts[part]), self.strong[part])
             out += self.mc.run_batch(windows[part], self.layouts[part],
                                      params, context=context, record=record)
         return out

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import copy
 import math
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -292,31 +291,28 @@ class ProjectionContext:
     weighted norm (numerically) vanishes cannot take part in any
     projection (`excluded_mask`).
 
-    A context built from one (M, N) weight array serves a batch of any
-    size, every member weighted alike.  A batch whose members need
-    different weightings (different neighbour availability) gets one
-    context too: its weighting arrays (`w_flat`, `norms`, `_safe_norms`)
-    and its Gram table hold one row per weighting, and ``_slots`` maps
-    each member to its row.  Built from a (W, M, N) stack of weights, a
-    context holds such rows and serves batches through copies with their
-    ``_slots`` set.  The reference weightings of each block size, mu and
-    rho are held once, as the five rows of one such stack, one per
-    pattern of `CAUSAL_PATTERNS`: `batch_context` hands out a row as a
-    single-weighting context of views when a batch has one pattern, and
-    otherwise the stack with the batch's slots.  `take` gives the context
-    of some of a stack's members: a view over the same Gram table, with
-    its members' slots and their own rows of the weighting arrays,
-    gathered once (``_by_member``), so that a batch reads them without a
-    gather per call.
+    A context has one of two forms.  Built from one (M, N) weight array,
+    it holds one weighting: ``_slots`` is None, and its 1-D weighting
+    arrays (`w_flat`, `norms`, `_safe_norms`) broadcast over a batch of
+    any size, every member weighted alike.  Built from a (B, M, N) stack
+    of weights, it is a batch of B members, one row per member: the
+    weighting arrays are (B, ...), and ``_slots`` indexes each member's
+    row of the Gram table.  `take` gives the context of some of the
+    members, with their own rows and slots over the same Gram table.  The
+    reference weightings of each block size, mu and rho are held once, as
+    one five-member stack, one member per pattern of `CAUSAL_PATTERNS`
+    (`_weightings`): `batch_context` hands out a view of one of its rows
+    as a single-weighting context when a batch has one pattern, and
+    otherwise the stack's `take` of its members' rows.
 
     Every method takes the engine's one batch form.  `numerators` takes
     flattened rasters, (..., M*N), with any leading batch axes.  `gram`,
     `render` and `norms_at` take the members' supports, of any sizes, as
     one flat array plus their sizes, member i owning the next ``sizes[i]``
-    entries.  With several weightings, `gram` and `norms_at` take exactly
-    one support per member.  A stacked call computes every member exactly
-    as a call on that member alone would, so results never depend on what
-    else is in the batch.
+    entries.  A batch of member rows takes exactly one support per member
+    in `gram` and `norms_at`.  A batch computes every member exactly as a
+    call on that member alone would, so results never depend on what else
+    is in the batch.
     """
 
     def __init__(self, basis: BasisSet, weights: np.ndarray):
@@ -335,18 +331,9 @@ class ProjectionContext:
         # an excluded function's projection is num / inf = 0
         self._safe_norms = np.where(excluded_mask(self.norms), np.inf,
                                     self.norms)
-        self._slots = None   # one weighting, whatever the batch size
-        self._by_member = False   # weighting arrays: one row per weighting
-        self._owner = None   # keeps the `_Weightings` that handed it out
-
-    def per_member(self, rows: np.ndarray) -> np.ndarray:
-        """``rows``, one of this context's weighting arrays, for each batch
-        member: as it is with one weighting, which broadcasts over any
-        batch, or in a view that holds its members' own rows; else
-        gathered by member."""
-        if self._slots is None or self._by_member:
-            return rows
-        return rows.take(self._slots, axis=0)
+        # one weighting for any batch, or member i weighted by row i
+        self._slots = None if weights.ndim == 2 else np.arange(len(weights))
+        self._owner = None   # keeps the cached stack that handed it out
 
     def _in_rows(self, positions: np.ndarray, rows: np.ndarray, stride: int,
                  sizes) -> np.ndarray:
@@ -359,18 +346,15 @@ class ProjectionContext:
         return positions + (rows * stride).repeat(sizes)
 
     def take(self, rows) -> "ProjectionContext":
-        """The context of the batch members ``rows`` (an index or a
+        """The context of the batch members ``rows`` (an index array or a
         slice): this one when every member shares its weighting, else a
-        view over the same Gram table whose slots and weighting rows are
-        those members' own.  A slice of a view copies nothing."""
+        view over the same Gram table with those members' slots and rows
+        of the weighting arrays.  A slice copies nothing."""
         if self._slots is None:
             return self
         view = copy.copy(self)
-        view._slots = self._slots[rows]
-        by = rows if self._by_member else view._slots
-        for name in ("w_flat", "norms", "_safe_norms"):
-            setattr(view, name, getattr(self, name)[by])
-        view._by_member = True
+        for name in ("_slots", "w_flat", "norms", "_safe_norms"):
+            setattr(view, name, getattr(self, name)[rows])
         return view
 
     # -- weighted correlations -------------------------------------------
@@ -385,7 +369,7 @@ class ProjectionContext:
         passes in the same order) for less call overhead.
         """
         b = self.basis
-        weighted = residual * self.per_member(self.w_flat)
+        weighted = residual * self.w_flat
         spec = np.fft.rfft(weighted.reshape(-1, b.m, b.n))
         np.fft.fft(spec, axis=-2, out=spec)
         half = spec.view(np.float64).reshape(len(spec), -1)
@@ -430,9 +414,8 @@ class ProjectionContext:
         """Each member's weighted norms at its support, flat as in `gram`."""
         norms = self.norms
         if self._slots is not None:
-            rows = np.arange(len(self._slots)) if self._by_member \
-                else self._slots
-            indices = self._in_rows(indices, rows, norms.shape[-1], sizes)
+            indices = self._in_rows(indices, np.arange(len(norms)),
+                                    norms.shape[-1], sizes)
             norms = norms.reshape(-1)
         return norms.take(indices)
 
@@ -459,69 +442,34 @@ class ProjectionContext:
         return out.reshape(len(sizes), b.m * b.n)
 
 
-class _Weightings:
-    """The reference weightings of one block size, mu and rho, held once.
-
-    Their tables are the rows of one stacked context, ``stack``, built at
-    construction with one row per pattern of `CAUSAL_PATTERNS`; nothing
-    changes the stack after that.  `context` hands out a row's
-    single-weighting context, made of views of the row, or for a batch of
-    several rows the stack itself with its ``_slots`` set, so no table is
-    copied.  Every context handed out holds this owner (``_owner``), so
-    `_weightings` finds it again while any is held, and the owner holds
-    its row contexts weakly (``contexts``), so the two form no cycle.
-    That cache is the one state that changes, and the lock guards it.
-    """
-
-    def __init__(self, size: int, mu: float, rho: float):
-        weights = np.stack([build_weight_mask(ProjectionLayout(
-            BlockRef(size, size, size), p), mu, rho) for p in CAUSAL_PATTERNS])
-        self.stack = ProjectionContext(build_basis(3 * size, 3 * size),
-                                       weights)
-        self.contexts = weakref.WeakValueDictionary()   # row -> context
-        self._lock = threading.Lock()
-
-    def context(self, rows: list) -> ProjectionContext:
-        """The context of a batch whose member i is weighted by row
-        ``rows[i]``: that row's own context when every member shares it,
-        else the stack with ``rows`` as slots."""
-        if any(row != rows[0] for row in rows):
-            ctx = copy.copy(self.stack)
-            ctx._slots = np.array(rows)
-            ctx._owner = self
-            return ctx
-        with self._lock:
-            ctx = self.contexts.get(rows[0])
-            if ctx is None:
-                ctx = self.contexts[rows[0]] = copy.copy(self.stack)
-                for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
-                    setattr(ctx, name, getattr(self.stack, name)[rows[0]])
-                ctx._owner = self
-            return ctx
-
-
-# Every `_Weightings` still held somewhere, by key, weakly: the LRU keeps
-# the last 16 keys asked for, and every context one handed out keeps it,
-# so a key is never held twice.
+# Every reference stack still held somewhere, by key, weakly: the LRU keeps
+# the last 16 keys asked for, and every context handed out from a stack
+# keeps it, so a key is never held twice.
 _LIVE_WEIGHTINGS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=16)
-def _weightings(size: int, mu: float, rho: float) -> _Weightings:
-    owner = _LIVE_WEIGHTINGS.get((size, mu, rho))
-    if owner is None:
-        owner = _LIVE_WEIGHTINGS[size, mu, rho] = _Weightings(size, mu, rho)
-    return owner
+def _weightings(size: int, mu: float, rho: float) -> ProjectionContext:
+    """The reference weightings of one block size, ``mu`` and ``rho``: a
+    five-member stack, member i weighted for pattern i of
+    `CAUSAL_PATTERNS`, built once and never changed."""
+    stack = _LIVE_WEIGHTINGS.get((size, mu, rho))
+    if stack is None:
+        weights = np.stack([build_weight_mask(ProjectionLayout(
+            BlockRef(size, size, size), p), mu, rho) for p in CAUSAL_PATTERNS])
+        stack = _LIVE_WEIGHTINGS[size, mu, rho] = ProjectionContext(
+            build_basis(3 * size, 3 * size), weights)
+    return stack
 
 
 def projection_context(layout: ProjectionLayout, mu: float = DEFAULT_MU,
                        rho: float = DEFAULT_RHO) -> ProjectionContext:
-    """The shared, cached context of one working area's reference
+    """The single-weighting context of one working area's reference
     weighting: `batch_context` of the one layout."""
     return batch_context([layout], mu, rho)
 
 
-# Each pattern's row in the stack of `_Weightings`.
+# Each pattern's member of the reference stack.
 _ROWS = {pattern: row for row, pattern in enumerate(CAUSAL_PATTERNS)}
 
 
@@ -532,15 +480,17 @@ def batch_context(layouts, mu: float = DEFAULT_MU,
 
     A layout is its block plus its neighbour availability, and the weights
     depend only on the block size, the availability, ``mu`` and ``rho``.
-    The weightings of one block size, ``mu`` and ``rho`` are the five rows
-    of one cached stack, one per pattern of `CAUSAL_PATTERNS`, built on
-    first use and read in place: a batch of one pattern gets that row's
-    own context, the same object every time, and a mixed batch the stack
-    with its members' rows as ``_slots``.  The basis is shared by every
-    context of one size.  Raises `ValueError` for no layouts or more than
-    one block size, and `ParameterError` for an availability outside
-    `CAUSAL_PATTERNS` (a block with no decoded neighbour has nothing to
-    weight), both before any table is built.
+    The weightings of one block size, ``mu`` and ``rho`` are the five
+    members of one cached stack (`_weightings`), one per pattern of
+    `CAUSAL_PATTERNS`, built on first use and read in place: a batch of
+    one pattern gets a single-weighting context made of views of that
+    member's row, and a mixed batch the stack's `ProjectionContext.take`
+    of its members' rows.  Either holds the stack (``_owner``), so the
+    stack lives as long as any context of it.  The basis is shared by
+    every context of one size.  Raises `ValueError` for no layouts or
+    more than one block size, and `ParameterError` for an availability
+    outside `CAUSAL_PATTERNS` (a block with no decoded neighbour has
+    nothing to weight), both before any table is built.
     """
     size = batch_block_size(layouts)
     try:
@@ -548,4 +498,13 @@ def batch_context(layouts, mu: float = DEFAULT_MU,
     except KeyError as err:
         raise ParameterError(f"neighbour availability {err.args[0]} has "
                              f"no reference weighting") from None
-    return _weightings(size, float(mu), float(rho)).context(rows)
+    stack = _weightings(size, float(mu), float(rho))
+    if len(set(rows)) == 1:
+        ctx = copy.copy(stack)
+        ctx._slots = None
+        for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
+            setattr(ctx, name, getattr(stack, name)[rows[0]])
+    else:
+        ctx = stack.take(np.array(rows))
+    ctx._owner = stack
+    return ctx

@@ -50,7 +50,6 @@ coder's output.  PSNR is luma-only.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -60,7 +59,7 @@ import numpy as np
 from . import extrapolate
 from .basis import DEFAULT_MU, DEFAULT_RHO, batch_context, check_weighting
 from .frame import (NEIGHBOUR_TILES, BlockRef, Frame, GeometryError, Plane,
-                    build_layout, mse, psnr)
+                    build_layout, is_integer, mse, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
 
 # Blocks per engine call: `refine_blocks` cuts the blocks of every path
@@ -138,11 +137,12 @@ class EncoderConfig:
         # Each weighting keeps a Gram table of 128*(3s)**2 bytes: 295 KB
         # at 16, 4.7 MB at 64, 18.9 MB at 128.  The five causal patterns'
         # tables are held once, as the rows of one cached stack that every
-        # engine batch reads in place, so at 128 they would hold 94.5 MB;
-        # a batch of mixed classes gathers its members' weighting rows,
-        # 25*(3s)**2 bytes per member: 56 KB at 16, 0.9 MB at 64.
+        # engine batch reads in place, so at 128 they would hold 94.5 MB.
+        # A batch of one class reads its row's weighting in place too; a
+        # batch of mixed classes holds copies of its members' weighting
+        # rows, 24*(3s)**2 bytes per member: 55 KB at 16, 0.9 MB at 64.
         s = self.block_size
-        if not isinstance(s, numbers.Integral) or s not in (8, 16, 32, 64):
+        if not is_integer(s) or s not in (8, 16, 32, 64):
             raise ValueError(f"block size must be an integer power of two "
                              f"from 8 (8x8 transform tiles) to 64, got {s!r}")
         check_weighting(self.mu, self.rho)
@@ -307,9 +307,10 @@ def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
     motion-compensated blocks.  The blocks are refined in order, in engine
     batches of at most `REFINE_CHUNK`, whatever availability classes a
     batch mixes.  Each batch is weighted by ``config``'s reference
-    weightings through `batch_context`, which reads them in place from
-    its cached rows: a batch of one class gets that class's own context
-    and a mixed one the stacked rows with its members' slots.  Yields
+    weightings through `batch_context`, which reads its cached stack: a
+    batch of one class gets views of that class's row, and a mixed one
+    copies of its members' weighting rows, with their slots into the
+    cached Gram table.  Yields
     one `RefineResult` per index, in the order of ``indices``, each
     bitwise equal to what a batch of that block alone gives.
 
@@ -508,15 +509,24 @@ class BlockTrace:
     levels: np.ndarray
 
 
+# The `EncoderConfig` fields that replay reads, which a trace records.
+_REPLAYED = ("block_size", "refinement", "extrapolation", "mu", "rho")
+
+
 @dataclass(frozen=True)
 class EncodeTrace:
-    """Everything a decoder needs to replay one encode pass."""
+    """Everything a decoder needs to replay one encode pass: its coded
+    data, and the settings of the pass that replay reads."""
     qstep: float
     intra_qstep: float
     intra_levels: np.ndarray   # (n_blocks, tiles, 8, 8)
     frames: tuple              # per P-frame tuple of BlockTrace
     dims: tuple                # (width, height)
     block_size: int
+    refinement: str
+    extrapolation: extrapolate.ExtrapolationParams | None
+    mu: float
+    rho: float
 
 
 @dataclass(frozen=True)
@@ -669,7 +679,9 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         trace = EncodeTrace(qstep=qstep, intra_qstep=intra_qstep,
                             intra_levels=intra_levels,
                             frames=tuple(trace_frames),
-                            dims=(first.width, first.height), block_size=s)
+                            dims=(first.width, first.height),
+                            **{name: getattr(config, name)
+                               for name in _REPLAYED})
     return point, stats, trace
 
 
@@ -708,13 +720,16 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     of those blocks), each level in one `refine_blocks` call and one
     `decode_block` call.  The intra frame is decoded in one call too.
     Returns the list of per-frame predictor rasters and reconstructed
-    planes.  A trace with refined blocks and a ``config`` without
-    refinement raise `ValueError` before anything is decoded.
+    planes.  A ``config`` whose block size, refinement, engine parameters,
+    ``mu`` or ``rho`` differ from those the pass recorded in ``trace``
+    raises `ValueError` before anything is decoded.
     """
-    if config.refinement == "none" and any(
-            bt.refined for frame_trace in trace.frames for bt in frame_trace):
-        raise ValueError("the trace has refined blocks, which refinement "
-                         "'none' cannot replay")
+    for name in _REPLAYED:
+        coded, given = getattr(trace, name), getattr(config, name)
+        if coded != given:
+            raise ValueError(f"the trace was coded with {name} {coded!r}, "
+                             f"which a config with {name} {given!r} cannot "
+                             f"replay")
     width, height = trace.dims
     s = trace.block_size
     blocks = frame_blocks(width, height, s)

@@ -24,29 +24,28 @@ for gamma in (0, 2) and lets later iterations re-select the same function.
 There is one engine loop, `run_batch`: it steps B working areas of one
 block size together, and `run` is its B = 1 call.  Their neighbour
 availability may differ, so each member has its own weighting: one
-`ProjectionContext` weights them all, with one weighting row when they all
-have the same and otherwise a row per weighting (`batch_context`); the
-call gathers its members' own rows once (`ProjectionContext.take`).  Per
-iteration it takes one stacked FFT for the numerators of every member and
-selects row-wise, which hands back the live support once, in member
-order, as flat entries: each member's support is a run of them, of its own
-size, with no sort and no grouping by size.  Size-1 systems take the
-closed form; every larger member's Gram matrix comes from one ragged
-gather over all of them, two table reads per entry from the signed
-FFT2(w) table; the solutions go into the coefficients in one scatter; and
-each member's model update is rendered by one matrix product.  Members
-that have converged drop out of the batch.  The loop runs at batches of a
-few members in the closed loop and of one in `run`, so its fixed cost per
-iteration is kept to the arithmetic: while every member is live nothing is
-gathered, each member's convergence floor is computed once per call, and
-the bookkeeping of members that converge or retry runs only in an
-iteration where one does.  The solve, `_solve`, is the only solver and
-the one place a singular Gram matrix is handled; `solve_subspace` is its
-one-member call.  Every member's block, coefficients and diagnostics are
-bitwise independent of the batch size and of its batch-mates: every
-stacked operation computes each member exactly as it would compute it
-alone, and the solve never pads a system to a size that depends on the
-batch.
+`ProjectionContext` weights them all, with one weighting when they all
+have the same and otherwise one row per member (`batch_context`), which
+the engine reads as it is.  Per iteration it takes one stacked FFT for the
+numerators of every member and selects row-wise, which hands back the live
+support once, in member order, as flat entries: each member's support is a
+run of them, of its own size, with no sort and no grouping by size.
+Size-1 systems take the closed form; every larger member's Gram matrix
+comes from one ragged gather over all of them, two table reads per entry
+from the signed FFT2(w) table; the solutions go into the coefficients in
+one scatter; and each member's model update is rendered by one matrix
+product.  Members that have converged drop out of the batch.  The loop
+runs at batches of a few members in the closed loop and of one in `run`,
+so its fixed cost per iteration is kept to the arithmetic: while every
+member is live nothing is gathered, each member's convergence floor is
+computed once per call, and the bookkeeping of members that converge or
+retry runs only in an iteration where one does.  The solve, `_solve`, is
+the only solver and the one place a singular Gram matrix is handled;
+`solve_subspace` is its one-member call.  Every member's block,
+coefficients and diagnostics are bitwise independent of the batch size and
+of its batch-mates: every stacked operation computes each member exactly
+as it would compute it alone, and the solve never pads a system to a size
+that depends on the batch.
 """
 
 from __future__ import annotations
@@ -175,7 +174,7 @@ def new_state(f, ctx: ProjectionContext, record: bool = False) -> EngineState:
 
 def _weighted_energies(residuals: np.ndarray, ctx: ProjectionContext) -> list:
     """Each member's weighted squared error, one (M*N,) row each."""
-    weighted = residuals * ctx.per_member(ctx.w_flat)
+    weighted = residuals * ctx.w_flat
     return [float(rw @ r) for rw, r in zip(weighted, residuals)]
 
 
@@ -190,9 +189,9 @@ def decrement_energies(num: np.ndarray, ctx: ProjectionContext) -> np.ndarray:
     so they can never be selected.  Leading batch axes are kept.
     """
     # projections p (0 if excluded), in place
-    decr = num / ctx.per_member(ctx._safe_norms)
+    decr = num / ctx._safe_norms
     decr *= decr
-    decr *= ctx.per_member(ctx.norms)
+    decr *= ctx.norms
     return decr
 
 
@@ -488,9 +487,8 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
 
     ``windows`` is a (B, M, N) stack of signals and ``layouts`` their B
     working areas, all of one block size; their neighbour availability may
-    differ.  ``context`` weights the batch, member by member (see
-    `batch_context`; a view that `ProjectionContext.take` gave is read as
-    it is, and a stack has its members' rows gathered once); by default
+    differ.  ``context`` weights the batch: one weighting for every
+    member, or one row per member (see `ProjectionContext`); by default
     every member takes its layout's reference weighting,
     ``batch_context(layouts)``, which a block with no decoded neighbour
     does not have.  Each signal holds reconstructed samples
@@ -515,10 +513,7 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
                          f"{len(layouts)} layouts of {(first.m, first.n)}")
     if not np.isfinite(windows).all():
         raise SampleError("working-area signals must be finite")
-    if context is None:
-        context = batch_context(layouts)
-    # each member's own weighting rows, gathered once for the whole call
-    ctx = context.take(slice(None))
+    ctx = batch_context(layouts) if context is None else context
     state = new_state(windows, ctx, record=record)
     for _ in range(params.iterations):
         step(state, params, ctx)

@@ -43,11 +43,14 @@ class SampleError(ValueError):
     """Sample values that cannot be stored as 8-bit samples."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_count(name: str, value) -> None:
-    """Raise `ValueError` unless ``value`` is a positive integer (a bool is
-    not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < 1:
+    """Raise `ValueError` unless ``value`` is a positive integer."""
+    if not is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -148,6 +151,9 @@ class BlockRef:
     size: int = 16
 
     def __post_init__(self):
+        if not all(map(is_integer, (self.x0, self.y0, self.size))):
+            raise GeometryError(f"block origin ({self.x0!r}, {self.y0!r}) "
+                                f"and size {self.size!r} must be integers")
         if self.size < 1 or (self.size & (self.size - 1)) != 0:
             raise GeometryError(f"block size {self.size} is not a power of two")
         if self.x0 < 0 or self.y0 < 0:

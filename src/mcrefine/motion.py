@@ -63,13 +63,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .frame import BlockRef, GeometryError, Plane, check_count, check_inside
+from .frame import (BlockRef, GeometryError, Plane, check_count, check_inside,
+                    is_integer)
 
 
 def check_subpel(subpel: int) -> None:
-    """Raise `ValueError` unless ``subpel`` is 1 (integer-pel) or 2 (half-pel)."""
-    if subpel not in (1, 2):
-        raise ValueError(f"subpel must be 1 or 2, got {subpel}")
+    """Raise `ValueError` unless ``subpel`` is the integer 1 (integer-pel)
+    or 2 (half-pel)."""
+    if not is_integer(subpel) or subpel not in (1, 2):
+        raise ValueError(f"subpel must be 1 or 2, got {subpel!r}")
 
 
 @dataclass(frozen=True)

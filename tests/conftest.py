@@ -50,23 +50,22 @@ def basis_function(basis, k):
 
 def stack_contexts(contexts):
     """One context for a batch whose member i is weighted by
-    ``contexts[i]``, all of one area size: that context itself when every
-    member shares it, otherwise a new one whose weighting rows are copies
-    of the distinct contexts' arrays, stacked once; the contexts
-    themselves are left as they are.  For the reference weightings of
-    layouts, `batch_context` gives the same batch without a copy."""
+    ``contexts[i]``, single-weighting contexts of one area size: that
+    context itself when every member shares it, otherwise a batch of one
+    row per member, as a context built from a (B, M, N) stack of weights
+    holds, with copies of each member's arrays; the contexts themselves
+    are left as they are.  For the reference weightings of layouts,
+    `batch_context` gives such a batch over one shared Gram table."""
     first = contexts[0]
     if all(c is first for c in contexts):
         return first
-    distinct = list({id(c): c for c in contexts}.values())
     size = (first.basis.m, first.basis.n)
-    if any((c.basis.m, c.basis.n) != size for c in distinct):
+    if any((c.basis.m, c.basis.n) != size for c in contexts):
         raise ValueError("stacked contexts must share one area size")
-    row = {id(c): i for i, c in enumerate(distinct)}
     stack = copy.copy(first)
     for name in ("w_flat", "norms", "_safe_norms", "_gram_table"):
-        setattr(stack, name, np.stack([getattr(c, name) for c in distinct]))
-    stack._slots = np.array([row[id(c)] for c in contexts])
+        setattr(stack, name, np.stack([getattr(c, name) for c in contexts]))
+    stack._slots = np.arange(len(contexts))
     return stack
 
 

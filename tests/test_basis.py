@@ -240,16 +240,26 @@ class TestProjectionContextModes:
     def test_context_cached_per_pattern(self, layout8):
         a = projection_context(layout8)
         b = projection_context(layout8)
-        assert a is b
+        assert _shares_tables(a, b)
         c = projection_context(layout8, rho=0.7)
-        assert c is not a
+        assert not np.shares_memory(c._gram_table, a._gram_table)
 
     def test_same_pattern_shares_context(self):
         # different frame positions, same availability pattern
         l1 = build_layout((96, 96), BlockRef(16, 16, size=8))
         l2 = build_layout((96, 96), BlockRef(72, 80, size=8))
         assert l1.availability == l2.availability
-        assert projection_context(l1) is projection_context(l2)
+        assert _shares_tables(projection_context(l1), projection_context(l2))
+
+
+TABLES = ("w_flat", "norms", "_safe_norms", "_gram_table")
+
+
+def _shares_tables(a, b):
+    """Whether contexts ``a`` and ``b`` read one weighting's arrays and
+    Gram table in place."""
+    return all(np.shares_memory(getattr(a, name), getattr(b, name))
+               for name in TABLES)
 
 
 def _self_conjugate(b):
@@ -282,8 +292,12 @@ class TestProjectionStack:
         stack = stack_contexts(contexts)
         r = rng.normal(size=(len(contexts), 24 * 24))
         idx = np.sort(rng.choice(24 * 24, size=(len(contexts), 6)), axis=1)
-        # members 2 and 3 share one weighting
-        for view, rows in ((stack, range(5)),
+        # members 2 and 3 share one weighting; a context built from a
+        # stack of weights is a batch of one row per member too
+        built = ProjectionContext(contexts[0].basis, np.stack(
+            [c.w_flat.reshape(24, 24) for c in contexts]))
+        for view, rows in ((stack, range(5)), (built, range(5)),
+                           (built.take(np.array([4, 1])), [4, 1]),
                            (stack.take(np.array([3, 2])), [3, 2]),
                            (stack.take(np.array([3, 0])).take(
                                slice(1, 2)), [0]),
@@ -295,16 +309,15 @@ class TestProjectionStack:
             gram = square_grams(view, idx[rows])
             norms = view.norms_at(idx[rows].ravel(),
                                   [6] * len(rows)).reshape(-1, 6)
-            safe = view.per_member(view._safe_norms)
-            w_flat = view.per_member(view.w_flat)
             for j, i in enumerate(rows):
                 ctx = contexts[i]
                 np.testing.assert_array_equal(num[j], ctx.numerators(r[i]))
                 np.testing.assert_array_equal(gram[j],
                                               square_grams(ctx, idx[i]))
                 np.testing.assert_array_equal(norms[j], ctx.norms[idx[i]])
-                np.testing.assert_array_equal(safe[j], ctx._safe_norms)
-                np.testing.assert_array_equal(w_flat[j], ctx.w_flat)
+                np.testing.assert_array_equal(view._safe_norms[j],
+                                              ctx._safe_norms)
+                np.testing.assert_array_equal(view.w_flat[j], ctx.w_flat)
 
     def test_views_share_the_table_and_slices_copy_nothing(self, contexts):
         stack = stack_contexts(contexts)
@@ -313,8 +326,8 @@ class TestProjectionStack:
         assert view._gram_table is part._gram_table is stack._gram_table
         for name in ("w_flat", "norms", "_safe_norms"):
             assert np.shares_memory(getattr(part, name), getattr(view, name))
-        np.testing.assert_array_equal(part.w_flat,
-                                      stack.per_member(stack.w_flat)[1:3])
+        np.testing.assert_array_equal(part.w_flat, stack.w_flat[[1, 2]])
+        np.testing.assert_array_equal(part._slots, stack._slots[[1, 2]])
 
     def test_stacking_leaves_the_contexts_untouched(self, rng):
         # cached contexts that no other test stacks keep their own arrays,
@@ -404,36 +417,39 @@ class TestWeightingRows:
     """Each block size, mu and rho holds its weightings once, as the five
     fixed rows of one stack, one per causal pattern."""
 
-    NAMES = ("w_flat", "norms", "_safe_norms", "_gram_table")
-
     def test_five_fixed_rows_are_read_in_place(self):
         rho = 0.63   # a weighting no other test caches
         layouts = [ProjectionLayout(BlockRef(8, 8, 8), p)
                    for p in CAUSAL_PATTERNS]
         first = projection_context(layouts[0], rho=rho)
         held = basis_module._weightings(8, DEFAULT_MU, rho)
-        table = held.stack._gram_table
+        table = held._gram_table
         assert table.shape[0] == len(CAUSAL_PATTERNS) == 5
         batch = [layouts[2], layouts[0], layouts[4], layouts[2], layouts[1],
                  layouts[3]]
         stack = batch_context(batch, rho=rho)
         assert stack._gram_table is table
         assert batch_context(batch, rho=rho)._gram_table is table
-        assert projection_context(layouts[0], rho=rho) is first
-        for layout, slot in zip(batch, stack._slots):
+        assert _shares_tables(projection_context(layouts[0], rho=rho), first)
+        for member, (layout, slot) in enumerate(zip(batch, stack._slots)):
             own = projection_context(layout, rho=rho)
             fresh = _pattern_context(8, layout.availability, rho=rho)
-            assert own._slots is None
-            for name in self.NAMES:
-                assert np.shares_memory(getattr(stack, name)[slot],
+            assert own._slots is None and own._owner is held
+            for name in TABLES:
+                assert np.shares_memory(getattr(held, name)[slot],
                                         getattr(own, name))
                 _bitwise_equal(getattr(own, name), getattr(fresh, name))
+            # the batch holds its members' own rows
+            for name in TABLES[:3]:
+                _bitwise_equal(getattr(stack, name)[member],
+                               getattr(own, name))
         # one pattern needs no slots, and nothing changes the stack
-        assert batch_context(layouts[:1] * 3, rho=rho) is first
-        assert held.stack._gram_table is table
-        for name in self.NAMES:
+        one = batch_context(layouts[:1] * 3, rho=rho)
+        assert one._slots is None and _shares_tables(one, first)
+        assert held._gram_table is table
+        for name in TABLES:
             assert np.shares_memory(getattr(first, name),
-                                    getattr(held.stack, name))
+                                    getattr(held, name))
 
     def test_other_batches_are_refused_before_any_table(self, monkeypatch):
         # no neighbour, patterns no frame gives, mixed block sizes in
@@ -468,7 +484,8 @@ class TestWeightingRows:
             projection_context(layout, rho=float(rho))
         again = projection_context(layout, rho=0.5)
         assert np.shares_memory(again._gram_table, held._gram_table)
-        assert again is held
+        assert again._owner is held._owner \
+            is basis_module._weightings(8, DEFAULT_MU, 0.5)
         assert (8, DEFAULT_MU, 0.49) not in basis_module._LIVE_WEIGHTINGS
 
 

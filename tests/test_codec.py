@@ -521,6 +521,19 @@ class TestClosedLoop:
                             lambda *a: decoded.append(a))
         with pytest.raises(ValueError, match="refinement 'none'"):
             replay_trace(trace, EncoderConfig(refinement="none"))
+        # nor one whose engine, weighting or block size differs from the
+        # pass's: each would give other predictors without an error
+        for name, wrong in (
+                ("refinement", fast_config(refinement="rba",
+                                           extrapolation=None)),
+                ("extrapolation", fast_config(
+                    extrapolation=ExtrapolationParams(algorithm="msa",
+                                                      iterations=5))),
+                ("mu", fast_config(mu=0.25)), ("rho", fast_config(rho=0.6)),
+                ("block_size", fast_config(block_size=8))):
+            with pytest.raises(ValueError, match=f"coded with {name} .* "
+                                                 f"config with {name} "):
+                replay_trace(trace, wrong)
         assert decoded == []
 
     def test_every_engine_batch_obeys_the_cap(self, monkeypatch):
@@ -682,8 +695,9 @@ class TestClosedLoop:
 
     def test_frame_pass_and_trace_read_the_cached_tables_in_place(
             self, monkeypatch):
-        # every engine batch of a frame, pass or trace reads the rows that
-        # `projection_context` hands out, so none copies a table
+        # every engine batch of a frame, pass or trace reads the cached
+        # Gram table in place, as `projection_context` does, so none
+        # copies a table
         frames = tiny_sequence(frames=3, sigma=4.0)
         cfg = fast_config(qps=(28,))
         run_batch = codec.extrapolate.run_batch
@@ -701,18 +715,23 @@ class TestClosedLoop:
         mixed = [len({layout.availability for layout in layouts}) > 1
                  for layouts, _ in seen]
         assert any(mixed) and not all(mixed)
+        names = ("_gram_table", "w_flat", "norms", "_safe_norms")
         for layouts, context in seen:
             slots = context._slots
-            if slots is None:   # one class: its own context
-                assert context is basis.projection_context(
-                    layouts[0], mu=cfg.mu, rho=cfg.rho)
-                continue
-            assert len(slots) == len(layouts)
-            for layout, slot in zip(layouts, slots):
+            assert slots is None or len(slots) == len(layouts)
+            for member, layout in enumerate(layouts):
                 own = basis.projection_context(layout, mu=cfg.mu, rho=cfg.rho)
-                for name in ("_gram_table", "w_flat", "norms", "_safe_norms"):
-                    assert np.shares_memory(getattr(context, name)[slot],
-                                            getattr(own, name))
+                if slots is None:   # one class: views of its cached row
+                    for name in names:
+                        assert np.shares_memory(getattr(context, name),
+                                                getattr(own, name))
+                    continue
+                # a mixed batch: its members' own weighting rows
+                assert np.shares_memory(context._gram_table[slots[member]],
+                                        own._gram_table)
+                for name in names[1:]:
+                    np.testing.assert_array_equal(
+                        getattr(context, name)[member], getattr(own, name))
 
     def test_held_references_keep_no_grids(self):
         # only the last reference's quarter grid and sub-block sums are
@@ -814,7 +833,7 @@ class TestDenseBasisOffPath:
         assert basis._weightings.cache_info().currsize > 0
         # every run weighted on the private basis, which has no dense form
         owner = basis._weightings(cfg.block_size, cfg.mu, cfg.rho)
-        assert owner.stack.basis is private_basis48
+        assert owner.basis is private_basis48
         assert not hasattr(private_basis48, "matrix")
 
 

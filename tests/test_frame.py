@@ -102,6 +102,16 @@ class TestBlockRef:
         with pytest.raises(GeometryError):
             BlockRef(0, 0, size=12)
 
+    @pytest.mark.parametrize("x0, y0, size", [
+        (16.0, 0, 16), (0, 16.0, 16), (0, 0, 16.0), (0, 0, 8.5),
+        (True, 0, 1), (0, False, 1), (0, 0, True), ("16", 0, 16)])
+    def test_origin_and_size_are_integers(self, x0, y0, size):
+        # a float origin used to build a layout and fail inside
+        # `Plane.block`, and a float size with an untyped TypeError
+        with pytest.raises(GeometryError, match="must be integers"):
+            BlockRef(x0, y0, size)
+        BlockRef(np.int64(16), np.int32(0), np.int64(16))
+
 
 def region_map_oracle(size, block, width, height):
     """Label the 3x3 working area sample by sample: a neighbour block is R

@@ -66,6 +66,15 @@ class TestMotionVector:
         assert str(vector.value) == str(search.value) \
             == "subpel must be 1 or 2, got 3"
         assert MotionVector(0, 0).scale == SearchParams().subpel
+        # equal to 1 or 2 is not enough: the values must be integers
+        for value in (2.0, 1.0, True, np.float64(2.0)):
+            with pytest.raises(ValueError) as vector:
+                MotionVector(0, 0, scale=value)
+            with pytest.raises(ValueError) as search:
+                SearchParams(subpel=value)
+            assert str(vector.value) == str(search.value) \
+                == f"subpel must be 1 or 2, got {value!r}"
+        assert SearchParams(subpel=np.int64(1)).subpel == 1
 
     @pytest.mark.parametrize("search_range", [0, 2.5, True, "3"])
     def test_search_range_is_a_positive_integer(self, search_range):
