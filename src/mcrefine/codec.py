@@ -26,20 +26,28 @@ its own weighting context (`batch_context`), which reads the cached
 reference weightings in place; no frame, pass or trace holds one of its
 own.  Open-loop prediction (`predict_frame`) reads no reconstruction, so
 it refines every block of a frame in one call.  The closed loop and its
-replay share one scheduler, `dependency_levels`: a block reads only its
-left, top-left, top and top-right neighbours, so the blocks of one level
-need only blocks of earlier levels.  `encode_pass` schedules every
-block, which gives the wavefront (block (bx, by) on level bx + 2 by),
-and refines and transform-codes each wave in one call each; `_switch`
-writes each chosen block into the frame's predictor raster, and the
-wave's bits and levels land in per-frame arrays.  `replay_trace` decodes
-every unrefined block first, from its MC block and levels alone, and
-then schedules only the refined blocks, by their depth among themselves.
+replay share one scheduling rule, `coding_order`: the blocks whose coding
+reads nothing of their own frame's reconstruction wait on no other
+block, so all of them are coded first, in one transform call, and the
+blocks that wait follow by their `dependency_levels` among themselves.  A
+block reads only its left, top-left, top and top-right neighbours, so
+the blocks of one level need only blocks of earlier levels.  In
+`encode_pass` the blocks that wait are the refinable ones: none without
+refinement, so a P-frame is one transform call; with it, every block
+that has a reconstructed neighbour, which gives the wavefront (block
+(bx, by) on level bx + 2 by - 1 when the grid is wider than one block).
+Each wave is refined and transform-coded in one call each; `_switch`
+compares a stack of blocks at a time and writes the chosen ones into the
+frame's predictor raster, and a frame's coefficient bits are taken in
+one `_entropy_bits` call after its last wave.  In `replay_trace` the
+blocks that wait are the refined ones: every other block is decoded from
+its MC block and levels alone.
 
 Transform coding takes stacks: `reconstruct_block` and `decode_block` code
-any number of blocks in one transform call, each exactly as alone, and the
-entropy of each block stays its own.  scipy's transforms are imported on
-the first transform, not with the module.
+any number of blocks in one transform call, each exactly as alone, and
+`_entropy_bits` takes the bits of any number of blocks in one call, each
+block's its own.  scipy's transforms are imported on the first
+transform, not with the module.  The closed loop codes luma only.
 
 Rates are proxy rates: zeroth-order entropy of the quantized transform
 coefficients per block, plus exp-Golomb motion bits and flag bits.  They
@@ -59,7 +67,7 @@ import numpy as np
 from . import extrapolate
 from .basis import DEFAULT_MU, DEFAULT_RHO, batch_context, check_weighting
 from .frame import (NEIGHBOUR_TILES, BlockRef, Frame, GeometryError, Plane,
-                    build_layout, is_integer, mse, psnr)
+                    build_layout, is_integer, psnr)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
 
 # Blocks per engine call: `refine_blocks` cuts the blocks of every path
@@ -294,6 +302,22 @@ def dependency_levels(nx: int, ny: int, needs) -> list:
     return levels
 
 
+def coding_order(nx: int, ny: int, waits) -> list:
+    """The order in which the closed loop and its replay code the blocks
+    of an ``nx`` x ``ny`` frame: groups of line-scan indices, each coded
+    in one call after the groups before it.
+
+    ``waits`` are the blocks whose coding reads their own frame's
+    reconstruction (the refined ones).  Every other block waits on
+    nothing, so the first group holds all of them (and is empty when
+    every block waits); ``waits`` follow as their `dependency_levels`
+    among themselves.
+    """
+    waits = set(waits)
+    return [[i for i in range(nx * ny) if i not in waits],
+            *dependency_levels(nx, ny, waits)]
+
+
 def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
                   mc_grid: np.ndarray, config: EncoderConfig
                   ) -> Iterator[extrapolate.RefineResult]:
@@ -331,6 +355,15 @@ def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
             context=batch_context(part, mu=config.mu, rho=config.rho))
 
 
+def _block_mses(originals: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """`frame.mse` of each block of a (k, s, s) stack against its
+    original, bit for bit: the same difference, square and mean per
+    block."""
+    d = originals - blocks
+    d *= d
+    return d.mean(axis=(1, 2))
+
+
 def _switch(indices, motion, originals: np.ndarray, mc: np.ndarray,
             refined: dict, decisions: list, predictor: np.ndarray) -> None:
     """The per-block MSE switch over the blocks ``indices`` of a frame:
@@ -340,19 +373,31 @@ def _switch(indices, motion, originals: np.ndarray, mc: np.ndarray,
     original, motion-compensated and predictor blocks, and ``refined``
     maps the index of each block whose refinement was attempted to its
     refined block.  Records each block's decision in ``decisions`` and
-    writes its chosen block into ``predictor``.
+    writes its chosen block into ``predictor``.  The blocks are switched
+    a stack of at most `REFINE_CHUNK` at a time: their MC and refined
+    MSEs (`_block_mses`) are array operations, and the chosen blocks are
+    written in one assignment.
     """
-    for i in indices:
-        by, bx = at = divmod(i, mc.shape[1])
-        block = refined.get(i)
-        mc_err = mse(originals[at], mc[at])
-        refined_err = float("nan") if block is None \
-            else mse(originals[at], block)
-        use = refined_err < mc_err
-        decisions[i] = BlockDecision(bx=bx, by=by, mv=motion[i][0],
-                                     refined=use, mc_mse=mc_err,
-                                     refined_mse=refined_err)
-        predictor[at] = block if use else mc[at]
+    nx = mc.shape[1]
+    for lo in range(0, len(indices), REFINE_CHUNK):
+        part = list(indices[lo:lo + REFINE_CHUNK])
+        at = np.divmod(part, nx)
+        own, chosen = originals[at], mc[at]
+        mc_err = _block_mses(own, chosen)
+        refined_err = np.full(len(part), np.nan)
+        use = np.zeros(len(part), bool)
+        tried = [k for k, i in enumerate(part) if i in refined]
+        if tried:
+            blocks = np.stack([refined[part[k]] for k in tried])
+            refined_err[tried] = _block_mses(own[tried], blocks)
+            use[tried] = won = refined_err[tried] < mc_err[tried]
+            chosen[use] = blocks[won]
+        predictor[at] = chosen
+        for i, u, m, r in zip(part, use.tolist(), mc_err.tolist(),
+                              refined_err.tolist()):
+            by, bx = divmod(i, nx)
+            decisions[i] = BlockDecision(bx=bx, by=by, mv=motion[i][0],
+                                         refined=u, mc_mse=m, refined_mse=r)
 
 
 def _side_bits(decisions, n_blocks_x: int, flag_per_block: bool) -> int:
@@ -464,26 +509,24 @@ def _entropy_bits(symbols: np.ndarray) -> float | np.ndarray:
 
 
 def reconstruct_block(original: np.ndarray, predictor: np.ndarray,
-                      qstep: float
-                      ) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
+                      qstep: float) -> tuple[np.ndarray, np.ndarray]:
     """Transform-code the prediction residuals of one block or a stack.
 
     residual -> 8x8 DCT-II (orthonormal) -> uniform quantization -> inverse
     -> predictor + coded residual, clamped to [0, 255] and rounded to the
     8-bit grid.  ``original`` is (..., s, s), and ``predictor`` broadcasts
     against it; a stack is coded in one transform call, each block as it
-    would be alone.  Returns (reconstructed blocks uint8, coefficient bits
-    per block, quantized levels (..., tiles, 8, 8)); the bits are a float
-    for one block, and the levels make the path replayable.  A step or a
-    coefficient that `check_qstep` refuses raises `ValueError`.
+    would be alone.  Returns (reconstructed blocks uint8, quantized levels
+    (..., tiles, 8, 8)); the levels make the path replayable, and a
+    block's coefficient bits are `_entropy_bits` of its levels, which the
+    caller takes when it needs them.  A step or a coefficient that
+    `check_qstep` refuses raises `ValueError`.
     """
     residual = np.asarray(original, dtype=np.float64) - predictor
     coeffs = dct_8x8(_tile_8x8(residual))
     check_qstep(qstep, np.abs(coeffs).max(initial=0.0))
     levels = np.asarray(np.rint(coeffs / qstep), dtype=np.int32)
-    recon = decode_block(predictor, levels, qstep)
-    bits = _entropy_bits(levels.reshape(levels.shape[:-3] + (-1,)))
-    return recon, bits, levels
+    return decode_block(predictor, levels, qstep), levels
 
 
 def decode_block(predictor: np.ndarray, levels: np.ndarray,
@@ -554,13 +597,16 @@ def _encode_intra(frame: Plane, qstep: float, blocks: list):
     s = blocks[0].size
     recon = np.empty((frame.height, frame.width), np.uint8)
     grid = _grid(recon, s)
-    rec, _, levels = reconstruct_block(
+    rec, levels = reconstruct_block(
         _grid(frame.data, s).reshape(-1, s, s), np.full((s, s), 128.0),
         qstep)
     grid[...] = rec.reshape(grid.shape)
     return Plane(recon), levels
 
 
+# No path calls `_mc_chroma`: `encode_pass` carries its reconstruction as
+# luma only, since no output reads a chroma plane.  It stays defined only
+# because the benchmark's span tracer wraps it by name (`codec.chroma`).
 def _mc_chroma(prev: Frame, decisions, block_size: int) -> tuple:
     """Carry chroma by plain MC with halved displacements (no residual).
 
@@ -591,16 +637,23 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
 
     Each P-frame starts with a `search_frame` pre-pass against the previous
     reconstruction, and every block is motion compensated from it.  The
-    blocks are then coded wave by wave (`dependency_levels` of every
-    block): the ones of a wave with a reconstructed neighbour are refined
-    in one `refine_blocks` call, `_switch` writes each block's predictor
-    into the frame's predictor raster, and the wave is transform-coded in
-    one `reconstruct_block` call.  Per-block bits are summed in line-scan
-    order after the frame, so the result equals coding block by block in
-    line-scan order.  ``FrameStats.refine_seconds`` times the per-wave
-    refinement calls.  A quantizer step `check_qstep` refuses and fewer
-    than two frames raise `ValueError`, and a frame the block grid does
-    not tile or whose size differs from the first frame's raises
+    blocks are then coded in `coding_order`, the rule replay follows: the
+    blocks that read nothing of their own frame's reconstruction come
+    first, as one group, and the refined blocks follow wave by wave (their
+    `dependency_levels`).  Without refinement that first group is every
+    block, so a P-frame is one group; with it, the group is the blocks
+    with no reconstructed neighbour (`r_empty`), and each wave after it
+    holds the blocks of one wavefront level.  Per group the refinable
+    blocks are refined in one `refine_blocks` call, `_switch` writes each
+    block's predictor into the frame's predictor raster, and the group is
+    transform-coded in one `reconstruct_block` call.  After the last
+    group one `_entropy_bits` call takes every block's coefficient bits,
+    and they are summed in line-scan order, so the result equals coding
+    block by block in line-scan order.  ``FrameStats.refine_seconds``
+    times the refinement calls.  The reconstruction is carried to the
+    next frame as luma only.  A quantizer step `check_qstep` refuses and
+    fewer than two frames raise `ValueError`, and a frame the block grid
+    does not tile or whose size differs from the first frame's raises
     `GeometryError`, all before any block is searched or coded.
     """
     check_qstep(qstep)
@@ -608,14 +661,14 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     blocks = _shared_blocks([frame.y for frame in frames], s)
     first = frames[0].y
     intra_qstep = min(config.qsteps)
-    recon_prev_y, intra_levels = _encode_intra(first, intra_qstep, blocks)
-    prev_frame = Frame(y=recon_prev_y, u=frames[0].u, v=frames[0].v)
+    prev, intra_levels = _encode_intra(first, intra_qstep, blocks)
 
     nx, ny = first.width // s, first.height // s
-    schedule = dependency_levels(nx, ny, range(nx * ny))
     refine = config.refinement != "none"
+    waits = []
     if refine:
         layouts = [build_layout(first, block) for block in blocks]
+        waits = [i for i, layout in enumerate(layouts) if not layout.r_empty]
     total_bits = 0.0
     stats = []
     trace_frames = []
@@ -626,29 +679,33 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         originals, recon_grid = _grid(cur.data, s), _grid(recon_y, s)
         pred_grid = _grid(pred_y, s)
         decisions = [None] * len(blocks)
-        coeff_bits = np.empty(len(blocks))
         levels = np.empty((len(blocks), (s // 8) ** 2, 8, 8), np.int32)
         refined = {}
         refine_total = 0.0
-        motion = search_frame(cur, prev_frame.y, blocks, config.search)
-        mc = _grid(_compensate_frame(prev_frame.y, blocks,
-                                     [mv for mv, _ in motion]), s)
-        for wave in schedule:
-            todo = [i for i in wave if refine and not layouts[i].r_empty]
-            if todo:
-                t0 = time.perf_counter()
-                refined.update((i, result.block) for i, result in zip(
-                    todo, refine_blocks(todo, layouts, recon_y, mc, config)))
-                refine_total += time.perf_counter() - t0
-            _switch(wave, motion, originals, mc, refined, decisions,
+        motion = search_frame(cur, prev, blocks, config.search)
+        mc = _grid(_compensate_frame(prev, blocks, [mv for mv, _ in motion]),
+                   s)
+
+        def code(group):
+            _switch(group, motion, originals, mc, refined, decisions,
                     pred_grid)
-            at = np.divmod(wave, nx)
-            recon_grid[at], coeff_bits[wave], levels[wave] = \
-                reconstruct_block(originals[at], pred_grid[at], qstep)
+            at = np.divmod(group, nx)
+            recon_grid[at], levels[group] = reconstruct_block(
+                originals[at], pred_grid[at], qstep)
+
+        # the top-left block has no neighbour, so `free` is never empty
+        free, *waves = coding_order(nx, ny, waits)
+        code(free)
+        for wave in waves:
+            t0 = time.perf_counter()
+            refined.update((i, result.block) for i, result in zip(
+                wave, refine_blocks(wave, layouts, recon_y, mc, config)))
+            refine_total += time.perf_counter() - t0
+            code(wave)
         # Added one by one in line-scan order, so the float sum does not
         # depend on the schedule.
         frame_bits = 0.0
-        for bits in coeff_bits.tolist():
+        for bits in _entropy_bits(levels.reshape(len(blocks), -1)).tolist():
             frame_bits += bits
         frame_bits += _side_bits(decisions, nx, refine)
         total_bits += frame_bits
@@ -658,8 +715,7 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
             psnr_db=psnr(cur.data, recon_y),
             refined_fraction=refined_n / len(decisions),
             refine_seconds=refine_total))
-        recon_u, recon_v = _mc_chroma(prev_frame, decisions, s)
-        prev_frame = Frame(y=Plane(recon_y), u=recon_u, v=recon_v)
+        prev = Plane(recon_y)
         if collect_trace:
             trace_frames.append(tuple(
                 BlockTrace(mv=d.mv, refined=d.refined, levels=block_levels)
@@ -753,11 +809,11 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
                 pred_grid[at], np.stack([frame_trace[i].levels for i in part]),
                 trace.qstep)
 
-        refined = [i for i, bt in enumerate(frame_trace) if bt.refined]
-        plain = [i for i, bt in enumerate(frame_trace) if not bt.refined]
+        plain, *levels = coding_order(
+            nx, ny, [i for i, bt in enumerate(frame_trace) if bt.refined])
         if plain:
             decode(plain)
-        for level in dependency_levels(nx, ny, refined):
+        for level in levels:
             pred_grid[np.divmod(level, nx)] = [r.block for r in refine_blocks(
                 level, layouts, recon_y, pred_grid, config)]
             decode(level)

@@ -264,7 +264,8 @@ def solve_subspace(residual, indices, ctx: ProjectionContext
     """
     num = ctx.numerators(np.asarray(residual, dtype=np.float64).reshape(-1))
     idx = np.unique(np.asarray(indices, dtype=np.intp))
-    decr = decrement_energies(num, ctx)
+    # a one-member view of a batch holds (1, count) norms: one flat row
+    decr = decrement_energies(num, ctx).reshape(-1)
     used, _, solution, _ = _solve(idx, [idx.size], None, num[idx], decr[idx],
                                   ctx)
     return solution, used

@@ -30,11 +30,16 @@ of a block at once.
 
 Both derived tables are kept per thread for one reference only, the one
 last read: `_quarter_grid` keeps its quarter grid and `_subblock_sums`
-its sub-block sums beside it.  `search_frame` searches every block of a
-frame against one reference and `compensate` then reads the same one, so
-`estimate`, `compensate` and `_subblock_sums` share one grid per frame,
-and moving to the next reference frees the last one's tables; no plane
-keeps a grid, however many planes a caller holds.
+its sub-block sums beside it.  Beside them `_search_views` keeps, for one
+block size, two strided views of those tables that cover every block
+position: the 4-D candidate view of the grid and the sub-block-sum view
+of the table.  `estimate` slices its block's window out of both, so a
+search makes no view of its own and no table is copied.  `search_frame`
+searches every block of a frame against one reference and `compensate`
+then reads the same one, so `estimate`, `compensate` and
+`_subblock_sums` share one grid per frame, and moving to the next
+reference frees the last one's tables and views; no plane keeps a grid,
+however many planes a caller holds.
 
 The zero vector and the candidate of smallest bound are scored first; their
 best SAD is the threshold.  Only candidates whose bound is at most the
@@ -158,8 +163,8 @@ def _quarter_grid(reference: Plane, scale: int) -> np.ndarray:
     kept = getattr(_scratch, "grid", None)
     if kept is not None and kept[0] is reference and kept[1] == scale:
         return kept[2]
-    # free the old tables before building the new ones
-    _scratch.grid = _scratch.sums = None
+    # free the old tables and views before building the new ones
+    kept = _scratch.grid = _scratch.sums = _scratch.views = None
     grid = reference.quarter_grid(scale)
     grid.setflags(write=False)
     _scratch.grid = (reference, scale, grid)
@@ -181,6 +186,7 @@ def _subblock_sums(reference: Plane, scale: int) -> np.ndarray:
     kept = getattr(_scratch, "sums", None)
     if kept is not None and kept[0] is reference and kept[1] == scale:
         return kept[2]
+    kept = None  # a stale table goes with its grid, before the new one
     grid = _quarter_grid(reference, scale)
     h, w = (max(0, n - (_SUB - 1) * scale) for n in grid.shape)
     taps = [scale * k for k in range(1, _SUB)]
@@ -193,6 +199,44 @@ def _subblock_sums(reference: Plane, scale: int) -> np.ndarray:
     sums.setflags(write=False)
     _scratch.sums = (reference, scale, sums)
     return sums
+
+
+def _search_views(reference: Plane, scale: int, size: int) -> tuple:
+    """The candidate and sub-block-sum views of every ``size`` block
+    position of the reference's kept tables.
+
+    ``candidates[y, i, j, x]`` is ``grid[y + scale*i, x + scale*j]``, the
+    (i, j) sample of the candidate at grid position (y, x); ``sums[u, v,
+    y, x]`` is ``table[y + 4*scale*u, x + 4*scale*v]``, the sum of that
+    candidate's (u, v) sub-block (None below 4 samples, where a block has
+    no sub-block).  Both are read-only views of `_quarter_grid` and
+    `_subblock_sums`, kept beside them for one block size and freed with
+    them.
+    """
+    kept = getattr(_scratch, "views", None)
+    if kept is not None and kept[0] is reference and kept[1:3] == (scale,
+                                                                   size):
+        return kept[3:]
+    kept = None  # stale views go with their tables, before the new ones
+    grid = _quarter_grid(reference, scale)
+    reach = scale * (size - 1)
+    s0, s1 = grid.strides
+    candidates = as_strided(
+        grid, shape=(max(0, grid.shape[0] - reach), size, size,
+                     max(0, grid.shape[1] - reach)),
+        strides=(s0, scale * s0, scale * s1, s1), writeable=False)
+    sums = None
+    if size >= _SUB:
+        table = _subblock_sums(reference, scale)
+        a, step = size // _SUB, _SUB * scale
+        t0, t1 = table.strides
+        reach = step * (a - 1)
+        sums = as_strided(
+            table, shape=(a, a, max(0, table.shape[0] - reach),
+                          max(0, table.shape[1] - reach)),
+            strides=(step * t0, step * t1, t0, t1), writeable=False)
+    _scratch.views = (reference, scale, size, candidates, sums)
+    return candidates, sums
 
 
 def _lower_bounds(reference: Plane, target: np.ndarray,
@@ -212,12 +256,9 @@ def _lower_bounds(reference: Plane, target: np.ndarray,
         return np.zeros(window, np.int32)
     a = s // _SUB
     n = a * a  # sub-blocks, a power of two
-    table = _subblock_sums(reference, scale)
-    t0, t1 = (_SUB * scale * t for t in table.strides)
     # sums[u, v, dy, dx] = table[y + dy + 4*scale*u, x + 4*scale*v + dx]
-    sums = as_strided(table[origin[0]:, origin[1]:],
-                      shape=(a, a, n_dy, n_dx),
-                      strides=(t0, t1) + table.strides)
+    sums = _search_views(reference, scale, s)[1][
+        :, :, origin[0]:origin[0] + n_dy, origin[1]:origin[1] + n_dx]
     own = target.reshape(a, _SUB, a, _SUB).sum(axis=(1, 3), dtype=np.int16)
     rows = min(n_dy, max(1, _CHUNK_BYTES // (2 * n * n_dx)))
     bound = np.empty(window, np.int32)
@@ -256,17 +297,14 @@ def estimate(current: Plane, reference: Plane, block: BlockRef,
     for plane in (current, reference):
         check_inside(block, plane.width, plane.height)
     scale = params.subpel
-    grid = _quarter_grid(reference, scale)
     target = 4 * current.block(block).astype(np.int16)
     dy_lo, dy_hi, dx_lo, dx_hi = _window(reference, block, params)
     s = block.size
     window = n_dy, n_dx = dy_hi - dy_lo + 1, dx_hi - dx_lo + 1
     origin = (scale * block.y0 + dy_lo, scale * block.x0 + dx_lo)
-    s0, s1 = grid.strides
     # candidates[dy, i, j, dx] = grid[y + dy + scale*i, x + scale*j + dx]
-    candidates = as_strided(grid[origin[0]:, origin[1]:],
-                            shape=(n_dy, s, s, n_dx),
-                            strides=(s0, scale * s0, scale * s1, s1))
+    candidates = _search_views(reference, scale, s)[0][
+        origin[0]:origin[0] + n_dy, :, :, origin[1]:origin[1] + n_dx]
     bound = _lower_bounds(reference, target, origin, window, scale).ravel()
 
     def score(flat: np.ndarray) -> np.ndarray:

@@ -195,9 +195,9 @@ class TestBlockCoding:
         for qstep in (1.0, 4.0, 16.0, 64.0):
             orig = rng.integers(0, 256, size=(16, 16)).astype(np.float64)
             pred = np.clip(orig + rng.normal(0, 10, size=(16, 16)), 0, 255)
-            recon, bits, levels = reconstruct_block(orig, pred, qstep)
+            recon, levels = reconstruct_block(orig, pred, qstep)
             assert recon.dtype == np.uint8
-            assert bits >= 0.0
+            assert _entropy_bits(levels.reshape(-1)) >= 0.0
             assert levels.dtype == np.int32
             np.testing.assert_array_equal(
                 decode_block(pred, levels, qstep), recon)
@@ -205,7 +205,7 @@ class TestBlockCoding:
     def test_fine_quantizer_is_near_lossless(self, rng):
         orig = rng.integers(0, 256, size=(16, 16)).astype(np.float64)
         pred = np.full((16, 16), 128.0)
-        recon, _, _ = reconstruct_block(orig, pred, qstep=0.5)
+        recon, _ = reconstruct_block(orig, pred, qstep=0.5)
         assert mse(orig, recon) < 1.0
 
     @pytest.mark.parametrize("qp", [16, 43])
@@ -218,14 +218,15 @@ class TestBlockCoding:
         orig[4], pred[4] = 77.0, 77.0
         flat = np.full((16, 16), 128.0)
         for predictor, alone in ((pred, list(pred)), (flat, [flat] * 5)):
-            recon, bits, levels = reconstruct_block(orig, predictor, qstep)
+            recon, levels = reconstruct_block(orig, predictor, qstep)
+            bits = _entropy_bits(levels.reshape(5, -1))
             assert bits.shape == (5,) and levels.shape == (5, 4, 8, 8)
             for i, p in enumerate(alone):
                 want = reconstruct_block(orig[i], p, qstep)
                 np.testing.assert_array_equal(recon[i], want[0])
-                assert bits[i] == want[1]
+                assert bits[i] == _entropy_bits(want[1].reshape(-1))
                 assert math.copysign(1.0, bits[i]) == 1.0
-                np.testing.assert_array_equal(levels[i], want[2])
+                np.testing.assert_array_equal(levels[i], want[1])
                 np.testing.assert_array_equal(
                     decode_block(p, levels[i], qstep), want[0])
             np.testing.assert_array_equal(
@@ -259,9 +260,9 @@ class TestBlockCoding:
     def test_coarse_quantizer_costs_few_bits(self, rng):
         orig = rng.integers(0, 256, size=(16, 16)).astype(np.float64)
         pred = orig.copy()  # perfect prediction -> all-zero levels
-        recon, bits, levels = reconstruct_block(orig, pred, qstep=16.0)
+        recon, levels = reconstruct_block(orig, pred, qstep=16.0)
         assert np.all(levels == 0)
-        assert bits == 0.0
+        assert _entropy_bits(levels.reshape(-1)) == 0.0
         np.testing.assert_array_equal(recon, np.clip(np.rint(pred), 0, 255))
 
 
@@ -332,6 +333,7 @@ class TestPredictFrame:
             layout = build_layout(cur, block)
             mc = compensate(prev, block, d.mv)
             got = fp.predictor[block.y0:block.y0 + 16, block.x0:block.x0 + 16]
+            assert d.mc_mse == mse(cur.block(block), mc)
             if layout.r_empty:
                 assert math.isnan(d.refined_mse)
                 np.testing.assert_array_equal(got, mc)
@@ -662,7 +664,7 @@ class TestClosedLoop:
         # which has no neighbour to refine from
         frames = tiny_sequence(frames=3, sigma=4.0)
         cfg = fast_config(qps=(28,))
-        members, batches = [], []
+        members, batches, coded = [], [], []
 
         def counted(fn, log):
             def wrapper(*args, **kwargs):
@@ -674,10 +676,21 @@ class TestClosedLoop:
                             counted(codec.refine_blocks, members))
         monkeypatch.setattr(codec.extrapolate, "run_batch",
                             counted(codec.extrapolate.run_batch, batches))
+        monkeypatch.setattr(codec, "reconstruct_block",
+                            counted(codec.reconstruct_block, coded))
         _, _, trace = encode_pass(frames, cfg, qstep=16.0, qp=28,
                                   collect_trace=True)
         waves = dependency_levels(4, 4, range(16))
         assert len(waves) == 10
+        assert members == batches == 2 * [len(w) for w in waves[1:]]
+        # one transform call for the intra frame, then one per wave
+        assert coded == [16] + 2 * [len(w) for w in waves]
+        # without refinement no block waits on its frame's reconstruction:
+        # one transform call per P-frame, and no engine batch
+        coded.clear()
+        encode_pass(frames, fast_config(refinement="none", extrapolation=None,
+                                        qps=(28,)), qstep=16.0, qp=28)
+        assert coded == [16, 16, 16]
         assert members == batches == 2 * [len(w) for w in waves[1:]]
         members.clear()
         batches.clear()

@@ -7,8 +7,8 @@ from scipy.linalg import lapack
 from conftest import (MatrixContext, basis_function, basis_matrix,
                       stack_contexts)
 from mcrefine import extrapolate
-from mcrefine.basis import (ProjectionContext, build_basis, build_weight_mask,
-                            projection_context)
+from mcrefine.basis import (ProjectionContext, batch_context, build_basis,
+                            build_weight_mask, projection_context)
 from mcrefine.extrapolate import (ExtrapolationParams, decrement_energies,
                                   new_state, run, run_batch, select_batch,
                                   select_candidates, solve_subspace, step)
@@ -134,6 +134,20 @@ class TestSolveSubspace:
         r = rng.normal(size=ctx8.basis.m * ctx8.basis.n)
         got, used = solve_subspace(r, np.array([3, 3]), ctx8)
         assert used.size < 2
+
+    @pytest.mark.parametrize("support", [[1, 2, 3], [7], [3, 3],
+                                         [0, 5, 9, 40, 41]])
+    def test_one_member_view_of_a_mixed_batch(self, layout8, rng, support):
+        # a view of one member of a mixed batch holds its weightings as
+        # (1, count) rows, and solves as the member's own context does
+        left_only = build_layout((96, 96), BlockRef(48, 0, size=8))
+        view = batch_context([layout8, left_only]).take(slice(0, 1))
+        r = rng.normal(size=(24, 24))
+        got, used = solve_subspace(r, support, view)
+        want, want_used = solve_subspace(r, support,
+                                         projection_context(layout8))
+        np.testing.assert_array_equal(used, want_used)
+        assert got.tobytes() == want.tobytes()
 
 
 class SingularWith:
