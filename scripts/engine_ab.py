@@ -9,10 +9,15 @@ TREE_A and TREE_B are checkouts of this repository.  Each tree's
 machine at the same moments.  Every round times both trees, alternating
 which goes first, and prints:
 
-- per engine (fsa, rba, msa) and batch size B (1, 4, 16), the time ratio
-  B/A on the working areas of perfbench's engine_mix (QCIF translate/field,
-  sigma 8, seed 0: every block with a decoded neighbour, in raster order,
-  cut into batches of B), as the median and quartiles over the rounds;
+- per engine (fsa, rba, msa) and batch size B (1, 4, 16), each tree's
+  median milliseconds per window and the time ratio B/A, as the median and
+  quartiles over the rounds, on the working areas of perfbench's
+  engine_mix (QCIF translate/field, sigma 8, seed 0: every block with a
+  decoded neighbour, in raster order, cut into batches of B);
+- at B = 1, the geometric mean of the three engines' B/A ratios per round,
+  as the median and quartiles over the rounds: engine_mix runs every
+  window alone and its ``ops_per_ref_s`` is the geometric mean of the
+  engines' windows per second, so it moves by the inverse of this figure;
 - criterion 8's fsa/msa and rba/msa (``tests/test_acceptance.py``: 100
   noisy plaid windows on an interior block) for each tree, per round;
 - whether every engine output hash of B equals A's: blocks, coefficients,
@@ -197,6 +202,11 @@ def timed(call) -> float:
     return time.perf_counter() - t0
 
 
+def ms(seconds: list, windows: int) -> float:
+    """Median milliseconds per window of runs over ``windows`` windows."""
+    return 1e3 * statistics.median(seconds) / windows
+
+
 def quartiles(values) -> tuple:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return median, q1, q3
@@ -219,15 +229,15 @@ def main(argv) -> int:
     cases = [(e, b, shed) for shed in (False, True) for e in ENGINES
              for b in BATCHES]
     digests = [{case: t.digest(*case) for case in cases} for t in trees]
-    ratios = {(e, b): [] for e in ENGINES for b in BATCHES}
+    spent = [{(e, b): [] for e in ENGINES for b in BATCHES} for _ in trees]
     c8 = [[], []]
     for r in range(rounds):
         order = trees if r % 2 == 0 else trees[::-1]
         for e in ENGINES:
             for b in BATCHES:
-                spent = {id(t): timed(lambda t=t: t.refine(e, b))
-                         for t in order}
-                ratios[e, b].append(spent[id(trees[1])] / spent[id(trees[0])])
+                for t in order:
+                    spent[trees.index(t)][e, b].append(
+                        timed(lambda t=t: t.refine(e, b)))
         for t in order:
             seconds = {e: t.criterion8(e) for e in ENGINES}
             c8[trees.index(t)].append((seconds["fsa"] / seconds["msa"],
@@ -236,12 +246,21 @@ def main(argv) -> int:
               f"A {c8[0][-1][0]:.2f} {c8[0][-1][1]:.3f}  "
               f"B {c8[1][-1][0]:.2f} {c8[1][-1][1]:.3f}", flush=True)
 
-    print(f"\nengine_mix windows ({len(trees[0].windows)}), time B/A over "
-          f"{rounds} rounds: median [q1, q3]")
+    windows = len(trees[0].windows)
+    ratios = {case: [b / a for a, b in zip(spent[0][case], spent[1][case])]
+              for case in spent[0]}
+    print(f"\nengine_mix windows ({windows}) over {rounds} rounds: "
+          "ms per window A, B (medians); time B/A median [q1, q3]")
     for e in ENGINES:
-        cells = [f"B={b}: {m:.3f} [{q1:.3f}, {q3:.3f}]"
+        cells = [f"B={b}: {ms(spent[0][e, b], windows):.3f}, "
+                 f"{ms(spent[1][e, b], windows):.3f}; "
+                 f"{m:.3f} [{q1:.3f}, {q3:.3f}]"
                  for b in BATCHES for m, q1, q3 in [quartiles(ratios[e, b])]]
         print(f"  {e}  " + "   ".join(cells))
+    geo = [statistics.geometric_mean(r) for r in
+           zip(*(ratios[e, 1] for e in ENGINES))]
+    print("B=1 geometric mean of fsa, rba, msa time B/A: "
+          "{:.3f} [{:.3f}, {:.3f}]".format(*quartiles(geo)))
     for label, runs in zip("AB", c8):
         fsa = [f for f, _ in runs]
         rba = [r for _, r in runs]

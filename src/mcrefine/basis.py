@@ -433,6 +433,8 @@ class ProjectionContext:
         rows *= coefficients.reshape(-1, 1, 1)
         rows = rows.reshape(-1, b.m)
         cols = b.right.take(b.l_freq.take(indices), axis=0).reshape(-1, b.n)
+        if len(sizes) == 1:   # one member: its product is the result
+            return np.matmul(rows.T, cols).reshape(1, b.m * b.n)
         out = np.empty((len(sizes), b.m, b.n))
         start = 0   # two factor rows per function
         for member, k in enumerate(sizes):

@@ -101,7 +101,8 @@ def check_qstep(qstep: float, peak: float = PEAK_COEFFICIENT) -> None:
 
     The one quantizer rule: `EncoderConfig` applies it to its ladder and
     `encode_pass` to its step at `PEAK_COEFFICIENT`, before any coding,
-    and `reconstruct_block` to the largest coefficient it quantizes.
+    `replay_trace` to a trace's two steps before any decoding, and
+    `reconstruct_block` to the largest coefficient it quantizes.
     """
     if not 0.0 < qstep < math.inf:
         raise ValueError(f"quantizer step must be finite and positive, "
@@ -763,6 +764,27 @@ def encode_sequence(frames, config: EncoderConfig):
 # Decoder-side replay
 # ---------------------------------------------------------------------------
 
+def _check_trace(trace: EncodeTrace, count: int) -> None:
+    """Raise `ValueError` for a quantizer step of ``trace`` that
+    `check_qstep` refuses, and `GeometryError` unless the intra frame and
+    every P-frame hold the levels of ``count`` blocks, the block count of
+    the trace's ``dims``, each of the trace's block size."""
+    check_qstep(trace.qstep)
+    check_qstep(trace.intra_qstep)
+    width, height = trace.dims
+    tiles = ((trace.block_size // 8) ** 2, 8, 8)
+    where = f"a {width}x{height} frame of {count} blocks of levels {tiles}"
+    if np.shape(trace.intra_levels) != (count,) + tiles:
+        raise GeometryError(f"the intra levels {np.shape(trace.intra_levels)}"
+                            f" do not fit {where}")
+    for t, frame in enumerate(trace.frames, start=1):
+        shapes = {np.shape(bt.levels) for bt in frame}
+        if len(frame) != count or shapes - {tiles}:
+            raise GeometryError(
+                f"P-frame {t} holds {len(frame)} blocks of levels "
+                f"{sorted(shapes)}, which do not fit {where}")
+
+
 def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     """Regenerate predictors and reconstructions from the trace alone.
 
@@ -778,7 +800,8 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     Returns the list of per-frame predictor rasters and reconstructed
     planes.  A ``config`` whose block size, refinement, engine parameters,
     ``mu`` or ``rho`` differ from those the pass recorded in ``trace``
-    raises `ValueError` before anything is decoded.
+    raises `ValueError` before anything is decoded, and so does a trace
+    that `_check_trace` refuses.
     """
     for name in _REPLAYED:
         coded, given = getattr(trace, name), getattr(config, name)
@@ -789,6 +812,7 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     width, height = trace.dims
     s = trace.block_size
     blocks = frame_blocks(width, height, s)
+    _check_trace(trace, len(blocks))
     nx, ny = width // s, height // s
     layouts = [build_layout(trace.dims, block) for block in blocks]
     recon = np.empty((height, width), np.uint8)

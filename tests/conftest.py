@@ -69,6 +69,21 @@ def stack_contexts(contexts):
     return stack
 
 
+def select_reference(row, tau, n_bf, floor=0.0):
+    """Brute-force selection of one row of decrements, the reference for
+    `select_batch`: the functions in order of decreasing decrement, ties
+    to the lower index; of those, every one above ``tau`` times the best
+    plus the best itself, the first ``n_bf`` of them; nothing when the
+    best is not positive or lies below ``floor``.  Ascending indices."""
+    row = [float(d) for d in row]
+    order = sorted(range(len(row)), key=lambda k: (-row[k], k))
+    best = row[order[0]]
+    if not (best > 0.0 and best >= floor):
+        return np.array([], dtype=np.intp)
+    picks = [k for k in order if k == order[0] or row[k] > tau * best]
+    return np.array(sorted(picks[:n_bf]), dtype=np.intp)
+
+
 class MatrixContext(ProjectionContext):
     """Reference projections read straight off the dense `basis_matrix`.
 

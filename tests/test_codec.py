@@ -538,6 +538,67 @@ class TestClosedLoop:
                 replay_trace(trace, wrong)
         assert decoded == []
 
+    @pytest.fixture(scope="class")
+    def square_trace(self):
+        """A 48x48 msa pass of two P-frames and its config."""
+        cfg = fast_config(qps=(28,))
+        _, _, trace = encode_pass(tiny_sequence(frames=3, size=48), cfg,
+                                  qstep=16.0, qp=28, collect_trace=True)
+        return trace, cfg
+
+    @pytest.mark.parametrize("name", ["qstep", "intra_qstep"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -4.0, 1e-9])
+    def test_replay_refuses_a_bad_quantizer_step(self, square_trace,
+                                                 monkeypatch, name, value):
+        # a NaN step used to decode to garbage with only a cast warning
+        trace, cfg = square_trace
+        decoded = []
+        monkeypatch.setattr(codec, "decode_block",
+                            lambda *a: decoded.append(a))
+        with pytest.raises(ValueError, match="quantizer step"):
+            replay_trace(dataclasses.replace(trace, **{name: value}), cfg)
+        assert decoded == []
+
+    def test_replay_refuses_dims_the_levels_do_not_fit(self, square_trace,
+                                                       monkeypatch):
+        # (96, 48) used to fail in a bare reshape of the intra levels
+        trace, cfg = square_trace
+        decoded = []
+        monkeypatch.setattr(codec, "decode_block",
+                            lambda *a: decoded.append(a))
+        for dims, match in (((96, 48), r"intra levels \(9, 4, 8, 8\) do "
+                                       r"not fit a 96x48 frame of 18 blocks"),
+                            ((48, 96), "48x96 frame of 18 blocks"),
+                            ((16, 16), "16x16 frame of 1 blocks"),
+                            ((50, 48), "not a multiple of the block size"),
+                            ((0, 48), "must be positive")):
+            with pytest.raises(GeometryError, match=match):
+                replay_trace(dataclasses.replace(trace, dims=dims), cfg)
+        assert decoded == []
+
+    def test_replay_refuses_frames_the_grid_does_not_fit(self, square_trace,
+                                                         monkeypatch):
+        trace, cfg = square_trace
+        decoded = []
+        monkeypatch.setattr(codec, "decode_block",
+                            lambda *a: decoded.append(a))
+        first, second = trace.frames
+        short = (first, second[:-1])
+        thin = (first, second[:4] + (dataclasses.replace(
+            second[4], levels=second[4].levels[:1]),) + second[5:])
+        intra = trace.intra_levels[:, :1]
+        for replaced, match in (({"frames": short}, "P-frame 2 holds 8 "),
+                                ({"frames": thin},
+                                 r"P-frame 2 holds 9 blocks of levels "
+                                 r"\[\(1, 8, 8\), \(4, 8, 8\)\]"),
+                                ({"intra_levels": intra},
+                                 r"intra levels \(9, 1, 8, 8\)")):
+            with pytest.raises(GeometryError, match=match):
+                replay_trace(dataclasses.replace(trace, **replaced), cfg)
+        assert decoded == []
+        monkeypatch.undo()   # the trace itself replays
+        assert len(replay_trace(trace, cfg)[1]) == 2
+
     def test_every_engine_batch_obeys_the_cap(self, monkeypatch):
         # 64x48 in blocks of 8: waves of up to four blocks, so a cap of 2
         # cuts waves and replay levels into several engine batches, which

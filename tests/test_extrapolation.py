@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from conftest import (MatrixContext, basis_function, basis_matrix,
-                      stack_contexts)
+                      select_reference, stack_contexts)
 from mcrefine import extrapolate
 from mcrefine.basis import (ProjectionContext, batch_context, build_basis,
                             build_weight_mask, projection_context)
@@ -78,35 +78,57 @@ class TestSelectCandidates:
     def test_no_positive_decrement(self):
         assert select_candidates(np.zeros(4), tau=0.75, n_bf=4).size == 0
 
-    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 1.0),
-           st.integers(1, 10))
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.just(1.0) | st.floats(0.05, 1.0), st.integers(1, 10))
     @settings(max_examples=40)
     def test_selection_invariants(self, seed, tau, n_bf):
         rng = np.random.default_rng(seed)
         decr = rng.uniform(0, 5, size=30)
         got = select_candidates(decr, tau=tau, n_bf=n_bf)
+        np.testing.assert_array_equal(got, select_reference(decr, tau, n_bf))
         assert 1 <= got.size <= n_bf
         assert int(np.argmax(decr)) in got
         assert np.all(np.diff(got) > 0)  # ascending, no duplicates
         # every member clears the threshold (argmax trivially does)
         assert np.all(decr[got] >= tau * decr.max() - 1e-12)
 
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 4))
-    @settings(max_examples=40)
-    def test_batch_rows_match_single_rows(self, seed, n_bf, rows):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([1.0, 0.75, 0.6, 0.2]))
+    @settings(max_examples=60)
+    def test_batch_rows_match_single_rows(self, seed, n_bf, rows, tau):
         rng = np.random.default_rng(seed)
         # coarse values make ties at the cap and at tau * max common
         decr = rng.integers(0, 6, size=(rows, 25)).astype(float)
+        decr[rng.random(rows) < 0.3] = 0.0
         decr[0] = 0.0
         floor = rng.uniform(0, 6, size=rows)
-        flat, sizes = select_batch(decr, 0.6, n_bf, floor=floor)
+        flat, sizes = select_batch(decr, tau, n_bf, floor=floor)
         assert len(sizes) == rows and sum(sizes) == flat.size
         got = np.split(flat, np.cumsum(sizes)[:-1])
         for i, (row, lowest, picks) in enumerate(zip(decr, floor, got)):
-            want = select_candidates(row, 0.6, n_bf) \
-                if row.max() >= lowest else []
-            np.testing.assert_array_equal(picks, i * 25 + np.asarray(
-                want, dtype=np.intp))
+            want = select_reference(row, tau, n_bf, lowest)
+            np.testing.assert_array_equal(picks, i * 25 + want)
+
+    @pytest.mark.parametrize("n_bf", [1, 2, 3, 20])
+    def test_ties_at_the_cap_go_to_the_lower_index(self, n_bf):
+        # six rows: equal values straddling the cap, all zero, one
+        # positive value, and a row whose only candidate is below the floor
+        decr = np.zeros((6, 8))
+        decr[0, [1, 3, 4, 6]] = 2.0
+        decr[1, [0, 2, 5, 7]] = [1.0, 3.0, 3.0, 3.0]
+        decr[3, 5] = 1e-300
+        decr[4, [2, 3]] = 0.5
+        decr[5] = 4.0
+        floor = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+        flat, sizes = select_batch(decr, 0.75, n_bf, floor=floor)
+        want = [select_reference(row, 0.75, n_bf, lowest)
+                for row, lowest in zip(decr, floor)]
+        assert sizes == [w.size for w in want]
+        np.testing.assert_array_equal(
+            flat, np.concatenate([8 * i + w for i, w in enumerate(want)]))
+        assert sizes[2] == sizes[4] == 0 and sizes[3] == 1
+        np.testing.assert_array_equal(want[0], [1, 3, 4, 6][:n_bf])
+        np.testing.assert_array_equal(want[5], np.arange(min(n_bf, 8)))
 
 
 class TestSolveSubspace:
@@ -516,6 +538,55 @@ class TestBatchIndependence:
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
         for a, b in zip(plain, recorded):
             np.testing.assert_array_equal(a.block, b.block)
+
+
+class TestCallBuffers:
+    @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_back_to_back_calls_share_nothing(self, algo, size,
+                                              monkeypatch):
+        # every call's buffers are its own: its results equal the same
+        # call run alone, and no result shares memory with another result
+        # or with any later call's engine state; rba's first-step
+        # numerators, which it keeps for its input, are never overwritten
+        # by a later step
+        states = []
+        new_state = extrapolate.new_state
+
+        def keep(*args, **kwargs):
+            states.append(new_state(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(extrapolate, "new_state", keep)
+        rng = np.random.default_rng(size)
+        params = ExtrapolationParams(
+            algorithm=algo, iterations=30 if algo == "fsa" else None)
+        calls, inputs = [], []
+        for batch in (1, 3, 16):
+            layouts = [BATCH_LAYOUTS[size][i % 4] for i in range(batch)]
+            windows = plaid_windows(rng, batch, 3 * size)
+            calls.append((windows, layouts))
+            inputs.append(batch_context(layouts).numerators(
+                windows.reshape(batch, -1)).copy())
+        got = [run_batch(w, layouts, params, record=True)
+               for w, layouts in calls]
+        kept = states[:]
+        for (windows, layouts), results in zip(calls, got):
+            alone = run_batch(windows, layouts, params, record=True)
+            for a, b in zip(results, alone):
+                assert_same_run(a, b)
+        arrays = [(i, a) for i, results in enumerate(got) for r in results
+                  for a in (r.block, r.model.coefficients, r.model.rendering)]
+        for j, (i, a) in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for _, b in arrays[j + 1:])
+            assert not any(np.shares_memory(a, buffer) for state in kept[i:]
+                           for buffer in (state.residual, state.rendering,
+                                          state.coefficients))
+        if algo == "rba":
+            for state, want in zip(kept, inputs):
+                np.testing.assert_array_equal(state.f_numerators, want)
+                assert not np.shares_memory(state.f_numerators,
+                                            state.residual)
 
 
 class TestNumeratorCalls:
