@@ -7,7 +7,9 @@ TREE_A and TREE_B are checkouts of this repository.  Each tree's
 ``src/mcrefine`` is imported under its own name (``mcrefine_a``,
 ``mcrefine_b``), so both run side by side in one process and see the same
 machine at the same moments.  Every round times both trees, alternating
-which goes first, and prints:
+which goes first, and takes each timing as the best (least) of 3 repeats
+in a row, so that one slow spell on a shared machine does not set a
+round's figure.  It prints:
 
 - per engine (fsa, rba, msa) and batch size B (1, 4, 16), each tree's
   median milliseconds per window and the time ratio B/A, as the median and
@@ -19,7 +21,9 @@ which goes first, and prints:
   window alone and its ``ops_per_ref_s`` is the geometric mean of the
   engines' windows per second, so it moves by the inverse of this figure;
 - criterion 8's fsa/msa and rba/msa (``tests/test_acceptance.py``: 100
-  noisy plaid windows on an interior block) for each tree, per round;
+  noisy plaid windows on an interior block, each engine's time the best
+  of 3 repeats) for each tree, per round, then as the median and
+  quartiles over the rounds;
 - whether every engine output hash of B equals A's: blocks, coefficients,
   renderings and diagnostics with recorded selections, for every engine
   and batch size above;
@@ -54,6 +58,7 @@ ENGINES = ("fsa", "rba", "msa")
 BATCHES = (1, 4, 16)
 BLOCK = 16
 STRONGEST = 3   # functions per window whose Gram systems are refused
+REPEATS = 3     # timings per round of each tree, engine and B; the least counts
 
 
 def load_tree(root: Path, name: str):
@@ -202,6 +207,11 @@ def timed(call) -> float:
     return time.perf_counter() - t0
 
 
+def best(call) -> float:
+    """The least wall time of `REPEATS` calls of ``call`` in a row."""
+    return min(timed(call) for _ in range(REPEATS))
+
+
 def ms(seconds: list, windows: int) -> float:
     """Median milliseconds per window of runs over ``windows`` windows."""
     return 1e3 * statistics.median(seconds) / windows
@@ -237,9 +247,10 @@ def main(argv) -> int:
             for b in BATCHES:
                 for t in order:
                     spent[trees.index(t)][e, b].append(
-                        timed(lambda t=t: t.refine(e, b)))
+                        best(lambda t=t: t.refine(e, b)))
         for t in order:
-            seconds = {e: t.criterion8(e) for e in ENGINES}
+            seconds = {e: min(t.criterion8(e) for _ in range(REPEATS))
+                       for e in ENGINES}
             c8[trees.index(t)].append((seconds["fsa"] / seconds["msa"],
                                        seconds["rba"] / seconds["msa"]))
         print(f"round {r + 1}/{rounds}: criterion 8 fsa/msa, rba/msa  "
@@ -264,9 +275,11 @@ def main(argv) -> int:
     for label, runs in zip("AB", c8):
         fsa = [f for f, _ in runs]
         rba = [r for _, r in runs]
-        print(f"criterion 8 {label}: fsa/msa median {statistics.median(fsa):.2f}"
-              f" (min {min(fsa):.2f}), rba/msa median "
-              f"{statistics.median(rba):.3f} (min {min(rba):.3f})")
+        print(f"criterion 8 {label}: fsa/msa "
+              "{:.2f} [{:.2f}, {:.2f}]".format(*quartiles(fsa))
+              + f" (min {min(fsa):.2f}), rba/msa "
+              "{:.3f} [{:.3f}, {:.3f}]".format(*quartiles(rba))
+              + f" (min {min(rba):.3f}); median [q1, q3]")
     for shed, runs_of in ((False, "runs"), (True, "shed-path runs")):
         print(f"{runs_of} hashed: singular-Gram retries / early "
               "convergences at " + ", ".join(f"B={b}" for b in BATCHES))

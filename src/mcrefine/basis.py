@@ -37,7 +37,6 @@ the reference for this route.
 from __future__ import annotations
 
 import copy
-import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -45,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .frame import (CAUSAL_PATTERNS, REGION_B, REGION_R, BlockRef,
-                    ProjectionLayout, batch_block_size)
+                    ProjectionLayout, batch_block_size, check_positive)
 
 
 class ParameterError(ValueError):
@@ -200,9 +199,7 @@ def check_weighting(mu: float, rho: float) -> None:
     ``0 < rho < 1``."""
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"decay factor rho must lie in (0, 1), got {rho}")
-    if not 0.0 < mu < math.inf:
-        raise ParameterError(
-            f"centre-block weight mu must be finite and positive, got {mu}")
+    check_positive("centre-block weight mu", mu, ParameterError)
 
 
 def build_weight_mask(layout: ProjectionLayout, mu: float = DEFAULT_MU,

@@ -55,9 +55,10 @@ class RunConfig:
     tau: float = ExtrapolationParams.tau
     n_bf: int = ExtrapolationParams.n_bf
     gamma: float = ExtrapolationParams.gamma
-    fsa_iterations: int = ExtrapolationParams.DEFAULT_ITERATIONS["fsa"]
-    rba_iterations: int = ExtrapolationParams.DEFAULT_ITERATIONS["rba"]
-    msa_iterations: int = ExtrapolationParams.DEFAULT_ITERATIONS["msa"]
+    # one per engine; None takes the engine's `DEFAULT_ITERATIONS` entry
+    fsa_iterations: int | None = None
+    rba_iterations: int | None = None
+    msa_iterations: int | None = None
     # motion
     search_range: int = SearchParams.search_range
     subpel: int = SearchParams.subpel
@@ -81,12 +82,10 @@ class RunConfig:
         extrapolation = None
         # an unknown name reaches `EncoderConfig`, whose message lists 'none'
         if algorithm in ExtrapolationParams.DEFAULT_ITERATIONS:
-            iterations = {"fsa": self.fsa_iterations,
-                          "rba": self.rba_iterations,
-                          "msa": self.msa_iterations}[algorithm]
             extrapolation = ExtrapolationParams(
-                algorithm=algorithm, iterations=iterations, tau=self.tau,
-                n_bf=self.n_bf, gamma=self.gamma)
+                algorithm=algorithm,
+                iterations=getattr(self, f"{algorithm}_iterations"),
+                tau=self.tau, n_bf=self.n_bf, gamma=self.gamma)
         return EncoderConfig(
             refinement=algorithm, extrapolation=extrapolation,
             search=SearchParams(search_range=self.search_range,

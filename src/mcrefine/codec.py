@@ -67,7 +67,8 @@ import numpy as np
 from . import extrapolate
 from .basis import DEFAULT_MU, DEFAULT_RHO, batch_context, check_weighting
 from .frame import (NEIGHBOUR_TILES, BlockRef, Frame, GeometryError, Plane,
-                    build_layout, is_integer, psnr)
+                    build_layout, check_positive, is_integer, mse, psnr,
+                    to_samples)
 from .motion import MotionVector, SearchParams, compensate, estimate, mv_bits
 
 # Blocks per engine call: `refine_blocks` cuts the blocks of every path
@@ -104,9 +105,7 @@ def check_qstep(qstep: float, peak: float = PEAK_COEFFICIENT) -> None:
     `replay_trace` to a trace's two steps before any decoding, and
     `reconstruct_block` to the largest coefficient it quantizes.
     """
-    if not 0.0 < qstep < math.inf:
-        raise ValueError(f"quantizer step must be finite and positive, "
-                         f"got {qstep}")
+    check_positive("quantizer step", qstep)
     if peak / qstep > np.iinfo(np.int32).max:
         raise ValueError(f"quantizer step {qstep:g} gives a level of "
                          f"{peak / qstep:.3g}, beyond int32")
@@ -155,9 +154,7 @@ class EncoderConfig:
             raise ValueError(f"block size must be an integer power of two "
                              f"from 8 (8x8 transform tiles) to 64, got {s!r}")
         check_weighting(self.mu, self.rho)
-        if not 0.0 < self.fps < math.inf:
-            raise ValueError(f"frame rate must be finite and positive, "
-                             f"got {self.fps}")
+        check_positive("frame rate", self.fps)
 
     @property
     def qsteps(self) -> tuple:
@@ -356,15 +353,6 @@ def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
             context=batch_context(part, mu=config.mu, rho=config.rho))
 
 
-def _block_mses(originals: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """`frame.mse` of each block of a (k, s, s) stack against its
-    original, bit for bit: the same difference, square and mean per
-    block."""
-    d = originals - blocks
-    d *= d
-    return d.mean(axis=(1, 2))
-
-
 def _switch(indices, motion, originals: np.ndarray, mc: np.ndarray,
             refined: dict, decisions: list, predictor: np.ndarray) -> None:
     """The per-block MSE switch over the blocks ``indices`` of a frame:
@@ -376,21 +364,21 @@ def _switch(indices, motion, originals: np.ndarray, mc: np.ndarray,
     refined block.  Records each block's decision in ``decisions`` and
     writes its chosen block into ``predictor``.  The blocks are switched
     a stack of at most `REFINE_CHUNK` at a time: their MC and refined
-    MSEs (`_block_mses`) are array operations, and the chosen blocks are
-    written in one assignment.
+    MSEs are one `mse` call each, and the chosen blocks are written in one
+    assignment.
     """
     nx = mc.shape[1]
     for lo in range(0, len(indices), REFINE_CHUNK):
         part = list(indices[lo:lo + REFINE_CHUNK])
         at = np.divmod(part, nx)
         own, chosen = originals[at], mc[at]
-        mc_err = _block_mses(own, chosen)
+        mc_err = mse(own, chosen)
         refined_err = np.full(len(part), np.nan)
         use = np.zeros(len(part), bool)
         tried = [k for k, i in enumerate(part) if i in refined]
         if tried:
             blocks = np.stack([refined[part[k]] for k in tried])
-            refined_err[tried] = _block_mses(own[tried], blocks)
+            refined_err[tried] = mse(own[tried], blocks)
             use[tried] = won = refined_err[tried] < mc_err[tried]
             chosen[use] = blocks[won]
         predictor[at] = chosen
@@ -457,12 +445,18 @@ def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
 # Transform path and closed-loop encoding
 # ---------------------------------------------------------------------------
 
+def _level_shape(s: int) -> tuple:
+    """The shape of one s x s block's tiles and quantized levels: its 8x8
+    tiles in row-major tile order."""
+    return ((s // 8) ** 2, 8, 8)
+
+
 def _tile_8x8(blocks: np.ndarray) -> np.ndarray:
-    """(..., s, s) rasters -> (..., n_tiles, 8, 8) in row-major tile order."""
+    """(..., s, s) rasters -> (..., `_level_shape`) tiles."""
     *lead, s, _ = blocks.shape
     t = s // 8
     return blocks.reshape(*lead, t, 8, t, 8).swapaxes(-3, -2) \
-        .reshape(*lead, t * t, 8, 8)
+        .reshape(*lead, *_level_shape(s))
 
 
 def _untile_8x8(tiles: np.ndarray, s: int) -> np.ndarray:
@@ -535,8 +529,7 @@ def decode_block(predictor: np.ndarray, levels: np.ndarray,
     """Decoder-side counterpart of `reconstruct_block`: ``levels`` is
     (..., tiles, 8, 8) and ``predictor`` broadcasts against its blocks."""
     coded = idct_8x8(levels.astype(np.float64) * qstep)
-    out = predictor + _untile_8x8(coded, predictor.shape[-1])
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return to_samples(predictor + _untile_8x8(coded, predictor.shape[-1]))
 
 
 def _grid(raster: np.ndarray, s: int) -> np.ndarray:
@@ -592,15 +585,19 @@ def check_frame_count(count: int) -> None:
                          f"frame to predict), got {count}")
 
 
+def _intra_predictor(s: int) -> np.ndarray:
+    """The predictor of every block of the intra frame: flat mid-grey."""
+    return np.full((s, s), 128.0)
+
+
 def _encode_intra(frame: Plane, qstep: float, blocks: list):
-    """Store the first frame against a flat mid-grey predictor, in one
-    transform call."""
+    """Store the first frame against `_intra_predictor`, in one transform
+    call."""
     s = blocks[0].size
     recon = np.empty((frame.height, frame.width), np.uint8)
     grid = _grid(recon, s)
     rec, levels = reconstruct_block(
-        _grid(frame.data, s).reshape(-1, s, s), np.full((s, s), 128.0),
-        qstep)
+        _grid(frame.data, s).reshape(-1, s, s), _intra_predictor(s), qstep)
     grid[...] = rec.reshape(grid.shape)
     return Plane(recon), levels
 
@@ -618,8 +615,7 @@ def _mc_chroma(prev: Frame, decisions, block_size: int) -> tuple:
         return None, None
     blocks = frame_blocks(prev.u.width, prev.u.height, block_size // 2)
     vectors = [d.mv.for_chroma() for d in decisions]
-    return tuple(Plane(np.rint(_compensate_frame(comp, blocks, vectors))
-                       .clip(0, 255).astype(np.uint8))
+    return tuple(Plane(to_samples(_compensate_frame(comp, blocks, vectors)))
                  for comp in (prev.u, prev.v))
 
 
@@ -680,7 +676,7 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
         originals, recon_grid = _grid(cur.data, s), _grid(recon_y, s)
         pred_grid = _grid(pred_y, s)
         decisions = [None] * len(blocks)
-        levels = np.empty((len(blocks), (s // 8) ** 2, 8, 8), np.int32)
+        levels = np.empty((len(blocks), *_level_shape(s)), np.int32)
         refined = {}
         refine_total = 0.0
         motion = search_frame(cur, prev, blocks, config.search)
@@ -772,7 +768,7 @@ def _check_trace(trace: EncodeTrace, count: int) -> None:
     check_qstep(trace.qstep)
     check_qstep(trace.intra_qstep)
     width, height = trace.dims
-    tiles = ((trace.block_size // 8) ** 2, 8, 8)
+    tiles = _level_shape(trace.block_size)
     where = f"a {width}x{height} frame of {count} blocks of levels {tiles}"
     if np.shape(trace.intra_levels) != (count,) + tiles:
         raise GeometryError(f"the intra levels {np.shape(trace.intra_levels)}"
@@ -817,7 +813,7 @@ def replay_trace(trace: EncodeTrace, config: EncoderConfig):
     layouts = [build_layout(trace.dims, block) for block in blocks]
     recon = np.empty((height, width), np.uint8)
     grid = _grid(recon, s)
-    grid[...] = decode_block(np.full((s, s), 128.0), trace.intra_levels,
+    grid[...] = decode_block(_intra_predictor(s), trace.intra_levels,
                              trace.intra_qstep).reshape(grid.shape)
     prev = Plane(recon)
     predictors, recons = [], []

@@ -73,8 +73,6 @@ log = logging.getLogger(__name__)
 # fraction of the initial weighted error.
 CONVERGENCE_FRACTION = 1e-12
 
-ALGORITHMS = ("none", "fsa", "rba", "msa")
-
 
 @dataclass(frozen=True)
 class ExtrapolationParams:
@@ -111,6 +109,10 @@ class ExtrapolationParams:
     @classmethod
     def defaults(cls, algorithm: str) -> "ExtrapolationParams":
         return cls(algorithm=algorithm)
+
+
+# Every refinement a codec config names: none, then each engine.
+ALGORITHMS = ("none", *ExtrapolationParams.DEFAULT_ITERATIONS)
 
 
 @dataclass(frozen=True)

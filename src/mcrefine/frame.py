@@ -12,6 +12,7 @@ region labels are derived from those two fields.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,6 +55,20 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def check_positive(name: str, value, error: type = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is finite and positive (NaN is
+    not)."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be finite and positive, got {value}")
+
+
+def to_samples(values) -> np.ndarray:
+    """``values`` rounded to the nearest integer (halves to even) and
+    clamped to [0, 255], as 8-bit samples: the one rounding of decoded
+    blocks, compensated chroma and synthetic frames."""
+    return np.clip(np.rint(values), 0, 255).astype(np.uint8)
+
+
 class Plane:
     """Immutable 8-bit sample raster (one colour component of a frame).
 
@@ -61,7 +76,7 @@ class Plane:
     a wider type.  A plane keeps nothing but its samples: derived rasters
     such as `quarter_grid` are computed on each call, and motion search
     keeps the quarter grid of the reference it last read
-    (`motion._quarter_grid`), so a plane held for later costs no more
+    (`motion._tables`), so a plane held for later costs no more
     than its samples.
     """
 
@@ -268,14 +283,22 @@ def batch_block_size(layouts) -> int:
     return sizes.pop()
 
 
-def mse(a, b) -> float:
-    """Mean squared sample difference of two equally sized rasters."""
+def mse(a, b) -> float | np.ndarray:
+    """Mean squared sample difference of two equally sized rasters, as a
+    float; of two (k, s, s) stacks, each pair's, as an array.
+
+    The mean is over the last two axes, so each block of a stack gets
+    bitwise its own 2-D ``mse``: the one error measure of the per-block
+    switch and of PSNR.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    return float(np.mean(d * d))
+    d *= d
+    m = d.mean(axis=(-2, -1))
+    return float(m) if m.ndim == 0 else m
 
 
 def psnr(reference, test, peak: float = 255.0) -> float:

@@ -22,24 +22,25 @@ Pruning is the successive elimination algorithm (Li & Salari, IEEE TIP
 2000).  Split the block into 4x4 sub-blocks.  The |differences| inside one
 sub-block add up to at least |candidate sub-block sum - target sub-block
 sum|, so the sum of those terms over the sub-blocks is a lower bound of the
-candidate's SAD.  `_subblock_sums` tabulates the sub-block sum at every
+candidate's SAD.  `_Tables.sums` tabulates the sub-block sum at every
 grid position of the reference; the sums lie in [0, 16320], their
 differences and a pair of |differences| fit int16, and a bound is summed in
 int32.  One strided view of that table gives the bound of every candidate
 of a block at once.
 
-Both derived tables are kept per thread for one reference only, the one
-last read: `_quarter_grid` keeps its quarter grid and `_subblock_sums`
-its sub-block sums beside it.  Beside them `_search_views` keeps, for one
-block size, two strided views of those tables that cover every block
-position: the 4-D candidate view of the grid and the sub-block-sum view
-of the table.  `estimate` slices its block's window out of both, so a
-search makes no view of its own and no table is copied.  `search_frame`
-searches every block of a frame against one reference and `compensate`
-then reads the same one, so `estimate`, `compensate` and
-`_subblock_sums` share one grid per frame, and moving to the next
-reference frees the last one's tables and views; no plane keeps a grid,
-however many planes a caller holds.
+Motion keeps one record per thread, a `_Tables` of the reference last
+read at one resolution: its quarter grid, the sub-block sums of that grid
+once a search needs them, and per block size two strided views of those
+tables that cover every block position, the 4-D candidate view of the
+grid and the sub-block-sum view of the table.  `estimate` slices its
+block's window out of both views, so a search makes no view of its own
+and no table is copied.  `_tables` makes the one staleness test: another
+reference or resolution replaces the record, and the old record is
+dropped, with every table and view it holds, before the new grid is
+built.  `search_frame` searches every block of a frame against one
+reference and `compensate` then reads the same one, so a frame's search
+and compensation share one grid; no plane keeps a grid, however many
+planes a caller holds.
 
 The zero vector and the candidate of smallest bound are scored first; their
 best SAD is the threshold.  Only candidates whose bound is at most the
@@ -157,86 +158,91 @@ def _sad_table(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.abs(candidates - target).sum(axis=(1, 2), dtype=np.int32)
 
 
-def _quarter_grid(reference: Plane, scale: int) -> np.ndarray:
-    """``reference.quarter_grid(scale)``, kept read-only for the calls that
-    follow until another reference or resolution is read."""
-    kept = getattr(_scratch, "grid", None)
-    if kept is not None and kept[0] is reference and kept[1] == scale:
-        return kept[2]
-    # free the old tables and views before building the new ones
-    kept = _scratch.grid = _scratch.sums = _scratch.views = None
-    grid = reference.quarter_grid(scale)
-    grid.setflags(write=False)
-    _scratch.grid = (reference, scale, grid)
-    return grid
+class _Tables:
+    """The derived tables of one reference at one resolution: its quarter
+    grid, kept read-only, and the tables built from it when first read."""
+
+    __slots__ = ("reference", "scale", "grid", "_sums", "_views")
+
+    def __init__(self, reference: Plane, scale: int):
+        self.reference, self.scale = reference, scale
+        self.grid = reference.quarter_grid(scale)
+        self.grid.setflags(write=False)
+        self._sums, self._views = None, {}
+
+    def sums(self) -> np.ndarray:
+        """Sums of 4x4 sub-blocks of the grid, everywhere.
+
+        Entry ``[y, x]`` is the sum of ``grid[y + scale*i, x + scale*j]``
+        over i, j in 0..3: the samples that one sub-block of a block
+        displaced to grid position (y, x) covers.  The sums lie in
+        [0, 16 * 1020] = [0, 16320], so the table is int16.  It has
+        ``3*scale`` fewer rows and columns than the grid (none when the
+        grid is smaller) and is built, read-only, from separable strided
+        box sums of the grid.
+        """
+        if self._sums is None:
+            grid, scale = self.grid, self.scale
+            h, w = (max(0, n - (_SUB - 1) * scale) for n in grid.shape)
+            taps = [scale * k for k in range(1, _SUB)]
+            rows = grid[:, :w].copy()
+            for t in taps:
+                rows += grid[:, t:t + w]
+            sums = rows[:h].copy()
+            for t in taps:
+                sums += rows[t:t + h]
+            sums.setflags(write=False)
+            self._sums = sums
+        return self._sums
+
+    def views(self, size: int) -> tuple:
+        """The candidate and sub-block-sum views of every ``size`` block
+        position.
+
+        ``candidates[y, i, j, x]`` is ``grid[y + scale*i, x + scale*j]``,
+        the (i, j) sample of the candidate at grid position (y, x);
+        ``sums[u, v, y, x]`` is ``table[y + 4*scale*u, x + 4*scale*v]``
+        of the `sums` table, the sum of that candidate's (u, v) sub-block
+        (None below 4 samples, where a block has no sub-block).  Both are
+        read-only views, kept per block size.
+        """
+        views = self._views.get(size)
+        if views is None:
+            grid, scale = self.grid, self.scale
+            reach = scale * (size - 1)
+            s0, s1 = grid.strides
+            candidates = as_strided(
+                grid, shape=(max(0, grid.shape[0] - reach), size, size,
+                             max(0, grid.shape[1] - reach)),
+                strides=(s0, scale * s0, scale * s1, s1), writeable=False)
+            sums = None
+            if size >= _SUB:
+                table = self.sums()
+                a, step = size // _SUB, _SUB * scale
+                t0, t1 = table.strides
+                reach = step * (a - 1)
+                sums = as_strided(
+                    table, shape=(a, a, max(0, table.shape[0] - reach),
+                                  max(0, table.shape[1] - reach)),
+                    strides=(step * t0, step * t1, t0, t1), writeable=False)
+            views = self._views[size] = candidates, sums
+        return views
 
 
-def _subblock_sums(reference: Plane, scale: int) -> np.ndarray:
-    """Sums of 4x4 sub-blocks of the reference's quarter grid, everywhere.
+def _tables(reference: Plane, scale: int) -> _Tables:
+    """The kept `_Tables` of ``reference`` at ``scale``.
 
-    Entry ``[y, x]`` is the sum of ``quarter_grid(scale)[y + scale*i,
-    x + scale*j]`` over i, j in 0..3: the samples that one sub-block of a
-    block displaced to grid position (y, x) covers.  The sums lie in
-    [0, 16 * 1020] = [0, 16320], so the table is int16.  It has
-    ``3*scale`` fewer rows and columns than the grid (none when the grid is
-    smaller) and is built from separable strided box sums of the kept
-    grid (`_quarter_grid`).  The table is kept, read-only, beside that
-    grid.
+    The one record motion keeps, per thread: it serves the calls that
+    follow until another reference or resolution is read, which frees
+    the old tables before it builds the new ones.
     """
-    kept = getattr(_scratch, "sums", None)
-    if kept is not None and kept[0] is reference and kept[1] == scale:
-        return kept[2]
-    kept = None  # a stale table goes with its grid, before the new one
-    grid = _quarter_grid(reference, scale)
-    h, w = (max(0, n - (_SUB - 1) * scale) for n in grid.shape)
-    taps = [scale * k for k in range(1, _SUB)]
-    rows = grid[:, :w].copy()
-    for t in taps:
-        rows += grid[:, t:t + w]
-    sums = rows[:h].copy()
-    for t in taps:
-        sums += rows[t:t + h]
-    sums.setflags(write=False)
-    _scratch.sums = (reference, scale, sums)
-    return sums
-
-
-def _search_views(reference: Plane, scale: int, size: int) -> tuple:
-    """The candidate and sub-block-sum views of every ``size`` block
-    position of the reference's kept tables.
-
-    ``candidates[y, i, j, x]`` is ``grid[y + scale*i, x + scale*j]``, the
-    (i, j) sample of the candidate at grid position (y, x); ``sums[u, v,
-    y, x]`` is ``table[y + 4*scale*u, x + 4*scale*v]``, the sum of that
-    candidate's (u, v) sub-block (None below 4 samples, where a block has
-    no sub-block).  Both are read-only views of `_quarter_grid` and
-    `_subblock_sums`, kept beside them for one block size and freed with
-    them.
-    """
-    kept = getattr(_scratch, "views", None)
-    if kept is not None and kept[0] is reference and kept[1:3] == (scale,
-                                                                   size):
-        return kept[3:]
-    kept = None  # stale views go with their tables, before the new ones
-    grid = _quarter_grid(reference, scale)
-    reach = scale * (size - 1)
-    s0, s1 = grid.strides
-    candidates = as_strided(
-        grid, shape=(max(0, grid.shape[0] - reach), size, size,
-                     max(0, grid.shape[1] - reach)),
-        strides=(s0, scale * s0, scale * s1, s1), writeable=False)
-    sums = None
-    if size >= _SUB:
-        table = _subblock_sums(reference, scale)
-        a, step = size // _SUB, _SUB * scale
-        t0, t1 = table.strides
-        reach = step * (a - 1)
-        sums = as_strided(
-            table, shape=(a, a, max(0, table.shape[0] - reach),
-                          max(0, table.shape[1] - reach)),
-            strides=(step * t0, step * t1, t0, t1), writeable=False)
-    _scratch.views = (reference, scale, size, candidates, sums)
-    return candidates, sums
+    kept = getattr(_scratch, "tables", None)
+    if kept is None or kept.reference is not reference \
+            or kept.scale != scale:
+        # no name may hold the old record while the new one is built
+        kept = _scratch.tables = None
+        kept = _scratch.tables = _Tables(reference, scale)
+    return kept
 
 
 def _lower_bounds(reference: Plane, target: np.ndarray,
@@ -245,8 +251,8 @@ def _lower_bounds(reference: Plane, target: np.ndarray,
     """Successive-elimination lower bound of every candidate's SAD.
 
     For each candidate, the sum over the block's 4x4 sub-blocks of
-    |candidate sub-block sum - target sub-block sum|, read from
-    `_subblock_sums`.  ``target`` is the block in quarter units,
+    |candidate sub-block sum - target sub-block sum|, read from the
+    reference's `_Tables`.  ``target`` is the block in quarter units,
     ``origin`` the grid position of the first candidate and ``window`` the
     ``(n_dy, n_dx)`` candidate count; returns that shape in int32.
     """
@@ -257,7 +263,7 @@ def _lower_bounds(reference: Plane, target: np.ndarray,
     a = s // _SUB
     n = a * a  # sub-blocks, a power of two
     # sums[u, v, dy, dx] = table[y + dy + 4*scale*u, x + 4*scale*v + dx]
-    sums = _search_views(reference, scale, s)[1][
+    sums = _tables(reference, scale).views(s)[1][
         :, :, origin[0]:origin[0] + n_dy, origin[1]:origin[1] + n_dx]
     own = target.reshape(a, _SUB, a, _SUB).sum(axis=(1, 3), dtype=np.int16)
     rows = min(n_dy, max(1, _CHUNK_BYTES // (2 * n * n_dx)))
@@ -303,7 +309,7 @@ def estimate(current: Plane, reference: Plane, block: BlockRef,
     window = n_dy, n_dx = dy_hi - dy_lo + 1, dx_hi - dx_lo + 1
     origin = (scale * block.y0 + dy_lo, scale * block.x0 + dx_lo)
     # candidates[dy, i, j, dx] = grid[y + dy + scale*i, x + scale*j + dx]
-    candidates = _search_views(reference, scale, s)[0][
+    candidates = _tables(reference, scale).views(s)[0][
         origin[0]:origin[0] + n_dy, :, :, origin[1]:origin[1] + n_dx]
     bound = _lower_bounds(reference, target, origin, window, scale).ravel()
 
@@ -348,7 +354,7 @@ def compensate(reference: Plane, block: BlockRef, mv: MotionVector) -> np.ndarra
         raise GeometryError(
             f"displacement ({mv.dx}, {mv.dy})/{scale} moves block "
             f"({block.x0}, {block.y0}) outside the reference")
-    grid = _quarter_grid(reference, scale)
+    grid = _tables(reference, scale).grid
     return grid[y:y + scale * s:scale, x:x + scale * s:scale] * 0.25
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame import Frame, Plane
+from .frame import Frame, Plane, check_count, to_samples
 
 
 class FormatError(ValueError):
@@ -156,7 +156,7 @@ class _FieldPattern:
 
 
 def _quantize(values: np.ndarray) -> Plane:
-    return Plane(np.clip(np.rint(values), 0, 255).astype(np.uint8))
+    return Plane(to_samples(values))
 
 
 def _gray_chroma(width: int, height: int) -> Plane:
@@ -199,8 +199,7 @@ def synth_sequence(kind: str, *, width: int = 352, height: int = 288,
         raise UnusedOptionError(f"sequence kind {kind!r} does not use "
                                 f"{', '.join(unused)}")
     options = {**SYNTH_OPTIONS[kind], **options}
-    if frames < 1:
-        raise ValueError("need at least one frame")
+    check_count("frames", frames)
     frame_bytes(width, height)  # positive, even dimensions
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     out = []

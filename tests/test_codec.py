@@ -12,8 +12,8 @@ from mcrefine import basis, codec
 from mcrefine.bd import BDInputError, bd_metrics
 from mcrefine.codec import (DEFAULT_QPS, BlockDecision, EncoderConfig,
                             RDCurve, RDPoint, _entropy_bits, _side_bits,
-                            assemble_window, decode_block, dct_8x8,
-                            dependency_levels, idct_8x8, encode_pass,
+                            assemble_window, check_qstep, decode_block,
+                            dct_8x8, dependency_levels, idct_8x8, encode_pass,
                             encode_sequence, predict_frame, qp_to_qstep,
                             reconstruct_block, replay_trace)
 from mcrefine.extrapolate import ExtrapolationParams
@@ -89,13 +89,23 @@ class TestEncoderConfig:
         for size in (12, 16.0, "16"):
             with pytest.raises(ValueError, match="integer power of two"):
                 EncoderConfig(block_size=size)
-        for weighting in ({"rho": 1.0}, {"rho": 0.0}, {"mu": 0.0},
-                          {"mu": float("nan")}, {"mu": float("inf")}):
+        for rho in (1.0, 0.0):
             with pytest.raises(basis.ParameterError):
-                EncoderConfig(**weighting)
-        for fps in (0.0, -30.0, float("nan")):
-            with pytest.raises(ValueError, match="frame rate"):
-                EncoderConfig(fps=fps)
+                EncoderConfig(rho=rho)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), 0.0, -1.0, -30.0])
+    @pytest.mark.parametrize("check,error,message", [
+        (check_qstep, ValueError, "quantizer step"),
+        (lambda v: EncoderConfig(fps=v), ValueError, "frame rate"),
+        (lambda v: EncoderConfig(mu=v), basis.ParameterError,
+         "centre-block weight mu")], ids=["qstep", "fps", "mu"])
+    def test_finite_and_positive(self, check, error, message, value):
+        with pytest.raises(ValueError) as caught:
+            check(value)
+        assert type(caught.value) is error
+        assert str(caught.value) == (f"{message} must be finite and "
+                                     f"positive, got {value}")
 
     def test_engine_named_once(self):
         with pytest.raises(ValueError, match="does not match"):

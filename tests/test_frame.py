@@ -199,6 +199,24 @@ class TestMetrics:
         b = np.full((4, 4), 2.0)
         assert mse(a, b) == 4.0
 
+    @pytest.mark.parametrize("height,width", [(16, 16), (48, 64),
+                                              (144, 176), (288, 352)])
+    def test_mse_of_a_stack_is_each_blocks_own(self, rng, height, width):
+        # the per-block switch takes one mse of a (k, s, s) stack; PSNR one
+        # of a whole frame.  Both must be bitwise the 2-D form.
+        original = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+        predictor = rng.uniform(0.0, 255.0, size=(height, width))
+        d = original - predictor
+        assert mse(original, predictor) == float(np.mean(d * d))
+        for s in (8, 16, 32, 64):
+            if height % s or width % s:
+                continue
+            a, b = (r.reshape(height // s, s, width // s, s).swapaxes(1, 2)
+                    .reshape(-1, s, s) for r in (original, predictor))
+            got = mse(a, b)
+            assert got.shape == (len(a),)
+            assert got.tolist() == [mse(x, y) for x, y in zip(a, b)]
+
     def test_mse_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             mse(np.zeros((4, 4)), np.zeros((4, 5)))

@@ -201,6 +201,13 @@ class TestSynth:
                 synth_sequence("translate", width=width, height=height,
                                frames=1)
 
+    @pytest.mark.parametrize("kind", ["translate", "noise"])
+    @pytest.mark.parametrize("frames", [0, -1, 2.5, True])
+    def test_frame_count_is_a_positive_integer(self, kind, frames):
+        with pytest.raises(ValueError, match="frames must be a positive "
+                                             "integer"):
+            synth_sequence(kind, width=16, height=16, frames=frames)
+
     def test_output_feeds_file_roundtrip(self, tmp_path):
         frames = synth_sequence("translate", width=48, height=32, frames=2)
         path = tmp_path / "synth.yuv"

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,8 @@ from mcrefine import motion
 from mcrefine.codec import frame_blocks, search_frame
 from mcrefine.frame import BlockRef, GeometryError, Plane
 from mcrefine.motion import (MotionVector, SearchParams, _lower_bounds,
-                             _quarter_grid, _sad_table, _subblock_sums,
-                             _window, compensate, estimate, mv_bits,
-                             signed_golomb_bits)
+                             _sad_table, _tables, _window, compensate,
+                             estimate, mv_bits, signed_golomb_bits)
 
 
 def sad_oracle(current, reference, block, mv):
@@ -147,7 +148,7 @@ class TestEstimate:
         def no_work(*args):
             raise AssertionError("the search started")
 
-        monkeypatch.setattr(motion, "_quarter_grid", no_work)
+        monkeypatch.setattr(motion, "_tables", no_work)
         big, small = (Plane(rng.integers(0, 256, size=(n, n), dtype=np.uint8))
                       for n in (48, 32))
         for cur, ref in ((small, big), (big, small), (small, small)):
@@ -421,7 +422,7 @@ class TestSubblockSums:
         data = rng.integers(0, 256, size=(13, 11), dtype=np.uint8)
         p = Plane(data)
         grid = p.quarter_grid(subpel).astype(int)
-        sums = _subblock_sums(p, subpel)
+        sums = _tables(p, subpel).sums()
         assert sums.shape == (13 * subpel - 3 * subpel,
                               11 * subpel - 3 * subpel)
         want = np.zeros(sums.shape, int)
@@ -438,39 +439,64 @@ class TestSubblockSums:
     def test_kept_for_the_last_reference_readonly_int16(self):
         p = Plane(np.full((12, 20), 255, np.uint8))
         for subpel in (1, 2):
-            sums = _subblock_sums(p, subpel)
-            assert sums is _subblock_sums(p, subpel)
+            sums = _tables(p, subpel).sums()
+            assert sums is _tables(p, subpel).sums()
             assert sums.dtype == np.int16
             assert (sums == 16 * 1020).all()   # the largest sum, exact
             with pytest.raises(ValueError):
                 sums[0, 0] = 0
         # another reference, or another resolution, gets its own table
         other = Plane(np.zeros((12, 20), np.uint8))
-        assert (_subblock_sums(other, 2) == 0).all()
-        assert (_subblock_sums(p, 2) == 16 * 1020).all()
-        assert _subblock_sums(p, 1).shape == (9, 17)
+        assert (_tables(other, 2).sums() == 0).all()
+        assert (_tables(p, 2).sums() == 16 * 1020).all()
+        assert _tables(p, 1).sums().shape == (9, 17)
 
     def test_one_grid_kept_for_the_last_reference(self, rng):
         # estimate, compensate and the sub-block sums of one reference
         # read one grid; the next reference replaces it
         p = Plane(rng.integers(0, 256, size=(12, 20), dtype=np.uint8))
-        grid = _quarter_grid(p, 2)
-        assert grid is _quarter_grid(p, 2)
+        grid = _tables(p, 2).grid
+        assert grid is _tables(p, 2).grid
         np.testing.assert_array_equal(grid, p.quarter_grid(2))
         with pytest.raises(ValueError):
             grid[0, 0] = 0
-        sums = _subblock_sums(p, 2)
+        sums = _tables(p, 2).sums()
         block = BlockRef(4, 4, 4)
         mv, _ = estimate(p, p, block, SearchParams(search_range=2))
         compensate(p, block, mv)
-        assert _quarter_grid(p, 2) is grid and _subblock_sums(p, 2) is sums
+        assert _tables(p, 2).grid is grid and _tables(p, 2).sums() is sums
         other = Plane(p.data[::-1])
-        assert _quarter_grid(other, 2) is not grid
-        assert _quarter_grid(p, 1) is _quarter_grid(p, 1)
-        assert _quarter_grid(p, 2) is not grid
+        assert _tables(other, 2).grid is not grid
+        assert _tables(p, 1).grid is _tables(p, 1).grid
+        assert _tables(p, 2).grid is not grid
+
+    def test_a_references_tables_go_before_the_next_are_built(
+            self, rng, monkeypatch):
+        # one reference's grid, sum table and views at a time: none of A's
+        # outlives the step to B, and none is alive while B's grid is built
+        a, b = (Plane(rng.integers(0, 256, size=(48, 48), dtype=np.uint8))
+                for _ in range(2))
+        block, params = BlockRef(16, 16), SearchParams(search_range=4)
+        estimate(a, a, block, params)
+        kept = _tables(a, 2)
+        old = [weakref.ref(x) for x in (kept.grid, kept.sums(),
+                                        *kept.views(16))]
+        del kept
+        build, alive = Plane.quarter_grid, []
+
+        def quarter_grid(plane, subpel):
+            if plane is b:
+                alive.append([ref() is not None for ref in old])
+            return build(plane, subpel)
+
+        monkeypatch.setattr(Plane, "quarter_grid", quarter_grid)
+        estimate(b, b, block, params)
+        assert alive == [[False] * 4]
+        assert motion._scratch.tables.reference is b
+        assert all(ref() is None for ref in old)
 
     def test_plane_narrower_than_a_sub_block(self):
-        assert _subblock_sums(Plane(np.zeros((3, 8), np.uint8)), 1).shape \
+        assert _tables(Plane(np.zeros((3, 8), np.uint8)), 1).sums().shape \
             == (0, 5)
 
 
