@@ -16,6 +16,9 @@ round's figure.  It prints:
   quartiles over the rounds, on the working areas of perfbench's
   engine_mix (QCIF translate/field, sigma 8, seed 0: every block with a
   decoded neighbour, in raster order, cut into batches of B);
+- at B = 1, each tree's microseconds per iteration per engine: its
+  median milliseconds per window over the mean of its runs'
+  ``diagnostics.iterations``, so a per-step figure comes with every A/B;
 - at B = 1, the geometric mean of the three engines' B/A ratios per round,
   as the median and quartiles over the rounds: engine_mix runs every
   window alone and its ``ops_per_ref_s`` is the geometric mean of the
@@ -239,6 +242,9 @@ def main(argv) -> int:
     cases = [(e, b, shed) for shed in (False, True) for e in ENGINES
              for b in BATCHES]
     digests = [{case: t.digest(*case) for case in cases} for t in trees]
+    iterations = [{e: statistics.fmean(r.diagnostics.iterations
+                                       for r in t.refine(e, 1))
+                   for e in ENGINES} for t in trees]
     spent = [{(e, b): [] for e in ENGINES for b in BATCHES} for _ in trees]
     c8 = [[], []]
     for r in range(rounds):
@@ -268,6 +274,10 @@ def main(argv) -> int:
                  f"{m:.3f} [{q1:.3f}, {q3:.3f}]"
                  for b in BATCHES for m, q1, q3 in [quartiles(ratios[e, b])]]
         print(f"  {e}  " + "   ".join(cells))
+    for label, tree_spent, tree_iterations in zip("AB", spent, iterations):
+        print(f"B=1 us per iteration {label}: " + "   ".join(
+            f"{e} {1e3 * ms(tree_spent[e, 1], windows) / tree_iterations[e]:.1f}"
+            f" ({tree_iterations[e]:.2f} iterations)" for e in ENGINES))
     geo = [statistics.geometric_mean(r) for r in
            zip(*(ratios[e, 1] for e in ENGINES))]
     print("B=1 geometric mean of fsa, rba, msa time B/A: "

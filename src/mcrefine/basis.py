@@ -44,7 +44,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .frame import (CAUSAL_PATTERNS, REGION_B, REGION_R, BlockRef,
-                    ProjectionLayout, batch_block_size, check_positive)
+                    ProjectionLayout, batch_block_size, check_positive,
+                    check_real)
 
 
 class ParameterError(ValueError):
@@ -196,7 +197,8 @@ DEFAULT_RHO = 0.8
 
 def check_weighting(mu: float, rho: float) -> None:
     """Raise `ParameterError` unless ``mu`` is finite and positive and
-    ``0 < rho < 1``."""
+    ``rho`` a real number with ``0 < rho < 1``."""
+    check_real("decay factor rho", rho, ParameterError)
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"decay factor rho must lie in (0, 1), got {rho}")
     check_positive("centre-block weight mu", mu, ParameterError)
@@ -366,8 +368,10 @@ class ProjectionContext:
         passes in the same order) for less call overhead.
         """
         b = self.basis
-        weighted = residual * self.w_flat
-        spec = np.fft.rfft(weighted.reshape(-1, b.m, b.n))
+        weighted = (residual * self.w_flat).reshape(-1, b.m, b.n)
+        # the spectrum is allocated here: numpy's wrapper is slower at it
+        spec = np.empty((len(weighted), b.m, b.n // 2 + 1), np.complex128)
+        np.fft.rfft(weighted, out=spec)
         np.fft.fft(spec, axis=-2, out=spec)
         half = spec.view(np.float64).reshape(len(spec), -1)
         positions, signs = b.spectrum_keys

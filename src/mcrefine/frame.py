@@ -55,9 +55,17 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def check_real(name: str, value, error: type = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a real number; a bool is not
+    one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
 def check_positive(name: str, value, error: type = ValueError) -> None:
-    """Raise ``error`` unless ``value`` is finite and positive (NaN is
-    not)."""
+    """Raise ``error`` unless ``value`` is a real number (`check_real`),
+    finite and positive (NaN is not)."""
+    check_real(name, value, error)
     if not 0.0 < value < math.inf:
         raise error(f"{name} must be finite and positive, got {value}")
 

@@ -4,8 +4,10 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.linalg import lapack
 
 from mcrefine.basis import ProjectionContext, projection_context
+from mcrefine.extrapolate import CONVERGENCE_FRACTION, decrement_energies
 from mcrefine.frame import BlockRef, build_layout
 
 # FFT plans and basis construction make first calls slow; wall-clock
@@ -82,6 +84,63 @@ def select_reference(row, tau, n_bf, floor=0.0):
         return np.array([], dtype=np.intp)
     picks = [k for k in order if k == order[0] or row[k] > tau * best]
     return np.array(sorted(picks[:n_bf]), dtype=np.intp)
+
+
+def reference_run(window, params, ctx):
+    """A bare one-member engine: the reference for `run` and `run_batch`.
+
+    The engines' rule written out for one window, with no batch, no live
+    set and no singular-Gram handling (its windows must not need any):
+    select by `select_reference` against the residual, down to a floor of
+    `CONVERGENCE_FRACTION` of the initial weighted error; fsa and msa
+    solve on the picks and add the damped solution, rba re-projects the
+    input onto the span of every pick so far and stops when no pick is
+    new.  It shares the context's numerators, Gram entries and rendering
+    with the library, so only the engine's bookkeeping is under test, and
+    it solves with LAPACK's ``dpotrf`` then ``dpotrs``.  Returns the
+    model's rendering, its coefficients, the iterations taken and whether
+    the run converged.
+    """
+    f = np.asarray(window, dtype=np.float64).reshape(-1)
+    count = ctx.basis.count
+    coefficients, rendering = np.zeros(count), np.zeros(f.size)
+    floor = CONVERGENCE_FRACTION * np.dot(f * ctx.w_flat, f)
+    rba = params.algorithm == "rba"
+    n_bf = 1 if params.algorithm == "fsa" else params.n_bf
+    span = np.array([], dtype=np.intp)
+    f_num = ctx.numerators(f)
+    residual = f
+    for it in range(params.iterations):
+        num = ctx.numerators(residual)
+        picks = select_reference(decrement_energies(num, ctx), params.tau,
+                                 n_bf, floor)
+        if rba:
+            if np.setdiff1d(picks, span).size == 0:
+                return rendering, coefficients, it, True
+            span = idx = np.union1d(span, picks)
+            rhs = f_num[idx]
+        else:
+            if picks.size == 0:
+                return rendering, coefficients, it, True
+            idx, rhs = picks, num[picks]
+        if idx.size == 1:
+            solution = rhs / ctx.norms[idx]
+        else:
+            low, info = lapack.dpotrf(
+                ctx.gram(idx, [idx.size]).reshape(idx.size, idx.size),
+                lower=True)
+            assert info == 0, "the reference takes no singular Gram"
+            solution = lapack.dpotrs(low, rhs, lower=True)[0]
+        if rba:
+            coefficients = np.zeros(count)
+            coefficients[idx] = solution
+            rendering = ctx.render(idx, solution, [idx.size])[0]
+        else:
+            solution *= params.gamma
+            coefficients[idx] += solution
+            rendering = rendering + ctx.render(idx, solution, [idx.size])[0]
+        residual = f - rendering
+    return rendering, coefficients, params.iterations, False
 
 
 class MatrixContext(ProjectionContext):

@@ -92,20 +92,38 @@ class TestEncoderConfig:
         for rho in (1.0, 0.0):
             with pytest.raises(basis.ParameterError):
                 EncoderConfig(rho=rho)
+        # rho is a real number, and a bool is not one
+        for rho in ("0.5", None, True):
+            with pytest.raises(basis.ParameterError,
+                               match="rho must be a real number"):
+                EncoderConfig(rho=rho)
+
+    CHECKS = [(check_qstep, ValueError, "quantizer step"),
+              (lambda v: EncoderConfig(fps=v), ValueError, "frame rate"),
+              (lambda v: EncoderConfig(mu=v), basis.ParameterError,
+               "centre-block weight mu")]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        -float("inf"), 0.0, -1.0, -30.0])
-    @pytest.mark.parametrize("check,error,message", [
-        (check_qstep, ValueError, "quantizer step"),
-        (lambda v: EncoderConfig(fps=v), ValueError, "frame rate"),
-        (lambda v: EncoderConfig(mu=v), basis.ParameterError,
-         "centre-block weight mu")], ids=["qstep", "fps", "mu"])
+    @pytest.mark.parametrize("check,error,message", CHECKS,
+                             ids=["qstep", "fps", "mu"])
     def test_finite_and_positive(self, check, error, message, value):
         with pytest.raises(ValueError) as caught:
             check(value)
         assert type(caught.value) is error
         assert str(caught.value) == (f"{message} must be finite and "
                                      f"positive, got {value}")
+
+    # a non-number used to raise an untyped TypeError, and a bool passed
+    @pytest.mark.parametrize("value", ["30", None, True, False, [1.0]])
+    @pytest.mark.parametrize("check,error,message", CHECKS,
+                             ids=["qstep", "fps", "mu"])
+    def test_real_and_not_bool(self, check, error, message, value):
+        with pytest.raises(ValueError) as caught:
+            check(value)
+        assert type(caught.value) is error
+        assert str(caught.value) == (f"{message} must be a real number, "
+                                     f"got {value!r}")
 
     def test_engine_named_once(self):
         with pytest.raises(ValueError, match="does not match"):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from conftest import (MatrixContext, basis_function, basis_matrix,
+                      reference_run,
                       select_reference, stack_contexts)
 from mcrefine import extrapolate
 from mcrefine.basis import (ProjectionContext, batch_context, build_basis,
@@ -405,17 +406,17 @@ class TestBatchIndependence:
         bad = support[np.argmin(decr[support])]
         stub = SingularOnSupport(ctx16, support, bad)
         factored = []
-        factor = lapack.dpotrf
+        factor = lapack.dposv
 
-        def dpotrf(gram, **kwargs):
+        def dposv(gram, rhs, **kwargs):
             factored.append(np.array(gram))
-            return factor(gram, **kwargs)
+            return factor(gram, rhs, **kwargs)
 
         # one iteration: exactly one retry, only for that member, which
         # sheds its weakest pick; every batch-mate is factored once
         once = ExtrapolationParams(algorithm="msa", iterations=1)
         with monkeypatch.context() as patch:
-            patch.setattr(lapack, "dpotrf", dpotrf)
+            patch.setattr(lapack, "dposv", dposv)
             got = run_batch(windows, [layout16] * 5, once, context=stub,
                             record=True)
         assert [r.diagnostics.gram_retries for r in got] == [0, 0, 1, 0, 0]
@@ -503,7 +504,7 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
     def test_no_numpy_factorisation(self, algo, monkeypatch):
-        # every system is factored and solved by LAPACK's Cholesky pair
+        # every system is factored and solved by LAPACK's Cholesky solver
         # alone: a mixed-class batch completes with numpy's general solve
         # and its Cholesky out of reach
         def refused(*args, **kwargs):
@@ -538,6 +539,39 @@ class TestBatchIndependence:
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
         for a, b in zip(plain, recorded):
             np.testing.assert_array_equal(a.block, b.block)
+
+
+class TestReferenceEngine:
+    @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
+    def test_run_and_batch_match_the_bare_engine(self, algo):
+        # the bare one-member engine shares no bookkeeping with the
+        # library's loop: every member of a mixed-class B = 4 batch, and
+        # each window alone, must match it bit for bit; the black window
+        # converges on its first step beside live batch-mates
+        rng = np.random.default_rng(29)
+        layouts = BATCH_LAYOUTS[8]
+        windows = plaid_windows(rng, len(layouts), 24)
+        windows[2] = 0.0
+        params = ExtrapolationParams.defaults(algo)
+        batch = run_batch(windows, layouts, params, record=True)
+        for window, layout, got in zip(windows, layouts, batch):
+            rendering, coefficients, iterations, converged = reference_run(
+                window, params, projection_context(layout))
+            alone = run(window, layout, params, record=True)
+            for result in (got, alone):
+                d = result.diagnostics
+                assert d.gram_retries == 0
+                assert type(d.coefficient_count) is int
+                assert (d.iterations, d.converged) == (iterations, converged)
+                np.testing.assert_array_equal(result.model.coefficients,
+                                              coefficients)
+                np.testing.assert_array_equal(result.model.rendering,
+                                              rendering)
+                np.testing.assert_array_equal(
+                    result.block,
+                    rendering.reshape(24, 24)[layout.block_slices])
+        assert batch[2].diagnostics.converged
+        assert batch[2].diagnostics.iterations == 0
 
 
 class TestCallBuffers:
@@ -634,6 +668,12 @@ class TestParams:
             ExtrapolationParams(tau=0.0)
         with pytest.raises(ValueError):
             ExtrapolationParams(gamma=2.0)
+        # a non-number used to raise an untyped TypeError, and a bool passed
+        for value in ("0.5", None, True):
+            for name in ("tau", "gamma"):
+                with pytest.raises(ValueError, match=f"{name} must be a "
+                                                     "real number"):
+                    ExtrapolationParams(**{name: value})
         for count in (0, 2.5, True, "3"):
             for name in ("iterations", "n_bf"):
                 with pytest.raises(ValueError, match=f"{name} must be a "
