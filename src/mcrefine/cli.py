@@ -66,6 +66,8 @@ class RunConfig:
     fps: float = EncoderConfig.fps
 
     def validate(self):
+        if not self.algorithms:
+            raise ConfigError("no algorithm selected")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError("duplicate algorithm in selection")
         try:  # counts, names, ranges and geometry: the library's checks
@@ -118,10 +120,14 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         for key, raw in parser.items("run"):
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
-            if key in _TUPLE_FIELDS:
-                value = _parse_tuple(raw, _TUPLE_FIELDS[key])
-            else:
-                value = _SCALAR_TYPES[known[key].type](raw)
+            try:
+                if key in _TUPLE_FIELDS:
+                    value = _parse_tuple(raw, _TUPLE_FIELDS[key])
+                else:
+                    value = _SCALAR_TYPES[known[key].type](raw)
+            except ValueError:
+                raise ConfigError(f"{path}: cannot parse {key} = {raw!r}"
+                                  ) from None
             setattr(cfg, key, value)
     for key, value in overrides.items():
         if value is None:
@@ -267,11 +273,15 @@ def cmd_encode(args) -> int:
                              f"{res.bd_psnr_db:+7.4f} dB")
             except BDInputError as exc:
                 lines.append(f"{algo:5s} vs none:  BD unavailable ({exc})")
-    summary = ""
     if lines:
         summary = ("Bjontegaard means over the quantizer ladder "
                    "(proxy rates, luma PSNR):\n" + "\n".join(lines) + "\n")
-    if args.summary and summary:
+    else:
+        missing = ("'none' anchor to compare against" if anchor is None
+                   else "refinement to compare with the 'none' anchor")
+        summary = ("no Bjontegaard means computed: the selection has no "
+                   f"{missing}\n")
+    if args.summary:
         Path(args.summary).write_text(summary)
     if args.timing:
         text = ["mean refinement time per frame (wall clock, excluded from CSVs)"]
@@ -310,8 +320,14 @@ def _read_curve_csv(path, algorithm=None):
                               f"fields, the header {len(head)}")
         if algorithm and parts[aidx] != algorithm:
             continue
-        rates.append(float(parts[ridx]))
-        psnrs.append(float(parts[pidx]))
+        try:
+            rate, quality = float(parts[ridx]), float(parts[pidx])
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {line}: rate_kbps {parts[ridx]!r} and psnr_db "
+                f"{parts[pidx]!r} must both be numbers") from None
+        rates.append(rate)
+        psnrs.append(quality)
     if not rates:
         raise ConfigError(f"{path}: no usable rows"
                           + (f" for algorithm {algorithm}" if algorithm else ""))

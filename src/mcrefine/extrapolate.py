@@ -27,39 +27,41 @@ availability may differ, so each member has its own weighting: one
 `ProjectionContext` weights them all, with one weighting when they all
 have the same and otherwise one row per member (`batch_context`), which
 the engine reads as it is.  Per iteration it takes one stacked FFT for the
-numerators of every member and selects row-wise, which hands back the live
+numerators of every member and selects row-wise, which hands back the
 support once, in member order, as flat entries: each member's support is a
 run of them, of its own size, with no sort and no grouping by size.
 Size-1 systems take the closed form; every larger member's Gram matrix
 comes from one ragged gather over all of them, two table reads per entry
 from the signed FFT2(w) table; the solutions go into the coefficients in
 one scatter; and each member's model update is rendered by one matrix
-product.  Members that have converged drop out of the batch.  The loop
-runs at batches of a few members in the closed loop and of one in `run`,
-so its bookkeeping is kept to a fixed, small number of numpy calls per
-step at any batch size: while every member is live nothing is gathered
-and the state is updated in place, each member's convergence floor is
-computed once per call, and the bookkeeping of members that converge or
-retry runs only in an iteration where one does.  What remains above the
-arithmetic was measured against a bare one-member loop, written out with
-the same numerators, selection rule, Gram, render and LAPACK calls but no
-validation, diagnostics or shedding: at B = 1 on engine_mix's windows it
-takes 0.79 (fsa), 0.71 (rba) and 0.80 (msa) of `run`'s time per window
-(one core of a 2-vCPU VM, numpy 2.4.6).  A call allocates its
-state once (`new_state`): the residuals, coefficients, renderings and
-span flags, one row per member, and the per-member counters.  A step
-writes the residuals, coefficients, renderings and iteration counts in
-place; what it computes on the way (the weighted residuals, their
-spectra, the numerators, the decrements, the selection masks) is new
-each step.  That keeps rba's first numerators, its input's, intact, and
-it measured faster end to end than scratch held for the call, whose
-buffers at 16 members (295 KB each) slowed open-loop CIF by about 2 %.
-The solve, `_solve`, is the only solver and the one place a singular
-Gram matrix is handled; `solve_subspace` is its one-member call.  Every
-member's block, coefficients and diagnostics are bitwise independent of
-the batch size and of its batch-mates: every stacked operation computes
-each member exactly as it would compute it alone, and the solve never
-pads a system to a size that depends on the batch.
+product.  A member that has converged keeps its row, so every step has the
+one batch shape of the call: its floor becomes infinite, which selects
+nothing, and a member that selects nothing leaves its row as it is.  The
+loop runs at batches of a few members in the closed loop and of one in
+`run`, so its bookkeeping is kept to a fixed, small number of numpy calls
+per step at any batch size: nothing is gathered and the state is updated
+in place, each member's convergence floor is computed once per call, a
+retry is counted only in an iteration that has one, and the mask of
+members that took a solution is built only once a member has converged.
+What remains above the arithmetic was measured against a bare one-member
+loop, written out with the same numerators, selection rule, Gram, render
+and LAPACK calls but no validation, diagnostics or shedding: at B = 1 on
+engine_mix's windows it takes 0.79 (fsa), 0.71 (rba) and 0.80 (msa) of
+`run`'s time per window (one core of a 2-vCPU VM, numpy 2.4.6).  A call
+allocates its state once (`new_state`): the residuals, coefficients,
+renderings and span flags, one row per member, and the per-member
+counters.  A step writes the residuals, coefficients, renderings and
+iteration counts in place; what it computes on the way (the weighted
+residuals, their spectra, the numerators, the decrements, the selection
+masks) is new each step.  That keeps rba's first numerators, its
+input's, intact, and it measured faster end to end than scratch held for
+the call, whose buffers at 16 members (295 KB each) slowed open-loop CIF
+by about 2 %.  The solve, `_solve`, is the only solver and the one place
+a singular Gram matrix is handled; `solve_subspace` is its one-member
+call.  Every member's block, coefficients and diagnostics are bitwise
+independent of the batch size and of its batch-mates: every stacked
+operation computes each member exactly as it would compute it alone, and
+the solve never pads a system to a size that depends on the batch.
 """
 
 from __future__ import annotations
@@ -138,17 +140,21 @@ class SparseModel:
 
 @dataclass
 class EngineState:
-    """Mutable state of B working areas stepped together, one row each."""
+    """Mutable state of B working areas stepped together, one row each.
+
+    A converged member keeps its row; its infinite floor makes every later
+    step leave the row as it is."""
 
     f: np.ndarray                 # (B, M*N) input signals
     residual: np.ndarray          # (B, M*N) f - g
     coefficients: np.ndarray      # (B, count) model coefficients
     rendering: np.ndarray         # (B, M*N) model rasters, kept in sync
     energy0: np.ndarray           # (B,) weighted error of the zero model
-    floor: np.ndarray             # (B,) CONVERGENCE_FRACTION * energy0
+    floor: np.ndarray             # (B,) CONVERGENCE_FRACTION * energy0;
+                                  # inf once converged
     iterations: np.ndarray        # (B,) completed iterations
     converged: np.ndarray         # (B,) bool
-    live: np.ndarray              # ascending rows not converged
+    live: int                     # members not converged
     gram_retries: np.ndarray      # (B,) singular-Gram retries
     active: np.ndarray            # (B, count) bool: rba's selected span
     f_numerators: np.ndarray | None = None   # rba: projections of f, cached
@@ -184,7 +190,7 @@ def new_state(f, ctx: ProjectionContext, record: bool = False) -> EngineState:
         rendering=np.zeros(f.shape), energy0=energy0,
         floor=CONVERGENCE_FRACTION * energy0,
         iterations=np.zeros(batch, dtype=int),
-        converged=np.zeros(batch, dtype=bool), live=np.arange(batch),
+        converged=np.zeros(batch, dtype=bool), live=batch,
         gram_retries=np.zeros(batch, dtype=int),
         active=np.zeros((batch, b.count), dtype=bool),
         selections=[[] for _ in range(batch)] if record else None)
@@ -418,74 +424,60 @@ def step(state: EngineState, params: ExtrapolationParams,
     far and replaces all coefficients, undamped; because the span only
     grows, the weighted error cannot increase.  Its first step reuses the
     residual's numerators as those of the input, which the residual still
-    equals.  Selection hands back the live support once, as flat entries
-    in member order, so every member's support is a run of entries of any
-    size, with no sort and no grouping by size.  `_solve` solves them all
-    at once and gives back the supports solved on, with the retries to
-    count.  The solutions go into the coefficients in one scatter, and
-    each member's model update is rendered by one matrix product
+    equals.  Every step reads the whole state and context, one row per
+    member, converged or not; nothing is gathered.  Selection hands back
+    the support once, as flat entries in member order, so every member's
+    support is a run of entries of any size (0 included), with no sort
+    and no grouping by size.  `_solve` solves them all at once and gives
+    back the supports solved on, with the retries to count.  The
+    solutions go into the coefficients in one scatter, and each member's
+    model update is rendered by one matrix product
     (`ProjectionContext.render`).  A member converges when its best
     decrement falls below its floor, `CONVERGENCE_FRACTION` of its initial
     error, when nothing new is selected, or when `_solve` leaves it no
-    solution; every other live member counts one iteration.  While every
-    member is live, the state and the context are read whole, with no
-    gather.
+    solution: its floor becomes infinite, so from then on it selects
+    nothing and its row, counts included, stays as it is.  Every member
+    that takes a solution counts one iteration, so a step on a state with
+    no live member changes nothing.
     """
-    live = state.live
-    every = live.size == len(state.converged)
-    if every:   # the state and the context are read whole
-        rows, live_ctx = slice(None), ctx
-    elif live.size:
-        rows, live_ctx = live, ctx.take(live)
-    else:
-        return state
     rba = params.algorithm == "rba"
-    num = live_ctx.numerators(state.residual[rows])
+    num = ctx.numerators(state.residual)
     if rba and state.f_numerators is None:
         state.f_numerators = num   # the first step: the residual is f
-    decr = decrement_energies(num, live_ctx)
+    decr = decrement_energies(num, ctx)
     flat, sizes = select_batch(
         decr, params.tau, 1 if params.algorithm == "fsa" else params.n_bf,
-        floor=state.floor[rows])
+        floor=state.floor)
     fresh = None
     if rba:
-        flat, sizes, fresh = _grow_span(flat, state.active[rows])
-        num = state.f_numerators[rows]
+        flat, sizes, fresh = _grow_span(flat, state.active)
+        num = state.f_numerators
     count = decr.shape[1]
     idx, sizes, solution, retried = _solve(flat % count, sizes, fresh,
-                                           num.take(flat), decr, live_ctx)
+                                           num.take(flat), decr, ctx)
     if not rba:
         solution *= params.gamma
-    members = live
-    if retried or 0 in sizes:
-        # a member left without a solution converges
-        np.add.at(state.gram_retries, live[retried], 1)
-        solved = np.array(sizes) > 0
-        state.converged[live[~solved]] = True
-        state.live = (~state.converged).nonzero()[0]
-        members, sizes = live[solved], [k for k in sizes if k]
-        every = members.size == len(state.converged)
-        rows = slice(None) if every else members
-        flat = (members * count).repeat(sizes) + idx
-    elif not every:
-        flat = (live * count).repeat(sizes) + idx
-    # ``flat`` now holds the coefficient positions of the members that
-    # take a solution, the state rows ``rows``, each of which counts one
-    # iteration
+    if retried:   # a shed pick leaves the support: positions move
+        np.add.at(state.gram_retries, retried, 1)
+        flat = np.arange(0, decr.size, count).repeat(sizes) + idx
+    rows = slice(None)
+    if 0 in sizes:   # a member with nothing to solve converges, for good
+        rows = np.array(sizes) > 0
+        state.converged[~rows] = True
+        state.floor[~rows] = np.inf
+        state.live = len(sizes) - sizes.count(0)
     _apply(state, rows, flat, idx, solution, sizes, ctx, rba)
-    if every:   # whole arrays are updated in place, without a copy
-        np.add(state.iterations, 1, out=state.iterations)
-    else:
-        state.iterations[rows] += 1
-    # The other members' residuals are recomputed unchanged, without
+    state.iterations[rows] += 1
+    # The converged members' residuals are recomputed unchanged, without
     # temporaries.
     np.subtract(state.f, state.rendering, out=state.residual)
     if state.selections is not None:
         energies = _weighted_energies(state.residual, ctx).tolist()
-        for member, end, k in zip(members, np.cumsum(sizes), sizes):
-            state.selections[member].append(
-                (idx[end - k:end].copy(), solution[end - k:end].copy(),
-                 energies[member]))
+        for member, (end, k) in enumerate(zip(np.cumsum(sizes), sizes)):
+            if k:
+                state.selections[member].append(
+                    (idx[end - k:end].copy(), solution[end - k:end].copy(),
+                     energies[member]))
     return state
 
 
@@ -507,24 +499,22 @@ def _grow_span(flat: np.ndarray, active: np.ndarray):
 def _apply(state: EngineState, rows, pos: np.ndarray, idx: np.ndarray,
            values: np.ndarray, sizes: list, ctx: ProjectionContext,
            rba: bool) -> None:
-    """Put solutions into the models of the state rows ``rows`` (a basic
-    slice for every row, or ascending rows), member j owning the next
-    ``sizes[j]`` entries of ``idx`` and ``values``, at the positions
+    """Put solutions into the models of the members ``rows`` that took
+    one (a basic slice for every member, or a mask), member j owning the
+    next ``sizes[j]`` entries of ``idx`` and ``values``, at the positions
     ``pos`` of the flattened coefficients, in one scatter: rba replaces
-    the whole model, fsa/msa add their damped ``values`` to it."""
+    the whole model, fsa/msa add their damped ``values`` to it.  A member
+    with no solution renders a zero row, so adding it changes nothing."""
     rendered = ctx.render(idx, values, sizes)
     if rba:
         state.coefficients[rows] = 0.0
         state.coefficients.reshape(-1)[pos] = values
-        state.rendering[rows] = rendered
+        state.rendering[rows] = rendered[rows]
         state.active[rows] = False
         state.active.reshape(-1)[pos] = True
     else:
         state.coefficients.reshape(-1)[pos] += values
-        if isinstance(rows, slice):
-            np.add(state.rendering, rendered, out=state.rendering)
-        else:
-            state.rendering[rows] += rendered
+        np.add(state.rendering, rendered, out=state.rendering)
 
 
 def run_batch(windows, layouts, params: ExtrapolationParams, *,
@@ -548,9 +538,10 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
     internals: its selections, and its final model as copies of its
     coefficients and rendering.  The call allocates the batch's engine
     state once (`new_state`), and each iteration (`step`) updates it in
-    place; the results are built from its per-member figures, converted
-    to Python numbers once per call, and the loop stops as soon as no
-    member is live.
+    place, one row per member whether it has converged or not; the
+    results are built from its per-member figures, converted to Python
+    numbers once per call, and the loop stops as soon as no member is
+    live.
     Raises `ValueError` before any work for an empty batch, mismatched
     shapes or block sizes, and `SampleError` for a non-finite sample.
     """
@@ -567,7 +558,7 @@ def run_batch(windows, layouts, params: ExtrapolationParams, *,
     state = new_state(windows, ctx, record=record)
     for _ in range(params.iterations):
         step(state, params, ctx)
-        if state.live.size == 0:
+        if not state.live:
             break
     blocks = state.rendering.reshape(-1, *area)[:, size:2 * size,
                                                 size:2 * size]

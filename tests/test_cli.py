@@ -111,6 +111,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="power of two"):
             load_config(None, {"block_size": 0})
 
+    @pytest.mark.parametrize("algorithms", [",", " , "])
+    def test_validation_empty_algorithms(self, algorithms, tmp_path):
+        # an empty selection used to run nothing and write header-only CSVs
+        with pytest.raises(ConfigError, match="no algorithm selected"):
+            load_config(None, {"algorithms": algorithms})
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nalgorithms ={algorithms}\n")
+        with pytest.raises(ConfigError, match="no algorithm selected"):
+            load_config(str(path), {})
+
+    @pytest.mark.parametrize("key, raw", [("width", "6x4"),
+                                          ("mu", "half"),
+                                          ("qps", "22, x")])
+    def test_unparsable_value_names_file_and_key(self, tmp_path, key, raw):
+        # a bad value used to surface as the bare conversion error
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path), {})
+        assert str(err.value) == f"{path}: cannot parse {key} = {raw!r}"
+
     def test_validation_duplicate_algorithms(self):
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(None, {"algorithms": "msa,msa"})
@@ -218,6 +239,29 @@ class TestExitCodes:
         rc = cli.main(["bd", "--anchor", str(short), "--test", str(short)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["none,fast,30", "none,100,n/a"])
+    def test_bd_non_numeric_value_names_file_and_line(self, tmp_path,
+                                                      capsys, row):
+        # a non-numeric rate or PSNR used to give the bare conversion error
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"algorithm,rate_kbps,psnr_db\nnone,100,30\n{row}\n")
+        rc = cli.main(["bd", "--anchor", str(bad), "--test", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 3: rate_kbps ")
+        assert "must both be numbers" in err
+
+    @pytest.mark.parametrize("command", ["predict", "encode"])
+    def test_empty_algorithm_selection(self, command, tmp_path, capsys):
+        # refused before the input is read: the input does not even exist
+        out = tmp_path / "out.csv"
+        rc = cli.main([command, "--input", str(tmp_path / "any.yuv"),
+                       "--width", "64", "--height", "64",
+                       "--algorithms", ",", "--out-csv", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no algorithm selected\n"
+        assert not out.exists()
 
     def test_bd_missing_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -379,6 +423,24 @@ class TestEncodeCommand:
                        "--test-algorithm", "msa"])
         assert rc == 0
         assert "BD-rate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algorithms, reason", [
+        ("msa", "the selection has no 'none' anchor to compare against"),
+        ("none", "the selection has no refinement to compare with the "
+                 "'none' anchor"),
+    ])
+    def test_summary_without_bd_means_says_why(self, seq_path, tmp_path,
+                                               capsys, algorithms, reason):
+        # the summary file used to be left unwritten
+        summary = tmp_path / "summary.txt"
+        rc = cli.main(["encode", "--input", str(seq_path), "--width", "64",
+                       "--height", "64", "--frames", "2", "--qps", "28",
+                       "--algorithms", algorithms, "--msa-iterations", "2",
+                       "--search-range", "4", "--summary", str(summary)])
+        assert rc == 0
+        want = f"no Bjontegaard means computed: {reason}\n"
+        assert summary.read_text() == want
+        assert capsys.readouterr().out.endswith(want)
 
     def test_config_file_drives_encode(self, seq_path, tmp_path, capsys):
         ini = tmp_path / "run.ini"

@@ -627,8 +627,10 @@ class TestNumeratorCalls:
     @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
     def test_one_call_per_iteration(self, algo, monkeypatch):
         # every step with a live member reads the numerators once, in one
-        # stacked call: one per iteration, plus the step that finds a
-        # member converged; rba's first step reuses them for its input
+        # stacked call of the whole batch: one per iteration, plus the step
+        # that finds a member converged; rba's first step reuses them for
+        # its input.  A converged member keeps its row, so every call of
+        # the batch run takes all B rows.
         calls = []
         numerators = ProjectionContext.numerators
 
@@ -651,7 +653,35 @@ class TestNumeratorCalls:
             assert calls == [1] * steps[-1]
         calls.clear()
         run_batch(windows, layouts, params)
-        assert len(calls) == max(steps)
+        assert calls == [len(layouts)] * max(steps)
+
+    @pytest.mark.parametrize("algo", ["fsa", "rba", "msa"])
+    def test_converged_member_keeps_its_row(self, algo):
+        # the black member converges on its first step: its floor turns
+        # infinite and later steps leave its row as it is while its mates
+        # go on
+        rng = np.random.default_rng(21)
+        layouts = BATCH_LAYOUTS[16]
+        windows = plaid_windows(rng, len(layouts), 48)
+        windows[3] = 0.0
+        params = ExtrapolationParams.defaults(algo)
+        ctx = batch_context(layouts)
+        state = new_state(windows, ctx, record=True)
+        step(state, params, ctx)
+        assert state.floor[3] == np.inf
+        assert state.converged.tolist() == [False, False, False, True]
+        assert state.live == 3
+        names = ("residual", "coefficients", "rendering", "active",
+                 "iterations", "gram_retries", "floor")
+        kept = {name: getattr(state, name)[3].copy() for name in names}
+        before = state.iterations.copy()
+        for _ in range(2):
+            step(state, params, ctx)
+        assert (state.iterations[:3] == before[:3] + 2).all()
+        for name in names:
+            np.testing.assert_array_equal(getattr(state, name)[3],
+                                          kept[name])
+        assert state.selections[3] == []
 
 
 class TestParams:
