@@ -38,7 +38,15 @@ round's figure.  It prints:
   functions, so the engine sheds picks, retries and (rba) gives up;
 - per tree and engine, the total singular-Gram retries and early
   convergences of the runs hashed at each batch size, so that a reader
-  sees whether the hashes reached the engine's shed path at all.
+  sees whether the hashes reached the engine's shed path at all;
+- per round, each tree's process CPU time over wall time, summed over
+  every timed repeat of the round (``time.process_time`` beside
+  ``time.perf_counter``), flagging a round where either ratio is below
+  `LOADED`, and at the end the number of flagged rounds.  A ratio below 1
+  shows time-slicing on the process's own core: another process ran there
+  while a timing's wall clock went on.  It does not show contention from
+  the other core (shared caches and memory bandwidth), which slows the
+  process without taking its core away.
 
 BLAS is pinned to one thread; ROUNDS defaults to 7.
 """
@@ -62,6 +70,7 @@ BATCHES = (1, 4, 16)
 BLOCK = 16
 STRONGEST = 3   # functions per window whose Gram systems are refused
 REPEATS = 3     # timings per round of each tree, engine and B; the least counts
+LOADED = 0.95   # a round's CPU/wall ratio below this flags outside load
 
 
 def load_tree(root: Path, name: str):
@@ -175,13 +184,11 @@ class Tree:
                                      params, context=context, record=record)
         return out
 
-    def criterion8(self, engine: str) -> float:
+    def criterion8(self, engine: str) -> None:
         params = self.mc.ExtrapolationParams.defaults(engine)
         layout, ctx = self.interior
-        t0 = time.perf_counter()
         for window in self.c8:
             self.mc.run(window, layout, params, context=ctx)
-        return time.perf_counter() - t0
 
     def digest(self, engine: str, batch: int,
                shed: bool = False) -> tuple[str, int, int]:
@@ -204,15 +211,20 @@ class Tree:
         return h.hexdigest(), retries, converged
 
 
-def timed(call) -> float:
-    t0 = time.perf_counter()
+def timed(call, clock: list) -> float:
+    """The wall time of ``call``; adds its process CPU time and its wall
+    time to ``clock``, a [cpu, wall] pair."""
+    c0, t0 = time.process_time(), time.perf_counter()
     call()
-    return time.perf_counter() - t0
+    wall = time.perf_counter() - t0
+    clock[0] += time.process_time() - c0
+    clock[1] += wall
+    return wall
 
 
-def best(call) -> float:
+def best(call, clock: list) -> float:
     """The least wall time of `REPEATS` calls of ``call`` in a row."""
-    return min(timed(call) for _ in range(REPEATS))
+    return min(timed(call, clock) for _ in range(REPEATS))
 
 
 def ms(seconds: list, windows: int) -> float:
@@ -247,21 +259,30 @@ def main(argv) -> int:
                    for e in ENGINES} for t in trees]
     spent = [{(e, b): [] for e in ENGINES for b in BATCHES} for _ in trees]
     c8 = [[], []]
+    loaded = 0
     for r in range(rounds):
         order = trees if r % 2 == 0 else trees[::-1]
+        clocks = [[0.0, 0.0], [0.0, 0.0]]
         for e in ENGINES:
             for b in BATCHES:
                 for t in order:
-                    spent[trees.index(t)][e, b].append(
-                        best(lambda t=t: t.refine(e, b)))
+                    i = trees.index(t)
+                    spent[i][e, b].append(
+                        best(lambda t=t: t.refine(e, b), clocks[i]))
         for t in order:
-            seconds = {e: min(t.criterion8(e) for _ in range(REPEATS))
+            i = trees.index(t)
+            seconds = {e: best(lambda t=t: t.criterion8(e), clocks[i])
                        for e in ENGINES}
-            c8[trees.index(t)].append((seconds["fsa"] / seconds["msa"],
-                                       seconds["rba"] / seconds["msa"]))
+            c8[i].append((seconds["fsa"] / seconds["msa"],
+                          seconds["rba"] / seconds["msa"]))
+        cpu = [c / w for c, w in clocks]
+        flag = min(cpu) < LOADED
+        loaded += flag
         print(f"round {r + 1}/{rounds}: criterion 8 fsa/msa, rba/msa  "
               f"A {c8[0][-1][0]:.2f} {c8[0][-1][1]:.3f}  "
-              f"B {c8[1][-1][0]:.2f} {c8[1][-1][1]:.3f}", flush=True)
+              f"B {c8[1][-1][0]:.2f} {c8[1][-1][1]:.3f};  CPU/wall "
+              f"A {cpu[0]:.3f} B {cpu[1]:.3f}"
+              + (f"  LOADED (below {LOADED})" if flag else ""), flush=True)
 
     windows = len(trees[0].windows)
     ratios = {case: [b / a for a, b in zip(spent[0][case], spent[1][case])]
@@ -282,6 +303,8 @@ def main(argv) -> int:
            zip(*(ratios[e, 1] for e in ENGINES))]
     print("B=1 geometric mean of fsa, rba, msa time B/A: "
           "{:.3f} [{:.3f}, {:.3f}]".format(*quartiles(geo)))
+    print(f"rounds with a CPU/wall ratio below {LOADED}: "
+          f"{loaded} of {rounds}")
     for label, runs in zip("AB", c8):
         fsa = [f for f, _ in runs]
         rba = [r for _, r in runs]

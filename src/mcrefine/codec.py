@@ -7,38 +7,38 @@ ladder, every later frame is predicted from the previous reconstruction.
 pass of a ladder codes the same intra frame, and `encode_sequence` is one
 `encode_pass` per step.
 
-Per macroblock the encoder forms the motion-compensated predictor and, when
-enabled and any reconstructed neighbour exists, the spatially refined
-predictor; whichever has the smaller MSE against the original is kept, and
-one flag bit per macroblock is charged for the choice.  Refinement reads
-only data a decoder would also have: the previous reconstructed frame (via
-the displaced block) and already-reconstructed neighbour blocks of the
-current frame.  `replay_trace` exercises exactly that property.
+Open-loop prediction (`predict_frame`) and the closed loop
+(`encode_pass`) predict a P-frame through one routine, `_predict`, which
+states the procedure: motion compensation, then refinement jointly with
+the block's transmitted neighbours, then the MSE switch.  The two differ
+only in where the neighbours come from (the originals or the
+reconstruction) and in the groups the blocks are taken in.  In the closed
+loop refinement reads only data a decoder would also have: the previous
+reconstructed frame (via the displaced block) and already-reconstructed
+neighbour blocks of the current frame.  `replay_trace` exercises exactly
+that property; it runs no search and no switch, so it keeps its own loop.
 
-Open-loop prediction, the closed loop and its replay each compensate a
-whole frame in one loop, since compensation reads only the reference,
-and address its blocks through the frame's block grid (`_grid`).  Every
-path reaches the engine through one call, `refine_blocks`, which refines
-blocks of a frame by line-scan index, in engine batches of at most
-`REFINE_CHUNK` blocks of any neighbour-availability classes, and yields
-for each block exactly what refining it alone would.  Each batch takes
-its own weighting context (`batch_context`), which reads the cached
-reference weightings in place; no frame, pass or trace holds one of its
-own.  Open-loop prediction (`predict_frame`) reads no reconstruction, so
-it refines every block of a frame in one call.  The closed loop and its
-replay share one scheduling rule, `coding_order`: the blocks whose coding
-reads nothing of their own frame's reconstruction wait on no other
-block, so all of them are coded first, in one transform call, and the
-blocks that wait follow by their `dependency_levels` among themselves.  A
-block reads only its left, top-left, top and top-right neighbours, so
-the blocks of one level need only blocks of earlier levels.  In
-`encode_pass` the blocks that wait are the refinable ones: none without
-refinement, so a P-frame is one transform call; with it, every block
-that has a reconstructed neighbour, which gives the wavefront (block
-(bx, by) on level bx + 2 by - 1 when the grid is wider than one block).
-Each wave is refined and transform-coded in one call each; `_switch`
-compares a stack of blocks at a time and writes the chosen ones into the
-frame's predictor raster, and a frame's coefficient bits are taken in
+Every path compensates a whole frame in one loop, since compensation
+reads only the reference, and addresses its blocks through the frame's
+block grid (`_grid`).  Every path reaches the engine through one call,
+`refine_blocks`, which refines blocks of a frame by line-scan index, in
+engine batches of at most `REFINE_CHUNK` blocks of any
+neighbour-availability classes, and yields for each block exactly what
+refining it alone would.  Each batch takes its own weighting context
+(`batch_context`), which reads the cached reference weightings in place;
+no frame, pass or trace holds one of its own.  Open-loop prediction
+reads no reconstruction, so all blocks of a frame form one group.  The
+closed loop and its replay share one scheduling rule, `coding_order`:
+the blocks whose coding reads nothing of their own frame's
+reconstruction wait on no other block, so all of them are coded first,
+in one transform call, and the blocks that wait follow by their
+`dependency_levels` among themselves.  A block reads only its left,
+top-left, top and top-right neighbours, so the blocks of one level need
+only blocks of earlier levels.  In `encode_pass` the blocks that wait are
+the refinable ones: none without refinement, so a P-frame is one
+transform call; with it, every block that has a reconstructed neighbour,
+which gives the wavefront (block (bx, by) on level bx + 2 by - 1 when the
+grid is wider than one block).  A frame's coefficient bits are taken in
 one `_entropy_bits` call after its last wave.  In `replay_trace` the
 blocks that wait are the refined ones: every other block is decoded from
 its MC block and levels alone.
@@ -138,7 +138,9 @@ class EncoderConfig:
         elif params.algorithm != self.refinement:
             raise ValueError(f"refinement {self.refinement!r} does not match "
                              f"the extrapolation engine {params.algorithm!r}")
-        if len(self.qps) < 1 or any(b <= a for a, b in zip(self.qps, self.qps[1:])):
+        if not self.qps:
+            raise ValueError("quantizer ladder is empty")
+        if any(b <= a for a, b in zip(self.qps, self.qps[1:])):
             raise ValueError("quantizer ladder must be strictly increasing")
         for qstep in self.qsteps:
             check_qstep(qstep)
@@ -322,8 +324,9 @@ def refine_blocks(indices, layouts, neighbor_samples: np.ndarray,
     """Spatially refine the motion-compensated blocks ``indices`` of a
     frame.
 
-    The one refinement call of `predict_frame`, `encode_pass` and
-    `replay_trace`, so all three build working areas and weightings alike.
+    The one refinement call of `_predict` and `replay_trace`, so the open
+    loop, the closed loop and replay build working areas and weightings
+    alike.
     ``indices`` are line-scan indices into the frame's ``layouts``;
     ``mc_grid`` is the frame's (rows, columns, s, s) `_grid` of
     motion-compensated blocks.  The blocks are refined in order, in engine
@@ -401,44 +404,79 @@ def _side_bits(decisions, n_blocks_x: int, flag_per_block: bool) -> int:
     return bits
 
 
-def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
-                  jobs: int = 1) -> FramePrediction:
-    """Open-loop frame prediction: refinement neighbours come from the
-    current originals, so blocks are independent of each other's results.
+def _predict(current: Plane, reference: Plane, blocks, layouts, order,
+             neighbours: np.ndarray, config: EncoderConfig, code=None):
+    """Predict the ``blocks`` of ``current`` from ``reference``: the one
+    frame procedure of the open loop and the closed loop.
 
     Motion search runs first, as one `search_frame` pre-pass over every
-    block, then motion compensation of every block.  Every block that has
-    a decoded neighbour is refined in one `refine_blocks` call, in engine
-    batches of at most `REFINE_CHUNK` whatever availability classes they
-    mix; the per-block MSE switch comes last.
-    Because the engine computes each batch member exactly as it would
-    alone, the result equals refining block by block.  The closed-loop
-    path in `encode_pass` interleaves prediction with reconstruction
-    instead.  A reference whose size differs from the current frame's
-    raises `GeometryError` before any block is predicted.
+    block, then every block is motion compensated.  The blocks are then
+    taken group by group in ``order``, lists of line-scan indices.  Per
+    group, its refinable blocks (those of ``layouts`` with a transmitted
+    neighbour; ``layouts`` is empty without refinement) are refined in one
+    `refine_blocks` call against the neighbour raster ``neighbours``, and
+    none is made when the group has no such block.  `_switch` then keeps
+    each block's refinement only where it beats MC and writes the chosen
+    block into the predictor raster, and ``code(group, predictors)``, when
+    given, codes the group from the (rows, columns, s, s) `_grid` of that
+    raster; it may write the ``neighbours`` that later groups read.  Side
+    bits are the motion bits, plus one flag bit per block when refining.
+
+    Returns the `FramePrediction` and the wall seconds of the
+    `refine_blocks` calls.  The engine computes each batch member exactly
+    as it would alone, so the result equals predicting block by block.
+    """
+    s = config.block_size
+    motion = search_frame(current, reference, blocks, config.search)
+    mc_raster = _compensate_frame(reference, blocks, [mv for mv, _ in motion])
+    mc = _grid(mc_raster, s)
+    originals = _grid(current.data, s)
+    decisions = [None] * len(blocks)
+    refined = {}
+    seconds = 0.0
+    predictor = None
+    for group in order:
+        todo = [i for i in group if layouts and not layouts[i].r_empty]
+        if todo:
+            t0 = time.perf_counter()
+            refined.update((i, result.block) for i, result in zip(
+                todo, refine_blocks(todo, layouts, neighbours, mc, config)))
+            seconds += time.perf_counter() - t0
+        if predictor is None:   # so the engine's peak does not hold it
+            predictor = np.empty_like(mc_raster)
+            predictors = _grid(predictor, s)
+        _switch(group, motion, originals, mc, refined, decisions, predictors)
+        if code is not None:
+            code(group, predictors)
+    side = _side_bits(decisions, mc.shape[1], config.refinement != "none")
+    return FramePrediction(predictor=predictor, mc_predictor=mc_raster,
+                           decisions=decisions, side_bits=side), seconds
+
+
+def _layouts(frame: Plane, blocks, config: EncoderConfig) -> list:
+    """The working-area layouts of ``blocks``; none without refinement."""
+    return [build_layout(frame, block) for block in blocks
+            if config.refinement != "none"]
+
+
+def predict_frame(current: Plane, reference: Plane, config: EncoderConfig, *,
+                  jobs: int = 1) -> FramePrediction:
+    """Open-loop frame prediction: `_predict` with the current originals
+    as refinement neighbours, so blocks are independent of each other's
+    results and all blocks of the frame form one group.
+
+    A reference whose size differs from the current frame's raises
+    `GeometryError` before any block is predicted.
     """
     # Kept for callers that pass jobs=1; there is no parallel path.
     if jobs != 1:
         raise ValueError(f"predict_frame runs serially; jobs must be 1, "
                          f"got {jobs}")
-    s = config.block_size
-    blocks = _shared_blocks([current, reference], s)
-    motion = search_frame(current, reference, blocks, config.search)
-    mc_raster = _compensate_frame(reference, blocks, [mv for mv, _ in motion])
-    mc = _grid(mc_raster, s)
-    refined = {}
-    if config.refinement != "none":
-        layouts = [build_layout(current, block) for block in blocks]
-        todo = [i for i, layout in enumerate(layouts) if not layout.r_empty]
-        refined = {i: result.block for i, result in zip(todo, refine_blocks(
-            todo, layouts, current.data, mc, config))}
-    decisions = [None] * len(blocks)
-    predictor = np.empty_like(mc_raster)
-    _switch(range(len(blocks)), motion, _grid(current.data, s), mc, refined,
-            decisions, _grid(predictor, s))
-    side = _side_bits(decisions, mc.shape[1], config.refinement != "none")
-    return FramePrediction(predictor=predictor, mc_predictor=mc_raster,
-                           decisions=decisions, side_bits=side)
+    blocks = _shared_blocks([current, reference], config.block_size)
+    prediction, _ = _predict(current, reference, blocks,
+                             _layouts(current, blocks, config),
+                             [range(len(blocks))], current.data, config)
+    return prediction
 
 
 # ---------------------------------------------------------------------------
@@ -632,26 +670,20 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     encoder's per-frame predictor rasters are appended to it — the
     reference a decoder-side replay has to reproduce.
 
-    Each P-frame starts with a `search_frame` pre-pass against the previous
-    reconstruction, and every block is motion compensated from it.  The
-    blocks are then coded in `coding_order`, the rule replay follows: the
-    blocks that read nothing of their own frame's reconstruction come
-    first, as one group, and the refined blocks follow wave by wave (their
-    `dependency_levels`).  Without refinement that first group is every
-    block, so a P-frame is one group; with it, the group is the blocks
-    with no reconstructed neighbour (`r_empty`), and each wave after it
-    holds the blocks of one wavefront level.  Per group the refinable
-    blocks are refined in one `refine_blocks` call, `_switch` writes each
-    block's predictor into the frame's predictor raster, and the group is
-    transform-coded in one `reconstruct_block` call.  After the last
-    group one `_entropy_bits` call takes every block's coefficient bits,
-    and they are summed in line-scan order, so the result equals coding
-    block by block in line-scan order.  ``FrameStats.refine_seconds``
-    times the refinement calls.  The reconstruction is carried to the
-    next frame as luma only.  A quantizer step `check_qstep` refuses and
-    fewer than two frames raise `ValueError`, and a frame the block grid
-    does not tile or whose size differs from the first frame's raises
-    `GeometryError`, all before any block is searched or coded.
+    Each P-frame is one `_predict` call against the previous
+    reconstruction, with the frame's own reconstruction as refinement
+    neighbours, `reconstruct_block` as the coder of each group, and the
+    groups of `coding_order` with the refinable blocks waiting: the blocks
+    with no reconstructed neighbour (every block, without refinement) are
+    one group, and the refinable ones follow wave by wave.  One
+    `_entropy_bits` call then takes every block's coefficient bits, and
+    they are summed in line-scan order, so the result equals coding block
+    by block in line-scan order.  ``FrameStats.refine_seconds`` times the
+    refinement calls.  The reconstruction is carried to the next frame as
+    luma only.  A quantizer step `check_qstep` refuses and fewer than two
+    frames raise `ValueError`, and a frame the block grid does not tile or
+    whose size differs from the first frame's raises `GeometryError`, all
+    before any block is searched or coded.
     """
     check_qstep(qstep)
     s = config.block_size
@@ -661,68 +693,50 @@ def encode_pass(frames, config: EncoderConfig, qstep: float, qp: float, *,
     prev, intra_levels = _encode_intra(first, intra_qstep, blocks)
 
     nx, ny = first.width // s, first.height // s
-    refine = config.refinement != "none"
-    waits = []
-    if refine:
-        layouts = [build_layout(first, block) for block in blocks]
-        waits = [i for i, layout in enumerate(layouts) if not layout.r_empty]
-    total_bits = 0.0
+    layouts = _layouts(first, blocks, config)
+    # the top-left block has no neighbour, so the first group is never empty
+    order = coding_order(nx, ny, [i for i, layout in enumerate(layouts)
+                                  if not layout.r_empty])
     stats = []
     trace_frames = []
     for t in range(1, len(frames)):
         cur = frames[t].y
         recon_y = np.zeros((cur.height, cur.width), np.uint8)
-        pred_y = np.empty((cur.height, cur.width))
         originals, recon_grid = _grid(cur.data, s), _grid(recon_y, s)
-        pred_grid = _grid(pred_y, s)
-        decisions = [None] * len(blocks)
         levels = np.empty((len(blocks), *_level_shape(s)), np.int32)
-        refined = {}
-        refine_total = 0.0
-        motion = search_frame(cur, prev, blocks, config.search)
-        mc = _grid(_compensate_frame(prev, blocks, [mv for mv, _ in motion]),
-                   s)
 
-        def code(group):
-            _switch(group, motion, originals, mc, refined, decisions,
-                    pred_grid)
+        def code(group, predictors):
             at = np.divmod(group, nx)
             recon_grid[at], levels[group] = reconstruct_block(
-                originals[at], pred_grid[at], qstep)
+                originals[at], predictors[at], qstep)
 
-        # the top-left block has no neighbour, so `free` is never empty
-        free, *waves = coding_order(nx, ny, waits)
-        code(free)
-        for wave in waves:
-            t0 = time.perf_counter()
-            refined.update((i, result.block) for i, result in zip(
-                wave, refine_blocks(wave, layouts, recon_y, mc, config)))
-            refine_total += time.perf_counter() - t0
-            code(wave)
+        prediction, refine_seconds = _predict(cur, prev, blocks, layouts,
+                                              order, recon_y, config, code)
         # Added one by one in line-scan order, so the float sum does not
         # depend on the schedule.
         frame_bits = 0.0
         for bits in _entropy_bits(levels.reshape(len(blocks), -1)).tolist():
             frame_bits += bits
-        frame_bits += _side_bits(decisions, nx, refine)
-        total_bits += frame_bits
-        refined_n = sum(d.refined for d in decisions)
+        frame_bits += prediction.side_bits
         stats.append(FrameStats(
             index=t, bits=frame_bits,
             psnr_db=psnr(cur.data, recon_y),
-            refined_fraction=refined_n / len(decisions),
-            refine_seconds=refine_total))
+            refined_fraction=sum(d.refined for d in prediction.decisions)
+            / len(blocks),
+            refine_seconds=refine_seconds))
         prev = Plane(recon_y)
         if collect_trace:
             trace_frames.append(tuple(
                 BlockTrace(mv=d.mv, refined=d.refined, levels=block_levels)
-                for d, block_levels in zip(decisions, levels)))
+                for d, block_levels in zip(prediction.decisions, levels)))
         if predictor_sink is not None:
-            predictor_sink.append(pred_y)
+            predictor_sink.append(prediction.predictor)
+        # the next frame's refinement should not hold this one's MC raster
+        del prediction
 
     n_p = len(frames) - 1
     point = RDPoint(
-        rate_kbps=total_bits * config.fps / n_p / 1000.0,
+        rate_kbps=sum(fs.bits for fs in stats) * config.fps / n_p / 1000.0,
         psnr_db=float(np.mean([fs.psnr_db for fs in stats])),
         qp=qp, qstep=qstep,
         refined_fraction=float(np.mean([fs.refined_fraction for fs in stats])),

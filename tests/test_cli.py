@@ -210,6 +210,19 @@ class TestExitCodes:
         assert "quantizer step" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_quantizer_ladder(self, seq_path, tmp_path, capsys):
+        # it used to be refused as "must be strictly increasing"
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nqps =\n")
+        out = tmp_path / "rd.csv"
+        for ladder in (["--qps", ","], ["--config", str(ini)]):
+            rc = cli.main(["encode", "--input", str(seq_path), "--width",
+                           "64", "--height", "64", *ladder,
+                           "--out-csv", str(out)])
+            assert rc == 2
+            assert "quantizer ladder is empty" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_non_finite_weight(self, seq_path, capsys):
         rc = cli.main(["predict", "--input", str(seq_path), "--width", "64",
                        "--height", "64", "--mu", "nan"])

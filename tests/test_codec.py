@@ -86,6 +86,9 @@ class TestEncoderConfig:
             EncoderConfig(refinement="bogus")
         with pytest.raises(ValueError):
             EncoderConfig(qps=(28, 22))
+        # named for what it is, not refused by the ordering check
+        with pytest.raises(ValueError, match="quantizer ladder is empty"):
+            EncoderConfig(qps=())
         for size in (12, 16.0, "16"):
             with pytest.raises(ValueError, match="integer power of two"):
                 EncoderConfig(block_size=size)
@@ -881,6 +884,31 @@ class TestClosedLoop:
         assert_same_pass((*with_sink, []), (*without, []))
         np.testing.assert_array_equal(with_sink[2].intra_levels,
                                       without[2].intra_levels)
+
+    @pytest.mark.parametrize("algo, width, height, size", [
+        ("none", 64, 48, 16), ("fsa", 48, 32, 8), ("rba", 48, 32, 8),
+        ("msa", 64, 48, 16)])
+    def test_lossless_loop_predicts_like_the_open_loop(self, algo, width,
+                                                       height, size):
+        # at QP -110 (qstep 1.9e-6) every frame is reconstructed exactly, so
+        # the closed loop's reference and neighbours are the originals, and
+        # it must predict each P-frame exactly as the open loop does
+        frames = synth_sequence("translate", width=width, height=height,
+                                frames=3, seed=1, noise_sigma=8.0)
+        cfg = EncoderConfig(refinement=algo, block_size=size, qps=(-110,),
+                            search=SearchParams(search_range=6))
+        sink = []
+        _, stats, trace = encode_pass(frames, cfg, cfg.qsteps[0], -110,
+                                      collect_trace=True, predictor_sink=sink)
+        assert [fs.psnr_db for fs in stats] == [math.inf, math.inf]
+        for t, predictor, blocks in zip((1, 2), sink, trace.frames,
+                                        strict=True):
+            fp = predict_frame(frames[t].y, frames[t - 1].y, cfg)
+            np.testing.assert_array_equal(predictor, fp.predictor)
+            assert [(bt.mv, bt.refined) for bt in blocks] \
+                == [(d.mv, d.refined) for d in fp.decisions]
+        assert algo == "none" or any(bt.refined for blocks in trace.frames
+                                     for bt in blocks)
 
     def test_every_pass_reports_only_p_frames(self):
         frames = tiny_sequence(frames=4, sigma=4.0)
